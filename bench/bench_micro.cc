@@ -6,8 +6,9 @@
 // In addition to the google-benchmark suite, main() always times the kernel
 // layer (blocked GEMM, fused-transpose variants, GEMM-based pairwise
 // distances, KMeans assignment, NT-Xent) against the seed's scalar
-// reference kernels and dumps a machine-readable BENCH_kernels.json so
-// future PRs have a perf trajectory to regress against. Run with
+// reference kernels, plus the fixed-point server fold against its
+// per-element int128 loop, and dumps a machine-readable BENCH_kernels.json
+// so future PRs have a perf trajectory to regress against. Run with
 // --benchmark_filter=NONE to get just the JSON dump.
 #include <benchmark/benchmark.h>
 
@@ -29,6 +30,7 @@
 #include "core/pfl_ssl.h"
 #include "core/prototype_loss.h"
 #include "flapi/algorithm.h"
+#include "flapi/fixed_accum.h"
 #include "metrics/tsne.h"
 #include "nn/losses.h"
 #include "nn/networks.h"
@@ -454,10 +456,82 @@ std::string kernel_entry_json(const KernelEntry& e, bool last) {
   return buffer;
 }
 
+// The fixed-point server fold (flapi/fixed_accum.h), in ns per parameter:
+// one weighted fold into the 64.64 accumulator, and the finish() readback,
+// at FedAvg's 32 k-param model (accumulator fits in L2) and the wide
+// encoder's 1.39 M params (it does not). The baseline is the per-element
+// loop the SIMD kernel replaced: fixedpoint::quantize / to_double on a
+// vector<__int128>, whose int128 conversions are libgcc calls. Single
+// threaded, like the fold itself; the accumulator is preallocated, so page
+// faults stay out of both sides.
+struct FoldEntry {
+  std::string name;
+  std::size_t params = 0;
+  double ns_per_param = 0.0;
+  double baseline_ns_per_param = 0.0;
+};
+
+std::vector<FoldEntry> collect_fold_entries() {
+  namespace fp = fl::fixedpoint;
+  constexpr int kFolds = 8;  // weighted folds per timed call
+  rng::Generator gen(96);
+  std::vector<FoldEntry> entries;
+  for (const std::size_t params : {std::size_t{32768}, std::size_t{1390000}}) {
+    std::vector<float> x(params);
+    for (float& v : x) v = static_cast<float>(gen.normal(0.0, 0.1));
+    fp::Accumulator acc;
+    acc.assign_zero(params);
+    std::vector<fp::Acc> ref(params, 0);
+    const double ns = 1e9 / static_cast<double>(params);
+
+    FoldEntry fold{"fold_" + std::to_string(params), params};
+    fold.ns_per_param = ns / kFolds * time_best(
+        [&] {
+          for (int k = 0; k < kFolds; ++k) {
+            acc.add_scaled(x.data(), 1.0 + 0.125 * k);
+          }
+        },
+        5);
+    fold.baseline_ns_per_param = ns / kFolds * time_best(
+        [&] {
+          for (int k = 0; k < kFolds; ++k) {
+            const double w = 1.0 + 0.125 * k;
+            for (std::size_t i = 0; i < params; ++i) {
+              ref[i] += fp::quantize(w * static_cast<double>(x[i]));
+            }
+          }
+          benchmark::DoNotOptimize(ref.data());
+        },
+        3);
+    entries.push_back(fold);
+
+    std::vector<float> out(params);
+    FoldEntry finish{"finish_" + std::to_string(params), params};
+    finish.ns_per_param = ns * time_best(
+        [&] {
+          acc.read(3.0, out.data());
+          benchmark::DoNotOptimize(out.data());
+        },
+        5);
+    finish.baseline_ns_per_param = ns * time_best(
+        [&] {
+          for (std::size_t i = 0; i < params; ++i) {
+            out[i] = static_cast<float>(fp::to_double(ref[i]) / 3.0);
+          }
+          benchmark::DoNotOptimize(out.data());
+        },
+        3);
+    entries.push_back(finish);
+  }
+  return entries;
+}
+
 // Times the kernel suite twice — single-threaded (parallelism forced off)
-// and at default parallelism — and writes both runs to one JSON file:
+// and at default parallelism — and the fold rows once, and writes them all
+// to one JSON file:
 //   {"runs": [{"threads": 1, "entries": [...]},
-//             {"threads": N, "entries": [...]}]}
+//             {"threads": N, "entries": [...]}],
+//    "fold": [...]}
 void dump_kernel_json(const char* path) {
   std::ofstream out(path);
   out << "{\n  \"generated_by\": \"bench_micro\",\n  \"runs\": [\n";
@@ -478,6 +552,24 @@ void dump_kernel_json(const char* path) {
     out << "    ]}" << (r + 1 < 2 ? "," : "") << "\n";
   }
   tensor::kernels::set_parallel_threshold_override(0);
+  out << "  ],\n  \"fold\": [\n";
+  const std::vector<FoldEntry> folds = collect_fold_entries();
+  for (std::size_t i = 0; i < folds.size(); ++i) {
+    const FoldEntry& e = folds[i];
+    const double speedup = e.baseline_ns_per_param / e.ns_per_param;
+    char buffer[256];
+    std::snprintf(buffer, sizeof(buffer),
+                  "    {\"name\": \"%s\", \"params\": %zu, "
+                  "\"ns_per_param\": %.3f, \"baseline_ns_per_param\": %.3f, "
+                  "\"speedup\": %.2f}%s\n",
+                  e.name.c_str(), e.params, e.ns_per_param,
+                  e.baseline_ns_per_param, speedup,
+                  i + 1 == folds.size() ? "" : ",");
+    out << buffer;
+    std::printf("[kernels] %-32s %8.3f ns/param  (baseline %8.3f, %.2fx)\n",
+                e.name.c_str(), e.ns_per_param, e.baseline_ns_per_param,
+                speedup);
+  }
   out << "  ]\n}\n";
   std::printf("[kernels] wrote %s\n", path);
 }

@@ -51,16 +51,12 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
     CALIBRE_CHECK_LT(folded_, fl::fixedpoint::kMaxFolds,
                      "too many folds for one accumulator");
     if (acc_x_.empty()) {
-      acc_x_.assign(model_dim_, 0);
-      acc_delta_c_.assign(model_dim_, 0);
+      acc_x_.assign_zero(model_dim_);
+      acc_delta_c_.assign_zero(model_dim_);
     }
     const std::vector<float>& values = update.state.values();
-    for (std::size_t i = 0; i < model_dim_; ++i) {
-      acc_x_[i] +=
-          fl::fixedpoint::quantize(w * static_cast<double>(values[i]));
-      acc_delta_c_[i] += fl::fixedpoint::quantize(
-          static_cast<double>(values[model_dim_ + i]));
-    }
+    acc_x_.add_scaled(values.data(), w);
+    acc_delta_c_.add_scaled(values.data() + model_dim_, 1.0);
     total_weight_ += fl::fixedpoint::quantize(w);
     ++folded_;
   }
@@ -73,13 +69,11 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
         static_cast<float>(std::max(1, num_train_clients_));
     const double total = fl::fixedpoint::to_double(total_weight_);
     std::vector<float> packed(2 * model_dim_);
+    acc_x_.read(total, packed.data());
+    // The control half first holds mean(delta_c_i), then becomes c.
+    acc_delta_c_.read(static_cast<double>(folded_), packed.data() + model_dim_);
     for (std::size_t i = 0; i < model_dim_; ++i) {
-      packed[i] =
-          static_cast<float>(fl::fixedpoint::to_double(acc_x_[i]) / total);
-      server_control_[i] +=
-          participation *
-          static_cast<float>(fl::fixedpoint::to_double(acc_delta_c_[i]) /
-                             static_cast<double>(folded_));
+      server_control_[i] += participation * packed[model_dim_ + i];
       packed[model_dim_ + i] = server_control_[i];
     }
     return nn::ModelState(std::move(packed));
@@ -99,10 +93,8 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
       acc_x_ = std::move(rhs->acc_x_);
       acc_delta_c_ = std::move(rhs->acc_delta_c_);
     } else {
-      for (std::size_t i = 0; i < model_dim_; ++i) {
-        acc_x_[i] += rhs->acc_x_[i];
-        acc_delta_c_[i] += rhs->acc_delta_c_[i];
-      }
+      acc_x_.add(rhs->acc_x_);
+      acc_delta_c_.add(rhs->acc_delta_c_);
     }
     total_weight_ += rhs->total_weight_;
     folded_ += rhs->folded_;
@@ -118,8 +110,8 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
   std::size_t model_dim_;
   std::vector<float>& server_control_;
   int num_train_clients_;
-  std::vector<fl::fixedpoint::Acc> acc_x_;
-  std::vector<fl::fixedpoint::Acc> acc_delta_c_;
+  fl::fixedpoint::Accumulator acc_x_;
+  fl::fixedpoint::Accumulator acc_delta_c_;
   fl::fixedpoint::Acc total_weight_ = 0;
 };
 

@@ -112,13 +112,11 @@ void WeightedStreamingAggregator::fold(ClientUpdate update) {
   const std::vector<float>& values = update.state.values();
   if (acc_.empty()) {
     CALIBRE_CHECK_MSG(!values.empty(), "empty update state");
-    acc_.assign(values.size(), 0);
+    acc_.assign_zero(values.size());
   }
   CALIBRE_CHECK_EQ(acc_.size(), values.size(),
                    "update dimension changed mid-round");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    acc_[i] += fixedpoint::quantize(w * static_cast<double>(values[i]));
-  }
+  acc_.add_scaled(values.data(), w);
   total_weight_ += fixedpoint::quantize(w);
   ++folded_;
 }
@@ -127,9 +125,7 @@ nn::ModelState WeightedStreamingAggregator::finish() {
   CALIBRE_CHECK_MSG(folded_ > 0, "finish() before any update was folded");
   const double total = fixedpoint::to_double(total_weight_);
   std::vector<float> out(acc_.size());
-  for (std::size_t i = 0; i < acc_.size(); ++i) {
-    out[i] = static_cast<float>(fixedpoint::to_double(acc_[i]) / total);
-  }
+  acc_.read(total, out.data());
   return nn::ModelState(std::move(out));
 }
 
@@ -145,7 +141,7 @@ void WeightedStreamingAggregator::merge(StreamingAggregator&& other) {
   } else {
     CALIBRE_CHECK_EQ(acc_.size(), rhs->acc_.size(),
                      "shard accumulators disagree on update dimension");
-    for (std::size_t i = 0; i < acc_.size(); ++i) acc_[i] += rhs->acc_[i];
+    acc_.add(rhs->acc_);
   }
   total_weight_ += rhs->total_weight_;
   folded_ += rhs->folded_;

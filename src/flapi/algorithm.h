@@ -100,7 +100,7 @@ struct PersonalizationContext {
 // merge(), which combines a shard-local partial fold (over a DISJOINT
 // subset of the round's updates) into this one as if its updates had been
 // folded here. The native folds implement merge exactly — their
-// accumulators are fixed-point integers (fl/fixed_accum.h), so integer
+// accumulators are fixed-point integers (flapi/fixed_accum.h), so integer
 // associativity makes every fold schedule (flat, N shards, multi-level
 // edge-aggregator trees) bit-identical by construction. That is what lets
 // the runner decode + fold replies on parallel shard workers and still
@@ -157,7 +157,7 @@ class StreamingAggregator {
 // the default reads ClientUpdate::weight. Normalisation happens once at
 // finish(), which is what makes a weighted mean foldable without knowing
 // the participant set (or total weight) up front. The accumulator is a
-// fixed-point integer sum (fl/fixed_accum.h), so merge() — shard partials
+// fixed-point integer sum (flapi/fixed_accum.h), so merge() — shard partials
 // added element-wise — is exactly associative and commutative: sharded and
 // flat folds are bit-identical for any shard count.
 class WeightedStreamingAggregator : public StreamingAggregator {
@@ -172,7 +172,7 @@ class WeightedStreamingAggregator : public StreamingAggregator {
 
  private:
   WeightFn weight_of_;
-  std::vector<fixedpoint::Acc> acc_;
+  fixedpoint::Accumulator acc_;
   fixedpoint::Acc total_weight_ = 0;
 };
 

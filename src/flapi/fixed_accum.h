@@ -27,6 +27,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 
@@ -43,7 +46,9 @@ inline constexpr int kMaxFolds = 1 << 20;     // folds-per-accumulator bound
 // Quantizes one term to the grid: round-to-nearest-even of v * 2^64,
 // computed in double (keeps v's full mantissa; the conversion to int128 is
 // exact because the rounded value is integral). CHECK-fails on terms
-// outside the overflow-safe domain instead of silently wrapping.
+// outside the overflow-safe domain instead of silently wrapping. The
+// scalar definition of the grid: Accumulator::add_scaled below computes
+// exactly this per element, without the int128 conversion call.
 inline Acc quantize(double v) {
   const double scaled = v * kScale;
   CALIBRE_CHECK_MSG(scaled <= kMaxAbsTerm * kScale &&
@@ -54,5 +59,42 @@ inline Acc quantize(double v) {
 
 // Exact-to-double readback (one rounding, at the end).
 inline double to_double(Acc a) { return static_cast<double>(a) * kInvScale; }
+
+// A vector of 64.64 accumulators, one per model parameter, stored as two
+// parallel u64 arrays: element j is the two's-complement int128
+// hi[j]:lo[j]. Same 16 bytes per parameter as a vector<Acc>, but the
+// split layout lets the SIMD kernels in fixed_accum.cc load eight low
+// and eight high words with plain vector loads.
+class Accumulator {
+ public:
+  std::size_t size() const { return lo_.size(); }
+  bool empty() const { return lo_.empty(); }
+
+  // Resizes to `count` zeroed elements.
+  void assign_zero(std::size_t count);
+  // Drops every element (a consumed merge partial).
+  void clear();
+
+  // acc[j] += quantize(w * double(x[j])) for every j < size(), bit for bit:
+  // same product, same scaling, same round-to-nearest-even, same domain
+  // CHECK (applied to each group of terms before it is added).
+  void add_scaled(const float* x, double w);
+  // acc[j] += other[j] (exact, wrapping int128 addition).
+  void add(const Accumulator& other);
+  // out[j] = float(to_double(acc[j]) / divisor), bit for bit.
+  void read(double divisor, float* out) const;
+  // out[j] = to_double(acc[j]) / divisor, bit for bit (the float overload
+  // rounds this once more).
+  void read(double divisor, double* out) const;
+
+  Acc at(std::size_t j) const {
+    return static_cast<Acc>(
+        (static_cast<unsigned __int128>(hi_[j]) << 64) | lo_[j]);
+  }
+
+ private:
+  std::vector<std::uint64_t> lo_;
+  std::vector<std::uint64_t> hi_;
+};
 
 }  // namespace calibre::fl::fixedpoint

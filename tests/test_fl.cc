@@ -2,9 +2,12 @@
 // federated dataset construction, the linear probe, the runner, and the
 // fault-tolerant round loop.
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algos/scaffold.h"
 #include "comm/codec.h"
 #include "comm/message.h"
 #include "common/check.h"
@@ -21,6 +25,7 @@
 #include "flapi/model.h"
 #include "flapi/probe.h"
 #include "fl/runner.h"
+#include "tensor/rng.h"
 
 namespace calibre::fl {
 namespace {
@@ -1061,6 +1066,310 @@ TEST(MergeAlgebra, BatchAdapterRefusesToMerge) {
   a->fold(algebra_update(0));
   b->fold(algebra_update(1));
   EXPECT_THROW(a->merge(std::move(*b)), CheckError);
+}
+
+// --- fixed-point fold kernel -------------------------------------------------
+
+// The scalar definition of one fixed-point term: the oracle every
+// target_clones variant of Accumulator::add_scaled must match bit for bit.
+fixedpoint::Acc oracle_term(float x, double w) {
+  return static_cast<fixedpoint::Acc>(
+      std::rint(w * static_cast<double>(x) * 0x1p64));
+}
+
+bool in_term_domain(float x, double w) {
+  return std::abs(w * static_cast<double>(x)) <= 0x1p42;
+}
+
+// Folds spans[k] with weights[k] into one Accumulator and into int128
+// oracle sums, then compares every element, the exact double readback and
+// the float readback bit for bit. Reports only the first mismatch of each
+// kind, so a million-element span cannot flood the log.
+void expect_kernel_matches_oracle(const std::vector<std::vector<float>>& spans,
+                                  const std::vector<double>& weights,
+                                  double divisor) {
+  ASSERT_EQ(spans.size(), weights.size());
+  const std::size_t n = spans.front().size();
+  fixedpoint::Accumulator acc;
+  acc.assign_zero(n);
+  std::vector<fixedpoint::Acc> ref(n, 0);
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    ASSERT_EQ(spans[k].size(), n);
+    acc.add_scaled(spans[k].data(), weights[k]);
+    for (std::size_t j = 0; j < n; ++j) {
+      ref[j] += oracle_term(spans[k][j], weights[k]);
+    }
+  }
+  std::vector<double> as_double(n);
+  std::vector<float> as_float(n);
+  acc.read(divisor, as_double.data());
+  acc.read(divisor, as_float.data());
+  std::size_t acc_bad = 0;
+  std::size_t double_bad = 0;
+  std::size_t float_bad = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double want = fixedpoint::to_double(ref[j]) / divisor;
+    if (acc.at(j) != ref[j] && acc_bad++ == 0) {
+      ADD_FAILURE() << "accumulator differs at " << j << " of " << n;
+    }
+    if (std::bit_cast<std::uint64_t>(as_double[j]) !=
+            std::bit_cast<std::uint64_t>(want) &&
+        double_bad++ == 0) {
+      ADD_FAILURE() << "double readback differs at " << j << ": "
+                    << as_double[j] << " vs " << want;
+    }
+    if (std::bit_cast<std::uint32_t>(as_float[j]) !=
+            std::bit_cast<std::uint32_t>(static_cast<float>(want)) &&
+        float_bad++ == 0) {
+      ADD_FAILURE() << "float readback differs at " << j;
+    }
+  }
+  EXPECT_EQ(acc_bad + double_bad + float_bad, 0u) << "span length " << n;
+}
+
+// Every prefix of the edge list, so the lengths cover a partial group, one
+// full 8-lane group, and a full group plus a tail.
+void expect_prefixes_match_oracle(const std::vector<float>& values,
+                                  const std::vector<double>& weights) {
+  for (std::size_t len = 1; len <= values.size(); ++len) {
+    const std::vector<float> span(values.begin(),
+                                  values.begin() + static_cast<std::ptrdiff_t>(len));
+    expect_kernel_matches_oracle(
+        std::vector<std::vector<float>>(weights.size(), span), weights, 3.0);
+  }
+}
+
+TEST(FixedPointKernel, MatchesOracleOnZerosSubnormalsAndTies) {
+  // Signed zeros, the smallest float subnormal, and products that are
+  // double subnormals (1e-300 * tiny) all quantize to 0.
+  const std::vector<float> tiny = {0.0f,    -0.0f,    0x1p-149f, -0x1p-149f,
+                                   0x1p-126f, 1e-30f, -1e-30f,   0.0f,
+                                   -0x1p-140f, 1e-38f, 0.0f};
+  for (const double w : {1.0, 1e-300, 0x1p-64, 0x1p60}) {
+    expect_prefixes_match_oracle(tiny, {w, w});
+  }
+  // Exact .5 ties: w = 2^-64 makes the scaled term x itself, w = 2^-65 x/2.
+  std::vector<float> ties;
+  for (int n = -9; n <= 9; ++n) ties.push_back(static_cast<float>(n) + 0.5f);
+  expect_prefixes_match_oracle(ties, {0x1p-64});
+  expect_prefixes_match_oracle(ties, {0x1p-65, 0x1p-64, 0x1p-65});
+  for (const float x : ties) {
+    const double scaled = 0x1p-64 * static_cast<double>(x) * 0x1p64;
+    ASSERT_EQ(scaled, std::floor(scaled) + 0.5) << "not a tie: " << x;
+  }
+}
+
+TEST(FixedPointKernel, MatchesOracleAroundWideMagnitudes) {
+  // Scaled magnitudes just below, at and above 2^52 (where rint stops
+  // rounding), 2^63 and 2^64 (the low/high word boundary) and 2^105 (the
+  // domain edge), with weights that put bits below the grid.
+  const std::vector<double> weights = {1.0, 1.0 + 0x1p-30, 0x1.fffffffffffffp-1,
+                                       0.7};
+  for (const int exponent : {52, 63, 64, 105}) {
+    std::vector<float> span;
+    for (const int below : {-1, 0}) {
+      for (const float mantissa :
+           {1.0f, 1.0f + 0x1p-23f, 1.5f, 1.9999999f, 1.2345678f}) {
+        for (const float sign : {1.0f, -1.0f}) {
+          const float x =
+              sign * std::ldexp(mantissa, exponent - 64 + below);
+          bool ok = true;
+          for (const double w : weights) ok = ok && in_term_domain(x, w);
+          if (ok) span.push_back(x);
+        }
+      }
+    }
+    ASSERT_GE(span.size(), 9u) << "2^" << exponent;
+    expect_prefixes_match_oracle(span, weights);
+  }
+}
+
+TEST(FixedPointKernel, NegativeTermsWithAZeroLowWordCarryIntoTheHighWord) {
+  // -2^64, -2^65, ... have lo == 0: the two's-complement +1 must carry.
+  const std::vector<float> span = {-1.0f, -2.0f, -0x1p10f, -0x1p41f, -1.0f,
+                                   -3.0f, -4.0f, -0x1p20f, -0x1p33f};
+  for (const float x : span) {
+    const fixedpoint::Acc term = oracle_term(x, 1.0);
+    ASSERT_EQ(static_cast<std::uint64_t>(term), 0u) << x;
+    ASSERT_LT(term, 0) << x;
+  }
+  expect_prefixes_match_oracle(span, {1.0});
+  expect_prefixes_match_oracle(span, {1.0, 1.0, 1.0});
+}
+
+TEST(FixedPointKernel, MatchesOracleOnRandomMillionParamSpans) {
+  rng::Generator gen(4242);
+  const std::size_t n = 1'000'003;  // not a multiple of the lane count
+  std::vector<std::vector<float>> spans(3, std::vector<float>(n));
+  for (std::vector<float>& span : spans) {
+    for (float& v : span) {
+      // Magnitudes from 2^-70 to 2^30: grid underflow through wide terms.
+      const int exponent = static_cast<int>(gen.uniform_index(101)) - 70;
+      v = static_cast<float>(std::ldexp(gen.normal(), exponent));
+    }
+  }
+  expect_kernel_matches_oracle(spans, {1.0, 37.25, 0.3 + gen.uniform()}, 3.0);
+}
+
+TEST(FixedPointKernel, ReadbackRoundsInt128ToNearestEven) {
+  // Sums with more than 53 significant bits: a 2^104 head plus a tail at
+  // exactly half an ulp (2^51 — a tie, so the even neighbour wins), half an
+  // ulp above an odd head (ties up), and half an ulp plus a sticky 2^0
+  // (rounds up). Negated copies check the sign handling; the k = 0 window
+  // (|acc| < 2^64) and the 2^63 window edge ride along.
+  const std::vector<std::vector<float>> spans = {
+      {0x1p40f, 0x1p40f, 0x1p40f, -0x1p40f, 0x1p-1f, 0x1p-2f, 0x1p39f, 0.0f,
+       0x1p40f},
+      {0x1p-13f, 0x1p-12f, 0x1p-13f, -0x1p-13f, 0x1p-60f, 0x1p-60f,
+       0x1p-12f, 0.0f, 0x1p-13f},
+      {0.0f, 0x1p-13f, 0x1p-64f, -0x1p-64f, 0.0f, 0x1p-64f, 0x1p-13f, 0.0f,
+       0x1p-14f}};
+  expect_kernel_matches_oracle(spans, {1.0, 1.0, 1.0}, 1.0);
+  // The same sums negated.
+  std::vector<std::vector<float>> negated = spans;
+  for (std::vector<float>& span : negated) {
+    for (float& v : span) v = -v;
+  }
+  expect_kernel_matches_oracle(negated, {1.0, 1.0, 1.0}, 1.0);
+  // Every bit length of the high word.
+  std::vector<float> powers;
+  for (int e = -64; e <= 41; ++e) {
+    powers.push_back(std::ldexp(1.0f + 0x1p-23f, e));
+  }
+  std::vector<float> odd_tail(powers.size(), 0x1p-64f * 3.0f);
+  expect_kernel_matches_oracle({powers, odd_tail}, {1.0, 1.0}, 1.0);
+}
+
+TEST(FixedPointKernel, AddCarriesAcrossTheLowWord) {
+  rng::Generator gen(99);
+  const std::size_t n = 1003;
+  std::vector<float> a(n);
+  std::vector<float> b(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    // Random low words: about half the additions carry into the high word,
+    // and mixed signs make some of them borrows.
+    a[j] = static_cast<float>(gen.normal());
+    b[j] = (j % 2 == 0 ? 1.0f : -1.0f) * static_cast<float>(gen.uniform());
+  }
+  fixedpoint::Accumulator left;
+  fixedpoint::Accumulator right;
+  left.assign_zero(n);
+  right.assign_zero(n);
+  left.add_scaled(a.data(), 0.999);
+  right.add_scaled(b.data(), 1.001);
+  right.add_scaled(a.data(), -0.5);
+  left.add(right);
+  for (std::size_t j = 0; j < n; ++j) {
+    const fixedpoint::Acc want = oracle_term(a[j], 0.999) +
+                                 oracle_term(b[j], 1.001) +
+                                 oracle_term(a[j], -0.5);
+    ASSERT_TRUE(left.at(j) == want) << "element " << j;
+  }
+  fixedpoint::Accumulator shorter;
+  shorter.assign_zero(n - 1);
+  EXPECT_THROW(left.add(shorter), CheckError);
+}
+
+// finish() is the readback kernel: float(to_double(sum) / to_double(total)).
+TEST(FixedPointFold, WeightedFinishMatchesTheScalarFormula) {
+  rng::Generator gen(7);
+  const std::size_t n = 37;
+  WeightedStreamingAggregator fold;
+  std::vector<fixedpoint::Acc> sums(n, 0);
+  fixedpoint::Acc total = 0;
+  for (int k = 0; k < 5; ++k) {
+    ClientUpdate update;
+    std::vector<float> values(n);
+    for (float& v : values) v = static_cast<float>(gen.normal(0.0, 3.0));
+    update.weight = static_cast<float>(1 + 7 * k) / 3.0f;
+    for (std::size_t j = 0; j < n; ++j) {
+      sums[j] += oracle_term(values[j], static_cast<double>(update.weight));
+    }
+    total += fixedpoint::quantize(static_cast<double>(update.weight));
+    update.state = nn::ModelState(std::move(values));
+    fold.fold(std::move(update));
+  }
+  const std::vector<float> got = fold.finish().values();
+  for (std::size_t j = 0; j < n; ++j) {
+    const float want = static_cast<float>(fixedpoint::to_double(sums[j]) /
+                                          fixedpoint::to_double(total));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+              std::bit_cast<std::uint32_t>(want))
+        << "element " << j;
+  }
+}
+
+// An 11-element state with `term` at `index`: index 2 lands in the first
+// full 8-lane group, index 10 in the tail.
+std::vector<float> with_term(float term, std::size_t index) {
+  std::vector<float> values(11, 0.25f);
+  values[index] = term;
+  return values;
+}
+
+// Terms whose scaled magnitude leaves the overflow-safe domain: above 2^42
+// (one float ulp past it), NaN and both infinities.
+const float kBadTerms[] = {0x1.000002p42f, -0x1.000002p42f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+
+TEST(FixedPointFold, WeightedFoldChecksTheTermDomain) {
+  for (const float bad : kBadTerms) {
+    for (const std::size_t index : {2u, 10u}) {
+      WeightedStreamingAggregator fold;
+      ClientUpdate update;
+      update.state = nn::ModelState(with_term(bad, index));
+      EXPECT_THROW(fold.fold(update), CheckError) << bad << " at " << index;
+    }
+  }
+  // A term of exactly 2^42, by value or through the weight, is accepted.
+  WeightedStreamingAggregator fold;
+  ClientUpdate edge;
+  edge.state = nn::ModelState(with_term(0x1p42f, 2));
+  edge.state.values()[10] = -0x1p42f;
+  fold.fold(edge);
+  ClientUpdate weighted;
+  weighted.state = nn::ModelState(with_term(4.0f, 10));
+  weighted.weight = 0x1p40f;
+  fold.fold(weighted);
+  EXPECT_EQ(fold.folded(), 2);
+  // A weight that pushes an ordinary value past 2^42 is rejected too.
+  ClientUpdate heavy;
+  heavy.state = nn::ModelState(with_term(4.0f, 2));
+  heavy.weight = 0x1p41f;
+  EXPECT_THROW(fold.fold(heavy), CheckError);
+}
+
+TEST(FixedPointFold, ScaffoldFoldChecksBothAccumulators) {
+  FlConfig config;
+  config.encoder.input_dim = 4;
+  config.encoder.hidden_dims = {4};
+  config.encoder.feature_dim = 3;
+  config.num_classes = 2;
+  algos::Scaffold scaffold(config, false);
+  const nn::ModelState global = scaffold.initialize();
+  const std::size_t model_dim = global.size() / 2;
+  ASSERT_GT(model_dim, 10u);
+  // The model half folds w * x, the control half x; index 1 and model_dim
+  // - 1 put the bad term in a full group and in the tail of each half.
+  for (const float bad : kBadTerms) {
+    for (const std::size_t index :
+         {std::size_t{1}, model_dim - 1, model_dim + 1, 2 * model_dim - 1}) {
+      const auto fold = scaffold.make_aggregator(global, 0);
+      ClientUpdate update;
+      update.state = global;
+      update.state.values()[index] = bad;
+      EXPECT_THROW(fold->fold(update), CheckError) << bad << " at " << index;
+    }
+  }
+  const auto fold = scaffold.make_aggregator(global, 0);
+  ClientUpdate edge;
+  edge.state = global;
+  edge.state.values()[1] = 0x1p42f;
+  edge.state.values()[2 * model_dim - 1] = -0x1p42f;
+  fold->fold(edge);
+  EXPECT_EQ(fold->folded(), 1);
 }
 
 // --- sharded parallel fold ---------------------------------------------------

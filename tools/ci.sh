@@ -40,6 +40,13 @@ run_step() {
   return $rc
 }
 
+run_bench_e2e() {
+  local dir="$BUILD_DIR/bench_e2e"
+  cmake -S "$SRC_ROOT/bench_e2e" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
+    && cmake --build "$dir" --parallel "$NPROC" \
+    && ctest --test-dir "$dir" --output-on-failure
+}
+
 run_step "configure" cmake -S "$SRC_ROOT" -B "$BUILD_DIR" \
   && run_step "build" cmake --build "$BUILD_DIR" --parallel "$NPROC"
 if [ $overall -ne 0 ]; then
@@ -69,6 +76,13 @@ else
   # the auto chooser stops being thread-count deterministic.
   run_step "bench.codec" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R '^bench\.codec_smoke$'
+  # End-to-end benchmark gate: bench_e2e/ is its own CMake project (it
+  # compiles src/ itself, exactly as bench_e2e/run.py does), so it gets its
+  # own tree under the CI build dir. Its ctest entries are
+  # bench.e2e_selftest (order statistics, verdicts, bit-identity of the
+  # traced decorators) and bench.e2e_smoke (all four workloads at CI scale
+  # with every output check, metric tables against BENCHMARK.json).
+  run_step "bench.e2e" run_bench_e2e
   for lane in tsan asan ubsan; do
     run_step "lane.$lane" ctest --test-dir "$BUILD_DIR" \
       --output-on-failure -R "^$lane\."
