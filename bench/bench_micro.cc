@@ -654,11 +654,77 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
   return entry;
 }
 
+// The wide row: pFL-SimCLR on the 48-1024-1024-256 encoder of bench_e2e's
+// wide workloads, one 32-row batch per call as there, single-threaded
+// kernels. "reused" times
+// repeated local_update calls on one algorithm instance, which lends every
+// call the method the first call built. "rebuilt" gives every call a new
+// instance, so every call builds its method — the per-call cost before
+// methods were reused, plus the copy of the initial values a first build
+// takes.
+struct WideTrainStepEntry {
+  int steps_per_call = 0;
+  double reused_seconds_per_call = 0.0;
+  double rebuilt_seconds_per_call = 0.0;
+};
+
+WideTrainStepEntry time_wide_train_step() {
+  fl::FlConfig config;
+  config.encoder.hidden_dims = {1024, 1024};
+  config.encoder.feature_dim = 256;
+  config.local_epochs = 1;
+  config.batch_size = 32;
+  config.seed = 1234;
+  core::PflSsl algo(config, ssl::Kind::kSimClr);
+  const nn::ModelState global = algo.initialize();
+
+  rng::Generator gen(56);
+  const tensor::Tensor ssl_pool =
+      tensor::Tensor::randn(32, config.encoder.input_dim, gen);
+  fl::ClientContext ctx;
+  ctx.ssl_pool = &ssl_pool;
+  ctx.seed = 78;
+
+  const auto reused = [&] {
+    benchmark::DoNotOptimize(algo.local_update(global, ctx));
+  };
+  const auto rebuilt = [&] {
+    core::PflSsl fresh(config, ssl::Kind::kSimClr);
+    benchmark::DoNotOptimize(fresh.local_update(global, ctx));
+  };
+  const auto seconds = [](const std::function<void()>& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  // Single-threaded kernels: on a shared machine the parallel GEMMs' spread
+  // would hide the build's share of a call.
+  tensor::kernels::set_parallel_threshold_override(-1);
+  reused();  // warmup: the first call builds the method
+  // Best of 20, alternating the two, so drift in machine speed reaches
+  // both alike.
+  WideTrainStepEntry entry;
+  entry.steps_per_call = 1;
+  entry.reused_seconds_per_call = std::numeric_limits<double>::max();
+  entry.rebuilt_seconds_per_call = std::numeric_limits<double>::max();
+  for (int r = 0; r < 20; ++r) {
+    entry.reused_seconds_per_call =
+        std::min(entry.reused_seconds_per_call, seconds(reused));
+    entry.rebuilt_seconds_per_call =
+        std::min(entry.rebuilt_seconds_per_call, seconds(rebuilt));
+  }
+  tensor::kernels::set_parallel_threshold_override(0);
+  return entry;
+}
+
 void dump_train_step_json(const char* path) {
   const ssl::Kind kinds[] = {ssl::Kind::kSimClr, ssl::Kind::kByol,
                              ssl::Kind::kSimSiam};
   std::vector<TrainStepEntry> entries;
   for (const ssl::Kind kind : kinds) entries.push_back(time_train_step(kind));
+  const WideTrainStepEntry wide = time_wide_train_step();
 
   std::ofstream out(path);
   out << "{\n  \"generated_by\": \"bench_micro\",\n"
@@ -712,7 +778,24 @@ void dump_train_step_json(const char* path) {
         e.pooled.allocs_per_step, e.baseline.allocs_per_step,
         alloc_reduction);
   }
-  out << "  ]\n}\n";
+  const double reuse_speedup =
+      wide.rebuilt_seconds_per_call / wide.reused_seconds_per_call;
+  char buffer[512];
+  std::snprintf(
+      buffer, sizeof(buffer),
+      "  ],\n  \"wide\": {\"method\": \"SimCLR\", \"threads\": 1, "
+      "\"encoder\": \"48-1024-1024-256\", \"pool_rows\": 32, "
+      "\"steps_per_call\": %d,\n"
+      "    \"reused_seconds_per_call\": %.6e, "
+      "\"rebuilt_seconds_per_call\": %.6e, \"reuse_speedup\": %.2f}\n}\n",
+      wide.steps_per_call, wide.reused_seconds_per_call,
+      wide.rebuilt_seconds_per_call, reuse_speedup);
+  out << buffer;
+  std::printf(
+      "[train_step] wide SimCLR 48-1024-1024-256: %.2f ms/call reused vs "
+      "%.2f ms/call rebuilt (%.2fx)\n",
+      wide.reused_seconds_per_call * 1e3, wide.rebuilt_seconds_per_call * 1e3,
+      reuse_speedup);
   std::printf("[train_step] wrote %s\n", path);
 }
 

@@ -18,9 +18,50 @@ std::unique_ptr<ssl::SslMethod> PflSsl::build_method() const {
   return ssl::make_method(kind_, config_.encoder, ssl_config_, config_.seed);
 }
 
+PflSsl::MethodLease::MethodLease(const PflSsl& owner,
+                                 std::unique_ptr<ssl::SslMethod> method)
+    : owner_(owner), method_(std::move(method)) {}
+
+PflSsl::MethodLease::~MethodLease() {
+  const std::lock_guard<std::mutex> lock(owner_.methods_mutex_);
+  owner_.free_methods_.push_back(std::move(method_));
+}
+
+PflSsl::MethodLease PflSsl::lease_method() const {
+  std::unique_ptr<ssl::SslMethod> method;
+  {
+    const std::lock_guard<std::mutex> lock(methods_mutex_);
+    if (!free_methods_.empty()) {
+      method = std::move(free_methods_.back());
+      free_methods_.pop_back();
+    }
+  }
+  if (method == nullptr) {
+    method = build_method();
+    const std::lock_guard<std::mutex> lock(methods_mutex_);
+    if (!initial_) {
+      initial_ = InitialValues{
+          nn::ModelState::from_parameters(method->shared_parameters()),
+          method->save_private_state()};
+    }
+  }
+  // initial_ is written once, under the mutex, before any method reaches
+  // the free list, so every caller that gets here has held the mutex since
+  // it was written, and it never changes again.
+  method->restore_private_state(initial_->private_state);
+  return MethodLease(*this, std::move(method));
+}
+
+std::size_t PflSsl::idle_methods() const {
+  const std::lock_guard<std::mutex> lock(methods_mutex_);
+  return free_methods_.size();
+}
+
 nn::ModelState PflSsl::initialize() {
-  const auto method = build_method();
-  return nn::ModelState::from_parameters(method->shared_parameters());
+  // A leased method's shared parameters may be a previous borrower's, so
+  // the initial global state is the first build's copy.
+  const MethodLease method = lease_method();
+  return initial_->shared;
 }
 
 void PflSsl::prepare_local_update(ssl::SslMethod& /*method*/,
@@ -43,7 +84,7 @@ void PflSsl::finalize_update(ssl::SslMethod& /*method*/,
 fl::ClientUpdate PflSsl::local_update(const nn::ModelState& global,
                                       const fl::ClientContext& ctx) {
   CALIBRE_CHECK(ctx.ssl_pool != nullptr && ctx.ssl_pool->rows() > 0);
-  const auto method = build_method();
+  const MethodLease method = lease_method();
   global.apply_to(method->shared_parameters());
 
   rng::Generator gen(ctx.seed);
@@ -84,7 +125,7 @@ fl::ClientUpdate PflSsl::local_update(const nn::ModelState& global,
 
 double PflSsl::personalize(const nn::ModelState& global,
                            const fl::PersonalizationContext& ctx) {
-  const auto method = build_method();
+  const MethodLease method = lease_method();
   global.apply_to(method->shared_parameters());
   const tensor::Tensor train_features = method->encode(ctx.train->x);
   const tensor::Tensor test_features = method->encode(ctx.test->x);
@@ -101,7 +142,7 @@ double PflSsl::personalize(const nn::ModelState& global,
 
 tensor::Tensor PflSsl::extract_features(const nn::ModelState& global,
                                         const tensor::Tensor& inputs) const {
-  const auto method = build_method();
+  const MethodLease method = lease_method();
   global.apply_to(method->shared_parameters());
   return method->encode(inputs);
 }

@@ -8,6 +8,9 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <vector>
 
 #include "flapi/algorithm.h"
 #include "ssl/method.h"
@@ -38,6 +41,9 @@ class PflSsl : public fl::Algorithm {
   tensor::Tensor extract_features(const nn::ModelState& global,
                                   const tensor::Tensor& inputs) const;
 
+  // Built methods waiting on the free list (see lease_method()).
+  std::size_t idle_methods() const;
+
  protected:
   // Per-local-update scratch shared between the hooks (thread-confined: one
   // instance per local_update call).
@@ -47,9 +53,29 @@ class PflSsl : public fl::Algorithm {
     tensor::Tensor fixed_centroids;
   };
 
-  // Builds the method with the experiment-wide seed so every client/round
-  // constructs identical shapes and identical non-federated buffers.
-  std::unique_ptr<ssl::SslMethod> build_method() const;
+  // A built method on loan from the free list. The destructor puts it back,
+  // also when the call it served threw.
+  class MethodLease {
+   public:
+    MethodLease(const PflSsl& owner, std::unique_ptr<ssl::SslMethod> method);
+    ~MethodLease();
+    MethodLease(const MethodLease&) = delete;
+    MethodLease& operator=(const MethodLease&) = delete;
+
+    ssl::SslMethod& operator*() const { return *method_; }
+    ssl::SslMethod* operator->() const { return method_.get(); }
+
+   private:
+    const PflSsl& owner_;
+    std::unique_ptr<ssl::SslMethod> method_;
+  };
+
+  // Lends a method from the free list, building one when the list is
+  // empty, so the list never holds more methods than there were concurrent
+  // callers. The method's private state equals a freshly built method's;
+  // its shared parameters hold whatever the last borrower left, so every
+  // caller applies a global state first.
+  MethodLease lease_method() const;
 
   // Hook: called once per local update after the global state is loaded.
   virtual void prepare_local_update(ssl::SslMethod& method,
@@ -71,6 +97,22 @@ class PflSsl : public fl::Algorithm {
 
   ssl::Kind kind_;
   ssl::SslConfig ssl_config_;
+
+ private:
+  // Builds the method with the experiment-wide seed, so every build has
+  // identical shapes and identical initial values. Called only by
+  // lease_method(), when the free list is empty.
+  std::unique_ptr<ssl::SslMethod> build_method() const;
+
+  // The first build's values, copied before its first use.
+  struct InitialValues {
+    nn::ModelState shared;  // the initial global state
+    ssl::SslMethod::PrivateState private_state;
+  };
+
+  mutable std::mutex methods_mutex_;
+  mutable std::vector<std::unique_ptr<ssl::SslMethod>> free_methods_;
+  mutable std::optional<InitialValues> initial_;
 };
 
 }  // namespace calibre::core

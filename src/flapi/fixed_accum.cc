@@ -150,9 +150,11 @@ inline vf64 to_double_lanes(vu64 lo, vu64 hi) {
   return (vf64)((vu64)(rounded * scale) | (neg & kSignBit));
 }
 
-CALIBRE_FOLD_CLONES
-void add_scaled_block(std::uint64_t* lo, std::uint64_t* hi, const float* x,
-                      double w, std::size_t count) {
+// The kernel bodies. Each entry point below is a shell whose `flatten`
+// inlines one of them, so every target gets its own copy.
+
+inline void add_scaled_body(std::uint64_t* lo, std::uint64_t* hi,
+                            const float* x, double w, std::size_t count) {
   const vf64 w_v = vf64{} + w;
   std::size_t i = 0;
   for (; i + kLanes <= count; i += kLanes) {
@@ -172,9 +174,9 @@ void add_scaled_block(std::uint64_t* lo, std::uint64_t* hi, const float* x,
   std::memcpy(hi + i, hi_pad, rest * sizeof(std::uint64_t));
 }
 
-CALIBRE_FOLD_CLONES
-void add_block(std::uint64_t* lo, std::uint64_t* hi, const std::uint64_t* rlo,
-               const std::uint64_t* rhi, std::size_t count) {
+inline void add_body(std::uint64_t* lo, std::uint64_t* hi,
+                     const std::uint64_t* rlo, const std::uint64_t* rhi,
+                     std::size_t count) {
   std::size_t i = 0;
   for (; i + kLanes <= count; i += kLanes) {
     const vu64 acc_lo = *(const vu64*)(lo + i);
@@ -201,9 +203,8 @@ inline vf64 to_double_tail(const std::uint64_t* lo, const std::uint64_t* hi,
   return to_double_lanes(*(const vu64*)lo_pad, *(const vu64*)hi_pad);
 }
 
-CALIBRE_FOLD_CLONES
-void read_block_f32(const std::uint64_t* lo, const std::uint64_t* hi,
-                    double divisor, float* out, std::size_t count) {
+inline void read_f32_body(const std::uint64_t* lo, const std::uint64_t* hi,
+                          double divisor, float* out, std::size_t count) {
   const vf64 div_v = vf64{} + divisor;
   std::size_t i = 0;
   for (; i + kLanes <= count; i += kLanes) {
@@ -218,9 +219,8 @@ void read_block_f32(const std::uint64_t* lo, const std::uint64_t* hi,
   std::memcpy(out + i, &q, (count - i) * sizeof(float));
 }
 
-CALIBRE_FOLD_CLONES
-void read_block_f64(const std::uint64_t* lo, const std::uint64_t* hi,
-                    double divisor, double* out, std::size_t count) {
+inline void read_f64_body(const std::uint64_t* lo, const std::uint64_t* hi,
+                          double divisor, double* out, std::size_t count) {
   const vf64 div_v = vf64{} + divisor;
   std::size_t i = 0;
   for (; i + kLanes <= count; i += kLanes) {
@@ -233,7 +233,57 @@ void read_block_f64(const std::uint64_t* lo, const std::uint64_t* hi,
   std::memcpy(out + i, &q, (count - i) * sizeof(double));
 }
 
+// The four entry points in namespace NS, each compiled with ATTRS.
+#define CALIBRE_FOLD_ENTRY_POINTS(ATTRS, NS)                                  \
+  namespace NS {                                                              \
+  ATTRS void add_scaled(std::uint64_t* lo, std::uint64_t* hi, const float* x, \
+                        double w, std::size_t count) {                        \
+    add_scaled_body(lo, hi, x, w, count);                                     \
+  }                                                                           \
+  ATTRS void add(std::uint64_t* lo, std::uint64_t* hi,                        \
+                 const std::uint64_t* rlo, const std::uint64_t* rhi,          \
+                 std::size_t count) {                                         \
+    add_body(lo, hi, rlo, rhi, count);                                        \
+  }                                                                           \
+  ATTRS void read_f32(const std::uint64_t* lo, const std::uint64_t* hi,       \
+                      double divisor, float* out, std::size_t count) {        \
+    read_f32_body(lo, hi, divisor, out, count);                               \
+  }                                                                           \
+  ATTRS void read_f64(const std::uint64_t* lo, const std::uint64_t* hi,       \
+                      double divisor, double* out, std::size_t count) {       \
+    read_f64_body(lo, hi, divisor, out, count);                               \
+  }                                                                           \
+  }  // namespace NS
+
+// What Accumulator calls: one clone per ISA level, picked at load time.
+CALIBRE_FOLD_ENTRY_POINTS(CALIBRE_FOLD_CLONES, dispatched)
+// Test-only: the same bodies for one fixed target each (see the header).
+CALIBRE_FOLD_ENTRY_POINTS(__attribute__((target("arch=x86-64-v3"), flatten)),
+                          x86_64_v3)
+CALIBRE_FOLD_ENTRY_POINTS(__attribute__((flatten)), baseline)
+
+#undef CALIBRE_FOLD_ENTRY_POINTS
+
 }  // namespace
+
+bool kernel_target_supported(KernelTarget target) {
+  switch (target) {
+    case KernelTarget::kX86_64_V3:
+      return __builtin_cpu_supports("x86-64-v3") != 0;
+    case KernelTarget::kBaseline:
+      return true;
+  }
+  return false;
+}
+
+const Kernels& kernels_for_testing(KernelTarget target) {
+  static constexpr Kernels kV3 = {x86_64_v3::add_scaled, x86_64_v3::add,
+                                  x86_64_v3::read_f32, x86_64_v3::read_f64};
+  static constexpr Kernels kBaseline = {baseline::add_scaled, baseline::add,
+                                        baseline::read_f32,
+                                        baseline::read_f64};
+  return target == KernelTarget::kX86_64_V3 ? kV3 : kBaseline;
+}
 
 void Accumulator::assign_zero(std::size_t count) {
   lo_.assign(count, 0);
@@ -246,21 +296,21 @@ void Accumulator::clear() {
 }
 
 void Accumulator::add_scaled(const float* x, double w) {
-  add_scaled_block(lo_.data(), hi_.data(), x, w, size());
+  dispatched::add_scaled(lo_.data(), hi_.data(), x, w, size());
 }
 
 void Accumulator::add(const Accumulator& other) {
   CALIBRE_CHECK_EQ(size(), other.size(), "accumulator sizes differ");
-  add_block(lo_.data(), hi_.data(), other.lo_.data(), other.hi_.data(),
-            size());
+  dispatched::add(lo_.data(), hi_.data(), other.lo_.data(), other.hi_.data(),
+                  size());
 }
 
 void Accumulator::read(double divisor, float* out) const {
-  read_block_f32(lo_.data(), hi_.data(), divisor, out, size());
+  dispatched::read_f32(lo_.data(), hi_.data(), divisor, out, size());
 }
 
 void Accumulator::read(double divisor, double* out) const {
-  read_block_f64(lo_.data(), hi_.data(), divisor, out, size());
+  dispatched::read_f64(lo_.data(), hi_.data(), divisor, out, size());
 }
 
 }  // namespace calibre::fl::fixedpoint

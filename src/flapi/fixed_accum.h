@@ -97,4 +97,26 @@ class Accumulator {
   std::vector<std::uint64_t> hi_;
 };
 
+// The four kernels behind Accumulator, over its split lo/hi arrays.
+struct Kernels {
+  void (*add_scaled)(std::uint64_t* lo, std::uint64_t* hi, const float* x,
+                     double w, std::size_t count);
+  void (*add)(std::uint64_t* lo, std::uint64_t* hi, const std::uint64_t* rlo,
+              const std::uint64_t* rhi, std::size_t count);
+  void (*read_f32)(const std::uint64_t* lo, const std::uint64_t* hi,
+                   double divisor, float* out, std::size_t count);
+  void (*read_f64)(const std::uint64_t* lo, const std::uint64_t* hi,
+                   double divisor, double* out, std::size_t count);
+};
+
+// Test-only. Accumulator runs the clone the load-time dispatch picks for
+// the host, so on an AVX-512 host the tests would never see the AVX2 one.
+// These are the same kernel bodies compiled for one fixed target each:
+// x86-64-v3 (AVX2), and the translation unit's default target (the x86-64
+// baseline unless CALIBRE_NATIVE is on). Accumulator never calls them.
+enum class KernelTarget { kX86_64_V3, kBaseline };
+// True when the host can run `target`'s kernels.
+bool kernel_target_supported(KernelTarget target);
+const Kernels& kernels_for_testing(KernelTarget target);
+
 }  // namespace calibre::fl::fixedpoint

@@ -46,6 +46,13 @@ void Byol::after_step() {
                  config_.ema_momentum);
 }
 
+std::vector<tensor::Tensor*> Byol::private_tensors() {
+  std::vector<tensor::Tensor*> tensors;
+  append_values(*target_encoder_, tensors);
+  append_values(*target_projector_, tensors);
+  return tensors;
+}
+
 std::vector<ag::VarPtr> Byol::trainable_parameters() const {
   std::vector<ag::VarPtr> params = SslMethod::trainable_parameters();
   predictor_->collect_parameters(params);

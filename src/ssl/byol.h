@@ -26,6 +26,10 @@ class Byol : public SslMethod {
 
   nn::ProjectionHead& predictor() { return *predictor_; }
 
+ protected:
+  // The target encoder and projector.
+  std::vector<tensor::Tensor*> private_tensors() override;
+
  private:
   std::unique_ptr<nn::ProjectionHead> predictor_;
   std::unique_ptr<nn::MlpEncoder> target_encoder_;

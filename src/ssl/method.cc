@@ -54,6 +54,22 @@ tensor::Tensor SslMethod::encode(const tensor::Tensor& batch) {
   return encoder_->forward(ag::constant(batch))->value;
 }
 
+SslMethod::PrivateState SslMethod::save_private_state() {
+  PrivateState state;
+  for (const tensor::Tensor* t : private_tensors()) state.push_back(*t);
+  return state;
+}
+
+void SslMethod::restore_private_state(const PrivateState& state) {
+  const std::vector<tensor::Tensor*> tensors = private_tensors();
+  CALIBRE_CHECK_EQ(tensors.size(), state.size(), "private state size");
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    CALIBRE_CHECK(tensors[i]->same_shape(state[i]));
+    *tensors[i] = state[i];
+  }
+  reset_private_counters();
+}
+
 void SslMethod::encode_views(const tensor::Tensor& view1,
                              const tensor::Tensor& view2, SslForward& out) {
   CALIBRE_CHECK(view1.rows() == view2.rows());
@@ -67,6 +83,11 @@ void freeze(const nn::Module& module) {
   for (const ag::VarPtr& p : module.parameters()) {
     p->requires_grad = false;
   }
+}
+
+void append_values(const nn::Module& module,
+                   std::vector<tensor::Tensor*>& out) {
+  for (const ag::VarPtr& p : module.parameters()) out.push_back(&p->value);
 }
 
 std::unique_ptr<SslMethod> make_method(Kind kind,

@@ -79,7 +79,26 @@ class SslMethod {
   // Encoder features for a raw (un-augmented) batch, as plain values.
   tensor::Tensor encode(const tensor::Tensor& batch);
 
+  // Private state is every tensor or counter that training changes but
+  // shared_parameters() does not cover: BYOL's target network, MoCo's key
+  // network, queue and cursor, SMoG's momentum network and groups. A method
+  // that is reused across local updates (core::PflSsl) must get it back to
+  // its constructed values before each use. save_private_state() copies the
+  // private tensors; restore_private_state() writes such a copy back and
+  // resets the counters and per-step buffers, which always start at the
+  // same constants. Restoring a copy taken from a never-used instance makes
+  // the method bitwise a freshly built one, apart from the shared
+  // parameters, which every caller overwrites anyway.
+  using PrivateState = std::vector<tensor::Tensor>;
+  PrivateState save_private_state();
+  void restore_private_state(const PrivateState& state);
+
  protected:
+  // The private tensors, in a fixed order. Default: none.
+  virtual std::vector<tensor::Tensor*> private_tensors() { return {}; }
+  // Resets the private counters and per-step buffers. Default: nothing.
+  virtual void reset_private_counters() {}
+
   // Standard two-view encode/project shared by implementations.
   void encode_views(const tensor::Tensor& view1, const tensor::Tensor& view2,
                     SslForward& out);
@@ -93,6 +112,11 @@ class SslMethod {
 // Marks every parameter of `module` as non-differentiable. Used for
 // momentum/target networks that are updated by EMA, never by gradients.
 void freeze(const nn::Module& module);
+
+// Appends pointers to the values of `module`'s parameters to `out` (for
+// private_tensors() overrides).
+void append_values(const nn::Module& module,
+                   std::vector<tensor::Tensor*>& out);
 
 // Creates the requested method.
 std::unique_ptr<SslMethod> make_method(Kind kind,

@@ -55,4 +55,17 @@ void MoCoV2::after_step() {
   pending_keys_ = tensor::Tensor();
 }
 
+std::vector<tensor::Tensor*> MoCoV2::private_tensors() {
+  std::vector<tensor::Tensor*> tensors;
+  append_values(*key_encoder_, tensors);
+  append_values(*key_projector_, tensors);
+  tensors.push_back(&queue_);
+  return tensors;
+}
+
+void MoCoV2::reset_private_counters() {
+  queue_cursor_ = 0;
+  pending_keys_ = tensor::Tensor();
+}
+
 }  // namespace calibre::ssl

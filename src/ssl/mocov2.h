@@ -22,6 +22,12 @@ class MoCoV2 : public SslMethod {
 
   const tensor::Tensor& queue() const { return queue_; }
 
+ protected:
+  // The key encoder and projector, then the queue.
+  std::vector<tensor::Tensor*> private_tensors() override;
+  // Cursor back to 0, no pending keys.
+  void reset_private_counters() override;
+
  private:
   std::unique_ptr<nn::MlpEncoder> key_encoder_;
   std::unique_ptr<nn::ProjectionHead> key_projector_;

@@ -72,4 +72,17 @@ void Smog::after_step() {
   pending_assignments_.clear();
 }
 
+std::vector<tensor::Tensor*> Smog::private_tensors() {
+  std::vector<tensor::Tensor*> tensors;
+  append_values(*momentum_encoder_, tensors);
+  append_values(*momentum_projector_, tensors);
+  tensors.push_back(&groups_);
+  return tensors;
+}
+
+void Smog::reset_private_counters() {
+  pending_features_ = tensor::Tensor();
+  pending_assignments_.clear();
+}
+
 }  // namespace calibre::ssl

@@ -28,6 +28,12 @@ class Smog : public SslMethod {
 
   const tensor::Tensor& groups() const { return groups_; }
 
+ protected:
+  // The momentum encoder and projector, then the group centers.
+  std::vector<tensor::Tensor*> private_tensors() override;
+  // No pending features or assignments.
+  void reset_private_counters() override;
+
  private:
   std::unique_ptr<nn::MlpEncoder> momentum_encoder_;
   std::unique_ptr<nn::ProjectionHead> momentum_projector_;

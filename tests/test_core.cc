@@ -1,13 +1,23 @@
 // Tests for the Calibre core: prototype losses, divergence weighting, and
 // the pFL-SSL / Calibre algorithms' state handling.
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "algos/fedema.h"
 #include "common/check.h"
 #include "core/calibre.h"
 #include "core/divergence.h"
 #include "core/prototype_loss.h"
+#include "data/partition.h"
+#include "data/synthetic.h"
+#include "fl/fed_data.h"
+#include "fl/runner.h"
 #include "nn/optim.h"
 #include "ssl/simclr.h"
 
@@ -247,6 +257,240 @@ TEST(Calibre, AggregateFallsBackToFedAvgWhenDisabled) {
   const nn::ModelState merged =
       calibre.aggregate(nn::ModelState(), {a, b}, 0);
   EXPECT_FLOAT_EQ(merged.values()[0], 2.0f);
+}
+
+// --- method reuse -------------------------------------------------------------
+//
+// PflSsl lends each call a method from a free list instead of building one.
+// A reused method must compute exactly what a freshly built one computes:
+// client B's results after client A's call on the same instance must equal
+// B's results on a new instance, bit for bit.
+
+struct ReuseWorld {
+  data::SyntheticDataset synth;
+  fl::FedDataset fed;
+  fl::FlConfig config;
+  ssl::SslConfig ssl;
+};
+
+const ReuseWorld& reuse_world() {
+  static const ReuseWorld* world = [] {
+    auto* w = new ReuseWorld();
+    data::SyntheticConfig dataset_config;
+    dataset_config.num_classes = 3;
+    dataset_config.input_dim = 12;
+    dataset_config.latent_dim = 5;
+    dataset_config.train_samples = 240;
+    dataset_config.test_samples = 120;
+    dataset_config.unlabeled_samples = 40;
+    dataset_config.seed = 81;
+    w->synth = data::make_synthetic(dataset_config);
+    data::PartitionConfig partition_config;
+    partition_config.num_clients = 5;
+    partition_config.samples_per_client = 30;
+    partition_config.test_samples_per_client = 12;
+    rng::Generator partition_gen(82);
+    const data::Partition partition = data::partition_dirichlet(
+        w->synth.train, w->synth.test, partition_config, 0.5, partition_gen);
+    rng::Generator fed_gen(83);
+    w->fed = fl::build_fed_dataset(w->synth, partition, 4, fed_gen);
+
+    w->config.encoder = small_encoder();
+    w->config.num_classes = 3;
+    w->config.rounds = 2;
+    w->config.clients_per_round = 3;
+    w->config.num_train_clients = 4;
+    // Two epochs of 16-, 16- and 8-row batches over a 40-row pool: six
+    // optimizer steps, so EMA targets move, the SMoG groups drift, and 160
+    // keys wrap the 48-slot MoCo queue, leaving its cursor mid-queue before
+    // the next client's call.
+    w->config.local_epochs = 2;
+    w->config.batch_size = 16;
+    w->config.seed = 84;
+    w->ssl = small_ssl();
+    w->ssl.moco_queue_size = 48;
+    w->ssl.num_prototypes = 5;
+    return w;
+  }();
+  return *world;
+}
+
+fl::ClientContext client_context(int client, std::uint64_t seed) {
+  const ReuseWorld& world = reuse_world();
+  fl::ClientContext ctx;
+  ctx.client_id = client;
+  ctx.train = &world.fed.train[static_cast<std::size_t>(client)];
+  ctx.ssl_pool = &world.fed.ssl_pool[static_cast<std::size_t>(client)];
+  ctx.oracle = &world.fed.oracle;
+  ctx.seed = seed;
+  return ctx;
+}
+
+fl::PersonalizationContext personalization_context(int client,
+                                                   std::uint64_t seed) {
+  const ReuseWorld& world = reuse_world();
+  fl::PersonalizationContext ctx;
+  ctx.client_id = client;
+  ctx.train = &world.fed.train[static_cast<std::size_t>(client)];
+  ctx.test = &world.fed.test[static_cast<std::size_t>(client)];
+  ctx.seed = seed;
+  return ctx;
+}
+
+std::vector<std::uint32_t> bits(const std::vector<float>& values) {
+  std::vector<std::uint32_t> out(values.size());
+  std::memcpy(out.data(), values.data(), values.size() * sizeof(float));
+  return out;
+}
+
+std::vector<std::uint32_t> bits(const Tensor& t) {
+  return bits(std::vector<float>(t.data(), t.data() + t.size()));
+}
+
+void expect_same_update(const fl::ClientUpdate& got,
+                        const fl::ClientUpdate& want,
+                        const std::string& name) {
+  EXPECT_TRUE(bits(got.state.values()) == bits(want.state.values())) << name;
+  EXPECT_EQ(bits({got.weight}), bits({want.weight})) << name;
+  ASSERT_EQ(got.scalars.size(), want.scalars.size()) << name;
+  for (const auto& [key, value] : want.scalars) {
+    ASSERT_TRUE(got.scalars.count(key)) << name << " lacks " << key;
+    EXPECT_EQ(bits({got.scalars.at(key)}), bits({value})) << name << " " << key;
+  }
+}
+
+using AlgorithmFactory = std::function<std::unique_ptr<PflSsl>()>;
+
+// pFL-X and Calibre (X) for every SSL kind, plus FedEMA.
+std::vector<AlgorithmFactory> reuse_algorithms() {
+  const ReuseWorld& world = reuse_world();
+  std::vector<AlgorithmFactory> out;
+  for (const ssl::Kind kind :
+       {ssl::Kind::kSimClr, ssl::Kind::kByol, ssl::Kind::kSimSiam,
+        ssl::Kind::kMoCoV2, ssl::Kind::kSwav, ssl::Kind::kSmog}) {
+    out.emplace_back([&world, kind] {
+      return std::make_unique<PflSsl>(world.config, kind, world.ssl);
+    });
+    out.emplace_back([&world, kind] {
+      return std::make_unique<Calibre>(world.config, kind, CalibreConfig{},
+                                       world.ssl);
+    });
+  }
+  out.emplace_back(
+      [&world] { return std::make_unique<algos::FedEma>(world.config); });
+  return out;
+}
+
+TEST(MethodReuse, LocalUpdateOnAReusedMethodMatchesAFreshOne) {
+  for (const AlgorithmFactory& make : reuse_algorithms()) {
+    const auto reused = make();
+    const std::string name = reused->name();
+    const nn::ModelState global = reused->initialize();
+    const fl::ClientUpdate a = reused->local_update(global, client_context(0, 5));
+    const fl::ClientUpdate b = reused->local_update(global, client_context(1, 6));
+    // One serial caller: one method, lent twice.
+    EXPECT_EQ(reused->idle_methods(), 1u) << name;
+    EXPECT_FALSE(bits(a.state.values()) == bits(b.state.values())) << name;
+
+    const auto fresh = make();
+    EXPECT_EQ(bits(fresh->initialize().values()), bits(global.values()))
+        << name;
+    expect_same_update(b, fresh->local_update(global, client_context(1, 6)),
+                       name);
+  }
+}
+
+TEST(MethodReuse, PersonalizeOnAReusedMethodMatchesAFreshOne) {
+  for (const AlgorithmFactory& make : reuse_algorithms()) {
+    const auto reused = make();
+    const std::string name = reused->name();
+    const nn::ModelState global = reused->initialize();
+    // A trained state, so personalization does not probe the initial one.
+    const nn::ModelState trained =
+        reused->local_update(global, client_context(2, 7)).state;
+    (void)reused->personalize(trained, personalization_context(0, 8));
+    const double got = reused->personalize(trained, personalization_context(1, 9));
+    const Tensor& x = reuse_world().fed.test[1].x;
+    const Tensor got_features = reused->extract_features(trained, x);
+    EXPECT_EQ(reused->idle_methods(), 1u) << name;
+
+    const double want =
+        make()->personalize(trained, personalization_context(1, 9));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << name;
+    EXPECT_TRUE(bits(got_features) ==
+                bits(make()->extract_features(trained, x)))
+        << name;
+  }
+}
+
+// Throws from the last hook of its first local update, after every step has
+// moved the method's private state.
+class ThrowsOnce : public PflSsl {
+ public:
+  using PflSsl::PflSsl;
+
+ protected:
+  void finalize_update(ssl::SslMethod& /*method*/,
+                       const fl::ClientContext& /*ctx*/,
+                       rng::Generator& /*gen*/,
+                       fl::ClientUpdate& /*update*/) override {
+    if (thrown_) return;
+    thrown_ = true;
+    throw std::runtime_error("injected failure");
+  }
+
+ private:
+  bool thrown_ = false;
+};
+
+TEST(MethodReuse, AThrowingCallReturnsItsMethodAndTheNextCallIsExact) {
+  const ReuseWorld& world = reuse_world();
+  for (const ssl::Kind kind :
+       {ssl::Kind::kSimClr, ssl::Kind::kByol, ssl::Kind::kSimSiam,
+        ssl::Kind::kMoCoV2, ssl::Kind::kSwav, ssl::Kind::kSmog}) {
+    const std::string name = ssl::kind_name(kind);
+    ThrowsOnce reused(world.config, kind, world.ssl);
+    const nn::ModelState global = reused.initialize();
+    EXPECT_THROW(reused.local_update(global, client_context(0, 5)),
+                 std::runtime_error)
+        << name;
+    EXPECT_EQ(reused.idle_methods(), 1u) << name << ": method was lost";
+    const fl::ClientUpdate b = reused.local_update(global, client_context(1, 6));
+    // Still one: the call reused the returned method instead of building.
+    EXPECT_EQ(reused.idle_methods(), 1u) << name;
+
+    PflSsl fresh(world.config, kind, world.ssl);
+    expect_same_update(b, fresh.local_update(global, client_context(1, 6)),
+                       name);
+  }
+}
+
+// Federation-level determinism for the methods with private state: the
+// device threads share one free list, so which method a client gets depends
+// on scheduling, and the results must not.
+TEST(MethodReuse, FederationIsIdenticalAcrossThreadCounts) {
+  const ReuseWorld& world = reuse_world();
+  for (const ssl::Kind kind :
+       {ssl::Kind::kByol, ssl::Kind::kMoCoV2, ssl::Kind::kSmog}) {
+    auto run = [&](int threads) {
+      fl::FlConfig config = world.config;
+      config.threads = threads;
+      PflSsl algorithm(config, kind, world.ssl);
+      fl::RunResult result = fl::run_federated(algorithm, world.fed, true);
+      EXPECT_LE(algorithm.idle_methods(), static_cast<std::size_t>(threads));
+      return result;
+    };
+    const fl::RunResult one = run(1);
+    const fl::RunResult three = run(3);
+    const std::string name = ssl::kind_name(kind);
+    EXPECT_TRUE(bits(one.final_state.values()) ==
+                bits(three.final_state.values()))
+        << name;
+    EXPECT_EQ(one.train_accuracies, three.train_accuracies) << name;
+    EXPECT_EQ(one.novel_accuracies, three.novel_accuracies) << name;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -1081,16 +1082,66 @@ bool in_term_domain(float x, double w) {
   return std::abs(w * static_cast<double>(x)) <= 0x1p42;
 }
 
-// Folds spans[k] with weights[k] into one Accumulator and into int128
-// oracle sums, then compares every element, the exact double readback and
-// the float readback bit for bit. Reports only the first mismatch of each
-// kind, so a million-element span cannot flood the log.
-void expect_kernel_matches_oracle(const std::vector<std::vector<float>>& spans,
-                                  const std::vector<double>& weights,
-                                  double divisor) {
+// Accumulator's interface over one fixed-target kernel set, so the oracle
+// tests also run the kernels the load-time dispatch does not pick here.
+class FixedTargetAccumulator {
+ public:
+  explicit FixedTargetAccumulator(const fixedpoint::Kernels& kernels)
+      : kernels_(&kernels) {}
+  void assign_zero(std::size_t n) {
+    lo_.assign(n, 0);
+    hi_.assign(n, 0);
+  }
+  void add_scaled(const float* x, double w) {
+    kernels_->add_scaled(lo_.data(), hi_.data(), x, w, lo_.size());
+  }
+  void add(const FixedTargetAccumulator& other) {
+    kernels_->add(lo_.data(), hi_.data(), other.lo_.data(), other.hi_.data(),
+                  lo_.size());
+  }
+  void read(double divisor, float* out) const {
+    kernels_->read_f32(lo_.data(), hi_.data(), divisor, out, lo_.size());
+  }
+  void read(double divisor, double* out) const {
+    kernels_->read_f64(lo_.data(), hi_.data(), divisor, out, lo_.size());
+  }
+  fixedpoint::Acc at(std::size_t j) const {
+    return static_cast<fixedpoint::Acc>(
+        (static_cast<unsigned __int128>(hi_[j]) << 64) | lo_[j]);
+  }
+
+ private:
+  const fixedpoint::Kernels* kernels_;
+  std::vector<std::uint64_t> lo_;
+  std::vector<std::uint64_t> hi_;
+};
+
+// Runs check(make_accumulator) for Accumulator (the dispatched clone) and
+// for every fixed-target kernel set this host can run.
+template <typename Check>
+void for_each_kernel_target(const Check& check) {
+  {
+    SCOPED_TRACE("dispatched");
+    check([] { return fixedpoint::Accumulator(); });
+  }
+  const std::pair<fixedpoint::KernelTarget, const char*> targets[] = {
+      {fixedpoint::KernelTarget::kX86_64_V3, "x86-64-v3"},
+      {fixedpoint::KernelTarget::kBaseline, "baseline"}};
+  for (const auto& [target, name] : targets) {
+    if (!fixedpoint::kernel_target_supported(target)) continue;
+    SCOPED_TRACE(name);
+    const fixedpoint::Kernels& kernels =
+        fixedpoint::kernels_for_testing(target);
+    check([&kernels] { return FixedTargetAccumulator(kernels); });
+  }
+}
+
+template <typename AnyAccumulator>
+void expect_accumulator_matches_oracle(
+    AnyAccumulator acc, const std::vector<std::vector<float>>& spans,
+    const std::vector<double>& weights, double divisor) {
   ASSERT_EQ(spans.size(), weights.size());
   const std::size_t n = spans.front().size();
-  fixedpoint::Accumulator acc;
   acc.assign_zero(n);
   std::vector<fixedpoint::Acc> ref(n, 0);
   for (std::size_t k = 0; k < spans.size(); ++k) {
@@ -1125,6 +1176,19 @@ void expect_kernel_matches_oracle(const std::vector<std::vector<float>>& spans,
     }
   }
   EXPECT_EQ(acc_bad + double_bad + float_bad, 0u) << "span length " << n;
+}
+
+// Folds spans[k] with weights[k] into one accumulator per kernel target and
+// into int128 oracle sums, then compares every element, the exact double
+// readback and the float readback bit for bit. Reports only the first
+// mismatch of each kind, so a million-element span cannot flood the log.
+void expect_kernel_matches_oracle(const std::vector<std::vector<float>>& spans,
+                                  const std::vector<double>& weights,
+                                  double divisor) {
+  for_each_kernel_target([&](const auto& make_accumulator) {
+    expect_accumulator_matches_oracle(make_accumulator(), spans, weights,
+                                      divisor);
+  });
 }
 
 // Every prefix of the edge list, so the lengths cover a partial group, one
@@ -1251,20 +1315,24 @@ TEST(FixedPointKernel, AddCarriesAcrossTheLowWord) {
     a[j] = static_cast<float>(gen.normal());
     b[j] = (j % 2 == 0 ? 1.0f : -1.0f) * static_cast<float>(gen.uniform());
   }
+  for_each_kernel_target([&](const auto& make_accumulator) {
+    auto left = make_accumulator();
+    auto right = make_accumulator();
+    left.assign_zero(n);
+    right.assign_zero(n);
+    left.add_scaled(a.data(), 0.999);
+    right.add_scaled(b.data(), 1.001);
+    right.add_scaled(a.data(), -0.5);
+    left.add(right);
+    for (std::size_t j = 0; j < n; ++j) {
+      const fixedpoint::Acc want = oracle_term(a[j], 0.999) +
+                                   oracle_term(b[j], 1.001) +
+                                   oracle_term(a[j], -0.5);
+      ASSERT_TRUE(left.at(j) == want) << "element " << j;
+    }
+  });
   fixedpoint::Accumulator left;
-  fixedpoint::Accumulator right;
   left.assign_zero(n);
-  right.assign_zero(n);
-  left.add_scaled(a.data(), 0.999);
-  right.add_scaled(b.data(), 1.001);
-  right.add_scaled(a.data(), -0.5);
-  left.add(right);
-  for (std::size_t j = 0; j < n; ++j) {
-    const fixedpoint::Acc want = oracle_term(a[j], 0.999) +
-                                 oracle_term(b[j], 1.001) +
-                                 oracle_term(a[j], -0.5);
-    ASSERT_TRUE(left.at(j) == want) << "element " << j;
-  }
   fixedpoint::Accumulator shorter;
   shorter.assign_zero(n - 1);
   EXPECT_THROW(left.add(shorter), CheckError);
