@@ -4,8 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -62,319 +61,433 @@ void configure_faults(const FlConfig& config, comm::Router& router) {
   }
 }
 
-// --- Buffered asynchronous training (FedBuff-style) -------------------------
+// --- The round engine -------------------------------------------------------
 //
-// The server keeps `clients_per_round` requests in flight. Replies fold into
-// a StreamingAggregator as they resolve; every `async_buffer_size` folds the
-// buffer commits a new global version, and each folded update is discounted
-// by staleness_weight(commit_version - base_version, staleness_alpha).
+// Sync rounds and FedBuff-style async commits run through one loop. Every
+// dispatch is a slot with a sequence number, and replies fold into the
+// window's StreamingAggregator (through ShardedFolder) strictly in sequence
+// order: reply ARRIVAL order depends on thread scheduling and float
+// summation is order-sensitive, so a reply that arrives ahead of the fold
+// front is held serialized (a refcounted payload handle, no decode), and the
+// front decodes+folds a held slot — or skips a failed or timed-out one —
+// only once every earlier slot resolved. Dispatches, commits and sampler
+// draws all happen at front-advance time, so a run is a pure function of
+// the seed: bit-identical across thread counts and shard counts.
 //
-// Determinism: reply ARRIVAL order depends on thread scheduling, so — like
-// the sync loop's selection-rank reorder buffer — the async loop folds in
-// DISPATCH order. Each dispatch gets a sequence number; replies that arrive
-// ahead of the fold front are held serialized, and the front decodes+folds
-// (or skips a permanently failed seq) only when every earlier seq resolved.
-// Replacement dispatches and commits happen at front-advance time, so the
-// sampler's draw order, every base version, and every fold are pure
-// functions of the seed: a run is bit-identical across thread counts.
+// The two modes differ only in when a commit window closes and how slots
+// are refilled:
+//  * sync (a barrier per round): a window is one cohort, drawn without
+//    replacement and dispatched when the window opens. It commits once every
+//    slot resolved, or when the round deadline fired with the quorum in —
+//    the cut resolves the remaining slots as timeouts.
+//  * async: the server keeps `clients_per_round` dispatches in flight,
+//    replacing each resolved slot with one rejection-sampled idle client,
+//    and commits a new global version every `async_buffer_size` folds.
+// Each fold is discounted by staleness_weight(commits - tag, alpha), where
+// the tag is the commit count at dispatch. A sync slot always folds in the
+// round it was dispatched in, so its staleness is 0 and its weight 1.
 //
-// Each client has at most one dispatch in flight (a device trains one model
-// at a time), so a reply's sender uniquely identifies its sequence number.
-void run_async_training(Algorithm& algorithm, const FedDataset& fed,
-                        const FlConfig& config, comm::Router& router,
-                        rng::Generator& sampler, nn::ModelState& state,
-                        int fold_shards, common::ThreadPool* fold_pool,
-                        RunResult& result) {
-  const int concurrency = config.clients_per_round;
-  const int buffer_size = config.async_buffer_size;
-
-  // Snapshot registry: one serialized broadcast per committed version, kept
-  // alive while any in-flight dispatch trained against it (delta16 replies
-  // decode against the base of *their* version, not the newest one). The
-  // decoded base is shared_ptr-held because shard workers may still be
-  // decoding against it after the version's last slot resolved and the
-  // registry entry died.
-  struct VersionSnapshot {
-    comm::Payload payload;
-    std::shared_ptr<const nn::ModelState> base;  // lossy-codec reference
-    int refs = 0;
-  };
-  std::unordered_map<int, VersionSnapshot> snapshots;
-  int version = 0;
-  auto make_snapshot = [&](int v) {
-    const SteadyClock::time_point start = SteadyClock::now();
-    VersionSnapshot& snap = snapshots[v];
-    snap.payload =
-        comm::Payload(state.to_bytes(resolve_broadcast_codec(config.wire_codec)));
-    if (config.wire_codec != comm::Codec::kF32) {
-      snap.base = std::make_shared<const nn::ModelState>(
-          nn::ModelState::from_bytes(snap.payload.bytes()));
+// Replies are keyed by (round tag, sender). A live slot is unique for its
+// key: async keeps at most one dispatch per client in flight, and a sync
+// client appears once per cohort. A deadline straggler can be re-sampled
+// into the next round while its old request is still in flight, so the
+// sender alone does not identify the slot; a reply whose key names no live
+// slot is a straggler from a cut round and is discarded as late.
+class RoundEngine {
+ public:
+  RoundEngine(Algorithm& algorithm, const FedDataset& fed,
+              comm::Router& router, nn::ModelState& state, RunResult& result)
+      : algorithm_(algorithm),
+        fed_(fed),
+        config_(algorithm.config()),
+        router_(router),
+        state_(state),
+        result_(result),
+        barrier_(!config_.async_mode),
+        sampler_(derive_seed(config_.seed, 0xC1, 0xE57)),
+        slots_(static_cast<std::size_t>(config_.clients_per_round)),
+        live_seq_(static_cast<std::size_t>(fed.num_train_clients()), -1) {
+    // --agg-shards > 1 decodes + folds on parallel shard workers; shards=1
+    // with no pool is the inline flat fold. The fixed-point accumulators
+    // make every shard count produce bit-identical states.
+    if (config_.agg_shards > 1) {
+      fold_pool_ = std::make_unique<common::ThreadPool>(
+          static_cast<std::size_t>(config_.agg_shards));
     }
-    result.phases.dispatch_seconds +=
-        seconds_between(start, SteadyClock::now());
-  };
-  auto release_version = [&](int v) {
-    const auto it = snapshots.find(v);
-    CALIBRE_CHECK(it != snapshots.end() && it->second.refs > 0);
-    // The current version stays cached for future dispatches even at zero
-    // refs; superseded versions die with their last in-flight dispatch.
-    if (--it->second.refs == 0 && v != version) snapshots.erase(it);
-  };
+  }
 
-  // Reorder buffer over dispatch sequence numbers.
-  enum class SlotState : std::uint8_t { kOutstanding, kHeld, kFailed };
+  // Runs `config.rounds` commits, then drains every request still in
+  // flight, so no local_update outlives the training stage.
+  void run() {
+    if (config_.rounds > 0) open_window();
+    const bool has_deadline = config_.round_deadline_ms > 0;
+    while (commits_ < config_.rounds) {
+      std::optional<comm::Message> reply;
+      if (has_deadline && !deadline_fired_) {
+        reply = router_.server_mailbox().pop_until(deadline_);
+        if (!reply.has_value() && !router_.server_mailbox().closed()) {
+          // Below quorum the round keeps waiting: every dispatch is
+          // guaranteed exactly one reply, so waiting cannot hang.
+          deadline_fired_ = true;
+          if (received_ >= quorum_) cut();
+          continue;
+        }
+      } else {
+        reply = router_.server_mailbox().pop();
+      }
+      CALIBRE_CHECK_MSG(reply.has_value(), "server mailbox closed early");
+      on_reply(std::move(*reply));
+      if (deadline_fired_ && received_ >= quorum_) cut();
+    }
+    drain();
+  }
+
+ private:
+  enum class SlotState : std::uint8_t {
+    kOutstanding,
+    kHeld,
+    kFailed,
+    kTimedOut
+  };
   struct Slot {
-    SlotState status = SlotState::kOutstanding;
     int client = -1;
-    int base_version = 0;
+    int tag = 0;  // commit count at dispatch: the sync round / base version
     int retries_used = 0;
+    SlotState status = SlotState::kOutstanding;
+    comm::Payload request;  // the broadcast this dispatch trains against
+    // The broadcast as clients decode it: the reference delta16/topk16
+    // replies decode against (null under f32). shared_ptr because shard
+    // workers may still decode against it after the slot resolved.
+    std::shared_ptr<const nn::ModelState> base;
     comm::Payload reply;  // set when kHeld
   };
-  std::unordered_map<int, Slot> slots;         // seq -> slot (active window)
-  // client -> unresolved seq. A client is released for re-sampling at front
-  // RESOLUTION, not at reply arrival: arrival order is thread-schedule
-  // noise, and freeing a client on arrival would make the rejection
-  // sampler's candidate set (and thus every later draw) nondeterministic.
-  std::unordered_map<int, int> seq_of_client;
-  int next_seq = 0;
-  int fold_front = 0;
-  int awaiting_reply = 0;  // dispatches (incl. retries) without a reply yet
 
-  auto send_request = [&](int client, int base_version) {
+  Slot& slot(int seq) {
+    return slots_[static_cast<std::size_t>(seq) % slots_.size()];
+  }
+
+  // Serializes the global state once for the whole window (every request,
+  // retries included, shares the refcounted snapshot), starts a fresh
+  // folder and stats record, and dispatches: sync draws the round's cohort,
+  // async tops the in-flight window back up to clients_per_round.
+  void open_window() {
     const SteadyClock::time_point start = SteadyClock::now();
-    ++awaiting_reply;
+    snapshot_base_.reset();
+    snapshot_ = comm::Payload();  // the last window's broadcast may die first
+    snapshot_ = comm::Payload(
+        state_.to_bytes(resolve_broadcast_codec(config_.wire_codec)));
+    if (config_.wire_codec != comm::Codec::kF32) {
+      snapshot_base_ = std::make_shared<const nn::ModelState>(
+          nn::ModelState::from_bytes(snapshot_.bytes()));
+    }
+    result_.phases.dispatch_seconds +=
+        seconds_between(start, SteadyClock::now());
+    folder_ = std::make_unique<ShardedFolder>(
+        algorithm_, state_, commits_, config_.agg_shards, fold_pool_.get(),
+        static_cast<std::size_t>(barrier_ ? config_.clients_per_round
+                                          : config_.async_buffer_size));
+    window_ = RoundStats{};
+    traffic_at_open_ = router_.stats();
+    folds_ = 0;
+    received_ = 0;
+    staleness_total_ = 0.0;
+    deadline_fired_ = false;
+    if (!barrier_) {
+      while (next_seq_ - front_ < config_.clients_per_round) {
+        dispatch(sample_idle_client());
+      }
+      return;
+    }
+    const std::vector<int> cohort = sampler_.sample_without_replacement(
+        fed_.num_train_clients(), config_.clients_per_round);
+    // Dropout simulation: sampled clients may fail to respond. The coins
+    // come from their own per-round stream, NOT from the sampler: drawing
+    // them from the sampling stream would make --dropout silently change
+    // which clients are sampled in every later round.
+    rng::Generator dropout(derive_seed(config_.seed, 0xD80,
+                                       static_cast<std::uint64_t>(commits_)));
+    for (const int client : cohort) {
+      if (config_.client_dropout_rate > 0.0f &&
+          dropout.uniform() < config_.client_dropout_rate) {
+        ++window_.dropped;
+      } else {
+        dispatch(client);
+      }
+    }
+    if (next_seq_ == front_) {  // keep one participant: the round stays
+      --window_.dropped;        // well-defined
+      dispatch(cohort.front());
+    }
+    // validate() already rejected min_participants outside
+    // [1, clients_per_round]; the clamp only covers dropout legitimately
+    // shrinking the round below the configured quorum.
+    quorum_ = std::min(config_.min_participants, next_seq_ - front_);
+    deadline_ = SteadyClock::now() +
+                std::chrono::milliseconds(config_.round_deadline_ms);
+  }
+
+  // Rejection-samples a client with no unresolved slot. Terminates: the
+  // window holds fewer than clients_per_round <= num_train_clients slots
+  // whenever this runs. A client is released at slot RESOLUTION, not at
+  // reply arrival: arrival order is thread-schedule noise, and it would
+  // make the candidate set (and so every later draw) nondeterministic.
+  int sample_idle_client() {
+    int client;
+    do {
+      client = static_cast<int>(sampler_.uniform_index(
+          static_cast<std::uint64_t>(fed_.num_train_clients())));
+    } while (live_seq_[static_cast<std::size_t>(client)] >= 0);
+    return client;
+  }
+
+  void dispatch(int client) {
+    CALIBRE_CHECK_LT(next_seq_ - front_, static_cast<int>(slots_.size()),
+                     "slot table overflow");
+    Slot& fresh = slot(next_seq_);
+    fresh = Slot{client, commits_, 0, SlotState::kOutstanding, snapshot_,
+                 snapshot_base_, comm::Payload()};
+    live_seq_[static_cast<std::size_t>(client)] = next_seq_++;
+    send(fresh);
+  }
+
+  void send(const Slot& dispatched) {
+    const SteadyClock::time_point start = SteadyClock::now();
+    ++awaiting_;
     comm::Message request;
     request.type = comm::MessageType::kTrainRequest;
     request.sender = comm::kServerEndpoint;
-    request.receiver = client;
-    // The round tag carries the base version: clients run against it, the
-    // fault injector's availability schedule keys on it (a device-class
-    // "period" counts versions here, rounds in sync mode).
-    request.round = base_version;
-    request.payload = snapshots.at(base_version).payload;
-    router.send(std::move(request));
-    result.phases.dispatch_seconds +=
+    request.receiver = dispatched.client;
+    // Clients derive their seed from the tag, and the fault injector's
+    // availability schedule keys on it (a device-class "period" counts
+    // rounds in sync mode, versions in async mode).
+    request.round = dispatched.tag;
+    request.payload = dispatched.request;
+    router_.send(std::move(request));
+    result_.phases.dispatch_seconds +=
         seconds_between(start, SteadyClock::now());
-  };
-  auto dispatch_new = [&] {
-    // Rejection-sample a client with no dispatch in flight. Terminates:
-    // in-flight < population whenever this is called (clients_per_round <=
-    // num_train_clients, and a slot was just resolved for replacements).
-    int client;
-    do {
-      client = static_cast<int>(sampler.uniform_index(
-          static_cast<std::uint64_t>(fed.num_train_clients())));
-    } while (seq_of_client.count(client) != 0);
-    Slot slot;
-    slot.client = client;
-    slot.base_version = version;
-    slots.emplace(next_seq, std::move(slot));
-    seq_of_client[client] = next_seq;
-    ++snapshots.at(version).refs;
-    send_request(client, version);
-    ++next_seq;
-  };
+  }
 
-  // One folder per commit window; the fold index within the window is the
-  // submit rank, so shard routing and the stats arrays are dense 0..B-1.
-  auto folder = std::make_unique<ShardedFolder>(
-      algorithm, state, /*round=*/0, fold_shards, fold_pool,
-      static_cast<std::size_t>(buffer_size));
-  int commits = 0;
-  int folds_in_window = 0;
-  int consecutive_failures = 0;
-  // Legit high-fault configs recover within tens of dispatches; only a
-  // configuration that can never fold (e.g. every class offline at the
-  // current version, which no commit will ever advance) hits this bound.
-  const int max_consecutive_failures = 1000 + 50 * concurrency;
-  RoundStats window_stats;
-  double window_divergence_total = 0.0;
-  int window_divergence_count = 0;
-  double window_norm_total = 0.0;
-  double window_staleness_total = 0.0;
-  int window_staleness_max = 0;
-  comm::TrafficStats traffic_at_window_start = router.stats();
-
-  auto fold_slot = [&](Slot& slot) {
-    const VersionSnapshot& snap = snapshots.at(slot.base_version);
-    const int staleness = version - slot.base_version;
-    CALIBRE_CHECK(staleness >= 0);
-    // Decode + fold run on the folder (shard workers under --agg-shards,
-    // inline otherwise); the staleness discount multiplies the decoded
-    // weight there, exactly as the flat fold applied it. Update-content
-    // stats (norm, divergence) are read back from the folder's rank arrays
-    // at commit; staleness stats are pure server-side state, tallied here.
-    folder->submit(folds_in_window, std::move(slot.reply), snap.base,
-                   staleness_weight(staleness, config.staleness_alpha));
-    window_staleness_total += staleness;
-    window_staleness_max = std::max(window_staleness_max, staleness);
-    ++folds_in_window;
-    consecutive_failures = 0;
-  };
-  auto commit = [&] {
-    const SteadyClock::time_point commit_start = SteadyClock::now();
-    std::unique_ptr<StreamingAggregator> merged = folder->collect();
-    CALIBRE_CHECK_EQ(merged->folded(), folds_in_window,
-                     "shard merge lost folds");
-    state = merged->finish();
-    result.phases.commit_seconds +=
-        seconds_between(commit_start, SteadyClock::now());
-    result.phases.decode_seconds += folder->decode_seconds();
-    result.phases.fold_seconds += folder->fold_seconds();
-    // Rank-ordered readback reproduces the flat fold's accumulation order.
-    for (int r = 0; r < folds_in_window; ++r) {
-      const std::size_t rank = static_cast<std::size_t>(r);
-      if (folder->has_divergence()[rank] != 0) {
-        window_divergence_total += folder->divergences()[rank];
-        ++window_divergence_count;
-      }
-      window_norm_total += folder->norms()[rank];
-      window_stats.update_bytes_wire += folder->wire_bytes()[rank];
-      window_stats.update_bytes_f32 += folder->f32_bytes()[rank];
-      const std::uint8_t tag = folder->codec_tags()[rank];
-      if (tag < window_stats.codec_counts.size()) {
-        ++window_stats.codec_counts[tag];
-      }
+  void on_reply(comm::Message reply) {
+    --awaiting_;
+    const int seq = live_seq_.at(static_cast<std::size_t>(reply.sender));
+    if (seq < 0 || slot(seq).tag != reply.round) {
+      ++window_.late_dropped;
+      log::debug() << algorithm_.name() << " window " << commits_
+                   << " discarded late reply from client " << reply.sender
+                   << " (tag " << reply.round << ")";
+      return;
     }
-    ++version;
-    ++commits;
-    folder = std::make_unique<ShardedFolder>(
-        algorithm, state, /*round=*/version, fold_shards, fold_pool,
-        static_cast<std::size_t>(buffer_size));
-    if (commits < config.rounds) make_snapshot(version);
-
-    window_stats.round = commits - 1;
-    window_stats.committed_version = version;
-    window_stats.participants = folds_in_window;
-    window_stats.staleness_mean = static_cast<float>(
-        window_staleness_total / static_cast<double>(folds_in_window));
-    window_stats.staleness_max = window_staleness_max;
-    if (window_divergence_count > 0) {
-      window_stats.mean_divergence = static_cast<float>(
-          window_divergence_total / window_divergence_count);
-    }
-    window_stats.mean_update_norm = static_cast<float>(
-        window_norm_total / static_cast<double>(folds_in_window));
-    const comm::TrafficStats window_traffic =
-        router.stats() - traffic_at_window_start;
-    window_stats.bytes_broadcast = window_traffic.broadcast_bytes;
-    window_stats.bytes_collected = window_traffic.collected_bytes;
-    window_stats.serializations = window_traffic.broadcast_serializations;
-    result.history.push_back(window_stats);
-    log::debug() << algorithm.name() << " async commit " << commits << "/"
-                 << config.rounds << " (version " << version << ", "
-                 << folds_in_window << " folds, staleness mean "
-                 << window_stats.staleness_mean << ")";
-    window_stats = RoundStats{};
-    folds_in_window = 0;
-    window_divergence_total = 0.0;
-    window_divergence_count = 0;
-    window_norm_total = 0.0;
-    window_staleness_total = 0.0;
-    window_staleness_max = 0;
-    traffic_at_window_start = router.stats();
-  };
-  // Resolves every foldable seq at the front, committing when the buffer
-  // fills and back-filling the in-flight window — all in seq order, which
-  // is what pins the sampler draws and base versions regardless of reply
-  // arrival order. Stops at the first seq still awaiting its reply, or once
-  // the final commit lands.
-  auto advance_front = [&] {
-    while (commits < config.rounds) {
-      const auto it = slots.find(fold_front);
-      if (it == slots.end() || it->second.status == SlotState::kOutstanding) {
+    Slot& live = slot(seq);
+    if (reply.type == comm::MessageType::kTrainError) {
+      // The scratch stats are discarded: failures and retries are credited
+      // when the slot resolves (see advance_front).
+      RoundStats scratch;
+      if (account_error_reply(/*client_pending=*/true, live.retries_used,
+                              config_.max_client_retries, scratch)) {
+        send(live);  // the retry keeps its seq (fold place) and snapshot
         return;
       }
-      Slot slot = std::move(it->second);
-      slots.erase(it);
-      seq_of_client.erase(slot.client);
-      ++fold_front;
-      // Failures/retries are attributed to the commit window in which the
-      // seq RESOLVES, not the one where the error reply happened to arrive:
-      // resolution order is deterministic, so the history's counters are
-      // bit-identical across thread counts (only the byte columns, diffed
-      // from the router's arrival-timed counters, are wall-clock).
-      window_stats.retries += slot.retries_used;
-      window_stats.failures +=
-          slot.retries_used + (slot.status == SlotState::kFailed ? 1 : 0);
-      if (slot.status == SlotState::kHeld) {
-        fold_slot(slot);
-      } else {
-        ++consecutive_failures;
-        CALIBRE_CHECK_MSG(
-            consecutive_failures <= max_consecutive_failures,
-            "async made no progress after "
-                << consecutive_failures
-                << " consecutive permanent failures; with duty-cycled device "
-                   "classes the availability schedule only advances on "
-                   "commits, so a population that is fully offline at the "
-                   "current version can never recover");
-      }
-      release_version(slot.base_version);
-      if (folds_in_window == buffer_size) commit();
-      if (commits < config.rounds) dispatch_new();
-    }
-  };
-
-  make_snapshot(0);
-  for (int i = 0; i < concurrency; ++i) dispatch_new();
-
-  while (commits < config.rounds) {
-    std::optional<comm::Message> response = router.server_mailbox().pop();
-    CALIBRE_CHECK_MSG(response.has_value(), "server mailbox closed early");
-    const int client = response->sender;
-    --awaiting_reply;
-    const auto seq_it = seq_of_client.find(client);
-    // Every reply maps to an unresolved dispatch: a client gets a new
-    // request only after its previous seq resolved, which happens after its
-    // previous reply arrived.
-    CALIBRE_CHECK_MSG(seq_it != seq_of_client.end(),
-                      "async reply from client " << client
-                                                 << " with nothing in flight");
-    Slot& slot = slots.at(seq_it->second);
-    if (response->type == comm::MessageType::kTrainError) {
-      // Shared retry policy with the sync loop; the scratch stats are
-      // discarded because this window's counters are credited at front
-      // resolution (see advance_front), keeping attribution deterministic.
-      RoundStats arrival_scratch;
-      if (account_error_reply(/*client_pending=*/true, slot.retries_used,
-                              config.max_client_retries, arrival_scratch)) {
-        // Retry keeps its seq (its place in fold order) and its snapshot:
-        // the device re-runs the same request.
-        send_request(client, slot.base_version);
-        continue;
-      }
-      log::debug() << algorithm.name() << " async seq " << seq_it->second
-                   << " client " << client << " failed: "
-                   << comm::Router::error_text(*response);
-      slot.status = SlotState::kFailed;
+      log::debug() << algorithm_.name() << " seq " << seq << " client "
+                   << reply.sender
+                   << " failed: " << comm::Router::error_text(reply);
+      live.status = SlotState::kFailed;
     } else {
-      CALIBRE_CHECK(response->type == comm::MessageType::kTrainResponse);
-      slot.status = SlotState::kHeld;
-      slot.reply = std::move(response->payload);
+      CALIBRE_CHECK(reply.type == comm::MessageType::kTrainResponse);
+      live.status = SlotState::kHeld;
+      live.reply = std::move(reply.payload);
+      ++received_;
     }
     advance_front();
   }
 
-  // Drain: requests still in flight after the final commit get their
-  // guaranteed reply; every dispatch left unresolved — outstanding,
-  // held-but-unfolded behind a straggler, or failed behind one — is
-  // discarded, never folded into a future version. The count is the
-  // unresolved slot window, which is deterministic; whether an individual
-  // straggler's reply arrived before or after the final commit is not.
-  const int discarded = static_cast<int>(slots.size());
-  while (awaiting_reply > 0) {
-    std::optional<comm::Message> response = router.server_mailbox().pop();
-    CALIBRE_CHECK_MSG(response.has_value(), "server mailbox closed early");
-    --awaiting_reply;
-    CALIBRE_CHECK_MSG(seq_of_client.count(response->sender) != 0,
-                      "async drain reply from client "
-                          << response->sender << " with nothing in flight");
+  // Resolves every slot at the front that has its outcome, in seq order:
+  // folds held replies, commits when the window closes, and refills. Stops
+  // at the first slot still awaiting its reply, or at the final commit.
+  void advance_front() {
+    // Legit high-fault configs recover within tens of dispatches; only an
+    // async configuration that can never fold (e.g. every class offline at
+    // the current version, which no commit will ever advance) hits this.
+    const int max_consecutive_failures =
+        1000 + 50 * config_.clients_per_round;
+    while (commits_ < config_.rounds && front_ < next_seq_) {
+      Slot& resolved = slot(front_);
+      if (resolved.status == SlotState::kOutstanding) return;
+      ++front_;
+      live_seq_[static_cast<std::size_t>(resolved.client)] = -1;
+      // Failures/retries are attributed to the window in which the slot
+      // RESOLVES, not the one where an error reply happened to arrive:
+      // resolution order is deterministic, so the history's counters are
+      // bit-identical across thread counts.
+      window_.retries += resolved.retries_used;
+      window_.failures += resolved.retries_used +
+                          (resolved.status == SlotState::kFailed ? 1 : 0);
+      if (resolved.status == SlotState::kHeld) {
+        // Decode + fold run on the folder (shard workers under
+        // --agg-shards, inline otherwise); the staleness weight multiplies
+        // the decoded weight there. Update-content stats are read back from
+        // the folder's rank arrays at commit.
+        const int staleness = commits_ - resolved.tag;
+        folder_->submit(folds_, std::move(resolved.reply),
+                        std::move(resolved.base),
+                        staleness_weight(staleness, config_.staleness_alpha));
+        staleness_total_ += staleness;
+        window_.staleness_max = std::max(window_.staleness_max, staleness);
+        ++folds_;
+        consecutive_failures_ = 0;
+      } else if (resolved.status == SlotState::kFailed) {
+        ++consecutive_failures_;
+        CALIBRE_CHECK_MSG(
+            consecutive_failures_ <= max_consecutive_failures,
+            "no progress after "
+                << consecutive_failures_
+                << " consecutive permanent failures; with duty-cycled device "
+                   "classes the async availability schedule only advances "
+                   "on commits, so a population that is fully offline at "
+                   "the current version can never recover");
+      }
+      // Frees the slot's snapshot handles before a commit serializes the
+      // next broadcast; a superseded version dies with its last slot.
+      resolved = Slot{};
+      if (barrier_ ? front_ == next_seq_
+                   : folds_ == config_.async_buffer_size) {
+        commit();
+        if (commits_ < config_.rounds) open_window();
+      } else if (!barrier_) {
+        dispatch(sample_idle_client());
+      }
+    }
   }
-  if (!result.history.empty()) {
-    result.history.back().late_dropped += discarded;
+
+  // Deadline cut: every slot still awaiting its reply resolves as a
+  // timeout (its eventual reply is discarded as late), which releases the
+  // held replies behind it into the fold and closes the round.
+  void cut() {
+    for (int seq = front_; seq < next_seq_; ++seq) {
+      if (slot(seq).status == SlotState::kOutstanding) {
+        slot(seq).status = SlotState::kTimedOut;
+        ++window_.timeouts;
+      }
+    }
+    advance_front();
   }
-}
+
+  // collect() waits out the shard workers and merges the partials in
+  // ascending shard order; only the merged root is ever finished. A window
+  // with no folds (a fully failed sync round) keeps the state as-is rather
+  // than aggregating nothing.
+  void commit() {
+    const SteadyClock::time_point start = SteadyClock::now();
+    std::unique_ptr<StreamingAggregator> merged = folder_->collect();
+    CALIBRE_CHECK_EQ(merged->folded(), folds_, "shard merge lost folds");
+    if (folds_ > 0) {
+      state_ = merged->finish();
+    } else {
+      log::warn() << algorithm_.name() << " round " << commits_
+                  << ": no updates arrived; keeping previous global state";
+    }
+    result_.phases.commit_seconds +=
+        seconds_between(start, SteadyClock::now());
+    result_.phases.decode_seconds += folder_->decode_seconds();
+    result_.phases.fold_seconds += folder_->fold_seconds();
+    // Rank-ordered readback reproduces the flat fold's accumulation order,
+    // so the history is bit-identical across shard counts.
+    double divergence_total = 0.0;
+    int divergence_count = 0;
+    double norm_total = 0.0;
+    for (std::size_t rank = 0; rank < static_cast<std::size_t>(folds_);
+         ++rank) {
+      if (folder_->has_divergence()[rank] != 0) {
+        divergence_total += folder_->divergences()[rank];
+        ++divergence_count;
+      }
+      norm_total += folder_->norms()[rank];
+      window_.update_bytes_wire += folder_->wire_bytes()[rank];
+      window_.update_bytes_f32 += folder_->f32_bytes()[rank];
+      const std::uint8_t tag = folder_->codec_tags()[rank];
+      if (tag < window_.codec_counts.size()) ++window_.codec_counts[tag];
+    }
+    ++commits_;
+    consecutive_failures_ = 0;  // a commit is progress too
+    window_.round = commits_ - 1;
+    window_.participants = folds_;
+    if (divergence_count > 0) {
+      window_.mean_divergence =
+          static_cast<float>(divergence_total / divergence_count);
+    }
+    if (folds_ > 0) {
+      window_.mean_update_norm =
+          static_cast<float>(norm_total / static_cast<double>(folds_));
+      window_.staleness_mean =
+          static_cast<float>(staleness_total_ / static_cast<double>(folds_));
+    }
+    if (!barrier_) window_.committed_version = commits_;
+    // Router counters diffed over the window: retries re-sent and late
+    // replies that surfaced during it are all included.
+    const comm::TrafficStats traffic = router_.stats() - traffic_at_open_;
+    window_.bytes_broadcast = traffic.broadcast_bytes;
+    window_.bytes_collected = traffic.collected_bytes;
+    window_.serializations = traffic.broadcast_serializations;
+    result_.history.push_back(window_);
+    log::debug() << algorithm_.name() << " commit " << commits_ << "/"
+                 << config_.rounds << ": " << folds_ << " updates ("
+                 << window_.failures << " failures, " << window_.timeouts
+                 << " timeouts, " << window_.late_dropped
+                 << " late-dropped, staleness mean " << window_.staleness_mean
+                 << ")";
+  }
+
+  // Every request still in flight after the final commit gets its
+  // guaranteed reply before the training stage ends, so no local_update
+  // overlaps personalization. Slots left unresolved (async: outstanding,
+  // or held/failed behind a straggler) are discarded, never folded into a
+  // later version; their count is the unresolved window, which is
+  // deterministic. A sync run has none: its final round resolved every
+  // slot, and replies to cut requests change no counter here.
+  void drain() {
+    const int discarded = next_seq_ - front_;
+    for (; awaiting_ > 0; --awaiting_) {
+      CALIBRE_CHECK_MSG(router_.server_mailbox().pop().has_value(),
+                        "server mailbox closed early");
+    }
+    if (!result_.history.empty()) {
+      result_.history.back().late_dropped += discarded;
+    }
+  }
+
+  Algorithm& algorithm_;
+  const FedDataset& fed_;
+  const FlConfig& config_;
+  comm::Router& router_;
+  nn::ModelState& state_;
+  RunResult& result_;
+  const bool barrier_;  // sync mode
+  rng::Generator sampler_;
+  std::unique_ptr<common::ThreadPool> fold_pool_;  // outlives folder_
+  std::unique_ptr<ShardedFolder> folder_;
+
+  // The slot table: a ring over the dispatch window [front_, next_seq_),
+  // which never holds more than clients_per_round slots.
+  std::vector<Slot> slots_;
+  std::vector<int> live_seq_;  // client -> its unresolved seq, or -1
+  int next_seq_ = 0;
+  int front_ = 0;
+  int awaiting_ = 0;  // requests (retries included) without a reply yet
+  int commits_ = 0;
+  int consecutive_failures_ = 0;
+
+  comm::Payload snapshot_;  // the open window's broadcast
+  std::shared_ptr<const nn::ModelState> snapshot_base_;
+
+  // The open commit window.
+  RoundStats window_;
+  comm::TrafficStats traffic_at_open_;
+  int folds_ = 0;
+  int received_ = 0;  // accepted TrainResponses (folded or held)
+  int quorum_ = 0;
+  double staleness_total_ = 0.0;
+  bool deadline_fired_ = false;
+  SteadyClock::time_point deadline_;
+};
 
 }  // namespace
 
@@ -469,298 +582,9 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
 
   // --- Training stage -------------------------------------------------------
   nn::ModelState state = algorithm.initialize();
-  rng::Generator sampler(derive_seed(config.seed, 0xC1, 0xE57));
   RunResult result;
   result.algorithm = algorithm.name();
-  // Sharded fold setup: --agg-shards > 1 engages parallel shard workers
-  // only for mergeable aggregators (probed once — mergeability is a static
-  // property of the algorithm); batch-adapter folds fall back to the flat
-  // path, since two buffered rank subsequences cannot be interleaved back
-  // into global rank order. Both paths run through ShardedFolder (shards=1
-  // + null pool is the inline flat fold), and the fixed-point accumulators
-  // make every shard count produce bit-identical states.
-  int fold_shards = 1;
-  std::unique_ptr<common::ThreadPool> fold_pool;
-  if (config.agg_shards > 1) {
-    if (algorithm.make_aggregator(state, /*round=*/0)->mergeable()) {
-      fold_shards = config.agg_shards;
-      fold_pool = std::make_unique<common::ThreadPool>(
-          static_cast<std::size_t>(config.agg_shards));
-    } else {
-      log::warn() << algorithm.name() << ": aggregator is not mergeable; "
-                  << "--agg-shards " << config.agg_shards
-                  << " falls back to the flat single-threaded fold";
-    }
-  }
-  // Async mode replaces the barriered round loop below with the buffered
-  // asynchronous loop; the sync path is untouched (bit-identical to the
-  // pre-async build).
-  if (config.async_mode) {
-    run_async_training(algorithm, fed, config, router, sampler, state,
-                       fold_shards, fold_pool.get(), result);
-  }
-  const int sync_rounds = config.async_mode ? 0 : config.rounds;
-  for (int round = 0; round < sync_rounds; ++round) {
-    RoundStats round_stats;
-    round_stats.round = round;
-    const comm::TrafficStats traffic_at_round_start = router.stats();
-    std::vector<int> selected = sampler.sample_without_replacement(
-        fed.num_train_clients(), config.clients_per_round);
-    // Dropout simulation: sampled clients may fail to respond. Keep at
-    // least one participant so the round stays well-defined. Dropout coins
-    // come from their own per-round stream, NOT from `sampler`: drawing
-    // them from the sampling stream would make --dropout silently change
-    // which clients are sampled in every later round.
-    int dropped = 0;
-    if (config.client_dropout_rate > 0.0f) {
-      rng::Generator dropout_gen(
-          derive_seed(config.seed, 0xD80, static_cast<std::uint64_t>(round)));
-      std::vector<int> alive;
-      for (const int client : selected) {
-        if (dropout_gen.uniform() < config.client_dropout_rate) {
-          ++dropped;
-        } else {
-          alive.push_back(client);
-        }
-      }
-      if (alive.empty()) {
-        alive.push_back(selected.front());
-        --dropped;
-      }
-      selected = std::move(alive);
-    }
-    // Zero-copy broadcast: serialize the global state ONCE per round and
-    // share the immutable snapshot across every train request, including
-    // retry re-sends — 1 serialization + K refcounts instead of K copies.
-    const SteadyClock::time_point dispatch_start = SteadyClock::now();
-    const comm::Payload snapshot(
-        state.to_bytes(resolve_broadcast_codec(config.wire_codec)));
-    // delta16 replies are deltas against the broadcast *as the clients
-    // decode it*; with a lossy broadcast codec that differs from `state`,
-    // so the server derives the reference by decoding its own snapshot.
-    // shared_ptr because shard workers may still hold it mid-decode when
-    // the round's server-side bookkeeping has already moved on.
-    std::shared_ptr<const nn::ModelState> update_base;
-    if (config.wire_codec != comm::Codec::kF32) {
-      update_base = std::make_shared<const nn::ModelState>(
-          nn::ModelState::from_bytes(snapshot.bytes()));
-    }
-    auto send_request = [&](int client) {
-      comm::Message request;
-      request.type = comm::MessageType::kTrainRequest;
-      request.sender = comm::kServerEndpoint;
-      request.receiver = client;
-      request.round = round;
-      request.payload = snapshot;
-      router.send(std::move(request));
-    };
-    for (const int client : selected) send_request(client);
-    result.phases.dispatch_seconds +=
-        seconds_between(dispatch_start, SteadyClock::now());
-
-    // Streaming aggregation: updates fold into the aggregator one at a time,
-    // in selection-rank order — reply arrival order depends on thread
-    // scheduling, and float summation is order-sensitive, so folding in
-    // arrival order would break bit-for-bit reproducibility. A reorder
-    // buffer bridges the gap: replies that arrive ahead of the fold front
-    // are held SERIALIZED (refcounted payload handles, no decode), and the
-    // front decodes+folds them the moment every earlier rank is resolved
-    // (folded or permanently missing). At any instant the server holds at
-    // most ONE decoded update outside the aggregator, so server memory is
-    // O(model + wire bytes in flight), not O(participants × model).
-    const int num_selected = static_cast<int>(selected.size());
-    // All decode + fold work funnels through the folder: shard workers when
-    // --agg-shards engaged, inline on this thread otherwise. The bounded-
-    // memory streaming invariant (no decoded updates buffered outside the
-    // aggregators) is CHECKed inside the folder at every fold.
-    ShardedFolder folder(algorithm, state, round, fold_shards, fold_pool.get(),
-                         selected.size());
-    std::unordered_map<int, comm::Payload> held;  // rank -> serialized reply
-    enum : std::uint8_t { kOutstanding = 0, kHeld = 1, kResolved = 2 };
-    std::vector<std::uint8_t> rank_state(selected.size(), kOutstanding);
-    int fold_front = 0;
-    auto fold_payload = [&](int rank, comm::Payload payload) {
-      folder.submit(rank, std::move(payload), update_base,
-                    /*weight_scale=*/1.0f);
-    };
-    // Folds every resolvable rank at the front: resolved ranks are skipped,
-    // held ranks are decoded+folded, and the walk stops at the first rank
-    // still awaiting its reply. Missing ranks are marked resolved by the
-    // failure/timeout paths below, so a rank that never arrives can never
-    // wedge the front (no deadlock).
-    auto advance_front = [&] {
-      while (fold_front < num_selected) {
-        if (rank_state[static_cast<std::size_t>(fold_front)] == kResolved) {
-          ++fold_front;
-          continue;
-        }
-        if (rank_state[static_cast<std::size_t>(fold_front)] == kHeld) {
-          auto node = held.extract(fold_front);
-          fold_payload(fold_front, std::move(node.mapped()));
-          rank_state[static_cast<std::size_t>(fold_front)] = kResolved;
-          ++fold_front;
-          continue;
-        }
-        break;
-      }
-    };
-
-    // Deadline-aware receive with a minimum-participation quorum. Every
-    // dispatch is guaranteed exactly one reply (success or kTrainError), so
-    // waiting on `pending` cannot hang; the deadline merely lets the round
-    // cut stragglers loose once `quorum` updates are in. Replies tagged
-    // with an earlier round are stragglers from a timed-out round —
-    // discarded, never aggregated into the wrong round.
-    const bool has_deadline = config.round_deadline_ms > 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(config.round_deadline_ms);
-    // validate() already rejected min_participants outside
-    // [1, clients_per_round]; the clamp here only covers dropout legitimately
-    // shrinking the round below the configured quorum.
-    const int quorum = std::min(config.min_participants, num_selected);
-    std::unordered_set<int> pending(selected.begin(), selected.end());
-    std::unordered_map<int, int> retries_used;
-    std::unordered_map<int, int> selection_rank;
-    selection_rank.reserve(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      selection_rank[selected[i]] = static_cast<int>(i);
-    }
-    bool deadline_fired = false;
-    int received = 0;  // accepted TrainResponses (folded or held)
-    while (!pending.empty()) {
-      std::optional<comm::Message> response;
-      if (has_deadline && !deadline_fired) {
-        response = router.server_mailbox().pop_until(deadline);
-        if (!response.has_value() && !router.server_mailbox().closed()) {
-          deadline_fired = true;
-          if (received >= quorum) break;
-          continue;  // below quorum: keep waiting, replies are guaranteed
-        }
-      } else {
-        response = router.server_mailbox().pop();
-      }
-      CALIBRE_CHECK_MSG(response.has_value(), "server mailbox closed early");
-      if (response->round != round) {
-        ++round_stats.late_dropped;
-        log::debug() << algorithm.name() << " round " << round
-                     << " discarded late reply from client "
-                     << response->sender << " (round " << response->round
-                     << ")";
-        continue;
-      }
-      if (response->type == comm::MessageType::kTrainError) {
-        const int client = response->sender;
-        const bool client_pending = pending.count(client) != 0;
-        int stale_retries = 0;  // scratch so a stale reply touches no state
-        if (account_error_reply(client_pending,
-                                client_pending ? retries_used[client]
-                                               : stale_retries,
-                                config.max_client_retries, round_stats)) {
-          send_request(client);
-        } else if (client_pending) {
-          pending.erase(client);
-          // Permanently failed: resolve the rank as missing so the fold
-          // front can move past it instead of waiting forever.
-          rank_state[static_cast<std::size_t>(selection_rank[client])] =
-              kResolved;
-          advance_front();
-          log::debug() << algorithm.name() << " round " << round
-                       << " client " << client << " failed: "
-                       << comm::Router::error_text(*response);
-        }
-        continue;
-      }
-      CALIBRE_CHECK(response->type == comm::MessageType::kTrainResponse);
-      if (pending.erase(response->sender) == 0) continue;
-      const int rank = selection_rank[response->sender];
-      ++received;
-      if (rank == fold_front) {
-        fold_payload(rank, std::move(response->payload));
-        rank_state[static_cast<std::size_t>(rank)] = kResolved;
-        ++fold_front;
-        advance_front();
-      } else {
-        held.emplace(rank, std::move(response->payload));
-        rank_state[static_cast<std::size_t>(rank)] = kHeld;
-      }
-      if (deadline_fired && received >= quorum) break;
-    }
-    round_stats.timeouts = static_cast<int>(pending.size());
-    // Drain: ranks still pending (deadline stragglers) resolve as missing,
-    // which releases every held reply behind them into the fold. The round's
-    // fold order is therefore always "arrived ranks, ascending" — exactly
-    // the order the batch path aggregated in.
-    for (const int client : pending) {
-      rank_state[static_cast<std::size_t>(selection_rank[client])] = kResolved;
-    }
-    advance_front();
-    CALIBRE_CHECK_MSG(held.empty() && fold_front == num_selected,
-                      "reorder buffer failed to drain");
-
-    // Partial aggregation: whatever arrived forms the next global state. A
-    // fully failed round (every client errored out) keeps the state as-is
-    // rather than aggregating nothing. collect() waits out the shard
-    // workers and merges the partials in ascending shard order; only the
-    // merged root is ever finished.
-    const SteadyClock::time_point commit_start = SteadyClock::now();
-    std::unique_ptr<StreamingAggregator> merged = folder.collect();
-    const int participants = merged->folded();
-    if (participants > 0) {
-      state = merged->finish();
-    } else {
-      log::warn() << algorithm.name() << " round " << round
-                  << ": no updates arrived; keeping previous global state";
-    }
-    result.phases.commit_seconds +=
-        seconds_between(commit_start, SteadyClock::now());
-    result.phases.decode_seconds += folder.decode_seconds();
-    result.phases.fold_seconds += folder.fold_seconds();
-    // Update-content stats read back from the folder's rank arrays, summed
-    // in ascending rank order — the exact order the flat fold accumulated
-    // them in, so the history is bit-identical across shard counts.
-    double divergence_total = 0.0;
-    int divergence_count = 0;
-    double norm_total = 0.0;
-    for (std::size_t r = 0; r < selected.size(); ++r) {
-      if (folder.submitted()[r] == 0) continue;
-      if (folder.has_divergence()[r] != 0) {
-        divergence_total += folder.divergences()[r];
-        ++divergence_count;
-      }
-      norm_total += folder.norms()[r];
-      round_stats.update_bytes_wire += folder.wire_bytes()[r];
-      round_stats.update_bytes_f32 += folder.f32_bytes()[r];
-      const std::uint8_t tag = folder.codec_tags()[r];
-      if (tag < round_stats.codec_counts.size()) {
-        ++round_stats.codec_counts[tag];
-      }
-    }
-
-    round_stats.participants = participants;
-    round_stats.dropped = dropped;
-    if (divergence_count > 0) {
-      round_stats.mean_divergence =
-          static_cast<float>(divergence_total / divergence_count);
-    }
-    round_stats.mean_update_norm =
-        participants == 0
-            ? 0.0f
-            : static_cast<float>(norm_total /
-                                 static_cast<double>(participants));
-    // Per-round traffic from the router's counters: retries re-sent this
-    // round and late replies that surfaced this round are all in the diff.
-    const comm::TrafficStats round_traffic =
-        router.stats() - traffic_at_round_start;
-    round_stats.bytes_broadcast = round_traffic.broadcast_bytes;
-    round_stats.bytes_collected = round_traffic.collected_bytes;
-    round_stats.serializations = round_traffic.broadcast_serializations;
-    result.history.push_back(round_stats);
-    log::debug() << algorithm.name() << " round " << round + 1 << "/"
-                 << config.rounds << " aggregated " << participants
-                 << " updates (" << round_stats.failures << " failures, "
-                 << round_stats.timeouts << " timeouts, "
-                 << round_stats.late_dropped << " late-dropped)";
-  }
+  RoundEngine(algorithm, fed, router, state, result).run();
 
   // --- Personalization stage -------------------------------------------------
   {

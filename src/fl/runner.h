@@ -1,4 +1,4 @@
-// The federated round loop.
+// The federated round engine.
 //
 // Runner wires an Algorithm to a FedDataset through the comm layer: every
 // global model broadcast and every client update crosses a serialized
@@ -92,7 +92,7 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
 // a finished round must not inflate `failures` — the historical bug was
 // incrementing before the pending check. Returns true when the caller
 // should re-dispatch (pending, and retry budget remains; `retries_used` and
-// stats.retries are advanced). Shared by the sync and async loops.
+// stats.retries are advanced). The round engine's one error-reply path.
 bool account_error_reply(bool client_pending, int& retries_used,
                          int max_client_retries, RoundStats& stats);
 

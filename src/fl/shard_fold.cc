@@ -33,14 +33,14 @@ ShardedFolder::ShardedFolder(Algorithm& algorithm, const nn::ModelState& global,
     auto shard = std::make_unique<Shard>();
     shard->agg = algorithm.make_aggregator(global, round);
     CALIBRE_CHECK_MSG(shards == 1 || shard->agg->mergeable(),
-                      "sharded fold needs a mergeable aggregator; the runner "
-                      "must fall back to shards=1 for batch-adapter folds");
+                      "sharded fold needs a mergeable aggregator; run this "
+                      "algorithm with --agg-shards 1");
     shards_.push_back(std::move(shard));
   }
 }
 
 ShardedFolder::~ShardedFolder() {
-  // An abandoned folder (async drain discarding a partial window) still has
+  // An abandoned folder (a run that threw mid-window) may still have
   // workers touching this object; wait them out before the members die.
   std::unique_lock<std::mutex> lock(idle_mu_);
   idle_cv_.wait(lock, [&] { return active_shards_ == 0; });

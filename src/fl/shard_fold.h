@@ -24,7 +24,7 @@
 // ranks fold in submission (ascending-rank) order within their shard. With
 // a null pool the folder degrades to inline decode+fold on the caller
 // thread (same code path, zero threading), which is what the runner uses
-// when sharding is off or the aggregator is not mergeable.
+// when sharding is off.
 //
 // Memory: at most `shards` decoded updates exist outside aggregators at any
 // instant (one per active worker); queued items hold serialized payload
@@ -48,14 +48,15 @@ namespace calibre::fl {
 class ShardedFolder {
  public:
   // Creates `shards` shard aggregators via algorithm.make_aggregator(global,
-  // round). `capacity` is the rank-index bound (sync: selected count; async:
-  // buffer size). `pool` runs the shard workers; nullptr folds inline on the
-  // caller thread. shards > 1 requires a mergeable aggregator (CHECKed).
+  // round). `capacity` is the rank-index bound (sync: clients_per_round;
+  // async: buffer size). `pool` runs the shard workers; nullptr folds inline
+  // on the caller thread. shards > 1 requires a mergeable aggregator
+  // (CHECKed).
   ShardedFolder(Algorithm& algorithm, const nn::ModelState& global, int round,
                 int shards, common::ThreadPool* pool, std::size_t capacity);
 
-  // Waits for in-flight shard work before tearing down (abandoned partial
-  // windows in the async drain path land here without collect()).
+  // Waits for in-flight shard work before tearing down (a window abandoned
+  // by an exception lands here without collect()).
   ~ShardedFolder();
 
   ShardedFolder(const ShardedFolder&) = delete;
@@ -80,7 +81,6 @@ class ShardedFolder {
   // before that). Indexed by submit() rank; entries for never-submitted
   // ranks are zero/false. Summing in ascending rank order reproduces the
   // flat path's stats accumulation order exactly.
-  const std::vector<std::uint8_t>& submitted() const { return submitted_; }
   const std::vector<double>& norms() const { return norms_; }
   const std::vector<float>& divergences() const { return divergences_; }
   const std::vector<std::uint8_t>& has_divergence() const { return has_div_; }

@@ -94,9 +94,8 @@ ClientUpdate deserialize_update(const std::vector<std::uint8_t>& bytes,
 void StreamingAggregator::merge(StreamingAggregator&& /*other*/) {
   CALIBRE_CHECK_MSG(false,
                     "this aggregator is not mergeable (mergeable() is false): "
-                    "shard-parallel folding needs a native fold whose partial "
-                    "state composes — the batch adapter cannot interleave two "
-                    "buffered rank subsequences");
+                    "shard-parallel folding needs a fold whose partial state "
+                    "composes");
 }
 
 WeightedStreamingAggregator::WeightedStreamingAggregator(WeightFn weight_of)
@@ -148,26 +147,6 @@ void WeightedStreamingAggregator::merge(StreamingAggregator&& other) {
   rhs->acc_.clear();
   rhs->total_weight_ = 0;
   rhs->folded_ = 0;
-}
-
-BatchAggregatorAdapter::BatchAggregatorAdapter(Algorithm& algorithm,
-                                               nn::ModelState global,
-                                               int round)
-    : algorithm_(algorithm), global_(std::move(global)), round_(round) {}
-
-void BatchAggregatorAdapter::fold(ClientUpdate update) {
-  updates_.push_back(std::move(update));
-  ++folded_;
-}
-
-nn::ModelState BatchAggregatorAdapter::finish() {
-  CALIBRE_CHECK_MSG(folded_ > 0, "finish() before any update was folded");
-  return algorithm_.aggregate(global_, updates_, round_);
-}
-
-std::unique_ptr<StreamingAggregator> Algorithm::make_aggregator(
-    const nn::ModelState& global, int round) {
-  return std::make_unique<BatchAggregatorAdapter>(*this, global, round);
 }
 
 nn::ModelState Algorithm::aggregate(const nn::ModelState& /*global*/,

@@ -1,9 +1,10 @@
 // The pluggable FL algorithm interface.
 //
 // The Runner drives: initialize() -> rounds of {local_update on sampled
-// clients, aggregate} -> personalize() on every client (participating and
-// novel). All model movement between runner and algorithm is by value
-// (ModelState), matching the serialization boundary of the comm layer.
+// clients, fold each update into make_aggregator()'s StreamingAggregator}
+// -> personalize() on every client (participating and novel). All model
+// movement between runner and algorithm is by value (ModelState), matching
+// the serialization boundary of the comm layer.
 //
 // Thread safety: local_update and personalize are called concurrently for
 // *distinct* clients; implementations guard any cross-client shared state
@@ -85,11 +86,10 @@ struct PersonalizationContext {
 // --- streaming aggregation ---------------------------------------------------
 //
 // The runner folds client updates into the next global state as they arrive
-// (in selection-rank order, enforced by a reorder buffer) instead of
-// buffering all K of them and calling a batch aggregate. A native streaming
-// fold keeps server memory O(model) regardless of how many clients
-// participate; the batch adapter below preserves the legacy behaviour for
-// algorithms whose aggregation is not incremental.
+// (in dispatch order, enforced by its reorder buffer) instead of buffering
+// all K of them and calling a batch aggregate. Every algorithm supplies a
+// native streaming fold through make_aggregator(), so server memory stays
+// O(model) regardless of how many clients participate.
 //
 // Equivalence contract: an algorithm's batch aggregate() and the aggregator
 // returned by make_aggregator() must produce bit-identical states for the
@@ -125,19 +125,18 @@ class StreamingAggregator {
   // into this aggregator. Only legal before finish(); `other` is consumed
   // (left empty, never finished). An empty `other` is the merge identity,
   // and merging into an empty aggregator adopts `other`'s state. The
-  // default CHECK-fails: the batch adapter cannot interleave two buffered
-  // rank subsequences back into global rank order, so only native folds
-  // (mergeable() == true) implement this.
+  // default CHECK-fails: a fold whose partial state does not compose (e.g.
+  // one that buffers updates in rank order) cannot be split across shards,
+  // so only mergeable() folds implement this.
   virtual void merge(StreamingAggregator&& other);
 
-  // True when merge() is implemented — the runner only engages the sharded
-  // parallel fold path for mergeable aggregators and falls back to the flat
-  // single-threaded fold otherwise.
+  // True when merge() is implemented. ShardedFolder CHECKs it before
+  // splitting a window's folds across more than one shard (--agg-shards).
   virtual bool mergeable() const { return false; }
 
   // Decoded updates held inside the aggregator: 0 for native streaming
-  // folds, one per fold() for the batch adapter. The runner CHECKs this
-  // against its decoded-update bound when bounded_memory() is true.
+  // folds. The runner CHECKs this against its decoded-update bound when
+  // bounded_memory() is true.
   virtual std::size_t buffered_updates() const { return 0; }
 
   // True when memory stays O(model) for any participant count.
@@ -176,29 +175,6 @@ class WeightedStreamingAggregator : public StreamingAggregator {
   fixedpoint::Acc total_weight_ = 0;
 };
 
-class Algorithm;
-
-// Legacy-shaped adapter: buffers every update and delegates to the
-// algorithm's batch aggregate() at finish(). Memory O(participants) — the
-// safe default for algorithms whose aggregation the runner knows nothing
-// about.
-class BatchAggregatorAdapter : public StreamingAggregator {
- public:
-  BatchAggregatorAdapter(Algorithm& algorithm, nn::ModelState global,
-                         int round);
-
-  void fold(ClientUpdate update) override;
-  nn::ModelState finish() override;
-  std::size_t buffered_updates() const override { return updates_.size(); }
-  bool bounded_memory() const override { return false; }
-
- private:
-  Algorithm& algorithm_;
-  nn::ModelState global_;
-  int round_;
-  std::vector<ClientUpdate> updates_;
-};
-
 class Algorithm {
  public:
   explicit Algorithm(const FlConfig& config) : config_(config) {}
@@ -223,14 +199,11 @@ class Algorithm {
                                    const std::vector<ClientUpdate>& updates,
                                    int round);
 
-  // Streaming aggregation entry point used by the round loop. The default
-  // wraps this algorithm's batch aggregate() (correct for any override, at
-  // O(participants) memory); algorithms whose aggregation folds
-  // incrementally override it with an O(model) native aggregator. An
-  // override of aggregate() and an override of make_aggregator() must stay
-  // bit-identical — see the contract above.
+  // Streaming aggregation entry point used by the round engine: a fresh
+  // O(model) fold for the window that starts from `global`. An override of
+  // aggregate() must stay bit-identical to it — see the contract above.
   virtual std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState& global, int round);
+      const nn::ModelState& global, int round) = 0;
 
   // Personalization + evaluation for one client; returns test accuracy.
   virtual double personalize(const nn::ModelState& global,

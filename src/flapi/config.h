@@ -126,11 +126,10 @@ struct FlConfig {
   // on the server thread, exactly as before. N > 1 routes released ranks to
   // N shard aggregators (rank % N) decoded + folded by parallel workers and
   // merged in shard order at commit — bit-identical to the flat fold (the
-  // native folds accumulate in exact fixed-point; see flapi/fixed_accum.h) for
-  // algorithms with a mergeable aggregator, with automatic fallback to the
-  // flat fold otherwise. Must not exceed clients_per_round, and in async
-  // mode must divide async_buffer_size so every commit window loads the
-  // shards evenly.
+  // native folds accumulate in exact fixed-point; see flapi/fixed_accum.h).
+  // Needs a mergeable aggregator. Must not exceed clients_per_round, and in
+  // async mode must divide async_buffer_size so every commit window loads
+  // the shards evenly.
   int agg_shards = 1;
 
   // Cap on clients evaluated in the personalization stage (0 = all). With

@@ -10,12 +10,16 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <regex>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "algos/registry.h"
 #include "algos/scaffold.h"
 #include "comm/codec.h"
 #include "comm/message.h"
@@ -293,7 +297,8 @@ TEST(EncoderHeadModel, TrainSupervisedLearnsLocalData) {
 
 // Minimal algorithm for runner fault-tolerance tests: a trivial
 // two-parameter model with a per-update callback for injecting failures,
-// latency, or recording which clients actually trained.
+// latency, or recording which clients actually trained, folded by the
+// native weighted aggregator.
 class ToyAlgorithm : public Algorithm {
  public:
   using UpdateHook = std::function<void(const ClientContext&)>;
@@ -313,6 +318,10 @@ class ToyAlgorithm : public Algorithm {
     }
     update.state = nn::ModelState(std::move(values));
     return update;
+  }
+  std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState&, int) override {
+    return std::make_unique<WeightedStreamingAggregator>();
   }
   double personalize(const nn::ModelState&,
                      const PersonalizationContext&) override {
@@ -478,6 +487,51 @@ TEST(RunnerFaults, CrossRoundStragglerAccountingStableAcrossThreadCounts) {
   }
 }
 
+// The final round's deadline stragglers must finish before personalization
+// starts: algorithm.h promises local_update and personalize never run for
+// the same client at once, and per-client state (ClientStore, error
+// feedback) must be settled before evaluation reads it. The straggler here
+// outlives the deadline by far, so any overlap is observed, not raced.
+class OverlapProbeAlgorithm : public ToyAlgorithm {
+ public:
+  using ToyAlgorithm::ToyAlgorithm;
+  ClientUpdate local_update(const nn::ModelState& global,
+                            const ClientContext& ctx) override {
+    in_flight.fetch_add(1);
+    ClientUpdate update = ToyAlgorithm::local_update(global, ctx);
+    in_flight.fetch_sub(1);
+    return update;
+  }
+  double personalize(const nn::ModelState& global,
+                     const PersonalizationContext& ctx) override {
+    if (in_flight.load() > 0) overlaps.fetch_add(1);
+    return ToyAlgorithm::personalize(global, ctx);
+  }
+  std::atomic<int> in_flight{0};
+  std::atomic<int> overlaps{0};
+};
+
+TEST(RunnerFaults, FinalRoundStragglersFinishBeforePersonalization) {
+  const int clients = 4;
+  FlConfig config = toy_config(clients);
+  config.rounds = 1;
+  config.round_deadline_ms = 200;
+  config.min_participants = 3;
+  OverlapProbeAlgorithm algorithm(config, [](const ClientContext& ctx) {
+    if (ctx.client_id == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+    }
+  });
+  const FedDataset fed = toy_fed(clients);
+  const RunResult result = run_federated(algorithm, fed, false);
+  ASSERT_EQ(result.history.size(), 1u);
+  EXPECT_EQ(result.history[0].participants, 3);
+  EXPECT_EQ(result.history[0].timeouts, 1);
+  EXPECT_EQ(result.history[0].late_dropped, 0);
+  EXPECT_EQ(algorithm.overlaps.load(), 0)
+      << "personalize ran while a cut straggler was still training";
+}
+
 TEST(RunnerFaults, InjectedFaultsAreDeterministicAcrossRuns) {
   const int clients = 5;
   FlConfig config = toy_config(clients);
@@ -506,10 +560,22 @@ TEST(RunnerFaults, InjectedFaultsAreDeterministicAcrossRuns) {
 // Aggregation must not depend on reply arrival order: float summation is
 // order-sensitive, so aggregating whatever the mailbox yields first made
 // multi-threaded runs drift with thread scheduling. Clients stamp their id
-// into the update's scalar side channel, aggregate() records the order it
-// receives them in, and injected per-dispatch latency scrambles arrivals —
-// the recorded order must still match the latency-free run's, because the
-// runner sorts updates back into selection order before aggregating.
+// into the update's scalar side channel, the aggregator records the order it
+// folds them in, and injected per-dispatch latency scrambles arrivals — the
+// recorded order must still match the latency-free run's, because the
+// runner folds in selection order through its reorder buffer.
+class RecordingAggregator : public WeightedStreamingAggregator {
+ public:
+  explicit RecordingAggregator(std::vector<int>& seen) : seen_(seen) {}
+  void fold(ClientUpdate update) override {
+    seen_.push_back(static_cast<int>(update.scalars.at("id")));
+    WeightedStreamingAggregator::fold(std::move(update));
+  }
+
+ private:
+  std::vector<int>& seen_;
+};
+
 class OrderRecordingAlgorithm : public ToyAlgorithm {
  public:
   using ToyAlgorithm::ToyAlgorithm;
@@ -519,13 +585,10 @@ class OrderRecordingAlgorithm : public ToyAlgorithm {
     update.scalars["id"] = static_cast<float>(ctx.client_id);
     return update;
   }
-  nn::ModelState aggregate(const nn::ModelState& global,
-                           const std::vector<ClientUpdate>& updates,
-                           int round) override {
-    for (const ClientUpdate& update : updates) {
-      seen.push_back(static_cast<int>(update.scalars.at("id")));
-    }
-    return Algorithm::aggregate(global, updates, round);
+  // Unsharded, so every fold runs inline on the server thread.
+  std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState&, int) override {
+    return std::make_unique<RecordingAggregator>(seen);
   }
   std::vector<int> seen;
 };
@@ -856,46 +919,26 @@ TEST(UpdateCodecEF, LossyRunsTrackTheLosslessRunWithCompressionStats) {
 
 // --- streaming aggregation ---------------------------------------------------
 
-// ToyAlgorithm inherits the BatchAggregatorAdapter default (its aggregate()
-// is the batch path); this variant opts into the native O(model) streaming
-// fold. The two must be bit-identical by construction.
-class StreamingToyAlgorithm : public ToyAlgorithm {
- public:
-  using ToyAlgorithm::ToyAlgorithm;
-  std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<WeightedStreamingAggregator>();
-  }
-};
-
-// The equivalence contract of StreamingAggregator, end to end: the native
-// fold and the batch adapter must produce bit-identical global states for
-// any thread count and any arrival order (injected latency makes replies
+// The streaming fold, end to end: the global state must be bit-identical
+// for any thread count and any arrival order (injected latency makes replies
 // land out of selection order, exercising the reorder buffer).
 TEST(StreamingAggregation, NativeFoldMatchesBatchAdapterBitwise) {
   const int clients = 7;
   const FedDataset fed = toy_fed(clients);
-  auto run = [&](bool streaming, int threads, int latency_ms) {
+  auto run = [&](int threads, int latency_ms) {
     FlConfig config = toy_config(clients);
     config.rounds = 3;
     config.threads = threads;
     config.fault_latency_ms = latency_ms;
-    if (streaming) {
-      StreamingToyAlgorithm algorithm(config);
-      return run_federated(algorithm, fed, false).final_state.values();
-    }
     ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false).final_state.values();
   };
-  const std::vector<float> reference = run(false, 1, 0);
+  const std::vector<float> reference = run(1, 0);
   ASSERT_EQ(reference.size(), 2u);
-  for (const bool streaming : {false, true}) {
-    for (const int threads : {1, 3, 8}) {
-      for (const int latency_ms : {0, 20}) {
-        EXPECT_EQ(run(streaming, threads, latency_ms), reference)
-            << (streaming ? "streaming" : "batch") << " threads=" << threads
-            << " latency=" << latency_ms;
-      }
+  for (const int threads : {1, 3, 8}) {
+    for (const int latency_ms : {0, 20}) {
+      EXPECT_EQ(run(threads, latency_ms), reference)
+          << "threads=" << threads << " latency=" << latency_ms;
     }
   }
 }
@@ -912,7 +955,7 @@ TEST(StreamingAggregation, ReorderBufferDrainsAroundPermanentFailures) {
     FlConfig config = toy_config(clients);
     config.rounds = 3;
     config.fault_latency_ms = 30;
-    StreamingToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
+    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
       if (ctx.client_id == 2) throw std::runtime_error("permanent failure");
     });
     const RunResult result = run_federated(algorithm, fed, false);
@@ -936,7 +979,7 @@ TEST(StreamingAggregation, DeadlineQuorumStillDrainsReorderBuffer) {
   config.round_deadline_ms = 150;
   config.min_participants = 3;
   std::atomic<int> dispatched{0};
-  StreamingToyAlgorithm algorithm(config, [&](const ClientContext&) {
+  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
     // Every third dispatch stalls well past the deadline.
     if (dispatched.fetch_add(1) % 3 == 2) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
@@ -1054,19 +1097,6 @@ TEST(MergeAlgebra, CustomWeightFnPartialsMergeExactly) {
   }
   even.merge(std::move(odd));
   EXPECT_EQ(even.finish().values(), flat.finish().values());
-}
-
-TEST(MergeAlgebra, BatchAdapterRefusesToMerge) {
-  FlConfig config;
-  config.clients_per_round = 2;
-  ToyAlgorithm algorithm(config);
-  const nn::ModelState global(std::vector<float>{1.0f, -1.0f});
-  auto a = algorithm.Algorithm::make_aggregator(global, 0);
-  auto b = algorithm.Algorithm::make_aggregator(global, 0);
-  EXPECT_FALSE(a->mergeable());
-  a->fold(algebra_update(0));
-  b->fold(algebra_update(1));
-  EXPECT_THROW(a->merge(std::move(*b)), CheckError);
 }
 
 // --- fixed-point fold kernel -------------------------------------------------
@@ -1455,7 +1485,7 @@ TEST(ShardedAggregation, BitIdenticalAcrossShardAndThreadCounts) {
     config.threads = threads;
     config.agg_shards = shards;
     config.fault_latency_ms = 15;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     const RunResult result = run_federated(algorithm, fed, false);
     EXPECT_EQ(result.history.size(), 3u);
     for (const RoundStats& r : result.history) {
@@ -1495,7 +1525,7 @@ TEST(ShardedAggregation, AsyncBitIdenticalAcrossShardAndThreadCounts) {
     config.agg_shards = shards;
     config.threads = threads;
     config.fault_latency_ms = 10;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false);
   };
   const RunResult reference = run(1, 1);
@@ -1529,7 +1559,7 @@ TEST(ShardedAggregation, FailedRanksLeaveShardHolesWithoutDivergence) {
     config.rounds = 3;
     config.agg_shards = shards;
     config.fault_latency_ms = 20;
-    StreamingToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
+    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
       if (ctx.client_id == 2) throw std::runtime_error("permanent failure");
     });
     const RunResult result = run_federated(algorithm, fed, false);
@@ -1553,7 +1583,7 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
   config.min_participants = 3;
   config.agg_shards = 4;
   std::atomic<int> dispatched{0};
-  StreamingToyAlgorithm algorithm(config, [&](const ClientContext&) {
+  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
     if (dispatched.fetch_add(1) % 3 == 2) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
     }
@@ -1564,22 +1594,6 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
     EXPECT_GE(r.participants, config.min_participants) << "round " << r.round;
     EXPECT_EQ(r.participants + r.timeouts, clients) << "round " << r.round;
   }
-}
-
-// A batch-adapter algorithm cannot shard (its buffered subsequences do not
-// interleave); --agg-shards must fall back to the flat fold, not crash, and
-// produce the exact flat result.
-TEST(ShardedAggregation, NonMergeableAggregatorFallsBackToFlatFold) {
-  const int clients = 6;
-  const FedDataset fed = toy_fed(clients);
-  auto run = [&](int shards) {
-    FlConfig config = toy_config(clients);
-    config.rounds = 2;
-    config.agg_shards = shards;
-    ToyAlgorithm algorithm(config);  // batch adapter: not mergeable
-    return run_federated(algorithm, fed, false).final_state.values();
-  };
-  EXPECT_EQ(run(6), run(1));
 }
 
 // --- failure accounting (regression) ----------------------------------------
@@ -1763,7 +1777,7 @@ TEST(AsyncAggregation, DeterministicAcrossThreadCountsUnderChurn) {
     config.device_classes = {{"fast", 0.0f, 0, 1.0f, 0},
                              {"flaky", 0.3f, 25, 1.0f, 0},
                              {"night", 0.0f, 10, 0.5f, 4}};
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false);
   };
   const RunResult reference = run(1);
@@ -1800,7 +1814,7 @@ TEST(AsyncAggregation, StragglersDrainWithoutFoldingIntoLaterVersions) {
     config.clients_per_round = 4;
     config.threads = threads;
     config.fault_latency_ms = 30;  // scramble arrival order
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     const RunResult result = run_federated(algorithm, fed, false);
     ASSERT_EQ(result.history.size(), 5u);
     int folds = 0;
@@ -1830,11 +1844,291 @@ TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
   auto run = [&](float alpha) {
     FlConfig config = async_toy_config(clients);
     config.staleness_alpha = alpha;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false).final_state.values();
   };
   EXPECT_EQ(run(0.5f), run(0.5f));
   EXPECT_NE(run(0.0f), run(0.5f));
+}
+
+// --- pinned round-engine outputs ---------------------------------------------
+//
+// Each run below pins the FNV-1a hash of the final global state plus every
+// RoundStats field that is a pure function of the seed. The constants were
+// recorded before the sync and async loops were folded into one engine, so
+// any drift in sampler, dropout or fault-stream consumption, fold order,
+// weights or stats roll-up shows up here. Router byte columns and deadline
+// runs are left out: both depend on wall-clock timing.
+
+std::uint64_t fnv1a(const std::vector<float>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const float value : values) {
+    const auto bits = std::bit_cast<std::uint32_t>(value);
+    for (int b = 0; b < 32; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// One line per history entry; floats print as hexfloat, so equality is
+// bitwise.
+std::vector<std::string> pinned_history(const RunResult& result) {
+  std::vector<std::string> lines;
+  for (const RoundStats& r : result.history) {
+    std::ostringstream line;
+    line << std::hexfloat << "round " << r.round << " p" << r.participants
+         << " drop" << r.dropped << " fail" << r.failures << " retry"
+         << r.retries << " tmo" << r.timeouts << " late" << r.late_dropped
+         << " wire=" << r.update_bytes_wire << " f32=" << r.update_bytes_f32
+         << " codecs";
+    for (const std::uint32_t count : r.codec_counts) line << ' ' << count;
+    line << " div " << r.mean_divergence << " norm " << r.mean_update_norm
+         << " v" << r.committed_version << " stale " << r.staleness_mean
+         << '/' << r.staleness_max;
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+void expect_pinned(const RunResult& result, std::uint64_t state_hash,
+                   const std::vector<std::string>& history) {
+  const std::uint64_t hash = fnv1a(result.final_state.values());
+  EXPECT_EQ(hash, state_hash) << "final state hash 0x" << std::hex << hash;
+  EXPECT_EQ(pinned_history(result), history);
+}
+
+#if defined(CALIBRE_SANITIZED_BUILD)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+// Calibre's model bits (the final state and the divergence and norm means)
+// depend on how the build vectorizes the SSL training math: a sanitized
+// build trains to different floats than the release build the constants
+// were recorded in. There only the engine-driven columns are compared.
+void expect_pinned_calibre(const RunResult& result, std::uint64_t state_hash,
+                           const std::vector<std::string>& history) {
+  if (!kSanitizedBuild) {
+    expect_pinned(result, state_hash, history);
+    return;
+  }
+  const auto engine_columns = [](std::vector<std::string> lines) {
+    const std::regex model_columns(R"(div \S+ norm \S+)");
+    for (std::string& line : lines) {
+      line = std::regex_replace(line, model_columns, "div - norm -");
+    }
+    return lines;
+  };
+  EXPECT_EQ(engine_columns(pinned_history(result)), engine_columns(history));
+}
+
+// A richer toy than ToyAlgorithm: a 48-float state, per-(client, round)
+// seeded updates, client-dependent weights and a "divergence" scalar, folded
+// by the native weighted aggregator.
+class PinnedToyAlgorithm : public Algorithm {
+ public:
+  using Algorithm::Algorithm;
+  std::string name() const override { return "PinnedToy"; }
+  nn::ModelState initialize() override {
+    std::vector<float> values(48);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = 0.1f * static_cast<float>(i % 7) - 0.3f;
+    }
+    return nn::ModelState(std::move(values));
+  }
+  ClientUpdate local_update(const nn::ModelState& global,
+                            const ClientContext& ctx) override {
+    rng::Generator gen(ctx.seed);
+    std::vector<float> values = global.values();
+    for (float& value : values) {
+      value += 0.05f * static_cast<float>(gen.normal()) +
+               0.01f * static_cast<float>(ctx.client_id);
+    }
+    ClientUpdate update;
+    update.state = nn::ModelState(std::move(values));
+    update.weight = 1.0f + static_cast<float>(ctx.client_id % 3);
+    update.scalars["divergence"] =
+        0.1f + 0.02f * static_cast<float>(ctx.client_id);
+    return update;
+  }
+  std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState&, int) override {
+    return std::make_unique<WeightedStreamingAggregator>();
+  }
+  double personalize(const nn::ModelState&,
+                     const PersonalizationContext&) override {
+    return 0.5;
+  }
+};
+
+FlConfig pinned_toy_config() {
+  FlConfig config = toy_config(10);
+  config.rounds = 4;
+  config.clients_per_round = 6;
+  return config;
+}
+
+RunResult run_pinned_toy(const FlConfig& config) {
+  PinnedToyAlgorithm algorithm(config);
+  const FedDataset fed = toy_fed(config.num_train_clients);
+  return run_federated(algorithm, fed, false);
+}
+
+// Calibre (SimCLR) on a tiny Dirichlet federation: 8 train clients plus one
+// novel client, so its divergence-weighted fold is pinned too.
+struct PinnedWorld {
+  data::SyntheticDataset synth;
+  FedDataset fed;
+  FlConfig config;
+};
+
+const PinnedWorld& pinned_world() {
+  static const PinnedWorld* world = [] {
+    auto* w = new PinnedWorld();
+    data::SyntheticConfig dataset_config;
+    dataset_config.num_classes = 4;
+    dataset_config.input_dim = 16;
+    dataset_config.latent_dim = 6;
+    dataset_config.train_samples = 400;
+    dataset_config.test_samples = 200;
+    dataset_config.unlabeled_samples = 80;
+    dataset_config.seed = 177;
+    w->synth = data::make_synthetic(dataset_config);
+    data::PartitionConfig partition_config;
+    partition_config.num_clients = 9;
+    partition_config.samples_per_client = 30;
+    partition_config.test_samples_per_client = 12;
+    rng::Generator partition_gen(178);
+    const data::Partition partition = data::partition_dirichlet(
+        w->synth.train, w->synth.test, partition_config, 0.3, partition_gen);
+    rng::Generator fed_gen(179);
+    w->fed = build_fed_dataset(w->synth, partition, 8, fed_gen);
+    w->config.encoder.input_dim = 16;
+    w->config.encoder.hidden_dims = {16};
+    w->config.encoder.feature_dim = 8;
+    w->config.num_classes = 4;
+    w->config.rounds = 3;
+    w->config.clients_per_round = 4;
+    w->config.local_epochs = 1;
+    w->config.num_train_clients = 8;
+    w->config.threads = 2;
+    return w;
+  }();
+  return *world;
+}
+
+RunResult run_pinned_calibre(const FlConfig& config) {
+  const auto algorithm = algos::make_algorithm("Calibre (SimCLR)", config);
+  return run_federated(*algorithm, pinned_world().fed, false);
+}
+
+std::vector<DeviceClass> pinned_device_classes() {
+  return {{"fast", 0.0f, 0, 1.0f, 0},
+          {"flaky", 0.35f, 5, 1.0f, 0},
+          {"night", 0.1f, 3, 0.5f, 2}};
+}
+
+TEST(RunnerGolden, SyncCalibrePlain) {
+  const RunResult result = run_pinned_calibre(pinned_world().config);
+  expect_pinned_calibre(
+      result, 0xc28fe2dcdc928d19ULL,
+      {"round 0 p4 drop0 fail0 retry0 tmo0 late0 wire=70664 f32=70664 codecs 0 "
+       "4 0 0 0 0 div 0x1.c37688p-2 norm 0x1.11ccecp+3 v0 stale 0x0p+0/0",
+       "round 1 p4 drop0 fail0 retry0 tmo0 late0 wire=70664 f32=70664 codecs 0 "
+       "4 0 0 0 0 div 0x1.cc7ce2p-2 norm 0x1.11b78ap+3 v0 stale 0x0p+0/0",
+       "round 2 p4 drop0 fail0 retry0 tmo0 late0 wire=70664 f32=70664 codecs 0 "
+       "4 0 0 0 0 div 0x1.c0b4cp-2 norm 0x1.11b3cap+3 v0 stale 0x0p+0/0"});
+}
+
+TEST(RunnerGolden, SyncDropout) {
+  FlConfig config = pinned_toy_config();
+  config.client_dropout_rate = 0.3f;
+  expect_pinned(
+      run_pinned_toy(config), 0xbaa2acf30df36003ULL,
+      {"round 0 p4 drop2 fail0 retry0 tmo0 late0 wire=904 f32=904 codecs 0 4 0 "
+       "0 0 0 div 0x1.b851ecp-3 norm 0x1.77445ap+0 v0 stale 0x0p+0/0",
+       "round 1 p5 drop1 fail0 retry0 tmo0 late0 wire=1130 f32=1130 codecs 0 5 "
+       "0 0 0 0 div 0x1.c28f5cp-3 norm 0x1.a14096p+0 v0 stale 0x0p+0/0",
+       "round 2 p6 drop0 fail0 retry0 tmo0 late0 wire=1356 f32=1356 codecs 0 6 "
+       "0 0 0 0 div 0x1.851eb8p-3 norm 0x1.cdbf44p+0 v0 stale 0x0p+0/0",
+       "round 3 p4 drop2 fail0 retry0 tmo0 late0 wire=904 f32=904 codecs 0 4 0 "
+       "0 0 0 div 0x1.a3d70ap-3 norm 0x1.055d68p+1 v0 stale 0x0p+0/0"});
+}
+
+TEST(RunnerGolden, SyncFaultsRetriesDeviceClasses) {
+  FlConfig config = pinned_toy_config();
+  config.max_client_retries = 1;
+  config.device_classes = pinned_device_classes();
+  expect_pinned(
+      run_pinned_toy(config), 0xd77a4080175554b0ULL,
+      {"round 0 p5 drop0 fail3 retry2 tmo0 late0 wire=1130 f32=1130 codecs 0 5 "
+       "0 0 0 0 div 0x1.6872bp-3 norm 0x1.6bb614p+0 v0 stale 0x0p+0/0",
+       "round 1 p6 drop0 fail1 retry1 tmo0 late0 wire=1356 f32=1356 codecs 0 6 "
+       "0 0 0 0 div 0x1.d70a3ep-3 norm 0x1.86da56p+0 v0 stale 0x0p+0/0",
+       "round 2 p3 drop0 fail6 retry3 tmo0 late0 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.7e4b18p-3 norm 0x1.ae856ap+0 v0 stale 0x0p+0/0",
+       "round 3 p6 drop0 fail1 retry1 tmo0 late0 wire=1356 f32=1356 codecs 0 6 "
+       "0 0 0 0 div 0x1.7e4b18p-3 norm 0x1.da38fcp+0 v0 stale 0x0p+0/0"});
+}
+
+TEST(RunnerGolden, SyncCalibreTopK16TwoShards) {
+  FlConfig config = pinned_world().config;
+  config.wire_codec = comm::Codec::kTopK16;
+  config.agg_shards = 2;
+  expect_pinned_calibre(
+      run_pinned_calibre(config), 0x100dcf160a56fa7ULL,
+      {"round 0 p4 drop0 fail0 retry0 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.c38258p-2 norm 0x1.11cc1ep+3 v0 stale 0x0p+0/0",
+       "round 1 p4 drop0 fail0 retry0 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.ca4feap-2 norm 0x1.11b9e8p+3 v0 stale 0x0p+0/0",
+       "round 2 p4 drop0 fail0 retry0 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.c6e214p-2 norm 0x1.11bdacp+3 v0 stale 0x0p+0/0"});
+}
+
+TEST(RunnerGolden, AsyncStalenessAlpha) {
+  FlConfig config = pinned_toy_config();
+  config.async_mode = true;
+  config.rounds = 5;
+  config.clients_per_round = 4;
+  config.async_buffer_size = 3;
+  config.staleness_alpha = 0.5f;
+  config.fault_latency_ms = 5;  // scrambles arrival order
+  expect_pinned(
+      run_pinned_toy(config), 0x514b8d9de9a81fc3ULL,
+      {"round 0 p3 drop0 fail0 retry0 tmo0 late0 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.70a3d6p-3 norm 0x1.68fbd6p+0 v1 stale 0x0p+0/0",
+       "round 1 p3 drop0 fail0 retry0 tmo0 late0 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.0369dp-2 norm 0x1.829c1p+0 v2 stale 0x1p+0/1",
+       "round 2 p3 drop0 fail0 retry0 tmo0 late0 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.47ae14p-3 norm 0x1.843bfep+0 v3 stale 0x1p+0/1",
+       "round 3 p3 drop0 fail0 retry0 tmo0 late0 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.7e4b18p-3 norm 0x1.9f75fcp+0 v4 stale 0x1p+0/1",
+       "round 4 p3 drop0 fail0 retry0 tmo0 late3 wire=678 f32=678 codecs 0 3 0 "
+       "0 0 0 div 0x1.a740dap-3 norm 0x1.b30e94p+0 v5 stale 0x1p+0/1"});
+}
+
+TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
+  FlConfig config = pinned_world().config;
+  config.async_mode = true;
+  config.rounds = 4;
+  config.async_buffer_size = 4;
+  config.agg_shards = 2;
+  config.max_client_retries = 1;
+  config.device_classes = pinned_device_classes();
+  config.wire_codec = comm::Codec::kTopK16;
+  expect_pinned_calibre(
+      run_pinned_calibre(config), 0x99ef15c03d263e77ULL,
+      {"round 0 p4 drop0 fail2 retry1 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.c50588p-2 norm 0x1.11c69cp+3 v1 stale 0x0p+0/0",
+       "round 1 p4 drop0 fail1 retry1 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.c3afb2p-2 norm 0x1.11bc3p+3 v2 stale 0x1.8p-1/1",
+       "round 2 p4 drop0 fail2 retry1 tmo0 late0 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.ad7d28p-2 norm 0x1.11baa6p+3 v3 stale 0x1p-1/1",
+       "round 3 p4 drop0 fail0 retry0 tmo0 late3 wire=6812 f32=70664 codecs 0 "
+       "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
 }
 
 TEST(DeriveSeed, DeterministicAndDistinct) {

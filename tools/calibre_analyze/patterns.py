@@ -100,9 +100,9 @@ STREAMING_PATTERNS = [
      "Algorithm::make_aggregator; buffering decoded ClientUpdates "
      "reintroduces O(cohort * model) server memory at scale"),
     (re.compile(r"(?:\.|->)aggregate\s*\("),
-     "the runner may not call batch aggregate(); use "
-     "make_aggregator()->fold()/finish() so memory stays O(model) — batch "
-     "semantics are preserved by the BatchAggregatorAdapter default"),
+     "the runner may not call batch aggregate(); fold each update through "
+     "make_aggregator()->fold()/finish() so memory stays O(model) — every "
+     "algorithm must supply a native streaming fold"),
     (re.compile(r"\b[Ss]hard\w*(?:\[[^\]]*\])?\s*"
                 r"(?:(?:\.|->)\s*\w+\s*(?:\[[^\]]*\])?\s*)*"
                 r"(?:\.|->)\s*finish\s*\("),
