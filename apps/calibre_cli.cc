@@ -50,17 +50,14 @@
 //                       shard order at commit — bit-identical to the flat
 //                       fold; must be <= --clients-per-round and divide
 //                       --buffer-size in async mode               (1)
-//   --virtual-clients   force virtual-client mode: shards materialise on
-//                       demand, memory stays O(dataset) at any --clients
-//   --eager-clients     force eager per-client shard materialisation
-//                       (default: virtual at >= 1000 total clients; the two
-//                       modes are bit-identical)
 //   --personalize-cap   personalize a seeded sample of this many clients
 //                       instead of the full population; 0 = all (0)
 //   --seed              experiment seed                        (42)
 //   --threads           device worker threads (0 = auto)       (0)
 //   --save              write the trained global state to a file
 //   --load              skip training; load a state and only personalize
+//                       (participating and novel clients, --personalize-cap
+//                       and --threads apply as after training)
 //   --history           print per-round progress
 #include <array>
 #include <iostream>
@@ -189,17 +186,8 @@ int main(int argc, char** argv) {
   }
   rng::Generator fed_gen(
       static_cast<std::uint64_t>(args.get_int("seed", 42)) ^ 0xFEED);
-  // Virtual clients keep memory O(dataset + indices) regardless of the
-  // population; both builds yield bit-identical shards, so auto-switching at
-  // scale never changes results.
-  const bool use_virtual =
-      args.has("virtual-clients") ||
-      (!args.has("eager-clients") && train_clients + novel_clients >= 1000);
   const fl::FedDataset fed =
-      use_virtual
-          ? fl::build_virtual_fed_dataset(synth, partition, train_clients,
-                                          fed_gen)
-          : fl::build_fed_dataset(synth, partition, train_clients, fed_gen);
+      fl::build_fed_dataset(synth, partition, train_clients, fed_gen);
 
   fl::FlConfig config;
   config.encoder.input_dim = synth.train.input_dim();
@@ -262,23 +250,9 @@ int main(int argc, char** argv) {
   fl::RunResult result;
   if (!load_path.empty()) {
     // Personalization-only mode on a previously trained state.
-    const nn::ModelState state = nn::load_state(load_path);
-    fl::FlConfig no_training = config;
-    no_training.rounds = 0;
-    const auto fresh = algos::make_algorithm(method, no_training);
-    // run_federated with 0 rounds personalizes on the *initialized* state,
-    // so personalize directly against the loaded one instead.
-    result.algorithm = fresh->name();
-    for (int c = 0; c < fed.num_train_clients(); ++c) {
-      data::Dataset train_scratch;
-      data::Dataset test_scratch;
-      fl::PersonalizationContext ctx;
-      ctx.client_id = c;
-      ctx.train = &fed.train_shard(c, train_scratch);
-      ctx.test = &fed.test_shard(c, test_scratch);
-      ctx.seed = fl::derive_seed(config.seed, 0xA11, static_cast<std::uint64_t>(c));
-      result.train_accuracies.push_back(fresh->personalize(state, ctx));
-    }
+    result.algorithm = algorithm->name();
+    fl::personalize_clients(*algorithm, nn::load_state(load_path), fed,
+                            novel_clients > 0, result);
   } else {
     result = fl::run_federated(*algorithm, fed, novel_clients > 0);
     if (!save_path.empty()) {

@@ -58,7 +58,7 @@ int main() {
     PerClient row;
     row.method = method;
     for (int c = 0; c < 3 && c < workbench.fed.num_train_clients(); ++c) {
-      const data::Dataset& shard = workbench.fed.test[static_cast<std::size_t>(c)];
+      const data::Dataset shard = workbench.fed.test_shard(c);
       const tensor::Tensor client_features =
           pfl->extract_features(result.final_state, shard.x);
       row.silhouettes.push_back(

@@ -578,14 +578,10 @@ void dump_kernel_json(const char* path) {
 //
 // End-to-end cost of one full PflSsl::local_update (Algorithm 1's client
 // step: augment two views, SSL forward, backward, SGD step) per SSL method,
-// in three configurations:
-//  * "pooled"   — fused graphs + tensor pool (this tree's training step);
-//  * "pool_off" — fused graphs, CALIBRE_TENSOR_POOL kill-switch off (every
-//                 buffer freshly allocated and zeroed), isolating the pool;
-//  * "baseline" — composite graphs (ag::set_fused_graphs(false)) AND pool
-//                 off: the step as it ran before the pooled-storage +
-//                 fused-op layer existed, which is what the headline
-//                 "speedup" compares against.
+// in two configurations:
+//  * "pooled"   — the tensor pool on (this tree's training step);
+//  * "pool_off" — CALIBRE_TENSOR_POOL kill-switch off (every buffer freshly
+//                 allocated and zeroed), isolating the pool.
 // steps/sec counts optimizer steps; allocations/step is the pool's miss
 // counter (real heap allocations on the calling thread) divided by the
 // optimizer steps in one call.
@@ -601,7 +597,6 @@ struct TrainStepEntry {
   int steps_per_call = 0;
   TrainStepRun pooled;
   TrainStepRun pool_off;
-  TrainStepRun baseline;
 };
 
 TrainStepEntry time_train_step(ssl::Kind kind) {
@@ -631,8 +626,7 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
   const auto one_call = [&] {
     benchmark::DoNotOptimize(algo.local_update(global, ctx));
   };
-  const auto measure = [&](bool fused, bool pooled) {
-    ag::set_fused_graphs(fused);
+  const auto measure = [&](bool pooled) {
     tensor::pool::set_enabled(pooled);
     one_call();  // warmup: populates (or drains) the free lists
     tensor::pool::reset_thread_stats();
@@ -646,11 +640,8 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
         static_cast<double>(entry.steps_per_call) / run.seconds_per_call;
     return run;
   };
-  entry.baseline = measure(/*fused=*/false, /*pooled=*/false);
-  entry.pool_off = measure(/*fused=*/true, /*pooled=*/false);
-  entry.pooled = measure(/*fused=*/true, /*pooled=*/true);
-  ag::set_fused_graphs(true);
-  tensor::pool::set_enabled(true);
+  entry.pool_off = measure(/*pooled=*/false);
+  entry.pooled = measure(/*pooled=*/true);
   return entry;
 }
 
@@ -734,21 +725,10 @@ void dump_train_step_json(const char* path) {
       << "  \"pool_rows\": 256,\n  \"methods\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const TrainStepEntry& e = entries[i];
-    const double speedup = e.baseline.steps_per_sec > 0.0
-                               ? e.pooled.steps_per_sec /
-                                     e.baseline.steps_per_sec
-                               : 0.0;
     const double pool_only_speedup =
         e.pool_off.steps_per_sec > 0.0
             ? e.pooled.steps_per_sec / e.pool_off.steps_per_sec
             : 0.0;
-    // A fully warm pool serves an entire call with zero heap allocations, so
-    // floor the denominator at "one allocation per call": the reported
-    // reduction is then a lower bound rather than a division by zero.
-    const double pooled_floor =
-        std::max(e.pooled.allocs_per_step,
-                 1.0 / static_cast<double>(e.steps_per_call));
-    const double alloc_reduction = e.baseline.allocs_per_step / pooled_floor;
     char buffer[1024];
     std::snprintf(
         buffer, sizeof(buffer),
@@ -757,26 +737,19 @@ void dump_train_step_json(const char* path) {
         "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
         "     \"pool_off\": {\"seconds_per_call\": %.6e, "
         "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
-        "     \"baseline\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
-        "     \"speedup\": %.2f, \"pool_only_speedup\": %.2f, "
-        "\"alloc_reduction_at_least\": %.1f}%s\n",
+        "     \"pool_only_speedup\": %.2f}%s\n",
         e.method.c_str(), e.steps_per_call, e.pooled.seconds_per_call,
         e.pooled.steps_per_sec, e.pooled.allocs_per_step,
         e.pool_off.seconds_per_call, e.pool_off.steps_per_sec,
-        e.pool_off.allocs_per_step, e.baseline.seconds_per_call,
-        e.baseline.steps_per_sec, e.baseline.allocs_per_step, speedup,
-        pool_only_speedup, alloc_reduction,
+        e.pool_off.allocs_per_step, pool_only_speedup,
         i + 1 < entries.size() ? "," : "");
     out << buffer;
     std::printf(
-        "[train_step] %-10s %8.1f steps/s pooled vs %8.1f pool-off vs "
-        "%8.1f baseline (%.2fx, pool-only %.2fx), %5.1f vs %5.1f "
-        "allocs/step (>=%.0fx fewer)\n",
+        "[train_step] %-10s %8.1f steps/s pooled vs %8.1f pool-off "
+        "(%.2fx), %5.1f vs %5.1f allocs/step\n",
         e.method.c_str(), e.pooled.steps_per_sec, e.pool_off.steps_per_sec,
-        e.baseline.steps_per_sec, speedup, pool_only_speedup,
-        e.pooled.allocs_per_step, e.baseline.allocs_per_step,
-        alloc_reduction);
+        pool_only_speedup, e.pooled.allocs_per_step,
+        e.pool_off.allocs_per_step);
   }
   const double reuse_speedup =
       wide.rebuilt_seconds_per_call / wide.reused_seconds_per_call;

@@ -50,7 +50,7 @@ int main() {
   std::vector<int> labels;
   std::vector<int> clients;
   for (int c = 0; c < 6; ++c) {
-    const data::Dataset& shard = fed.test[static_cast<std::size_t>(c)];
+    const data::Dataset shard = fed.test_shard(c);
     parts.push_back(shard.x);
     labels.insert(labels.end(), shard.labels.begin(), shard.labels.end());
     clients.insert(clients.end(), shard.labels.size(), c);

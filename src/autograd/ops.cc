@@ -1,11 +1,9 @@
 #include "autograd/ops.h"
 
-#include <atomic>
 #include <cmath>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "tensor/kernels.h"
 
 namespace calibre::ag {
@@ -35,25 +33,12 @@ VarPtr make_node(Tensor value, std::vector<VarPtr> parents,
 // (free when the parent has no gradient yet). Backward closures below route
 // every freshly built gradient — including a consumed self.grad — through
 // this overload, so the backward pass recycles buffers instead of copying
-// them. (In composite mode accumulate_grad degrades the move to the copy
-// the pre-fusion library performed — see variable.cc.)
+// them.
 void push(const VarPtr& parent, Tensor&& g) {
   if (parent->requires_grad) parent->accumulate_grad(std::move(g));
 }
 
-std::atomic<bool>& fused_flag() {
-  static std::atomic<bool> flag{
-      env::get_flag("CALIBRE_FUSED_GRAPHS", /*fallback=*/true)};
-  return flag;
-}
-
 }  // namespace
-
-bool fused_graphs() { return fused_flag().load(std::memory_order_relaxed); }
-
-void set_fused_graphs(bool on) {
-  fused_flag().store(on, std::memory_order_relaxed);
-}
 
 // Closure conventions for the backward pass:
 //  * An interior node's grad is consumed exactly once (reverse topological
@@ -393,15 +378,6 @@ VarPtr row_mean(const VarPtr& a) {
 }
 
 VarPtr log_softmax(const VarPtr& a) {
-  if (!fused_graphs()) {
-    // Composite form: shift by the row max as a constant (softmax is shift
-    // invariant, so the gradient of the shifted expression equals the true
-    // gradient), then log-sum-exp through the elementary ops.
-    const VarPtr shift = constant(tensor::row_max(a->value));
-    const VarPtr shifted = sub(a, shift);
-    const VarPtr lse = log(row_sum(exp(shifted)));
-    return sub(shifted, lse);
-  }
   // Fused primitive: the forward is the single-pass tensor kernel, and the
   // backward uses the identity d/dx log_softmax = g - softmax(x)·rowsum(g)
   // where softmax(x) = exp(log_softmax(x)) is recovered from the output —
@@ -426,7 +402,6 @@ VarPtr log_softmax(const VarPtr& a) {
 }
 
 VarPtr softmax(const VarPtr& a) {
-  if (!fused_graphs()) return exp(log_softmax(a));
   // Fused primitive: backward is g' = s ⊙ (g − rowsum(g ⊙ s)) with
   // s = softmax(x) read from the node's own output.
   return make_node(tensor::softmax_rows(a->value), {a}, [a](Variable& self) {
@@ -465,9 +440,6 @@ VarPtr cross_entropy_soft(const VarPtr& logits, const tensor::Tensor& targets) {
 }
 
 VarPtr l2_normalize(const VarPtr& a, float eps) {
-  if (!fused_graphs()) {
-    return div(a, sqrt(add_scalar(row_sum(square(a)), eps)));
-  }
   // Fused primitive replacing the sqrt(row_sum(square(a)) + eps) composite
   // (5 graph nodes, 6 tensor intermediates). Forward computes the row norms
   // n_r = sqrt(Σ a² + eps) and y = a / n in one pass; the norms travel to
@@ -521,12 +493,6 @@ VarPtr ntxent_logits(const VarPtr& z, float temperature) {
   CALIBRE_CHECK(temperature > 0.0f);
   const std::int64_t n = z->value.rows();
   const std::int64_t k = z->value.cols();
-  if (!fused_graphs()) {
-    VarPtr sim = mul_scalar(matmul(z, transpose(z)), 1.0f / temperature);
-    Tensor diag_mask(n, n);
-    for (std::int64_t i = 0; i < n; ++i) diag_mask(i, i) = -1e9f;
-    return add(sim, constant(diag_mask));
-  }
   Tensor out(n, n);  // zero-initialised: gemm_nt accumulates into it
   tensor::kernels::gemm_nt(n, k, n, z->value.data(), z->value.data(),
                            out.data());
@@ -552,10 +518,6 @@ VarPtr ntxent_logits(const VarPtr& z, float temperature) {
 }
 
 VarPtr affine(const VarPtr& x, const VarPtr& w, const VarPtr& b) {
-  if (!fused_graphs()) {
-    const VarPtr product = matmul(x, w);
-    return b != nullptr ? add(product, b) : product;
-  }
   // Fuses Linear's matmul + broadcast bias add into one node: the bias is
   // added into the GEMM output in place, and backward computes the three
   // gradients (G·Wᵀ, Xᵀ·G, col_sum(G)) without an intermediate tensor.
@@ -603,14 +565,6 @@ VarPtr layer_norm(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
                         beta->value.rows() == 1 && beta->value.cols() == cols,
                     "layer_norm gamma/beta must be [1," << cols << "]");
   CALIBRE_CHECK(cols > 0);
-  if (!fused_graphs()) {
-    const VarPtr mean = row_mean(x);                       // [N,1]
-    const VarPtr centered = sub(x, mean);                  // [N,D]
-    const VarPtr variance = row_mean(square(centered));
-    const VarPtr stddev = sqrt(add_scalar(variance, eps));
-    const VarPtr normalized = div(centered, stddev);
-    return add(mul(normalized, gamma), beta);
-  }
   Tensor xhat = Tensor::uninit(rows, cols);
   Tensor inv_std = Tensor::uninit(rows, 1);
   Tensor out = Tensor::uninit(rows, cols);

@@ -15,18 +15,6 @@
 
 namespace calibre::ag {
 
-// Process-wide switch between the fused primitives below and the equivalent
-// composite graphs built from the elementary ops (the form the library used
-// before the fused layer existed). Default on; CALIBRE_FUSED_GRAPHS=0 (env,
-// read once) or set_fused_graphs(false) selects the composite form. The two
-// forms differ in float rounding (different operation order), so this is NOT
-// the bitwise kill-switch — that is CALIBRE_TENSOR_POOL, which only changes
-// storage. The composite form exists (a) to cross-check the hand-derived
-// fused backwards against graphs gradcheck already covers, and (b) as the
-// seed-equivalent training step the train_step bench measures against.
-bool fused_graphs();
-void set_fused_graphs(bool on);
-
 // --- binary elementwise (2-D broadcasting) ----------------------------------
 VarPtr add(const VarPtr& a, const VarPtr& b);
 VarPtr sub(const VarPtr& a, const VarPtr& b);

@@ -3,7 +3,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "autograd/ops.h"  // fused_graphs()
 #include "common/check.h"
 
 namespace calibre::ag {
@@ -23,14 +22,6 @@ void Variable::accumulate_grad(tensor::Tensor&& g) {
   CALIBRE_CHECK_MSG(g.rows() == value.rows() && g.cols() == value.cols(),
                     "gradient shape " << g.shape_string() << " vs value "
                                       << value.shape_string());
-  if (!fused_graphs()) {
-    // Stealing closure storage is part of the fused-op layer; in composite
-    // mode fall back to the copy the library performed before it existed,
-    // so the train_step bench's baseline carries the same per-push
-    // allocation the original backward pass did.
-    accumulate_grad(static_cast<const tensor::Tensor&>(g));
-    return;
-  }
   if (grad.size() == 0) {
     grad = std::move(g);
   } else {

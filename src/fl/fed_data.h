@@ -1,4 +1,4 @@
-// Federated view of a dataset: per-client shards, eager or virtual.
+// Federated view of a dataset: every client is an index view.
 //
 // Built from a SyntheticDataset plus a Partition over (participating +
 // novel) clients. Novel clients never appear during federated training; they
@@ -7,23 +7,11 @@
 // participating clients and concatenated with their labeled inputs to form
 // the per-client SSL pool.
 //
-// Two construction modes:
-//  * build_fed_dataset         — eager: every client shard is materialised
-//    up front (memory O(total samples) per split *again*, plus per-client
-//    tensors). Right for small populations and for tests that index the
-//    shard vectors directly.
-//  * build_virtual_fed_dataset — virtual clients: the shared base splits and
-//    the partition's index lists are kept, and a client's shard is
-//    materialised on demand into caller-provided scratch. Memory stays
-//    O(dataset + indices) no matter how many clients the partition names,
-//    which is what lets a 100k-client federation fit; the price is a
-//    subset() per handler invocation. Both modes produce bit-identical
-//    shards for the same partition (the virtual accessors run exactly the
-//    eager build's tensor ops).
-//
-// The *_shard accessors work in both modes: eager datasets return references
-// into the materialised vectors (scratch untouched); virtual datasets fill
-// `scratch` and return it.
+// A FedDataset keeps the shared splits, the partition's per-client index
+// lists and the shuffled unlabeled order, never a per-client copy. The
+// accessors materialise a client's shard or SSL pool on demand, so memory
+// stays O(dataset + indices) however many clients the partition names, and
+// each call costs one row gather.
 #pragma once
 
 #include <vector>
@@ -34,69 +22,51 @@
 namespace calibre::fl {
 
 struct FedDataset {
-  std::vector<data::Dataset> train;       // per participating client
-  std::vector<data::Dataset> test;
-  std::vector<data::Dataset> novel_train; // per novel client
-  std::vector<data::Dataset> novel_test;
-  std::vector<tensor::Tensor> ssl_pool;   // per participating client
-  // True when ssl_pool rows are class latents to be rendered through
+  data::Dataset base_train;      // shared train split
+  data::Dataset base_test;       // shared test split
+  data::Dataset base_unlabeled;  // shared SSL-only pool
+  // Per client: the participating clients, then the novel ones.
+  std::vector<std::vector<int>> train_indices;
+  std::vector<std::vector<int>> test_indices;
+  int participating = 0;  // leading entries of the index lists
+  // Shuffled unlabeled order; participating client c owns rows
+  // [c * unlabeled_share, (c + 1) * unlabeled_share) of it.
+  std::vector<int> unlabeled_order;
+  std::size_t unlabeled_share = 0;
+  // True when SSL pool rows are class latents to be rendered through
   // `oracle`; false when they are raw inputs for pixel augmentation.
   bool pool_is_latent = false;
   data::ViewOracle oracle;
   int num_classes = 0;
   std::int64_t input_dim = 0;
 
-  // --- virtual mode ---------------------------------------------------------
-  // When virtual_train_clients > 0 the per-client vectors above stay empty;
-  // shards materialise on demand from the shared bases + partition indices.
-  int virtual_train_clients = 0;
-  int virtual_novel_clients = 0;
-  data::Dataset base_train;                 // shared train split
-  data::Dataset base_test;                  // shared test split
-  data::Dataset base_unlabeled;             // shared SSL-only pool
-  std::vector<std::vector<int>> train_indices;  // per client (train + novel)
-  std::vector<std::vector<int>> test_indices;
-  // The eager build's shuffled unlabeled order, kept so virtual SSL pools
-  // reproduce the same per-client slices bit-for-bit.
-  std::vector<int> unlabeled_order;
-  std::size_t unlabeled_share = 0;          // rows per participating client
-
-  bool is_virtual() const { return virtual_train_clients > 0; }
-
-  int num_train_clients() const {
-    return is_virtual() ? virtual_train_clients
-                        : static_cast<int>(train.size());
-  }
+  int num_train_clients() const { return participating; }
   int num_novel_clients() const {
-    return is_virtual() ? virtual_novel_clients
-                        : static_cast<int>(novel_train.size());
+    return static_cast<int>(train_indices.size()) - participating;
   }
 
-  // Per-client shard accessors valid in both modes; see header comment.
-  const data::Dataset& train_shard(int client, data::Dataset& scratch) const;
-  const data::Dataset& test_shard(int client, data::Dataset& scratch) const;
-  const data::Dataset& novel_train_shard(int novel,
-                                         data::Dataset& scratch) const;
-  const data::Dataset& novel_test_shard(int novel,
-                                        data::Dataset& scratch) const;
-  // The client's SSL pool (labeled share + unlabeled slice).
-  const tensor::Tensor& client_ssl_pool(int client,
-                                        tensor::Tensor& scratch) const;
+  data::Dataset train_shard(int client) const;
+  data::Dataset test_shard(int client) const;
+  data::Dataset novel_train_shard(int novel) const;
+  data::Dataset novel_test_shard(int novel) const;
+  // The client's SSL pool: its labeled rows (latents or inputs, see
+  // pool_is_latent) followed by its slice of the unlabeled order.
+  tensor::Tensor client_ssl_pool(int client) const;
 };
 
-// Splits `partition` (over num_train_clients + novel clients) into the
-// participating/novel shards and materialises all client datasets.
+// Splits `partition` (over num_train_clients + novel clients) into
+// participating and novel clients. Draws one shuffle of the unlabeled order
+// from `gen`.
 FedDataset build_fed_dataset(const data::SyntheticDataset& synth,
                              const data::Partition& partition,
                              int num_train_clients, rng::Generator& gen);
 
-// Virtual-client variant: keeps the shared splits + index lists and defers
-// shard materialisation to the accessors. Consumes `gen` exactly like the
-// eager build (one shuffle of the unlabeled order), so downstream streams
-// and shard contents match the eager build bit-for-bit.
-FedDataset build_virtual_fed_dataset(const data::SyntheticDataset& synth,
-                                     const data::Partition& partition,
-                                     int num_train_clients,
-                                     rng::Generator& gen);
+// Former name of build_fed_dataset, kept only because bench_e2e still calls
+// it; it goes with the next change to bench_e2e.
+inline FedDataset build_virtual_fed_dataset(
+    const data::SyntheticDataset& synth, const data::Partition& partition,
+    int num_train_clients, rng::Generator& gen) {
+  return build_fed_dataset(synth, partition, num_train_clients, gen);
+}
 
 }  // namespace calibre::fl

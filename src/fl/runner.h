@@ -4,8 +4,8 @@
 // global model broadcast and every client update crosses a serialized
 // message boundary and executes on a device thread pool, as it would in a
 // real deployment. After the training stage it runs the personalization
-// stage on every participating and novel client and collects per-client
-// accuracies.
+// stage (personalize_clients) on every participating and novel client and
+// collects per-client accuracies.
 #pragma once
 
 #include <array>
@@ -86,16 +86,6 @@ struct RunResult {
 // Deterministic per-(seed, round, client) sub-stream seed.
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
 
-// Accounts one kTrainError reply. Counts a failure (and decides whether a
-// retry is owed) ONLY for a still-pending client: an error reply from a
-// client that already delivered, was dropped at the deadline, or belongs to
-// a finished round must not inflate `failures` — the historical bug was
-// incrementing before the pending check. Returns true when the caller
-// should re-dispatch (pending, and retry budget remains; `retries_used` and
-// stats.retries are advanced). The round engine's one error-reply path.
-bool account_error_reply(bool client_pending, int& retries_used,
-                         int max_client_retries, RoundStats& stats);
-
 // FedBuff-style staleness discount w(s) = 1 / (1 + s)^alpha, s >= 0.
 // alpha = 0 disables discounting (w = 1 for all s).
 float staleness_weight(int staleness, float alpha);
@@ -104,5 +94,15 @@ float staleness_weight(int staleness, float alpha);
 // novel-client pass (paper Fig. 4 right column) is executed.
 RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
                         bool personalize_novel = true);
+
+// The personalization stage on its own: personalizes every participating
+// client (and, with `personalize_novel`, every novel client) against
+// `state` on a device thread pool, and fills result.train_accuracies and
+// result.novel_accuracies. FlConfig::personalize_cap evaluates a seeded
+// sample of each set instead. run_federated ends with this call, so
+// personalizing a saved final state reproduces the run's accuracies.
+void personalize_clients(Algorithm& algorithm, const nn::ModelState& state,
+                         const FedDataset& fed, bool personalize_novel,
+                         RunResult& result);
 
 }  // namespace calibre::fl

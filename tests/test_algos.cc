@@ -150,10 +150,12 @@ TEST(ScaffoldBehaviour, LocalUpdateReturnsModelAndControlDelta) {
   const TinyWorld& world = tiny_world();
   Scaffold scaffold(world.config, false);
   const nn::ModelState global = scaffold.initialize();
+  const data::Dataset train = world.fed.train_shard(0);
+  const tensor::Tensor ssl_pool = world.fed.client_ssl_pool(0);
   fl::ClientContext ctx;
   ctx.client_id = 0;
-  ctx.train = &world.fed.train[0];
-  ctx.ssl_pool = &world.fed.ssl_pool[0];
+  ctx.train = &train;
+  ctx.ssl_pool = &ssl_pool;
   ctx.seed = 5;
   const fl::ClientUpdate update = scaffold.local_update(global, ctx);
   EXPECT_EQ(update.state.size(), global.size());
@@ -264,15 +266,17 @@ TEST(LgFedAvgBehaviour, ClientFeaturesUseLocalEncoder) {
   const TinyWorld& world = tiny_world();
   LgFedAvg lg(world.config);
   const nn::ModelState global = lg.initialize();
+  const data::Dataset train = world.fed.train_shard(0);
+  const tensor::Tensor ssl_pool = world.fed.client_ssl_pool(0);
   fl::ClientContext ctx;
   ctx.client_id = 0;
-  ctx.train = &world.fed.train[0];
-  ctx.ssl_pool = &world.fed.ssl_pool[0];
+  ctx.train = &train;
+  ctx.ssl_pool = &ssl_pool;
   ctx.seed = 6;
   (void)lg.local_update(global, ctx);
   // Client 0 trained its encoder; client 3 never did. Their features on the
   // same inputs must differ.
-  const tensor::Tensor x = world.fed.train[0].x;
+  const tensor::Tensor& x = train.x;
   EXPECT_FALSE(tensor::allclose(lg.client_features(0, x),
                                 lg.client_features(3, x), 1e-5f));
 }
@@ -284,13 +288,15 @@ TEST(PersistentState, FedPerKeepsPerClientHeads) {
   const TinyWorld& world = tiny_world();
   const auto algorithm = make_algorithm("FedPer", world.config);
   const nn::ModelState global = algorithm->initialize();
+  const data::Dataset train0 = world.fed.train_shard(0);
+  const data::Dataset train1 = world.fed.train_shard(1);
   fl::ClientContext ctx0;
   ctx0.client_id = 0;
-  ctx0.train = &world.fed.train[0];
+  ctx0.train = &train0;
   ctx0.seed = 7;
   fl::ClientContext ctx1;
   ctx1.client_id = 1;
-  ctx1.train = &world.fed.train[1];
+  ctx1.train = &train1;
   ctx1.seed = 8;
   const fl::ClientUpdate u0 = algorithm->local_update(global, ctx0);
   const fl::ClientUpdate u1 = algorithm->local_update(global, ctx1);

@@ -269,6 +269,11 @@ TEST(Calibre, AggregateFallsBackToFedAvgWhenDisabled) {
 struct ReuseWorld {
   data::SyntheticDataset synth;
   fl::FedDataset fed;
+  // The participating clients' shards and SSL pools, materialised once so
+  // contexts can point at them.
+  std::vector<data::Dataset> train;
+  std::vector<data::Dataset> test;
+  std::vector<Tensor> ssl_pools;
   fl::FlConfig config;
   ssl::SslConfig ssl;
 };
@@ -294,6 +299,11 @@ const ReuseWorld& reuse_world() {
         w->synth.train, w->synth.test, partition_config, 0.5, partition_gen);
     rng::Generator fed_gen(83);
     w->fed = fl::build_fed_dataset(w->synth, partition, 4, fed_gen);
+    for (int c = 0; c < w->fed.num_train_clients(); ++c) {
+      w->train.push_back(w->fed.train_shard(c));
+      w->test.push_back(w->fed.test_shard(c));
+      w->ssl_pools.push_back(w->fed.client_ssl_pool(c));
+    }
 
     w->config.encoder = small_encoder();
     w->config.num_classes = 3;
@@ -319,8 +329,8 @@ fl::ClientContext client_context(int client, std::uint64_t seed) {
   const ReuseWorld& world = reuse_world();
   fl::ClientContext ctx;
   ctx.client_id = client;
-  ctx.train = &world.fed.train[static_cast<std::size_t>(client)];
-  ctx.ssl_pool = &world.fed.ssl_pool[static_cast<std::size_t>(client)];
+  ctx.train = &world.train[static_cast<std::size_t>(client)];
+  ctx.ssl_pool = &world.ssl_pools[static_cast<std::size_t>(client)];
   ctx.oracle = &world.fed.oracle;
   ctx.seed = seed;
   return ctx;
@@ -331,8 +341,8 @@ fl::PersonalizationContext personalization_context(int client,
   const ReuseWorld& world = reuse_world();
   fl::PersonalizationContext ctx;
   ctx.client_id = client;
-  ctx.train = &world.fed.train[static_cast<std::size_t>(client)];
-  ctx.test = &world.fed.test[static_cast<std::size_t>(client)];
+  ctx.train = &world.train[static_cast<std::size_t>(client)];
+  ctx.test = &world.test[static_cast<std::size_t>(client)];
   ctx.seed = seed;
   return ctx;
 }
@@ -410,7 +420,7 @@ TEST(MethodReuse, PersonalizeOnAReusedMethodMatchesAFreshOne) {
         reused->local_update(global, client_context(2, 7)).state;
     (void)reused->personalize(trained, personalization_context(0, 8));
     const double got = reused->personalize(trained, personalization_context(1, 9));
-    const Tensor& x = reuse_world().fed.test[1].x;
+    const Tensor& x = reuse_world().test[1].x;
     const Tensor got_features = reused->extract_features(trained, x);
     EXPECT_EQ(reused->idle_methods(), 1u) << name;
 

@@ -308,9 +308,10 @@ TEST(FedProx, LargeMuPinsClientsToGlobal) {
   world.config.local_epochs = 4;
   algos::FedProx tight(world.config, /*mu=*/10.0f);
   const nn::ModelState global = tight.initialize();
+  const data::Dataset train = world.fed.train_shard(0);
   fl::ClientContext ctx;
   ctx.client_id = 0;
-  ctx.train = &world.fed.train[0];
+  ctx.train = &train;
   ctx.seed = 71;
   const fl::ClientUpdate tight_update = tight.local_update(global, ctx);
   algos::FedProx loose(world.config, /*mu=*/0.0f);

@@ -126,9 +126,13 @@ TEST_F(FedDataBuilder, SplitsTrainAndNovelClients) {
   EXPECT_EQ(fed.num_novel_clients(), 2);
   EXPECT_EQ(fed.num_classes, 4);
   EXPECT_EQ(fed.input_dim, 16);
-  for (const auto& shard : fed.train) EXPECT_EQ(shard.size(), 30);
-  for (const auto& shard : fed.test) EXPECT_EQ(shard.size(), 12);
-  for (const auto& shard : fed.novel_train) EXPECT_EQ(shard.size(), 30);
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    EXPECT_EQ(fed.train_shard(c).size(), 30);
+    EXPECT_EQ(fed.test_shard(c).size(), 12);
+  }
+  for (int n = 0; n < fed.num_novel_clients(); ++n) {
+    EXPECT_EQ(fed.novel_train_shard(n).size(), 30);
+  }
 }
 
 TEST_F(FedDataBuilder, SslPoolsAreLatentsPlusUnlabeledShare) {
@@ -137,7 +141,8 @@ TEST_F(FedDataBuilder, SslPoolsAreLatentsPlusUnlabeledShare) {
   EXPECT_TRUE(fed.pool_is_latent);
   EXPECT_TRUE(fed.oracle.valid());
   // Each pool: 30 labeled latents + 120/4 = 30 unlabeled latents.
-  for (const auto& pool : fed.ssl_pool) {
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    const tensor::Tensor pool = fed.client_ssl_pool(c);
     EXPECT_EQ(pool.rows(), 60);
     EXPECT_EQ(pool.cols(), 6);  // latent dim, not input dim
   }
@@ -149,57 +154,8 @@ TEST_F(FedDataBuilder, NoUnlabeledPoolFallsBackToLabeledOnly) {
   const data::SyntheticDataset no_pool = data::make_synthetic(config);
   rng::Generator gen(7);
   const FedDataset fed = build_fed_dataset(no_pool, partition_, 4, gen);
-  for (const auto& pool : fed.ssl_pool) {
-    EXPECT_EQ(pool.rows(), 30);
-  }
-}
-
-// Virtual mode must be indistinguishable from the eager build through the
-// accessor interface: same shards, same SSL pools, bit for bit — that is
-// what makes the CLI's auto-switch at scale safe.
-TEST_F(FedDataBuilder, VirtualBuildIsBitIdenticalToEager) {
-  rng::Generator eager_gen(11);
-  rng::Generator virtual_gen(11);
-  const FedDataset eager = build_fed_dataset(synth_, partition_, 4, eager_gen);
-  const FedDataset lazy =
-      build_virtual_fed_dataset(synth_, partition_, 4, virtual_gen);
-  EXPECT_FALSE(eager.is_virtual());
-  EXPECT_TRUE(lazy.is_virtual());
-  ASSERT_EQ(lazy.num_train_clients(), eager.num_train_clients());
-  ASSERT_EQ(lazy.num_novel_clients(), eager.num_novel_clients());
-  EXPECT_EQ(lazy.pool_is_latent, eager.pool_is_latent);
-
-  auto expect_same_tensor = [](const tensor::Tensor& a,
-                               const tensor::Tensor& b) {
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    for (std::int64_t r = 0; r < a.rows(); ++r) {
-      for (std::int64_t c = 0; c < a.cols(); ++c) {
-        ASSERT_EQ(a(r, c), b(r, c)) << "element (" << r << ", " << c << ")";
-      }
-    }
-  };
-  auto expect_same_dataset = [&](const data::Dataset& a,
-                                 const data::Dataset& b) {
-    EXPECT_EQ(a.labels, b.labels);
-    EXPECT_EQ(a.num_classes, b.num_classes);
-    expect_same_tensor(a.x, b.x);
-    expect_same_tensor(a.latents, b.latents);
-  };
-
-  data::Dataset scratch;
-  tensor::Tensor pool_scratch;
-  for (int c = 0; c < eager.num_train_clients(); ++c) {
-    expect_same_dataset(lazy.train_shard(c, scratch), eager.train[c]);
-    expect_same_dataset(lazy.test_shard(c, scratch), eager.test[c]);
-    expect_same_tensor(lazy.client_ssl_pool(c, pool_scratch),
-                       eager.ssl_pool[c]);
-  }
-  for (int n = 0; n < eager.num_novel_clients(); ++n) {
-    expect_same_dataset(lazy.novel_train_shard(n, scratch),
-                        eager.novel_train[n]);
-    expect_same_dataset(lazy.novel_test_shard(n, scratch),
-                        eager.novel_test[n]);
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    EXPECT_EQ(fed.client_ssl_pool(c).rows(), 30);
   }
 }
 
@@ -332,11 +288,12 @@ class ToyAlgorithm : public Algorithm {
   UpdateHook hook_;
 };
 
+// Clients with empty shards: the toy algorithms never read their data.
 FedDataset toy_fed(int clients) {
   FedDataset fed;
-  fed.train.resize(static_cast<std::size_t>(clients));
-  fed.test.resize(static_cast<std::size_t>(clients));
-  fed.ssl_pool.resize(static_cast<std::size_t>(clients));
+  fed.train_indices.resize(static_cast<std::size_t>(clients));
+  fed.test_indices.resize(static_cast<std::size_t>(clients));
+  fed.participating = clients;
   fed.num_classes = 2;
   fed.input_dim = 1;
   return fed;
@@ -415,24 +372,32 @@ TEST(RunnerFaults, FullyFailedRoundKeepsGlobalState) {
   EXPECT_FLOAT_EQ(result.final_state.values()[1], -0.25f);
 }
 
-TEST(RunnerFaults, DeadlineCutsStragglersAndDiscardsLateReplies) {
+// Two rounds with an 800 ms deadline and a quorum of 3 of 4 clients.
+// Round 0: client 0 outlives the deadline, replying mid-round-1 (with an
+// error when `straggler_throws`). Round 1: client 1 outlives the deadline
+// and the whole run.
+RunResult run_deadline_stragglers(bool straggler_throws) {
   const int clients = 4;
   FlConfig config = toy_config(clients);
   config.rounds = 2;
   config.round_deadline_ms = 800;
   config.min_participants = 3;
-  // Round 0: client 0 outlives the deadline, replying mid-round-1.
-  // Round 1: client 1 outlives the deadline and the whole run.
-  ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
+  config.max_client_retries = 1;
+  ToyAlgorithm algorithm(config, [=](const ClientContext& ctx) {
     if (ctx.round == 0 && ctx.client_id == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+      if (straggler_throws) throw std::runtime_error("late failure");
     }
     if (ctx.round == 1 && ctx.client_id == 1) {
       std::this_thread::sleep_for(std::chrono::milliseconds(3000));
     }
   });
   const FedDataset fed = toy_fed(clients);
-  const RunResult result = run_federated(algorithm, fed, false);
+  return run_federated(algorithm, fed, false);
+}
+
+TEST(RunnerFaults, DeadlineCutsStragglersAndDiscardsLateReplies) {
+  const RunResult result = run_deadline_stragglers(false);
   ASSERT_EQ(result.history.size(), 2u);
   EXPECT_EQ(result.history[0].participants, 3);
   EXPECT_EQ(result.history[0].timeouts, 1);
@@ -442,6 +407,23 @@ TEST(RunnerFaults, DeadlineCutsStragglersAndDiscardsLateReplies) {
   // Client 0's stale round-0 reply arrived during round 1 and was
   // discarded by round tag instead of corrupting the aggregation.
   EXPECT_EQ(result.history[1].late_dropped, 1);
+}
+
+// An error reply from a straggler the deadline already cut belongs to a
+// resolved slot: it is discarded as late like any other stale reply, and
+// counts no failure and buys no retry, though the retry budget allows one.
+TEST(RunnerFaults, DeadlineCutStragglerErrorCountsAsLateNotFailure) {
+  const RunResult result = run_deadline_stragglers(true);
+  ASSERT_EQ(result.history.size(), 2u);
+  EXPECT_EQ(result.history[0].participants, 3);
+  EXPECT_EQ(result.history[0].timeouts, 1);
+  EXPECT_EQ(result.history[1].participants, 3);
+  EXPECT_EQ(result.history[1].timeouts, 1);
+  EXPECT_EQ(result.history[1].late_dropped, 1);
+  for (const RoundStats& round : result.history) {
+    EXPECT_EQ(round.failures, 0) << "round " << round.round;
+    EXPECT_EQ(round.retries, 0) << "round " << round.round;
+  }
 }
 
 // Cross-round straggler accounting must not depend on worker-thread count:
@@ -1596,31 +1578,6 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
   }
 }
 
-// --- failure accounting (regression) ----------------------------------------
-
-// Regression for the failure-overcounting bug: the round loop incremented
-// stats.failures BEFORE checking whether the erroring client was still
-// pending, so an error reply for an already-resolved client inflated the
-// count. The shared helper must count nothing for a non-pending client.
-TEST(FailureAccounting, ErrorRepliesForResolvedClientsCountNothing) {
-  RoundStats stats;
-  int retries_used = 0;
-  // Pending with retry budget: failure + retry granted.
-  EXPECT_TRUE(account_error_reply(true, retries_used, 1, stats));
-  EXPECT_EQ(stats.failures, 1);
-  EXPECT_EQ(stats.retries, 1);
-  EXPECT_EQ(retries_used, 1);
-  // Pending, budget exhausted: failure counted, no retry.
-  EXPECT_FALSE(account_error_reply(true, retries_used, 1, stats));
-  EXPECT_EQ(stats.failures, 2);
-  EXPECT_EQ(stats.retries, 1);
-  // Already resolved: the bug — nothing may change, retry budget included.
-  EXPECT_FALSE(account_error_reply(false, retries_used, 5, stats));
-  EXPECT_EQ(stats.failures, 2);
-  EXPECT_EQ(stats.retries, 1);
-  EXPECT_EQ(retries_used, 1);
-}
-
 // --- config validation -------------------------------------------------------
 
 TEST(ConfigValidation, MinParticipantsAboveClientsPerRoundFailsFast) {
@@ -1925,6 +1882,84 @@ void expect_pinned_calibre(const RunResult& result, std::uint64_t state_hash,
   EXPECT_EQ(engine_columns(pinned_history(result)), engine_columns(history));
 }
 
+// --- pinned FedDataset contents ------------------------------------------------
+//
+// FNV-1a over every participating and novel train/test shard (labels,
+// latents, inputs) and every SSL pool, in client order. The constants were
+// recorded while shards were still copied out eagerly, so they pin that
+// materialising a client from the shared splits and its index lists yields
+// the same bits. Labels and latents come straight from the generator; the
+// inputs pass through a GEMM, so a sanitized build (see above) compares the
+// layout hash only.
+
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  void add(std::uint32_t bits) {
+    for (int b = 0; b < 32; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void add(const Tensor& t) {
+    add(static_cast<std::uint32_t>(t.rows()));
+    add(static_cast<std::uint32_t>(t.cols()));
+    for (std::int64_t i = 0; i < t.size(); ++i) {
+      add(std::bit_cast<std::uint32_t>(t.data()[i]));
+    }
+  }
+  void add(const std::vector<int>& labels) {
+    add(static_cast<std::uint32_t>(labels.size()));
+    for (const int label : labels) add(static_cast<std::uint32_t>(label));
+  }
+};
+
+class FedDataGolden : public FedDataBuilder {
+ protected:
+  // Builds from `synth` over the fixture's partition (4 participating, 2
+  // novel clients) and checks both hashes.
+  void expect_pinned_fed(const data::SyntheticDataset& synth,
+                         std::uint64_t layout_hash,
+                         std::uint64_t pixel_hash) {
+    rng::Generator gen(11);
+    const FedDataset fed = build_fed_dataset(synth, partition_, 4, gen);
+    Fnv1a layout;
+    Fnv1a pixels;
+    const auto add_shard = [&](const data::Dataset& shard) {
+      layout.add(shard.labels);
+      layout.add(shard.latents);
+      pixels.add(shard.x);
+    };
+    for (int c = 0; c < fed.num_train_clients(); ++c) {
+      add_shard(fed.train_shard(c));
+      add_shard(fed.test_shard(c));
+    }
+    for (int n = 0; n < fed.num_novel_clients(); ++n) {
+      add_shard(fed.novel_train_shard(n));
+      add_shard(fed.novel_test_shard(n));
+    }
+    for (int c = 0; c < fed.num_train_clients(); ++c) {
+      (fed.pool_is_latent ? layout : pixels).add(fed.client_ssl_pool(c));
+    }
+    EXPECT_EQ(layout.hash, layout_hash)
+        << "layout hash 0x" << std::hex << layout.hash;
+    if (!kSanitizedBuild) {
+      EXPECT_EQ(pixels.hash, pixel_hash)
+          << "pixel hash 0x" << std::hex << pixels.hash;
+    }
+  }
+};
+
+TEST_F(FedDataGolden, LatentPoolsWithUnlabeledShare) {
+  expect_pinned_fed(synth_, 0xd4a02625d7209295ULL, 0x4121b6fbc50b1f01ULL);
+}
+
+TEST_F(FedDataGolden, LabeledOnlyPools) {
+  data::SyntheticConfig config = synth_.config;
+  config.unlabeled_samples = 0;
+  expect_pinned_fed(data::make_synthetic(config), 0xfcedcf825c464a4fULL,
+                    0x4121b6fbc50b1f01ULL);
+}
+
 // A richer toy than ToyAlgorithm: a 48-float state, per-(client, round)
 // seeded updates, client-dependent weights and a "divergence" scalar, folded
 // by the native weighted aggregator.
@@ -2129,6 +2164,36 @@ TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.ad7d28p-2 norm 0x1.11baa6p+3 v3 stale 0x1p-1/1",
        "round 3 p4 drop0 fail0 retry0 tmo0 late3 wire=6812 f32=70664 codecs 0 "
        "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
+}
+
+// calibre_cli --load personalizes a saved state through
+// personalize_clients. A fresh algorithm personalizing a run's final state
+// must reproduce the run's own accuracies, novel clients and the
+// personalization cap included.
+TEST(PersonalizeClients, FreshAlgorithmReproducesRunAccuracies) {
+  FlConfig config = pinned_world().config;
+  config.personalize_cap = 5;
+  const auto trained = algos::make_algorithm("Calibre (SimCLR)", config);
+  const RunResult result =
+      run_federated(*trained, pinned_world().fed, /*personalize_novel=*/true);
+  ASSERT_EQ(result.train_accuracies.size(), 5u);
+  ASSERT_EQ(result.novel_accuracies.size(), 1u);
+
+  const auto fresh = algos::make_algorithm("Calibre (SimCLR)", config);
+  RunResult personalized;
+  personalize_clients(*fresh, result.final_state, pinned_world().fed,
+                      /*personalize_novel=*/true, personalized);
+  const auto bits = [](const std::vector<double>& values) {
+    std::vector<std::uint64_t> out;
+    for (const double value : values) {
+      out.push_back(std::bit_cast<std::uint64_t>(value));
+    }
+    return out;
+  };
+  EXPECT_EQ(bits(personalized.train_accuracies),
+            bits(result.train_accuracies));
+  EXPECT_EQ(bits(personalized.novel_accuracies),
+            bits(result.novel_accuracies));
 }
 
 TEST(DeriveSeed, DeterministicAndDistinct) {

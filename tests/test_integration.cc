@@ -98,10 +98,9 @@ TEST(Integration, CalibreImprovesRepresentationQualityOverPflSsl) {
   std::vector<tensor::Tensor> parts;
   std::vector<int> labels;
   for (int c = 0; c < 6; ++c) {
-    parts.push_back(world().fed.test[static_cast<std::size_t>(c)].x);
-    const auto& shard_labels =
-        world().fed.test[static_cast<std::size_t>(c)].labels;
-    labels.insert(labels.end(), shard_labels.begin(), shard_labels.end());
+    const data::Dataset shard = world().fed.test_shard(c);
+    parts.push_back(shard.x);
+    labels.insert(labels.end(), shard.labels.begin(), shard.labels.end());
   }
   const tensor::Tensor pooled = tensor::concat_rows(parts);
 
@@ -157,10 +156,12 @@ TEST(Integration, TrafficScalesWithRoundsAndModelSize) {
 TEST(Integration, DivergenceScalarTravelsWithCalibreUpdates) {
   core::Calibre calibre(world().config, ssl::Kind::kSimClr);
   const nn::ModelState global = calibre.initialize();
+  const data::Dataset train = world().fed.train_shard(0);
+  const tensor::Tensor ssl_pool = world().fed.client_ssl_pool(0);
   fl::ClientContext ctx;
   ctx.client_id = 0;
-  ctx.train = &world().fed.train[0];
-  ctx.ssl_pool = &world().fed.ssl_pool[0];
+  ctx.train = &train;
+  ctx.ssl_pool = &ssl_pool;
   ctx.oracle = &world().fed.oracle;
   ctx.seed = 52;
   const fl::ClientUpdate update = calibre.local_update(global, ctx);
@@ -191,8 +192,8 @@ TEST(Integration, StlLikeUnlabeledPoolHelpsSsl) {
       stl.train, stl.test, partition_config, 2, gen);
   rng::Generator fed_gen(54);
   const fl::FedDataset fed = fl::build_fed_dataset(stl, partition, 6, fed_gen);
-  for (std::size_t c = 0; c < fed.ssl_pool.size(); ++c) {
-    EXPECT_EQ(fed.ssl_pool[c].rows(), 50 + 2400 / 6);
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    EXPECT_EQ(fed.client_ssl_pool(c).rows(), 50 + 2400 / 6);
   }
   (void)w;
 }

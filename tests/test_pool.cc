@@ -1,9 +1,9 @@
 // Tests for the pooled tensor storage layer (tensor/pool.h) and the fused
 // graph layer that rides on it: recycling correctness (no stale reads),
 // per-thread cache isolation across a worker pool, the reset() live-buffer
-// guard, the CALIBRE_TENSOR_POOL kill-switch semantics, fused-vs-composite
-// graph agreement, and bitwise determinism of a fixed-seed Calibre run with
-// the pool on vs. off.
+// guard, the CALIBRE_TENSOR_POOL kill-switch semantics, agreement of every
+// fused primitive with the composite graph it replaced, and bitwise
+// determinism of a fixed-seed Calibre run with the pool on vs. off.
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
@@ -32,16 +32,11 @@ namespace {
 
 using tensor::Tensor;
 
-// The pool switch and the fused-graph switch are process-wide; every test
-// that flips one restores it so the rest of the suite sees the defaults.
+// The pool switch is process-wide; every test that flips it restores it so
+// the rest of the suite sees the default.
 struct PoolGuard {
   bool prev = tensor::pool::enabled();
   ~PoolGuard() { tensor::pool::set_enabled(prev); }
-};
-
-struct FusedGuard {
-  bool prev = ag::fused_graphs();
-  ~FusedGuard() { ag::set_fused_graphs(prev); }
 };
 
 // The main test thread holds long-lived tensors (gtest fixtures, statics),
@@ -191,15 +186,61 @@ TEST(TensorPool, KillSwitchRestoresSeedStorageSemantics) {
 }
 
 // --- fused vs. composite graphs ---------------------------------------------
+//
+// Reference builders: each fused primitive's composite form, the graph of
+// elementary ops the library built before the fused layer existed. Both
+// forms compute the same function in a different operation order, so they
+// agree to a tolerance, not bitwise.
 
-// Builds a small graph with `build`, runs backward from a scalar loss, and
-// returns {loss value, every leaf gradient} for one fused_graphs setting.
+ag::VarPtr composite_log_softmax(const ag::VarPtr& a) {
+  // Shift by the row max as a constant (softmax is shift invariant, so the
+  // gradient of the shifted expression equals the true gradient), then
+  // log-sum-exp through the elementary ops.
+  const ag::VarPtr shift = ag::constant(tensor::row_max(a->value));
+  const ag::VarPtr shifted = ag::sub(a, shift);
+  const ag::VarPtr lse = ag::log(ag::row_sum(ag::exp(shifted)));
+  return ag::sub(shifted, lse);
+}
+
+ag::VarPtr composite_softmax(const ag::VarPtr& a) {
+  return ag::exp(composite_log_softmax(a));
+}
+
+ag::VarPtr composite_l2_normalize(const ag::VarPtr& a, float eps = 1e-8f) {
+  return ag::div(a, ag::sqrt(ag::add_scalar(ag::row_sum(ag::square(a)), eps)));
+}
+
+ag::VarPtr composite_ntxent_logits(const ag::VarPtr& z, float temperature) {
+  const std::int64_t n = z->value.rows();
+  const ag::VarPtr sim = ag::mul_scalar(ag::matmul(z, ag::transpose(z)),
+                                        1.0f / temperature);
+  Tensor diag_mask(n, n);
+  for (std::int64_t i = 0; i < n; ++i) diag_mask(i, i) = -1e9f;
+  return ag::add(sim, ag::constant(diag_mask));
+}
+
+ag::VarPtr composite_affine(const ag::VarPtr& x, const ag::VarPtr& w,
+                            const ag::VarPtr& b) {
+  const ag::VarPtr product = ag::matmul(x, w);
+  return b != nullptr ? ag::add(product, b) : product;
+}
+
+ag::VarPtr composite_layer_norm(const ag::VarPtr& x, const ag::VarPtr& gamma,
+                                const ag::VarPtr& beta, float eps) {
+  const ag::VarPtr mean = ag::row_mean(x);            // [N,1]
+  const ag::VarPtr centered = ag::sub(x, mean);       // [N,D]
+  const ag::VarPtr variance = ag::row_mean(ag::square(centered));
+  const ag::VarPtr stddev = ag::sqrt(ag::add_scalar(variance, eps));
+  const ag::VarPtr normalized = ag::div(centered, stddev);
+  return ag::add(ag::mul(normalized, gamma), beta);
+}
+
+// Builds a small graph with `build(leaves, fused)`, runs backward from a
+// scalar loss, and returns {loss value, every leaf gradient}.
 template <typename Build>
 std::vector<std::vector<float>> eval_graph(bool fused, Build&& build) {
-  FusedGuard guard;
-  ag::set_fused_graphs(fused);
   std::vector<ag::VarPtr> leaves;
-  const ag::VarPtr loss = build(leaves);
+  const ag::VarPtr loss = build(leaves, fused);
   ag::backward(loss);
   std::vector<std::vector<float>> out;
   out.push_back(loss->value.to_vector());
@@ -223,85 +264,95 @@ void expect_fused_matches_composite(Build&& build, float tol) {
 
 TEST(FusedGraphs, LogSoftmaxMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(11);
         const auto x = ag::parameter(Tensor::randn(5, 7, gen));
         leaves = {x};
-        return ag::mean_all(ag::square(ag::log_softmax(x)));
+        return ag::mean_all(ag::square(fused ? ag::log_softmax(x)
+                                             : composite_log_softmax(x)));
       },
       1e-4f);
 }
 
 TEST(FusedGraphs, SoftmaxMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(12);
         const auto x = ag::parameter(Tensor::randn(4, 9, gen));
         leaves = {x};
-        return ag::mean_all(ag::square(ag::softmax(x)));
+        return ag::mean_all(
+            ag::square(fused ? ag::softmax(x) : composite_softmax(x)));
       },
       1e-5f);
 }
 
 TEST(FusedGraphs, L2NormalizeMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(13);
         const auto x = ag::parameter(Tensor::randn(6, 8, gen));
         leaves = {x};
-        return ag::mean_all(ag::square(ag::l2_normalize(x)));
+        return ag::mean_all(ag::square(fused ? ag::l2_normalize(x)
+                                             : composite_l2_normalize(x)));
       },
       1e-5f);
 }
 
 TEST(FusedGraphs, NtxentLogitsMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(14);
         const auto z = ag::parameter(Tensor::randn(8, 6, gen));
         leaves = {z};
-        const auto logits = ag::ntxent_logits(ag::l2_normalize(z), 0.5f);
-        return ag::mean_all(ag::square(ag::softmax(logits)));
+        const auto probs =
+            fused ? ag::softmax(ag::ntxent_logits(ag::l2_normalize(z), 0.5f))
+                  : composite_softmax(composite_ntxent_logits(
+                        composite_l2_normalize(z), 0.5f));
+        return ag::mean_all(ag::square(probs));
       },
       1e-4f);
 }
 
 TEST(FusedGraphs, AffineMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(15);
         const auto x = ag::parameter(Tensor::randn(5, 4, gen));
         const auto w = ag::parameter(Tensor::randn(4, 3, gen));
         const auto b = ag::parameter(Tensor::randn(1, 3, gen));
         leaves = {x, w, b};
-        return ag::mean_all(ag::square(ag::affine(x, w, b)));
+        return ag::mean_all(ag::square(fused ? ag::affine(x, w, b)
+                                             : composite_affine(x, w, b)));
       },
       1e-4f);
 }
 
 TEST(FusedGraphs, AffineWithoutBiasMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(16);
         const auto x = ag::parameter(Tensor::randn(5, 4, gen));
         const auto w = ag::parameter(Tensor::randn(4, 3, gen));
         leaves = {x, w};
-        return ag::mean_all(ag::square(ag::affine(x, w, nullptr)));
+        return ag::mean_all(
+            ag::square(fused ? ag::affine(x, w, nullptr)
+                             : composite_affine(x, w, nullptr)));
       },
       1e-4f);
 }
 
 TEST(FusedGraphs, LayerNormMatchesComposite) {
   expect_fused_matches_composite(
-      [](std::vector<ag::VarPtr>& leaves) {
+      [](std::vector<ag::VarPtr>& leaves, bool fused) {
         rng::Generator gen(17);
         const auto x = ag::parameter(Tensor::randn(6, 10, gen));
         const auto gamma = ag::parameter(Tensor::rand_uniform(
             1, 10, gen, 0.5f, 1.5f));
         const auto beta = ag::parameter(Tensor::randn(1, 10, gen));
         leaves = {x, gamma, beta};
-        return ag::mean_all(
-            ag::square(ag::layer_norm(x, gamma, beta, 1e-5f)));
+        return ag::mean_all(ag::square(
+            fused ? ag::layer_norm(x, gamma, beta, 1e-5f)
+                  : composite_layer_norm(x, gamma, beta, 1e-5f)));
       },
       1e-4f);
 }
