@@ -8,9 +8,14 @@
 // process would let the largest run mask the others.
 //
 // The point of the measurement: with streaming aggregation + index-view
-// clients, server memory is O(model + dataset), not O(population), so peak
-// RSS should stay essentially flat from 1k to 100k clients while rounds/s
-// degrades only with the sampled cohort, not with K.
+// clients, memory is O(dataset + indices): the shared splits plus every
+// client's index list, held once in one flat buffer that the partition and
+// the FedDataset share. Nothing else grows with K — no per-client shard, no
+// per-client heap vector, no O(cohort) set of decoded updates — so peak RSS
+// grows by the index storage alone (~0.6 KB per client at 100 train + 50
+// test samples), while rounds/s degrades only with the sampled cohort, not
+// with K. The gate below fails the bench if RSS growth across the sweep
+// exceeds index-storage growth + 32 MiB.
 //
 //   bench_scale                         # 1k / 10k / 100k -> BENCH_scale.json
 //   bench_scale --smoke                 # tiny populations for CI
@@ -25,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/registry.h"
@@ -61,7 +67,12 @@ struct ScaleResult {
   double fold_seconds = 0.0;
   double commit_seconds = 0.0;
   long peak_rss_kb = 0;
+  std::size_t index_bytes = 0;  // the partition's train + test index storage
 };
+
+double mib(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
 
 ScaleResult run_population(const ScaleOptions& options, int clients) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -79,6 +90,8 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
   rng::Generator fed_gen(42 ^ 0xFEED);
   const fl::FedDataset fed =
       fl::build_fed_dataset(synth, partition, clients, fed_gen);
+  const std::size_t index_bytes = partition.train_indices.storage_bytes() +
+                                  partition.test_indices.storage_bytes();
 
   fl::FlConfig config;
   config.encoder.input_dim = synth.train.input_dim();
@@ -107,6 +120,7 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
   out.decode_seconds = result.phases.decode_seconds;
   out.fold_seconds = result.phases.fold_seconds;
   out.commit_seconds = result.phases.commit_seconds;
+  out.index_bytes = index_bytes;
   // Keep the run's outputs alive until after the clock stops.
   if (result.history.size() != static_cast<std::size_t>(options.rounds)) {
     std::fprintf(stderr, "expected %d rounds, ran %zu\n", options.rounds,
@@ -174,10 +188,10 @@ int run(const ScaleOptions& options) {
                                    : 0.0;
     std::printf(
         "[scale] K=%-7d  %.2f rounds/s  (train %.2fs, total %.2fs)  "
-        "peak RSS %.1f MB\n",
+        "peak RSS %.1f MB  (indices %.1f MB)\n",
         result.clients, rounds_per_s, result.train_seconds,
-        result.total_seconds,
-        static_cast<double>(result.peak_rss_kb) / 1024.0);
+        result.total_seconds, static_cast<double>(result.peak_rss_kb) / 1024.0,
+        mib(result.index_bytes));
     std::printf(
         "[scale]            phases: dispatch %.3fs  decode %.3fs  "
         "fold %.3fs  commit %.3fs\n",
@@ -186,20 +200,23 @@ int run(const ScaleOptions& options) {
     results.push_back(result);
   }
 
-  // Memory must not scale with the population: allow dataset-size growth
-  // plus slack, but a superlinear blow-up (the pre-streaming runner held
-  // O(population) shards and O(cohort) decoded updates) fails the bench.
+  // The only per-client memory is the index storage, held once: peak RSS
+  // may grow across the sweep by the index storage's growth plus 32 MiB of
+  // slack (allocator and page-cache noise). A second copy of the lists, a
+  // per-client shard or an O(cohort) set of decoded updates fails the bench.
   if (results.size() >= 2) {
-    const double first = static_cast<double>(results.front().peak_rss_kb);
-    const double last = static_cast<double>(results.back().peak_rss_kb);
-    const double pop_ratio = static_cast<double>(
-                                 options.populations.back()) /
-                             static_cast<double>(options.populations.front());
-    if (last > first * 8.0 && last > 256.0 * 1024.0) {
+    const ScaleResult& first = results.front();
+    const ScaleResult& last = results.back();
+    const double rss_growth =
+        static_cast<double>(last.peak_rss_kb - first.peak_rss_kb) / 1024.0;
+    const double index_growth = mib(last.index_bytes) - mib(first.index_bytes);
+    if (rss_growth > index_growth + 32.0) {
       std::fprintf(stderr,
-                   "[scale] peak RSS grew %.1fx across a %.0fx population "
-                   "sweep — server memory is no longer bounded\n",
-                   last / first, pop_ratio);
+                   "[scale] peak RSS grew %.1f MB from K=%d to K=%d, but "
+                   "index storage grew only %.1f MB (+32 MB slack allowed) "
+                   "— something other than the index lists scales with "
+                   "the population\n",
+                   rss_growth, first.clients, last.clients, index_growth);
       return 2;
     }
   }
@@ -212,6 +229,8 @@ int run(const ScaleOptions& options) {
       << "  \"samples_per_client\": " << options.samples_per_client << ",\n"
       << "  \"local_epochs\": " << options.local_epochs << ",\n"
       << "  \"personalize_cap\": " << options.personalize_cap << ",\n"
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n"
       << "  \"populations\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
@@ -221,14 +240,14 @@ int run(const ScaleOptions& options) {
                   "\"train_seconds\": %.3f, \"total_seconds\": %.3f, "
                   "\"dispatch_seconds\": %.3f, \"decode_seconds\": %.3f, "
                   "\"fold_seconds\": %.3f, \"commit_seconds\": %.3f, "
-                  "\"peak_rss_mb\": %.1f}%s\n",
+                  "\"peak_rss_mb\": %.1f, \"index_mb\": %.1f}%s\n",
                   r.clients,
                   r.train_seconds > 0.0 ? options.rounds / r.train_seconds
                                         : 0.0,
                   r.train_seconds, r.total_seconds, r.dispatch_seconds,
                   r.decode_seconds, r.fold_seconds, r.commit_seconds,
                   static_cast<double>(r.peak_rss_kb) / 1024.0,
-                  i + 1 < results.size() ? "," : "");
+                  mib(r.index_bytes), i + 1 < results.size() ? "," : "");
     out << buffer;
   }
   out << "  ]\n}\n";

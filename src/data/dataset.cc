@@ -4,7 +4,7 @@
 
 namespace calibre::data {
 
-Dataset Dataset::subset(const std::vector<int>& indices) const {
+Dataset Dataset::subset(std::span<const int> indices) const {
   Dataset out;
   out.x = tensor::take_rows(x, indices);
   if (latents.rows() > 0) {

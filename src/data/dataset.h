@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -34,7 +36,10 @@ struct Dataset {
   std::int64_t input_dim() const { return x.cols(); }
 
   // Materialises the subset selected by `indices` (repetition allowed).
-  Dataset subset(const std::vector<int>& indices) const;
+  Dataset subset(std::span<const int> indices) const;
+  Dataset subset(std::initializer_list<int> indices) const {
+    return subset(std::span<const int>(indices.begin(), indices.size()));
+  }
 
   // Indices of labeled samples.
   std::vector<int> labeled_indices() const;

@@ -60,33 +60,64 @@ std::vector<int> proportions_to_counts(const std::vector<double>& proportions,
   return counts;
 }
 
-// Builds one client's shards from its per-class train counts: the test shard
-// mirrors the train class proportions at test_samples_per_client scale.
-void fill_client(const std::vector<int>& train_counts,
-                 const PartitionConfig& config, ClassPools& train_pools,
-                 ClassPools& test_pools, Partition& partition) {
-  std::vector<int> train_shard;
+// The test counts that mirror `train_counts`' class proportions at
+// test_samples_per_client scale.
+std::vector<int> mirrored_test_counts(const std::vector<int>& train_counts,
+                                      const PartitionConfig& config) {
   int total = 0;
   for (const int count : train_counts) total += count;
   CALIBRE_CHECK(total > 0);
   std::vector<double> proportions(train_counts.size(), 0.0);
   for (std::size_t k = 0; k < train_counts.size(); ++k) {
     proportions[k] = static_cast<double>(train_counts[k]) / total;
-    for (int i = 0; i < train_counts[k]; ++i) {
-      train_shard.push_back(train_pools.draw(static_cast<int>(k)));
-    }
   }
-  const std::vector<int> test_counts =
-      proportions_to_counts(proportions, config.test_samples_per_client);
-  std::vector<int> test_shard;
-  for (std::size_t k = 0; k < test_counts.size(); ++k) {
-    for (int i = 0; i < test_counts[k]; ++i) {
-      test_shard.push_back(test_pools.draw(static_cast<int>(k)));
-    }
-  }
-  partition.train_indices.push_back(std::move(train_shard));
-  partition.test_indices.push_back(std::move(test_shard));
+  return proportions_to_counts(proportions, config.test_samples_per_client);
 }
+
+// A partition under construction: the per-class pools it draws from and
+// both sides' index lists, each reserved for exactly num_clients lists of the
+// configured per-client size.
+class PartitionBuilder {
+ public:
+  PartitionBuilder(const Dataset& train, const Dataset& test,
+                   const PartitionConfig& config, rng::Generator& gen)
+      : train_pools_(train, gen),
+        test_pools_(test, gen),
+        train_(static_cast<std::size_t>(config.num_clients),
+               static_cast<std::size_t>(config.num_clients) *
+                   static_cast<std::size_t>(config.samples_per_client)),
+        test_(static_cast<std::size_t>(config.num_clients),
+              static_cast<std::size_t>(config.num_clients) *
+                  static_cast<std::size_t>(config.test_samples_per_client)) {}
+
+  // Appends one client's train then test shard: `*_counts[k]` indices of
+  // class k, drawn from the matching pool.
+  void add_client(const std::vector<int>& train_counts,
+                  const std::vector<int>& test_counts) {
+    append(train_counts, train_pools_, train_);
+    append(test_counts, test_pools_, test_);
+  }
+
+  Partition build() && {
+    return {std::move(train_).build(), std::move(test_).build()};
+  }
+
+ private:
+  static void append(const std::vector<int>& counts, ClassPools& pools,
+                     IndexLists::Builder& lists) {
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      for (int i = 0; i < counts[k]; ++i) {
+        lists.append(pools.draw(static_cast<int>(k)));
+      }
+    }
+    lists.end_list();
+  }
+
+  ClassPools train_pools_;
+  ClassPools test_pools_;
+  IndexLists::Builder train_;
+  IndexLists::Builder test_;
+};
 
 void check_inputs(const Dataset& train, const Dataset& test,
                   const PartitionConfig& config) {
@@ -99,20 +130,57 @@ void check_inputs(const Dataset& train, const Dataset& test,
 
 }  // namespace
 
+IndexLists::Builder::Builder(std::size_t lists, std::size_t total)
+    : lists_(lists), total_(total) {
+  values_.reserve(total);
+  offsets_.reserve(lists + 1);
+  offsets_.push_back(0);
+}
+
+IndexLists IndexLists::Builder::build() && {
+  CALIBRE_CHECK_MSG(offsets_.size() == lists_ + 1 && values_.size() == total_,
+                    "built " << offsets_.size() - 1 << " lists of "
+                             << values_.size() << " indices, reserved "
+                             << lists_ << " of " << total_);
+  IndexLists out;
+  out.storage_ = std::make_shared<const Storage>(
+      Storage{std::move(values_), std::move(offsets_)});
+  return out;
+}
+
+IndexLists IndexLists::from_lists(const std::vector<std::vector<int>>& lists) {
+  std::size_t total = 0;
+  for (const auto& list : lists) total += list.size();
+  Builder builder(lists.size(), total);
+  for (const auto& list : lists) {
+    for (const int index : list) builder.append(index);
+    builder.end_list();
+  }
+  return std::move(builder).build();
+}
+
+std::size_t IndexLists::storage_bytes() const {
+  if (!storage_) return 0;
+  return storage_->values.capacity() * sizeof(int) +
+         storage_->offsets.capacity() * sizeof(std::size_t);
+}
+
 Partition partition_iid(const Dataset& train, const Dataset& test,
                         const PartitionConfig& config, rng::Generator& gen) {
   check_inputs(train, test, config);
-  ClassPools train_pools(train, gen);
-  ClassPools test_pools(test, gen);
-  Partition partition;
+  PartitionBuilder partition(train, test, config, gen);
+  // Every client gets the same uniform class mix.
   const std::vector<double> uniform(
       static_cast<std::size_t>(train.num_classes),
       1.0 / train.num_classes);
+  const std::vector<int> train_counts =
+      proportions_to_counts(uniform, config.samples_per_client);
+  const std::vector<int> test_counts =
+      mirrored_test_counts(train_counts, config);
   for (int c = 0; c < config.num_clients; ++c) {
-    fill_client(proportions_to_counts(uniform, config.samples_per_client),
-                config, train_pools, test_pools, partition);
+    partition.add_client(train_counts, test_counts);
   }
-  return partition;
+  return std::move(partition).build();
 }
 
 Partition partition_quantity(const Dataset& train, const Dataset& test,
@@ -122,9 +190,7 @@ Partition partition_quantity(const Dataset& train, const Dataset& test,
   CALIBRE_CHECK_MSG(
       classes_per_client > 0 && classes_per_client <= train.num_classes,
       "classes_per_client=" << classes_per_client);
-  ClassPools train_pools(train, gen);
-  ClassPools test_pools(test, gen);
-  Partition partition;
+  PartitionBuilder partition(train, test, config, gen);
 
   // Deal classes from reshuffled decks so every class is assigned to roughly
   // the same number of clients (the paper assigns S fixed labels per client).
@@ -154,10 +220,12 @@ Partition partition_quantity(const Dataset& train, const Dataset& test,
       proportions[static_cast<std::size_t>(klass)] =
           1.0 / classes_per_client;
     }
-    fill_client(proportions_to_counts(proportions, config.samples_per_client),
-                config, train_pools, test_pools, partition);
+    const std::vector<int> train_counts =
+        proportions_to_counts(proportions, config.samples_per_client);
+    partition.add_client(train_counts,
+                         mirrored_test_counts(train_counts, config));
   }
-  return partition;
+  return std::move(partition).build();
 }
 
 Partition partition_dirichlet(const Dataset& train, const Dataset& test,
@@ -165,26 +233,27 @@ Partition partition_dirichlet(const Dataset& train, const Dataset& test,
                               rng::Generator& gen) {
   check_inputs(train, test, config);
   CALIBRE_CHECK(alpha > 0.0);
-  ClassPools train_pools(train, gen);
-  ClassPools test_pools(test, gen);
-  Partition partition;
+  PartitionBuilder partition(train, test, config, gen);
   for (int c = 0; c < config.num_clients; ++c) {
     const std::vector<double> proportions =
         gen.dirichlet(alpha, train.num_classes);
-    fill_client(proportions_to_counts(proportions, config.samples_per_client),
-                config, train_pools, test_pools, partition);
+    const std::vector<int> train_counts =
+        proportions_to_counts(proportions, config.samples_per_client);
+    partition.add_client(train_counts,
+                         mirrored_test_counts(train_counts, config));
   }
-  return partition;
+  return std::move(partition).build();
 }
 
 std::vector<std::vector<double>> class_proportions(const Dataset& dataset,
                                                    const Partition& partition,
                                                    bool train_side) {
-  const auto& shards =
+  const IndexLists& shards =
       train_side ? partition.train_indices : partition.test_indices;
   std::vector<std::vector<double>> out;
   out.reserve(shards.size());
-  for (const auto& shard : shards) {
+  for (std::size_t c = 0; c < shards.size(); ++c) {
+    const std::span<const int> shard = shards[c];
     std::vector<double> proportions(
         static_cast<std::size_t>(dataset.num_classes), 0.0);
     for (const int index : shard) {

@@ -11,6 +11,9 @@
 // set" — paper §IV-A).
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,10 +21,56 @@
 
 namespace calibre::data {
 
-// Index shards into a shared train/test Dataset pair, one entry per client.
+// Per-client index lists in one flat CSR buffer: list c is
+// values[offsets[c], offsets[c + 1]). Immutable once built and held through
+// a shared_ptr, so a copy (Partition -> FedDataset) aliases the buffer: a
+// population's lists are held once however many views share them.
+class IndexLists {
+ public:
+  // Appends lists in order into a buffer reserved for exactly `lists` lists
+  // holding `total` indices between them; build() checks both counts.
+  class Builder {
+   public:
+    Builder(std::size_t lists, std::size_t total);
+    void append(int index) { values_.push_back(index); }
+    void end_list() { offsets_.push_back(values_.size()); }
+    IndexLists build() &&;
+
+   private:
+    std::size_t lists_;
+    std::size_t total_;
+    std::vector<int> values_;
+    std::vector<std::size_t> offsets_;
+  };
+
+  IndexLists() = default;  // no lists
+  // Packs hand-built lists (tests, small tools).
+  static IndexLists from_lists(const std::vector<std::vector<int>>& lists);
+
+  std::size_t size() const {
+    return storage_ ? storage_->offsets.size() - 1 : 0;
+  }
+  std::span<const int> operator[](std::size_t c) const {
+    const std::vector<std::size_t>& offsets = storage_->offsets;
+    return {storage_->values.data() + offsets[c], offsets[c + 1] - offsets[c]};
+  }
+  // Every list back to back.
+  const std::vector<int>& flat() const { return storage_->values; }
+  // Heap bytes held by the buffer and its offsets.
+  std::size_t storage_bytes() const;
+
+ private:
+  struct Storage {
+    std::vector<int> values;
+    std::vector<std::size_t> offsets;  // size() + 1 entries, front() == 0
+  };
+  std::shared_ptr<const Storage> storage_;
+};
+
+// Index shards into a shared train/test Dataset pair, one list per client.
 struct Partition {
-  std::vector<std::vector<int>> train_indices;
-  std::vector<std::vector<int>> test_indices;
+  IndexLists train_indices;
+  IndexLists test_indices;
 
   int num_clients() const { return static_cast<int>(train_indices.size()); }
 };

@@ -32,11 +32,10 @@ tensor::Tensor FedDataset::client_ssl_pool(int client) const {
       pool_is_latent ? base_train.latents : base_train.x,
       train_indices[static_cast<std::size_t>(client)]);
   if (unlabeled_share == 0) return labeled;
-  const auto begin = unlabeled_order.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         static_cast<std::size_t>(client) * unlabeled_share);
-  const std::vector<int> slice(
-      begin, begin + static_cast<std::ptrdiff_t>(unlabeled_share));
+  const std::span<const int> slice =
+      std::span<const int>(unlabeled_order)
+          .subspan(static_cast<std::size_t>(client) * unlabeled_share,
+                   unlabeled_share);
   return tensor::concat_rows(
       {labeled,
        tensor::take_rows(pool_is_latent ? base_unlabeled.latents
@@ -53,7 +52,7 @@ FedDataset build_fed_dataset(const data::SyntheticDataset& synth,
   fed.base_train = synth.train;
   fed.base_test = synth.test;
   fed.base_unlabeled = synth.unlabeled;
-  fed.train_indices = partition.train_indices;
+  fed.train_indices = partition.train_indices;  // shares, never copies
   fed.test_indices = partition.test_indices;
   fed.participating = num_train_clients;
   // Each participating client gets an even, shuffled share of the unlabeled

@@ -7,8 +7,9 @@
 // participating clients and concatenated with their labeled inputs to form
 // the per-client SSL pool.
 //
-// A FedDataset keeps the shared splits, the partition's per-client index
-// lists and the shuffled unlabeled order, never a per-client copy. The
+// A FedDataset keeps the shared splits, a handle on the partition's
+// per-client index buffer (data::IndexLists; the lists are held once, not
+// copied) and the shuffled unlabeled order, never a per-client copy. The
 // accessors materialise a client's shard or SSL pool on demand, so memory
 // stays O(dataset + indices) however many clients the partition names, and
 // each call costs one row gather.
@@ -26,8 +27,9 @@ struct FedDataset {
   data::Dataset base_test;       // shared test split
   data::Dataset base_unlabeled;  // shared SSL-only pool
   // Per client: the participating clients, then the novel ones.
-  std::vector<std::vector<int>> train_indices;
-  std::vector<std::vector<int>> test_indices;
+  // Shared with the Partition the dataset was built from.
+  data::IndexLists train_indices;
+  data::IndexLists test_indices;
   int participating = 0;  // leading entries of the index lists
   // Shuffled unlabeled order; participating client c owns rows
   // [c * unlabeled_share, (c + 1) * unlabeled_share) of it.

@@ -51,12 +51,14 @@ double Generator::uniform(double lo, double hi) {
 
 std::uint64_t Generator::uniform_index(std::uint64_t n) {
   CALIBRE_CHECK(n > 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % n;
+  // Rejection sampling to avoid modulo bias: accept r >= (2^64 mod n). That
+  // threshold is < n, so any r >= n is accepted without computing it.
+  std::uint64_t r = next_u64();
+  if (r < n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    while (r < threshold) r = next_u64();
   }
+  return r % n;
 }
 
 double Generator::normal() {

@@ -489,7 +489,7 @@ Tensor slice_cols(const Tensor& a, std::int64_t begin, std::int64_t end) {
   return out;
 }
 
-Tensor take_rows(const Tensor& a, const std::vector<int>& indices) {
+Tensor take_rows(const Tensor& a, std::span<const int> indices) {
   Tensor out = Tensor::uninit(static_cast<std::int64_t>(indices.size()), a.cols());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const std::int64_t r = indices[i];

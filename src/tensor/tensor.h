@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -178,7 +179,10 @@ Tensor slice_rows(const Tensor& a, std::int64_t begin, std::int64_t end);
 // Cols [begin, end).
 Tensor slice_cols(const Tensor& a, std::int64_t begin, std::int64_t end);
 // Rows selected by index (with repetition allowed).
-Tensor take_rows(const Tensor& a, const std::vector<int>& indices);
+Tensor take_rows(const Tensor& a, std::span<const int> indices);
+inline Tensor take_rows(const Tensor& a, std::initializer_list<int> indices) {
+  return take_rows(a, std::span<const int>(indices.begin(), indices.size()));
+}
 // out[r, 0] = a[r, idx[r]].
 Tensor gather_cols(const Tensor& a, const std::vector<int>& idx);
 

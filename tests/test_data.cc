@@ -252,8 +252,9 @@ TEST(QuantityPartition, CoversAllClassesAcrossClients) {
   const Partition partition =
       partition_quantity(synth.train, synth.test, config, 2, gen);
   std::set<int> all_classes;
-  for (const auto& shard : partition.train_indices) {
-    for (const int index : shard) {
+  for (int c = 0; c < partition.num_clients(); ++c) {
+    for (const int index :
+         partition.train_indices[static_cast<std::size_t>(c)]) {
       all_classes.insert(synth.train.labels[static_cast<std::size_t>(index)]);
     }
   }
@@ -348,6 +349,64 @@ TEST(Partition, InvalidArgumentsThrow) {
   EXPECT_THROW(
       partition_dirichlet(synth.train, synth.test, config, 0.0, gen),
       CheckError);
+}
+
+// --- pinned partitions -------------------------------------------------------
+//
+// FNV-1a over every client's train then test index list (length, then the
+// indices), in client order. The constants were recorded while each client's
+// list was still its own heap vector, so they pin that the flat index storage
+// holds the same indices drawn in the same order.
+
+std::uint64_t partition_hash(const Partition& partition) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](std::uint32_t bits) {
+    for (int b = 0; b < 32; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (int c = 0; c < partition.num_clients(); ++c) {
+    for (const IndexLists* side :
+         {&partition.train_indices, &partition.test_indices}) {
+      const std::span<const int> shard = (*side)[static_cast<std::size_t>(c)];
+      add(static_cast<std::uint32_t>(shard.size()));
+      for (const int index : shard) add(static_cast<std::uint32_t>(index));
+    }
+  }
+  return hash;
+}
+
+PartitionConfig golden_partition_config() {
+  PartitionConfig config;
+  config.num_clients = 9;
+  config.samples_per_client = 40;
+  config.test_samples_per_client = 15;
+  return config;
+}
+
+TEST(PartitionGolden, Iid) {
+  const SyntheticDataset synth = make_synthetic(small_config());
+  rng::Generator gen(31);
+  const std::uint64_t hash = partition_hash(partition_iid(
+      synth.train, synth.test, golden_partition_config(), gen));
+  EXPECT_EQ(hash, 0xbc2b2d5d46d9cd4cULL) << "0x" << std::hex << hash;
+}
+
+TEST(PartitionGolden, Quantity) {
+  const SyntheticDataset synth = make_synthetic(small_config());
+  rng::Generator gen(32);
+  const std::uint64_t hash = partition_hash(partition_quantity(
+      synth.train, synth.test, golden_partition_config(), 2, gen));
+  EXPECT_EQ(hash, 0x2c9761842fa33325ULL) << "0x" << std::hex << hash;
+}
+
+TEST(PartitionGolden, Dirichlet) {
+  const SyntheticDataset synth = make_synthetic(small_config());
+  rng::Generator gen(33);
+  const std::uint64_t hash = partition_hash(partition_dirichlet(
+      synth.train, synth.test, golden_partition_config(), 0.3, gen));
+  EXPECT_EQ(hash, 0x95197cecb394cf38ULL) << "0x" << std::hex << hash;
 }
 
 }  // namespace

@@ -135,6 +135,23 @@ TEST_F(FedDataBuilder, SplitsTrainAndNovelClients) {
   }
 }
 
+// The partition's index lists are held once: the FedDataset aliases the
+// partition's flat buffers, and the partitioner reserved them exactly.
+TEST_F(FedDataBuilder, SharesPartitionIndexStorage) {
+  rng::Generator gen(5);
+  const FedDataset fed = build_fed_dataset(synth_, partition_, 4, gen);
+  for (std::size_t c = 0; c < 6; ++c) {
+    EXPECT_EQ(fed.train_indices[c].data(), partition_.train_indices[c].data());
+    EXPECT_EQ(fed.test_indices[c].data(), partition_.test_indices[c].data());
+  }
+  const std::vector<int>& train = partition_.train_indices.flat();
+  const std::vector<int>& test = partition_.test_indices.flat();
+  EXPECT_EQ(train.size(), 6u * 30u);
+  EXPECT_EQ(train.capacity(), train.size());
+  EXPECT_EQ(test.size(), 6u * 12u);
+  EXPECT_EQ(test.capacity(), test.size());
+}
+
 TEST_F(FedDataBuilder, SslPoolsAreLatentsPlusUnlabeledShare) {
   rng::Generator gen(6);
   const FedDataset fed = build_fed_dataset(synth_, partition_, 4, gen);
@@ -291,8 +308,9 @@ class ToyAlgorithm : public Algorithm {
 // Clients with empty shards: the toy algorithms never read their data.
 FedDataset toy_fed(int clients) {
   FedDataset fed;
-  fed.train_indices.resize(static_cast<std::size_t>(clients));
-  fed.test_indices.resize(static_cast<std::size_t>(clients));
+  const std::vector<std::vector<int>> empty(static_cast<std::size_t>(clients));
+  fed.train_indices = data::IndexLists::from_lists(empty);
+  fed.test_indices = data::IndexLists::from_lists(empty);
   fed.participating = clients;
   fed.num_classes = 2;
   fed.input_dim = 1;

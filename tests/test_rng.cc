@@ -92,6 +92,46 @@ TEST(Rng, UniformIndexBounds) {
   EXPECT_THROW(gen.uniform_index(0), CheckError);
 }
 
+// uniform_index skips computing its rejection threshold when the draw is
+// already >= n. The threshold (2^64 mod n) is always < n, so the accept test
+// is unchanged: the values and the stream position must match the plain
+// rejection loop exactly, including at n = 2^63 + 1 where about half of all
+// draws are rejected.
+TEST(Rng, UniformIndexMatchesRejectionReference) {
+  const auto reference = [](Generator& gen, std::uint64_t n, int& rejected) {
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+      const std::uint64_t r = gen.next_u64();
+      if (r >= threshold) return r % n;
+      ++rejected;
+    }
+  };
+  const std::uint64_t sizes[] = {1,
+                                 2,
+                                 3,
+                                 7,
+                                 400,
+                                 1200,
+                                 std::uint64_t{1} << 32,
+                                 (std::uint64_t{1} << 63) + 1,
+                                 ~std::uint64_t{0}};
+  const int draws = 100000;
+  for (const std::uint64_t n : sizes) {
+    Generator fast(n ^ 0x5eed);
+    Generator slow(n ^ 0x5eed);
+    int mismatches = 0;
+    int rejected = 0;
+    for (int i = 0; i < draws; ++i) {
+      mismatches += fast.uniform_index(n) != reference(slow, n, rejected);
+    }
+    EXPECT_EQ(mismatches, 0) << "n=" << n;
+    EXPECT_EQ(fast.next_u64(), slow.next_u64()) << "stream diverged, n=" << n;
+    if (n == (std::uint64_t{1} << 63) + 1) {
+      EXPECT_GT(rejected, draws * 2 / 5) << "rejection path not exercised";
+    }
+  }
+}
+
 TEST(Rng, SampleWithoutReplacement) {
   Generator gen(17);
   const std::vector<int> sample = gen.sample_without_replacement(10, 6);
