@@ -45,11 +45,6 @@
 //                       sparsification, in (0, 1]               (0.0625)
 //   --codec-error-budget  relative L2 reconstruction error budget for the
 //                       `auto` chooser, in (0, 1]               (0.01)
-//   --agg-shards        parallel fold shards for aggregation: replies
-//                       decode+fold on this many shard workers, merged in
-//                       shard order at commit — bit-identical to the flat
-//                       fold; must be <= --clients-per-round and divide
-//                       --buffer-size in async mode               (1)
 //   --personalize-cap   personalize a seeded sample of this many clients
 //                       instead of the full population; 0 = all (0)
 //   --seed              experiment seed                        (42)
@@ -221,7 +216,6 @@ int main(int argc, char** argv) {
   config.topk_rate = static_cast<float>(args.get_double("topk-rate", 0.0625));
   config.codec_error_budget =
       static_cast<float>(args.get_double("codec-error-budget", 0.01));
-  config.agg_shards = args.get_int("agg-shards", 1);
   config.personalize_cap = args.get_int("personalize-cap", 0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   config.threads = args.get_int("threads", 0);

@@ -1,20 +1,20 @@
-// bench_hierarchy — sharded parallel fold trees vs the flat fold.
+// bench_hierarchy — partial-fold trees vs the flat fold.
 //
 // Synthesizes K f16-serialized client updates at a large model dimension
 // and folds them through fl::ShardedFolder at shard counts {1, 2, 4, 8}:
-// shard 1 is the inline flat fold (the pre-shard server path), higher
-// counts decode + fold on parallel shard workers and merge in shard order
-// at collect. A two-level topology (two edge folders of 4 shards each,
-// edge roots merged via StreamingAggregator::merge) demonstrates the same
-// algebra composing across aggregation tiers, the way a geo-distributed
-// deployment would place edge aggregators in front of the server.
+// shard 1 is the flat fold, higher counts fold rank r into partial (r % N)
+// and merge the partials in order at collect. A two-level topology (two
+// edge folders of 4 shards each, edge roots merged via
+// StreamingAggregator::merge) demonstrates the same algebra composing
+// across aggregation tiers, the way a geo-distributed deployment would
+// place edge aggregators in front of the server.
 //
 // The HARD gate is determinism, not speed: every configuration must hash
 // bit-identical to the flat fold (the fixed-point accumulators in
 // flapi/fixed_accum.h guarantee it), and the bench exits nonzero on any
-// mismatch. Throughput is reported per shard count; the parallel speedup
-// only materialises with real cores (hardware_threads is recorded in the
-// JSON so single-core CI numbers are not mistaken for the scaling claim).
+// mismatch. Every configuration decodes and folds on the calling thread,
+// as the round engine does, so the per-count times price what each extra
+// partial costs: one more O(model) accumulator and one more merge pass.
 //
 //   bench_hierarchy               # full size -> BENCH_hierarchy.json
 //   bench_hierarchy --smoke       # CI-sized, a couple of seconds
@@ -41,8 +41,8 @@ struct HierarchyOptions {
   std::string out = "BENCH_hierarchy.json";
 };
 
-// Minimal algorithm whose only job is handing ShardedFolder a mergeable
-// native fold; the training-side entry points are never called here.
+// Minimal algorithm whose only job is handing ShardedFolder the default
+// mergeable fold; the training-side entry points are never called here.
 class BenchAlgo : public fl::Algorithm {
  public:
   BenchAlgo() : fl::Algorithm(fl::FlConfig{}) {}
@@ -55,10 +55,6 @@ class BenchAlgo : public fl::Algorithm {
   double personalize(const nn::ModelState&,
                      const fl::PersonalizationContext&) override {
     return 0.0;
-  }
-  std::unique_ptr<fl::StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<fl::WeightedStreamingAggregator>();
   }
 };
 
@@ -79,18 +75,16 @@ std::uint64_t fnv1a(const std::vector<float>& values) {
 struct FoldRun {
   int shards = 0;
   double seconds = 0.0;        // submit -> collect -> finish, wall clock
-  double decode_seconds = 0.0; // summed across workers (CPU seconds)
+  double decode_seconds = 0.0; // wall clock inside the submit() calls
   double fold_seconds = 0.0;
   std::uint64_t hash = 0;
 };
 
 FoldRun run_sharded(BenchAlgo& algo, const std::vector<comm::Payload>& wire,
                     int shards) {
-  common::ThreadPool pool(static_cast<std::size_t>(shards));
   const nn::ModelState global;
   const SteadyClock::time_point start = SteadyClock::now();
-  fl::ShardedFolder folder(algo, global, /*round=*/0, shards,
-                           shards > 1 ? &pool : nullptr, wire.size());
+  fl::ShardedFolder folder(algo, global, /*round=*/0, shards);
   for (std::size_t rank = 0; rank < wire.size(); ++rank) {
     folder.submit(static_cast<int>(rank), wire[rank], nullptr, 1.0f);
   }
@@ -112,12 +106,11 @@ FoldRun run_sharded(BenchAlgo& algo, const std::vector<comm::Payload>& wire,
 // merge(). Any disjoint partition of the updates must land on the flat
 // fold's bits.
 FoldRun run_two_level(BenchAlgo& algo, const std::vector<comm::Payload>& wire) {
-  common::ThreadPool pool(8);
   const nn::ModelState global;
   const int edge_shards = 4;
   const SteadyClock::time_point start = SteadyClock::now();
-  fl::ShardedFolder edge_a(algo, global, 0, edge_shards, &pool, wire.size());
-  fl::ShardedFolder edge_b(algo, global, 0, edge_shards, &pool, wire.size());
+  fl::ShardedFolder edge_a(algo, global, 0, edge_shards);
+  fl::ShardedFolder edge_b(algo, global, 0, edge_shards);
   const std::size_t half = wire.size() / 2;
   for (std::size_t rank = 0; rank < wire.size(); ++rank) {
     fl::ShardedFolder& edge = rank < half ? edge_a : edge_b;
@@ -183,8 +176,7 @@ int run(const HierarchyOptions& options) {
       two_level_match ? "OK" : "MISMATCH");
 
   const std::size_t hardware = common::ThreadPool::default_parallelism();
-  std::printf("[hierarchy] hardware threads: %zu%s\n", hardware,
-              hardware < 2 ? " (parallel speedup not observable here)" : "");
+  std::printf("[hierarchy] hardware threads: %zu\n", hardware);
 
   std::ofstream out(options.out);
   out << "{\n  \"generated_by\": \"bench_hierarchy\",\n"
@@ -238,8 +230,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--smoke") {
-      // CI-sized: still exercises every shard count, the strand workers,
-      // and the two-level merge, in a couple of seconds.
+      // CI-sized: still exercises every shard count and the two-level
+      // merge, in a couple of seconds.
       options.dim = 1 << 13;
       options.updates = 16;
     } else if (arg == "--dim" && has_value) {

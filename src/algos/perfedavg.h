@@ -19,11 +19,6 @@ class PerFedAvg : public fl::Algorithm {
   nn::ModelState initialize() override;
   fl::ClientUpdate local_update(const nn::ModelState& global,
                                 const fl::ClientContext& ctx) override;
-  // Weighted FedAvg folds natively: O(model) server memory for any fan-out.
-  std::unique_ptr<fl::StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<fl::WeightedStreamingAggregator>();
-  }
   double personalize(const nn::ModelState& global,
                      const fl::PersonalizationContext& ctx) override;
 };

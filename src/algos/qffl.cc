@@ -27,21 +27,12 @@ fl::ClientUpdate QFfl::local_update(const nn::ModelState& global,
   return update;
 }
 
-nn::ModelState QFfl::aggregate(const nn::ModelState& global,
-                               const std::vector<fl::ClientUpdate>& updates,
-                               int round) {
-  CALIBRE_CHECK(!updates.empty());
-  const auto fold = make_aggregator(global, round);
-  for (const fl::ClientUpdate& update : updates) fold->fold(update);
-  return fold->finish();
-}
-
 std::unique_ptr<fl::StreamingAggregator> QFfl::make_aggregator(
     const nn::ModelState& /*global*/, int /*round*/) {
   // w_c ∝ n_c * (L_c + eps)^q : high-loss (struggling) clients dominate.
-  // Mergeability (and thus eligibility for the sharded fold path) comes
-  // free: WeightedStreamingAggregator accumulates in exact fixed point, so
-  // shard partials carrying this weight fn merge bit-identically.
+  // Mergeability comes free: WeightedStreamingAggregator accumulates in
+  // exact fixed point, so partials carrying this weight fn merge
+  // bit-identically.
   const double q = static_cast<double>(q_);
   return std::make_unique<fl::WeightedStreamingAggregator>(
       [q](const fl::ClientUpdate& update) {

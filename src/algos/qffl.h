@@ -22,11 +22,8 @@ class QFfl : public fl::Algorithm {
   nn::ModelState initialize() override;
   fl::ClientUpdate local_update(const nn::ModelState& global,
                                 const fl::ClientContext& ctx) override;
-  nn::ModelState aggregate(const nn::ModelState& global,
-                           const std::vector<fl::ClientUpdate>& updates,
-                           int round) override;
   // Native O(model) fold: w_c ∝ n_c * (L_c + eps)^q is separable per update,
-  // so the q-weighted mean streams. aggregate() delegates to this fold.
+  // so the q-weighted mean streams.
   std::unique_ptr<fl::StreamingAggregator> make_aggregator(
       const nn::ModelState& global, int round) override;
   double personalize(const nn::ModelState& global,

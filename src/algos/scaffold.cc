@@ -202,15 +202,6 @@ fl::ClientUpdate Scaffold::local_update(const nn::ModelState& global,
   return update;
 }
 
-nn::ModelState Scaffold::aggregate(const nn::ModelState& global,
-                                   const std::vector<fl::ClientUpdate>& updates,
-                                   int round) {
-  CALIBRE_CHECK(!updates.empty());
-  const auto fold = make_aggregator(global, round);
-  for (const fl::ClientUpdate& update : updates) fold->fold(update);
-  return fold->finish();
-}
-
 std::unique_ptr<fl::StreamingAggregator> Scaffold::make_aggregator(
     const nn::ModelState& global, int /*round*/) {
   CALIBRE_CHECK(global.size() == 2 * model_dim_);

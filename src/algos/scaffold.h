@@ -24,12 +24,9 @@ class Scaffold : public fl::Algorithm {
   nn::ModelState initialize() override;
   fl::ClientUpdate local_update(const nn::ModelState& global,
                                 const fl::ClientContext& ctx) override;
-  nn::ModelState aggregate(const nn::ModelState& global,
-                           const std::vector<fl::ClientUpdate>& updates,
-                           int round) override;
   // Native O(model) fold over [model | delta_c] updates: weighted model sum
   // plus unweighted control-delta sum, both resolved at finish() (which also
-  // advances the server control variate once). aggregate() delegates here.
+  // advances the server control variate once).
   std::unique_ptr<fl::StreamingAggregator> make_aggregator(
       const nn::ModelState& global, int round) override;
   double personalize(const nn::ModelState& global,

@@ -73,18 +73,6 @@ void Calibre::finalize_update(ssl::SslMethod& method,
       method, ctx.train->x, calibre_config_.divergence_prototypes, gen);
 }
 
-nn::ModelState Calibre::aggregate(const nn::ModelState& global,
-                                  const std::vector<fl::ClientUpdate>& updates,
-                                  int round) {
-  if (!calibre_config_.divergence_weighted_aggregation) {
-    return PflSsl::aggregate(global, updates, round);
-  }
-  CALIBRE_CHECK(!updates.empty());
-  const auto fold = make_aggregator(global, round);
-  for (const fl::ClientUpdate& update : updates) fold->fold(update);
-  return fold->finish();
-}
-
 std::unique_ptr<fl::StreamingAggregator> Calibre::make_aggregator(
     const nn::ModelState& global, int round) {
   if (!calibre_config_.divergence_weighted_aggregation) {
@@ -92,9 +80,9 @@ std::unique_ptr<fl::StreamingAggregator> Calibre::make_aggregator(
   }
   // Unnormalised per-update weight mirroring divergence_weights(); the
   // shared fold normalises by the running total at finish(). The shared
-  // fold is also what makes Calibre shard-mergeable: its fixed-point
-  // accumulators let --agg-shards split this fold across workers without
-  // changing a single output bit.
+  // fold is also what makes Calibre mergeable: its fixed-point accumulators
+  // let agg_shards split this fold into partials without changing a single
+  // output bit.
   const DivergenceMode mode = calibre_config_.divergence_mode;
   return std::make_unique<fl::WeightedStreamingAggregator>(
       [mode](const fl::ClientUpdate& update) {

@@ -30,12 +30,8 @@ class Calibre : public PflSsl {
 
   std::string name() const override;
 
-  // Divergence-weighted FedAvg over the received updates. Delegates to the
-  // streaming fold below so batch and streaming results are bit-identical.
-  nn::ModelState aggregate(const nn::ModelState& global,
-                           const std::vector<fl::ClientUpdate>& updates,
-                           int round) override;
-  // Native O(model) fold: each client's unnormalised weight n_c / (d_c + eps)
+  // Divergence-weighted FedAvg over the received updates. Native O(model)
+  // fold: each client's unnormalised weight n_c / (d_c + eps)
   // (or n_c * (d_c + eps)) is separable, so divergence weighting streams —
   // normalisation happens once at finish().
   std::unique_ptr<fl::StreamingAggregator> make_aggregator(

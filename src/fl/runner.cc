@@ -106,15 +106,7 @@ class RoundEngine {
         barrier_(!config_.async_mode),
         sampler_(derive_seed(config_.seed, 0xC1, 0xE57)),
         slots_(static_cast<std::size_t>(config_.clients_per_round)),
-        live_seq_(static_cast<std::size_t>(fed.num_train_clients()), -1) {
-    // --agg-shards > 1 decodes + folds on parallel shard workers; shards=1
-    // with no pool is the inline flat fold. The fixed-point accumulators
-    // make every shard count produce bit-identical states.
-    if (config_.agg_shards > 1) {
-      fold_pool_ = std::make_unique<common::ThreadPool>(
-          static_cast<std::size_t>(config_.agg_shards));
-    }
-  }
+        live_seq_(static_cast<std::size_t>(fed.num_train_clients()), -1) {}
 
   // Runs `config.rounds` commits, then drains every request still in
   // flight, so no local_update outlives the training stage.
@@ -156,8 +148,8 @@ class RoundEngine {
     SlotState status = SlotState::kOutstanding;
     comm::Payload request;  // the broadcast this dispatch trains against
     // The broadcast as clients decode it: the reference delta16/topk16
-    // replies decode against (null under f32). shared_ptr because shard
-    // workers may still decode against it after the slot resolved.
+    // replies decode against (null under f32). Shared because an async
+    // slot can outlive the window that dispatched it.
     std::shared_ptr<const nn::ModelState> base;
     comm::Payload reply;  // set when kHeld
   };
@@ -182,10 +174,8 @@ class RoundEngine {
     }
     result_.phases.dispatch_seconds +=
         seconds_between(start, SteadyClock::now());
-    folder_ = std::make_unique<ShardedFolder>(
-        algorithm_, state_, commits_, config_.agg_shards, fold_pool_.get(),
-        static_cast<std::size_t>(barrier_ ? config_.clients_per_round
-                                          : config_.async_buffer_size));
+    folder_ = std::make_unique<ShardedFolder>(algorithm_, state_, commits_,
+                                              config_.agg_shards);
     window_ = RoundStats{};
     traffic_at_open_ = router_.stats();
     folds_ = 0;
@@ -322,13 +312,10 @@ class RoundEngine {
       window_.failures += resolved.retries_used +
                           (resolved.status == SlotState::kFailed ? 1 : 0);
       if (resolved.status == SlotState::kHeld) {
-        // Decode + fold run on the folder (shard workers under
-        // --agg-shards, inline otherwise); the staleness weight multiplies
-        // the decoded weight there. Update-content stats are read back from
-        // the folder's rank arrays at commit.
+        // Decodes and folds right here; the staleness weight multiplies
+        // the decoded weight, and the folder keeps the update-content sums.
         const int staleness = commits_ - resolved.tag;
-        folder_->submit(folds_, std::move(resolved.reply),
-                        std::move(resolved.base),
+        folder_->submit(folds_, resolved.reply, resolved.base.get(),
                         staleness_weight(staleness, config_.staleness_alpha));
         staleness_total_ += staleness;
         window_.staleness_max = std::max(window_.staleness_max, staleness);
@@ -371,10 +358,9 @@ class RoundEngine {
     advance_front();
   }
 
-  // collect() waits out the shard workers and merges the partials in
-  // ascending shard order; only the merged root is ever finished. A window
-  // with no folds (a fully failed sync round) keeps the state as-is rather
-  // than aggregating nothing.
+  // collect() merges the partials in ascending shard order; only the
+  // merged root is ever finished. A window with no folds (a fully failed
+  // sync round) keeps the state as-is rather than aggregating nothing.
   void commit() {
     const SteadyClock::time_point start = SteadyClock::now();
     std::unique_ptr<StreamingAggregator> merged = folder_->collect();
@@ -389,34 +375,21 @@ class RoundEngine {
         seconds_between(start, SteadyClock::now());
     result_.phases.decode_seconds += folder_->decode_seconds();
     result_.phases.fold_seconds += folder_->fold_seconds();
-    // Rank-ordered readback reproduces the flat fold's accumulation order,
-    // so the history is bit-identical across shard counts.
-    double divergence_total = 0.0;
-    int divergence_count = 0;
-    double norm_total = 0.0;
-    for (std::size_t rank = 0; rank < static_cast<std::size_t>(folds_);
-         ++rank) {
-      if (folder_->has_divergence()[rank] != 0) {
-        divergence_total += folder_->divergences()[rank];
-        ++divergence_count;
-      }
-      norm_total += folder_->norms()[rank];
-      window_.update_bytes_wire += folder_->wire_bytes()[rank];
-      window_.update_bytes_f32 += folder_->f32_bytes()[rank];
-      const std::uint8_t tag = folder_->codec_tags()[rank];
-      if (tag < window_.codec_counts.size()) ++window_.codec_counts[tag];
-    }
+    const FoldSums& sums = folder_->sums();
+    window_.update_bytes_wire = sums.wire_bytes;
+    window_.update_bytes_f32 = sums.f32_bytes;
+    window_.codec_counts = sums.codec_counts;
     ++commits_;
     consecutive_failures_ = 0;  // a commit is progress too
     window_.round = commits_ - 1;
     window_.participants = folds_;
-    if (divergence_count > 0) {
+    if (sums.divergence_count > 0) {
       window_.mean_divergence =
-          static_cast<float>(divergence_total / divergence_count);
+          static_cast<float>(sums.divergence_total / sums.divergence_count);
     }
     if (folds_ > 0) {
       window_.mean_update_norm =
-          static_cast<float>(norm_total / static_cast<double>(folds_));
+          static_cast<float>(sums.norm_total / static_cast<double>(folds_));
       window_.staleness_mean =
           static_cast<float>(staleness_total_ / static_cast<double>(folds_));
     }
@@ -462,7 +435,6 @@ class RoundEngine {
   RunResult& result_;
   const bool barrier_;  // sync mode
   rng::Generator sampler_;
-  std::unique_ptr<common::ThreadPool> fold_pool_;  // outlives folder_
   std::unique_ptr<ShardedFolder> folder_;
 
   // The slot table: a ring over the dispatch window [front_, next_seq_),

@@ -60,11 +60,11 @@ struct RoundStats {
   int staleness_max = 0;
 };
 
-// Server-side wall-clock split of the training stage, summed over rounds
-// (sync) or commit windows (async). With agg_shards > 1 decode/fold run on
-// parallel shard workers, so their totals are CPU seconds that can exceed
-// the stage's elapsed time; commit covers the collect barrier + shard merge
-// + finish(). Dispatch is the serialize-and-send side of the loop.
+// Server-thread wall-clock split of the training stage, summed over rounds
+// (sync) or commit windows (async). Every phase runs on the server thread,
+// so the four never overlap and their sum stays below the run's wall time.
+// Dispatch is the serialize-and-send side of the loop, decode and fold the
+// per-reply work, and commit the shard merge + finish().
 struct PhaseTimes {
   double dispatch_seconds = 0.0;
   double decode_seconds = 0.0;

@@ -94,8 +94,8 @@ ClientUpdate deserialize_update(const std::vector<std::uint8_t>& bytes,
 void StreamingAggregator::merge(StreamingAggregator&& /*other*/) {
   CALIBRE_CHECK_MSG(false,
                     "this aggregator is not mergeable (mergeable() is false): "
-                    "shard-parallel folding needs a fold whose partial state "
-                    "composes");
+                    "splitting a fold into partials needs a fold whose partial "
+                    "state composes");
 }
 
 WeightedStreamingAggregator::WeightedStreamingAggregator(WeightFn weight_of)
@@ -149,17 +149,19 @@ void WeightedStreamingAggregator::merge(StreamingAggregator&& other) {
   rhs->folded_ = 0;
 }
 
-nn::ModelState Algorithm::aggregate(const nn::ModelState& /*global*/,
+nn::ModelState Algorithm::aggregate(const nn::ModelState& global,
                                     const std::vector<ClientUpdate>& updates,
-                                    int /*round*/) {
-  return fedavg_aggregate(updates);
+                                    int round) {
+  CALIBRE_CHECK(!updates.empty());
+  const std::unique_ptr<StreamingAggregator> fold =
+      make_aggregator(global, round);
+  for (const ClientUpdate& update : updates) fold->fold(update);
+  return fold->finish();
 }
 
-nn::ModelState fedavg_aggregate(const std::vector<ClientUpdate>& updates) {
-  CALIBRE_CHECK(!updates.empty());
-  WeightedStreamingAggregator fold;
-  for (const ClientUpdate& update : updates) fold.fold(update);
-  return fold.finish();
+std::unique_ptr<StreamingAggregator> Algorithm::make_aggregator(
+    const nn::ModelState& /*global*/, int /*round*/) {
+  return std::make_unique<WeightedStreamingAggregator>();
 }
 
 }  // namespace calibre::fl

@@ -89,22 +89,17 @@ struct PersonalizationContext {
 // (in dispatch order, enforced by its reorder buffer) instead of buffering
 // all K of them and calling a batch aggregate. Every algorithm supplies a
 // native streaming fold through make_aggregator(), so server memory stays
-// O(model) regardless of how many clients participate.
-//
-// Equivalence contract: an algorithm's batch aggregate() and the aggregator
-// returned by make_aggregator() must produce bit-identical states for the
-// same update sequence. The weighted-average family guarantees this by
-// implementing aggregate() *on top of* its streaming fold.
+// O(model) regardless of how many clients participate. The batch
+// aggregate() folds through make_aggregator() too, so the two agree bit for
+// bit.
 //
 // Hierarchical folds: a mergeable aggregator additionally supports
-// merge(), which combines a shard-local partial fold (over a DISJOINT
-// subset of the round's updates) into this one as if its updates had been
-// folded here. The native folds implement merge exactly — their
-// accumulators are fixed-point integers (flapi/fixed_accum.h), so integer
-// associativity makes every fold schedule (flat, N shards, multi-level
-// edge-aggregator trees) bit-identical by construction. That is what lets
-// the runner decode + fold replies on parallel shard workers and still
-// hash-match the flat single-threaded fold.
+// merge(), which combines a partial fold (over a DISJOINT subset of the
+// round's updates) into this one as if its updates had been folded here.
+// The native folds implement merge exactly — their accumulators are
+// fixed-point integers (flapi/fixed_accum.h), so integer associativity
+// makes every fold schedule (flat, N partials, multi-level edge-aggregator
+// trees) bit-identical by construction.
 class StreamingAggregator {
  public:
   virtual ~StreamingAggregator() = default;
@@ -131,7 +126,7 @@ class StreamingAggregator {
   virtual void merge(StreamingAggregator&& other);
 
   // True when merge() is implemented. ShardedFolder CHECKs it before
-  // splitting a window's folds across more than one shard (--agg-shards).
+  // splitting a window's folds across more than one partial (agg_shards).
   virtual bool mergeable() const { return false; }
 
   // Decoded updates held inside the aggregator: 0 for native streaming
@@ -192,18 +187,18 @@ class Algorithm {
   virtual ClientUpdate local_update(const nn::ModelState& global,
                                     const ClientContext& ctx) = 0;
 
-  // Combines updates into the next global state. Default: weighted FedAvg.
-  // Retained as the batch entry point for tests and tools; the runner
-  // aggregates through make_aggregator() instead.
+  // Combines a non-empty batch of updates into the next global state by
+  // folding them, in order, through make_aggregator(global, round). The
+  // batch entry point for tests and tools; the runner streams instead.
   virtual nn::ModelState aggregate(const nn::ModelState& global,
                                    const std::vector<ClientUpdate>& updates,
                                    int round);
 
   // Streaming aggregation entry point used by the round engine: a fresh
-  // O(model) fold for the window that starts from `global`. An override of
-  // aggregate() must stay bit-identical to it — see the contract above.
+  // O(model) fold for the window that starts from `global`. Default: the
+  // weighted mean by ClientUpdate::weight (WeightedStreamingAggregator).
   virtual std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState& global, int round) = 0;
+      const nn::ModelState& global, int round);
 
   // Personalization + evaluation for one client; returns test accuracy.
   virtual double personalize(const nn::ModelState& global,
@@ -214,10 +209,5 @@ class Algorithm {
  protected:
   FlConfig config_;
 };
-
-// Weighted average of updates (weights normalised internally). Implemented
-// as a WeightedStreamingAggregator fold over `updates`, so batch and
-// streaming results are bit-identical by construction.
-nn::ModelState fedavg_aggregate(const std::vector<ClientUpdate>& updates);
 
 }  // namespace calibre::fl

@@ -122,14 +122,13 @@ struct FlConfig {
   // zero — is the last resort, so the budget always holds). In (0, 1].
   float codec_error_budget = 0.01f;
 
-  // Aggregation fold shards. 1 (the default) decodes + folds replies inline
-  // on the server thread, exactly as before. N > 1 routes released ranks to
-  // N shard aggregators (rank % N) decoded + folded by parallel workers and
-  // merged in shard order at commit — bit-identical to the flat fold (the
+  // Partial folds per commit window. Every reply is decoded and folded on
+  // the server thread; N > 1 folds rank r into partial (r % N) and merges
+  // the N partials in order at commit — bit-identical to the flat fold (the
   // native folds accumulate in exact fixed-point; see flapi/fixed_accum.h).
   // Needs a mergeable aggregator. Must not exceed clients_per_round, and in
   // async mode must divide async_buffer_size so every commit window loads
-  // the shards evenly.
+  // the partials evenly.
   int agg_shards = 1;
 
   // Cap on clients evaluated in the personalization stage (0 = all). With

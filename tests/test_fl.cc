@@ -37,6 +37,14 @@ namespace {
 
 using tensor::Tensor;
 
+// Folds `updates` in order through the weighted aggregator; with no updates
+// finish() CHECK-fails.
+nn::ModelState weighted_fold(const std::vector<ClientUpdate>& updates) {
+  WeightedStreamingAggregator fold;
+  for (const ClientUpdate& update : updates) fold.fold(update);
+  return fold.finish();
+}
+
 TEST(Aggregate, WeightedMean) {
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
@@ -44,7 +52,7 @@ TEST(Aggregate, WeightedMean) {
   ClientUpdate b;
   b.state = nn::ModelState(std::vector<float>{3.0f, 6.0f});
   b.weight = 3.0f;
-  const nn::ModelState merged = fedavg_aggregate({a, b});
+  const nn::ModelState merged = weighted_fold({a, b});
   EXPECT_FLOAT_EQ(merged.values()[0], (1.0f + 3 * 3.0f) / 4.0f);
   EXPECT_FLOAT_EQ(merged.values()[1], (2.0f + 3 * 6.0f) / 4.0f);
 }
@@ -53,23 +61,23 @@ TEST(Aggregate, SingleUpdateIsIdentity) {
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{5.0f, -1.0f});
   a.weight = 2.5f;
-  const nn::ModelState merged = fedavg_aggregate({a});
+  const nn::ModelState merged = weighted_fold({a});
   EXPECT_EQ(merged.values(), a.state.values());
 }
 
 TEST(Aggregate, RejectsBadInput) {
-  EXPECT_THROW(fedavg_aggregate({}), CheckError);
+  EXPECT_THROW(weighted_fold({}), CheckError);
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{1.0f});
   a.weight = 0.0f;
-  EXPECT_THROW(fedavg_aggregate({a}), CheckError);
+  EXPECT_THROW(weighted_fold({a}), CheckError);
   ClientUpdate b;
   b.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
   b.weight = 1.0f;
   ClientUpdate c;
   c.state = nn::ModelState(std::vector<float>{1.0f});
   c.weight = 1.0f;
-  EXPECT_THROW(fedavg_aggregate({b, c}), CheckError);
+  EXPECT_THROW(weighted_fold({b, c}), CheckError);
 }
 
 TEST(ClientUpdateSerde, RoundTrip) {
@@ -271,7 +279,7 @@ TEST(EncoderHeadModel, TrainSupervisedLearnsLocalData) {
 // Minimal algorithm for runner fault-tolerance tests: a trivial
 // two-parameter model with a per-update callback for injecting failures,
 // latency, or recording which clients actually trained, folded by the
-// native weighted aggregator.
+// default weighted aggregator.
 class ToyAlgorithm : public Algorithm {
  public:
   using UpdateHook = std::function<void(const ClientContext&)>;
@@ -291,10 +299,6 @@ class ToyAlgorithm : public Algorithm {
     }
     update.state = nn::ModelState(std::move(values));
     return update;
-  }
-  std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<WeightedStreamingAggregator>();
   }
   double personalize(const nn::ModelState&,
                      const PersonalizationContext&) override {
@@ -585,7 +589,7 @@ class OrderRecordingAlgorithm : public ToyAlgorithm {
     update.scalars["id"] = static_cast<float>(ctx.client_id);
     return update;
   }
-  // Unsharded, so every fold runs inline on the server thread.
+  // Unsharded (agg_shards = 1), so each window has exactly one recorder.
   std::unique_ptr<StreamingAggregator> make_aggregator(
       const nn::ModelState&, int) override {
     return std::make_unique<RecordingAggregator>(seen);
@@ -1470,82 +1474,7 @@ TEST(FixedPointFold, ScaffoldFoldChecksBothAccumulators) {
   EXPECT_EQ(fold->folded(), 1);
 }
 
-// --- sharded parallel fold ---------------------------------------------------
-
-// The tentpole invariant end to end: with --agg-shards the reorder buffer
-// routes ranks to parallel shard aggregators whose merge must land on the
-// flat fold's bits — for every shard count, every thread count, and
-// arrival orders scrambled by injected latency.
-TEST(ShardedAggregation, BitIdenticalAcrossShardAndThreadCounts) {
-  const int clients = 8;
-  const FedDataset fed = toy_fed(clients);
-  auto run = [&](int shards, int threads) {
-    FlConfig config = toy_config(clients);
-    config.rounds = 3;
-    config.threads = threads;
-    config.agg_shards = shards;
-    config.fault_latency_ms = 15;
-    ToyAlgorithm algorithm(config);
-    const RunResult result = run_federated(algorithm, fed, false);
-    EXPECT_EQ(result.history.size(), 3u);
-    for (const RoundStats& r : result.history) {
-      EXPECT_EQ(r.participants, clients);
-      // Stats must be shard-invariant too (rank-ordered readback).
-      EXPECT_GT(r.mean_update_norm, 0.0f);
-    }
-    return result;
-  };
-  const RunResult reference = run(1, 1);
-  for (const int shards : {1, 2, 8}) {
-    for (const int threads : {1, 3, 8}) {
-      const RunResult result = run(shards, threads);
-      EXPECT_EQ(result.final_state.values(), reference.final_state.values())
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(result.history.size(), reference.history.size());
-      for (std::size_t r = 0; r < reference.history.size(); ++r) {
-        EXPECT_EQ(result.history[r].mean_update_norm,
-                  reference.history[r].mean_update_norm)
-            << "shards=" << shards << " threads=" << threads;
-      }
-    }
-  }
-}
-
-// Same invariant for the async loop: commit windows fold on shard workers,
-// staleness discounts and all, and must match the flat async run bitwise.
-TEST(ShardedAggregation, AsyncBitIdenticalAcrossShardAndThreadCounts) {
-  const int clients = 12;
-  const FedDataset fed = toy_fed(clients);
-  auto run = [&](int shards, int threads) {
-    FlConfig config = toy_config(clients);
-    config.async_mode = true;
-    config.rounds = 4;
-    config.async_buffer_size = 8;
-    config.clients_per_round = 8;
-    config.agg_shards = shards;
-    config.threads = threads;
-    config.fault_latency_ms = 10;
-    ToyAlgorithm algorithm(config);
-    return run_federated(algorithm, fed, false);
-  };
-  const RunResult reference = run(1, 1);
-  ASSERT_EQ(reference.history.size(), 4u);
-  for (const int shards : {1, 2, 8}) {
-    for (const int threads : {1, 3, 8}) {
-      const RunResult result = run(shards, threads);
-      EXPECT_EQ(result.final_state.values(), reference.final_state.values())
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(result.history.size(), reference.history.size());
-      for (std::size_t i = 0; i < reference.history.size(); ++i) {
-        EXPECT_EQ(result.history[i].mean_update_norm,
-                  reference.history[i].mean_update_norm)
-            << "shards=" << shards << " threads=" << threads;
-        EXPECT_EQ(result.history[i].staleness_mean,
-                  reference.history[i].staleness_mean);
-      }
-    }
-  }
-}
+// --- sharded fold ------------------------------------------------------------
 
 // Merge interaction with the reorder buffer's failure paths: a permanently
 // failed rank leaves a hole in the shard routing, and late ranks released
@@ -1594,6 +1523,32 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
     EXPECT_GE(r.participants, config.min_participants) << "round " << r.round;
     EXPECT_EQ(r.participants + r.timeouts, clients) << "round " << r.round;
   }
+}
+
+// PhaseTimes are server-thread wall time: dispatch, decode, fold and commit
+// all run on the server thread, so even with several partials and device
+// threads their sum cannot exceed the run's wall clock.
+TEST(ShardedAggregation, PhaseTimesFitInsideWallTime) {
+  class WideToy : public ToyAlgorithm {
+   public:
+    using ToyAlgorithm::ToyAlgorithm;
+    nn::ModelState initialize() override {
+      return nn::ModelState(std::vector<float>(std::size_t{1} << 16, 0.5f));
+    }
+  };
+  const int clients = 8;
+  FlConfig config = toy_config(clients);
+  config.rounds = 4;
+  config.agg_shards = 4;
+  config.threads = 3;
+  WideToy algorithm(config);
+  const RunResult result = run_federated(algorithm, toy_fed(clients), false);
+  const PhaseTimes& phases = result.phases;
+  EXPECT_GT(phases.decode_seconds, 0.0);
+  EXPECT_GT(phases.fold_seconds, 0.0);
+  EXPECT_LE(phases.dispatch_seconds + phases.decode_seconds +
+                phases.fold_seconds + phases.commit_seconds,
+            result.wall_seconds);
 }
 
 // --- config validation -------------------------------------------------------
@@ -1980,7 +1935,7 @@ TEST_F(FedDataGolden, LabeledOnlyPools) {
 
 // A richer toy than ToyAlgorithm: a 48-float state, per-(client, round)
 // seeded updates, client-dependent weights and a "divergence" scalar, folded
-// by the native weighted aggregator.
+// by the default weighted aggregator.
 class PinnedToyAlgorithm : public Algorithm {
  public:
   using Algorithm::Algorithm;
@@ -2006,10 +1961,6 @@ class PinnedToyAlgorithm : public Algorithm {
     update.scalars["divergence"] =
         0.1f + 0.02f * static_cast<float>(ctx.client_id);
     return update;
-  }
-  std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<WeightedStreamingAggregator>();
   }
   double personalize(const nn::ModelState&,
                      const PersonalizationContext&) override {
@@ -2182,6 +2133,87 @@ TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.ad7d28p-2 norm 0x1.11baa6p+3 v3 stale 0x1p-1/1",
        "round 3 p4 drop0 fail0 retry0 tmo0 late3 wire=6812 f32=70664 codecs 0 "
        "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
+}
+
+// --- shard invariance of every RoundStats field ------------------------------
+//
+// The fixed-point merge makes the final state independent of the shard
+// count; the window's stats (divergence and norm means, wire and f32 bytes,
+// codec counts, staleness) must be too, for every thread count and with
+// arrival order scrambled by injected latency. PinnedToyAlgorithm reports a
+// divergence scalar and the auto codec mixes concrete codecs, so every
+// pinned_history column is exercised.
+
+TEST(ShardedAggregation, BitIdenticalAcrossShardAndThreadCounts) {
+  const int clients = 8;
+  const FedDataset fed = toy_fed(clients);
+  auto run = [&](int shards, int threads) {
+    FlConfig config = toy_config(clients);
+    config.rounds = 3;
+    config.threads = threads;
+    config.agg_shards = shards;
+    config.fault_latency_ms = 15;
+    config.wire_codec = comm::Codec::kAuto;
+    PinnedToyAlgorithm algorithm(config);
+    const RunResult result = run_federated(algorithm, fed, false);
+    EXPECT_EQ(result.history.size(), 3u);
+    for (const RoundStats& r : result.history) {
+      EXPECT_EQ(r.participants, clients);
+      EXPECT_GT(r.mean_update_norm, 0.0f);
+      EXPECT_GT(r.mean_divergence, 0.0f);
+      EXPECT_GT(r.update_bytes_wire, 0u);
+    }
+    return result;
+  };
+  const RunResult reference = run(1, 1);
+  const std::vector<std::string> reference_history =
+      pinned_history(reference);
+  for (const int shards : {1, 2, 8}) {
+    for (const int threads : {1, 3, 8}) {
+      const RunResult result = run(shards, threads);
+      EXPECT_EQ(result.final_state.values(), reference.final_state.values())
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(pinned_history(result), reference_history)
+          << "shards=" << shards << " threads=" << threads;
+    }
+  }
+}
+
+// Same invariant for the async loop: commit windows fold with staleness
+// discounts, and every stats column must match the one-shard run bitwise.
+TEST(ShardedAggregation, AsyncBitIdenticalAcrossShardAndThreadCounts) {
+  const int clients = 12;
+  const FedDataset fed = toy_fed(clients);
+  auto run = [&](int shards, int threads) {
+    FlConfig config = toy_config(clients);
+    config.async_mode = true;
+    config.rounds = 4;
+    config.async_buffer_size = 8;
+    config.clients_per_round = 8;
+    config.agg_shards = shards;
+    config.threads = threads;
+    config.fault_latency_ms = 10;
+    config.wire_codec = comm::Codec::kAuto;
+    PinnedToyAlgorithm algorithm(config);
+    return run_federated(algorithm, fed, false);
+  };
+  const RunResult reference = run(1, 1);
+  ASSERT_EQ(reference.history.size(), 4u);
+  const std::vector<std::string> reference_history =
+      pinned_history(reference);
+  for (const RoundStats& r : reference.history) {
+    EXPECT_GT(r.mean_divergence, 0.0f);
+    EXPECT_GT(r.update_bytes_wire, 0u);
+  }
+  for (const int shards : {1, 2, 8}) {
+    for (const int threads : {1, 3, 8}) {
+      const RunResult result = run(shards, threads);
+      EXPECT_EQ(result.final_state.values(), reference.final_state.values())
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(pinned_history(result), reference_history)
+          << "shards=" << shards << " threads=" << threads;
+    }
+  }
 }
 
 // calibre_cli --load personalizes a saved state through
