@@ -19,10 +19,10 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 ShardedFolder::ShardedFolder(Algorithm& algorithm, const nn::ModelState& global,
                              int round, int shards) {
   CALIBRE_CHECK_GE(shards, 1, "shard count");
-  partials_.reserve(static_cast<std::size_t>(shards));
+  shards_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    partials_.push_back(algorithm.make_aggregator(global, round));
-    CALIBRE_CHECK_MSG(shards == 1 || partials_.back()->mergeable(),
+    shards_.push_back(algorithm.make_aggregator(global, round));
+    CALIBRE_CHECK_MSG(shards == 1 || shards_.back()->mergeable(),
                       "sharded fold needs a mergeable aggregator; run this "
                       "algorithm with agg_shards = 1");
   }
@@ -49,13 +49,13 @@ void ShardedFolder::submit(int rank, const comm::Payload& payload,
   }
   sums_.norm_total += static_cast<double>(update.state.norm());
   sums_.f32_bytes += update_wire_size_f32(update);
-  StreamingAggregator& partial =
-      *partials_[static_cast<std::size_t>(rank) % partials_.size()];
-  partial.fold(std::move(update));
+  StreamingAggregator& shard =
+      *shards_[static_cast<std::size_t>(rank) % shards_.size()];
+  shard.fold(std::move(update));
   // Streaming invariant: a bounded-memory aggregator never buffers decoded
   // updates.
-  if (partial.bounded_memory()) {
-    CALIBRE_CHECK_EQ(partial.buffered_updates(), std::size_t{0},
+  if (shard.bounded_memory()) {
+    CALIBRE_CHECK_EQ(shard.buffered_updates(), std::size_t{0},
                      "bounded-memory aggregator buffered decoded updates");
   }
   decode_seconds_ += seconds_between(start, decoded);
@@ -65,13 +65,13 @@ void ShardedFolder::submit(int rank, const comm::Payload& payload,
 std::unique_ptr<StreamingAggregator> ShardedFolder::collect() {
   CALIBRE_CHECK_MSG(!collected_, "collect() called twice");
   collected_ = true;
-  // Partials fold left into partial 0 in ascending order. The fixed-point
+  // Shards fold left into shard 0 in ascending order. The fixed-point
   // accumulators make any tree shape produce the same bits, so the simplest
   // shape wins; a two-level edge-aggregator tree is exercised in
   // bench_hierarchy.
-  std::unique_ptr<StreamingAggregator> root = std::move(partials_[0]);
-  for (std::size_t s = 1; s < partials_.size(); ++s) {
-    root->merge(std::move(*partials_[s]));
+  std::unique_ptr<StreamingAggregator> root = std::move(shards_[0]);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    root->merge(std::move(*shards_[s]));
   }
   return root;
 }

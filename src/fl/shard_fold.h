@@ -1,14 +1,14 @@
-// The streaming fold of one commit window, split into N mergeable partials.
+// The streaming fold of one commit window, split into N mergeable shards.
 //
 // The runner's reorder buffer releases replies in selection-rank order. The
 // server thread decodes each one (codec decompress + delta reconstruction)
-// and folds it into partial (rank % N) as it is released. At collect() the
-// partials merge in ascending partial order into a single root aggregator,
-// which the runner finish()es. N = 1 is the flat fold.
+// and folds it into shard (rank % N) as it is released. At collect() the
+// shards' partial aggregators merge in ascending shard order into a single
+// root aggregator, which the runner finish()es. N = 1 is the flat fold.
 //
 // Determinism: every native fold accumulates in exact fixed-point
 // (flapi/fixed_accum.h), so the merged result is bit-identical to the flat
-// fold for ANY partial count — the hash check in bench_hierarchy gates on
+// fold for ANY shard count — the hash check in bench_hierarchy gates on
 // exactly this. The window's update statistics are running sums added in
 // submission (ascending-rank) order, so RoundStats match bit-for-bit too.
 //
@@ -48,7 +48,7 @@ class ShardedFolder {
   ShardedFolder(Algorithm& algorithm, const nn::ModelState& global, int round,
                 int shards);
 
-  // Decodes one released reply and folds it into partial (rank % shards).
+  // Decodes one released reply and folds it into shard (rank % shards).
   // Ranks must ascend across calls. `base` is the delta-codec reference for
   // this reply's broadcast version (null for self-contained codecs);
   // `weight_scale` multiplies the decoded update's weight (async staleness
@@ -56,7 +56,7 @@ class ShardedFolder {
   void submit(int rank, const comm::Payload& payload,
               const nn::ModelState* base, float weight_scale);
 
-  // Merges the partials in ascending order into partial 0 and returns that
+  // Merges the shards in ascending order into shard 0 and returns that
   // root. Called at most once; submit() is illegal afterwards. The caller
   // owns finish() — the folder never finishes an aggregator, merged or not.
   std::unique_ptr<StreamingAggregator> collect();
@@ -68,7 +68,9 @@ class ShardedFolder {
   double fold_seconds() const { return fold_seconds_; }
 
  private:
-  std::vector<std::unique_ptr<StreamingAggregator>> partials_;
+  // One partial aggregator per shard. Named shard* so the streaming-fold
+  // lint rule flags any finish() on one.
+  std::vector<std::unique_ptr<StreamingAggregator>> shards_;
   FoldSums sums_;
   int last_rank_ = -1;
   bool collected_ = false;

@@ -37,49 +37,6 @@ namespace {
 
 using tensor::Tensor;
 
-// Folds `updates` in order through the weighted aggregator; with no updates
-// finish() CHECK-fails.
-nn::ModelState weighted_fold(const std::vector<ClientUpdate>& updates) {
-  WeightedStreamingAggregator fold;
-  for (const ClientUpdate& update : updates) fold.fold(update);
-  return fold.finish();
-}
-
-TEST(Aggregate, WeightedMean) {
-  ClientUpdate a;
-  a.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
-  a.weight = 1.0f;
-  ClientUpdate b;
-  b.state = nn::ModelState(std::vector<float>{3.0f, 6.0f});
-  b.weight = 3.0f;
-  const nn::ModelState merged = weighted_fold({a, b});
-  EXPECT_FLOAT_EQ(merged.values()[0], (1.0f + 3 * 3.0f) / 4.0f);
-  EXPECT_FLOAT_EQ(merged.values()[1], (2.0f + 3 * 6.0f) / 4.0f);
-}
-
-TEST(Aggregate, SingleUpdateIsIdentity) {
-  ClientUpdate a;
-  a.state = nn::ModelState(std::vector<float>{5.0f, -1.0f});
-  a.weight = 2.5f;
-  const nn::ModelState merged = weighted_fold({a});
-  EXPECT_EQ(merged.values(), a.state.values());
-}
-
-TEST(Aggregate, RejectsBadInput) {
-  EXPECT_THROW(weighted_fold({}), CheckError);
-  ClientUpdate a;
-  a.state = nn::ModelState(std::vector<float>{1.0f});
-  a.weight = 0.0f;
-  EXPECT_THROW(weighted_fold({a}), CheckError);
-  ClientUpdate b;
-  b.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
-  b.weight = 1.0f;
-  ClientUpdate c;
-  c.state = nn::ModelState(std::vector<float>{1.0f});
-  c.weight = 1.0f;
-  EXPECT_THROW(weighted_fold({b, c}), CheckError);
-}
-
 TEST(ClientUpdateSerde, RoundTrip) {
   ClientUpdate update;
   update.state = nn::ModelState(std::vector<float>{1.5f, -2.5f, 0.0f});
@@ -329,6 +286,47 @@ FlConfig toy_config(int clients) {
   config.threads = 3;
   config.seed = 21;
   return config;
+}
+
+// Aggregate.*: the base Algorithm::aggregate(), i.e. the default weighted
+// fold from make_aggregator().
+TEST(Aggregate, WeightedMean) {
+  ToyAlgorithm algorithm(toy_config(2));
+  ClientUpdate a;
+  a.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
+  a.weight = 1.0f;
+  ClientUpdate b;
+  b.state = nn::ModelState(std::vector<float>{3.0f, 6.0f});
+  b.weight = 3.0f;
+  const nn::ModelState merged =
+      algorithm.aggregate(nn::ModelState(), {a, b}, 0);
+  EXPECT_FLOAT_EQ(merged.values()[0], (1.0f + 3 * 3.0f) / 4.0f);
+  EXPECT_FLOAT_EQ(merged.values()[1], (2.0f + 3 * 6.0f) / 4.0f);
+}
+
+TEST(Aggregate, SingleUpdateIsIdentity) {
+  ToyAlgorithm algorithm(toy_config(2));
+  ClientUpdate a;
+  a.state = nn::ModelState(std::vector<float>{5.0f, -1.0f});
+  a.weight = 2.5f;
+  const nn::ModelState merged = algorithm.aggregate(nn::ModelState(), {a}, 0);
+  EXPECT_EQ(merged.values(), a.state.values());
+}
+
+TEST(Aggregate, RejectsBadInput) {
+  ToyAlgorithm algorithm(toy_config(2));
+  EXPECT_THROW(algorithm.aggregate(nn::ModelState(), {}, 0), CheckError);
+  ClientUpdate a;
+  a.state = nn::ModelState(std::vector<float>{1.0f});
+  a.weight = 0.0f;
+  EXPECT_THROW(algorithm.aggregate(nn::ModelState(), {a}, 0), CheckError);
+  ClientUpdate b;
+  b.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
+  b.weight = 1.0f;
+  ClientUpdate c;
+  c.state = nn::ModelState(std::vector<float>{1.0f});
+  c.weight = 1.0f;
+  EXPECT_THROW(algorithm.aggregate(nn::ModelState(), {b, c}, 0), CheckError);
 }
 
 // Regression for the silent client-failure deadlock: a local_update that
