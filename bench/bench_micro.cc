@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -355,6 +357,34 @@ std::vector<KernelEntry> collect_kernel_entries() {
     entries.push_back(e);
   }
 
+  // Wide-layer products (n x k x m, B is k*m floats): the 1024-wide
+  // encoder's 32-row batch and a 96-row one, above the kernels' panel-packing
+  // gate (2^19 floats); its 1024x256 layer at 2^18 and a 128-wide layer,
+  // below it. No seed baseline: these rows track the blocked kernels against
+  // their own history.
+  for (const auto& [n, k, m] : {std::array<std::int64_t, 3>{32, 1024, 1024},
+                                std::array<std::int64_t, 3>{96, 1024, 1024},
+                                std::array<std::int64_t, 3>{32, 1024, 256},
+                                std::array<std::int64_t, 3>{32, 128, 128}}) {
+    const std::string shape = std::to_string(n) + "x" + std::to_string(k) +
+                              "x" + std::to_string(m);
+    const double flops = 2.0 * static_cast<double>(n * k * m);
+    const auto x = tensor::Tensor::randn(n, k, gen);
+    const auto xt = tensor::Tensor::randn(k, n, gen);
+    const auto w = tensor::Tensor::randn(k, m, gen);
+    const auto wt = tensor::Tensor::randn(m, k, gen);
+    const auto time_row = [&](const char* kind, const auto& product) {
+      KernelEntry e;
+      e.name = std::string(kind) + "_" + shape;
+      e.flops = flops;
+      e.seconds = time_best([&] { benchmark::DoNotOptimize(product()); }, 7);
+      entries.push_back(e);
+    };
+    time_row("gemm_nn", [&] { return tensor::matmul(x, w); });
+    time_row("gemm_nt", [&] { return tensor::matmul_nt(x, wt); });
+    time_row("gemm_tn", [&] { return tensor::matmul_tn(xt, w); });
+  }
+
   // Pairwise squared distances + KMeans assignment on the ISSUE acceptance
   // shape: 2048 points x 128 dims vs 10 centroids (target >=2x vs seed).
   {
@@ -534,7 +564,8 @@ std::vector<FoldEntry> collect_fold_entries() {
 //    "fold": [...]}
 void dump_kernel_json(const char* path) {
   std::ofstream out(path);
-  out << "{\n  \"generated_by\": \"bench_micro\",\n  \"runs\": [\n";
+  out << "{\n  \"generated_by\": \"bench_micro\",\n  \"hardware_threads\": "
+      << std::thread::hardware_concurrency() << ",\n  \"runs\": [\n";
   const int default_threads =
       static_cast<int>(common::ThreadPool::default_parallelism());
   const struct {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -33,10 +34,18 @@ constexpr std::int64_t kVecWidth = 16;  // floats per vf
 constexpr std::int64_t kRowTile = 8;
 constexpr std::int64_t kColTile = 32;
 
-// Rows per parallel_for chunk, kept a multiple of kRowTile so threads never
-// split a microkernel tile (which keeps results independent of thread
-// count).
+// parallel_for grain: up to 32 rows run as one chunk, more split into at
+// most ceil(n / 32) chunks. Chunks need not be tile multiples (100 rows
+// split 4 x 25): a row's outputs are the same chains in any tile shape.
 constexpr std::int64_t kRowGrain = 32;
+
+// B (k*m floats) from which on the kernels pack panels: gemm copies each
+// full 32-column panel of B into contiguous scratch, gemm_nt transposes A
+// instead of B when the chunk has fewer rows than B. 2^19 floats (2 MiB):
+// the wide encoder's 1024x1024 layers are above it. At 2^18 (1024x256,
+// 512x512) B's strided strip still stays cached and packing gemm's B cost
+// up to a fifth of its speed; the 128-wide layers are far below.
+constexpr std::int64_t kPackMinFloats = std::int64_t{1} << 19;
 
 common::ThreadPool& kernel_pool() {
   static common::ThreadPool pool(common::ThreadPool::default_parallelism());
@@ -56,6 +65,16 @@ void for_each_row_chunk(std::int64_t n, std::int64_t flops, const Fn& fn) {
                              [&fn](std::int64_t begin, std::int64_t end) {
                                fn(begin, end);
                              });
+}
+
+// Per-thread panel scratch, 64-byte aligned, grown to the largest request
+// and reused by every later call on the thread.
+float* scratch(std::int64_t floats) {
+  thread_local std::vector<float> buffer;
+  const auto need = static_cast<std::size_t>(floats + kVecWidth);
+  if (buffer.size() < need) buffer.resize(need);
+  const auto address = reinterpret_cast<std::uintptr_t>(buffer.data());
+  return buffer.data() + ((64 - address % 64) % 64) / sizeof(float);
 }
 
 inline vf splat(float x) { return vf{} + x; }
@@ -156,10 +175,28 @@ inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
                                "default"), flatten))
 #endif
 
+// Below the gate B is read in place (row stride m). Above it each full
+// 32-column panel is copied once per chunk into contiguous k x 32 scratch,
+// so the microtiles of every row tile read it at stride 32 from L2 instead
+// of at stride m; the m % 32 tail keeps the strided path. Every output
+// element still runs through the same microtile over the same operands in
+// the same k order.
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nn(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
-  gemm_block(i0, i1, k, a, NoTransA{k}, b, m, 0, c, m, 0, m);
+  std::int64_t full = 0;
+  if (k * m >= kPackMinFloats) {
+    full = m - m % kColTile;
+    float* panel = scratch(k * kColTile);
+    for (std::int64_t j0 = 0; j0 < full; j0 += kColTile) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        std::copy_n(b + kk * m + j0, kColTile, panel + kk * kColTile);
+      }
+      gemm_block(i0, i1, k, a, NoTransA{k}, panel, kColTile, 0, c, m, j0,
+                 kColTile);
+    }
+  }
+  gemm_block(i0, i1, k, a, NoTransA{k}, b, m, full, c, m, full, m - full);
 }
 
 CALIBRE_KERNEL_CLONES
@@ -169,22 +206,46 @@ void gemm_chunk_tn(std::int64_t i0, std::int64_t i1, std::int64_t n,
   gemm_block(i0, i1, k, a, TransA{n}, b, m, 0, c, m, 0, m);
 }
 
-// A*B^T: both operands contract along contiguous rows, so the kernel packs
-// a kColTile-wide panel of B^T at a time (k x 32 floats, L1/L2 resident)
-// and reuses the plain microkernel on the packed panel. Packing is O(k*m)
-// against O(rows*k*m) compute — amortised across the chunk's rows.
+// A*B^T: both operands contract along contiguous rows, so one of them is
+// packed transposed and the plain microkernel runs on the packed panel.
+// By default that is B^T, one kColTile-wide panel at a time (k x 32 floats,
+// L1/L2 resident): O(k*m) packing per chunk against O(rows*k*m) compute.
+// Above the gate, a chunk with fewer rows than B packs the smaller operand:
+// it computes C^T = B*A^T over 32 rows of A at a time (A^T zero-padded to a
+// 16- or 32-wide panel) and adds C^T back into C. Float multiply and fma
+// commute bitwise, so each element is the same k-ordered chain; the result
+// equals the default path's because C is zero on entry.
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nt(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
-  const std::int64_t panel = std::min(kColTile, m);
-  std::vector<float> packed(static_cast<std::size_t>(k * panel));
+  if (k * m >= kPackMinFloats && i1 - i0 < m) {
+    float* packed = scratch((k + m) * kColTile);
+    float* ct = packed + k * kColTile;
+    for (std::int64_t s0 = i0; s0 < i1; s0 += kColTile) {
+      const std::int64_t sw = std::min(kColTile, i1 - s0);
+      const std::int64_t pw = sw <= kVecWidth ? kVecWidth : kColTile;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        float* prow = packed + kk * pw;
+        for (std::int64_t r = 0; r < sw; ++r) prow[r] = a[(s0 + r) * k + kk];
+        std::fill(prow + sw, prow + pw, 0.0f);
+      }
+      std::fill(ct, ct + m * pw, 0.0f);
+      gemm_block(0, m, k, b, NoTransA{k}, packed, pw, 0, ct, pw, 0, pw);
+      for (std::int64_t r = 0; r < sw; ++r) {
+        float* crow = c + (s0 + r) * m;
+        for (std::int64_t j = 0; j < m; ++j) crow[j] += ct[j * pw + r];
+      }
+    }
+    return;
+  }
+  float* packed = scratch(k * std::min(kColTile, m));
   for (std::int64_t j0 = 0; j0 < m; j0 += kColTile) {
     const std::int64_t jw = std::min(kColTile, m - j0);
     for (std::int64_t jj = 0; jj < jw; ++jj) {
       const float* brow = b + (j0 + jj) * k;
       for (std::int64_t kk = 0; kk < k; ++kk) packed[kk * jw + jj] = brow[kk];
     }
-    gemm_block(i0, i1, k, a, NoTransA{k}, packed.data(), jw, 0, c, m, j0, jw);
+    gemm_block(i0, i1, k, a, NoTransA{k}, packed, jw, 0, c, m, j0, jw);
   }
 }
 
@@ -234,8 +295,9 @@ std::int64_t parallel_flop_threshold() {
   if (forced < 0) return -1;  // <= 0 disables parallelism (see caller)
   if (forced > 0) return forced;
   // ~2 MFLOP: a 128x128x64 product. Below this, thread dispatch costs more
-  // than the arithmetic saved; per-client batches in the FL loop sit well
-  // under it and stay serial.
+  // than the arithmetic saved. Flops alone do not decide: a wide layer's
+  // 32-row product (32x1024x1024, 67 MFLOP) is far above it, and stays
+  // serial only because 32 rows make one kRowGrain chunk.
   static const std::int64_t threshold = []() -> std::int64_t {
     const int env_value = env::get_int("CALIBRE_KERNEL_PAR_FLOPS", 0);
     if (env_value != 0) return env_value;

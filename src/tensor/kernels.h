@@ -23,15 +23,30 @@
 //    packs one kColTile-wide panel of B^T at a time (k x 32 floats,
 //    cache-resident; O(k*m) packing against O(n*k*m) compute) and reuses
 //    the plain microkernel on the packed panel.
+//  * Wide operands (B of at least kPackMinFloats = 2^19 floats, 2 MiB):
+//    gemm copies each full 32-column panel of B into contiguous scratch
+//    once per row chunk, so the tiles read it at stride 32 instead of at
+//    stride m (4 KiB at m = 1024, where the strip no longer stays cached);
+//    the m % 32 tail keeps the strided path. gemm_nt, on a chunk with fewer
+//    rows than B, packs the smaller operand instead: A^T, 32 rows at a
+//    time, computing C^T = B*A^T and adding it into C. Below the gate both
+//    keep the plain paths (kernels.cc gives the measured reason). Panel
+//    scratch is one thread_local buffer grown to the largest panel.
+//    Neither path changes a bit: every output element is the same k-ordered
+//    chain through the same microkernel arithmetic (multiply and fma
+//    commute bitwise). gemm_tn is unchanged: its B (a batch of gradients)
+//    stays below the gate in training.
 //  * pairwise_sq_dists: the ||a||^2 + ||b||^2 - 2 a.b^T decomposition; the
 //    cross term is a gemm_nt, the norms are single vectorized passes, and
 //    the combine clamps tiny negative float residue to zero.
 //
 // Parallelism: kernels whose flop count exceeds parallel_flop_threshold()
-// are row-partitioned over a process-wide ThreadPool via parallel_for.
-// Partitioning is by output row, so results are bitwise identical for any
-// thread count. Small per-client batches stay on the calling thread and pay
-// no dispatch overhead.
+// are row-partitioned over a process-wide ThreadPool via parallel_for with
+// a grain of kRowGrain = 32 rows. Partitioning is by output row and
+// every element's chain is the same whichever tile or thread computes it,
+// so results are bitwise identical for any thread count. A per-client
+// batch of 32 rows is one chunk and stays on the calling thread whatever
+// its flop count.
 //
 // Determinism: every run on the same machine produces identical results
 // (the clone choice and the accumulation order are fixed per CPU). Across
@@ -46,8 +61,9 @@
 namespace calibre::tensor::kernels {
 
 // Flop count (2*n*k*m) above which a GEMM is partitioned across the kernel
-// thread pool. Overridable through the CALIBRE_KERNEL_PAR_FLOPS environment
-// variable; values <= 0 disable kernel parallelism entirely.
+// thread pool (default 2^21, a 128x128x64 product). Overridable through the
+// CALIBRE_KERNEL_PAR_FLOPS environment variable; values <= 0 disable kernel
+// parallelism entirely.
 std::int64_t parallel_flop_threshold();
 
 // Runtime override of the threshold (takes precedence over the env var):
@@ -56,15 +72,20 @@ std::int64_t parallel_flop_threshold();
 // serial and parallel within one process.
 void set_parallel_threshold_override(std::int64_t flops);
 
-// Raw row-major kernels. Output `c` accumulates: callers must pass
-// zero-initialised (or partial-result) storage. All pointers reference
-// dense row-major buffers; `c` must not alias `a` or `b`.
+// Raw row-major kernels. Output `c` accumulates: callers pass
+// zero-initialised (gemm and gemm_tn also accept partial-result) storage.
+// All pointers reference dense row-major buffers; `c` must not alias `a` or
+// `b`.
 
 // c[n,m] += a[n,k] * b[k,m]
 void gemm(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
           const float* b, float* c);
 
 // c[n,m] += a[n,k] * b[m,k]^T  (fused transpose: b stays row-major [m,k])
+// Precondition: c is zero on entry. The wide path computes c^T apart and
+// adds it in, which matches the in-place chain bitwise only from zero.
+// matmul_nt, pairwise_sq_dists and NT-Xent's logits all pass fresh zeroed
+// outputs.
 void gemm_nt(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
              const float* b, float* c);
 

@@ -2133,6 +2133,33 @@ TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
 }
 
+// pFL-SimCLR with a 1024-wide encoder (16 -> 1024 -> 1024 -> 256) and
+// personalization on: the only pinned federation whose layer products are
+// large enough to take the kernels' packed-panel paths (tensor/kernels.h),
+// in local_update's forward and backward passes and in the probe's feature
+// extraction.
+TEST(RunnerGolden, SyncWideEncoder) {
+  FlConfig config = pinned_world().config;
+  config.encoder.hidden_dims = {1024, 1024};
+  config.encoder.feature_dim = 256;
+  const auto algorithm = algos::make_algorithm("pFL-SimCLR", config);
+  const RunResult result =
+      run_federated(*algorithm, pinned_world().fed, /*personalize_novel=*/true);
+  if (kSanitizedBuild) return;  // model bits are release-build bits
+  std::ostringstream accuracies;
+  accuracies << std::hexfloat;
+  for (const double value : result.train_accuracies) accuracies << value << ' ';
+  accuracies << "novel";
+  for (const double value : result.novel_accuracies) accuracies << ' ' << value;
+  const std::uint64_t hash = fnv1a(result.final_state.values());
+  EXPECT_EQ(hash, 0xe97d3da5341f8e7ULL)
+      << "final state hash 0x" << std::hex << hash;
+  EXPECT_EQ(accuracies.str(),
+            "0x1.d555555555555p-1 0x1p-2 0x1.aaaaaaaaaaaabp-1 "
+            "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1p-1 0x1.5555555555555p-1 "
+            "0x1.d555555555555p-1 novel 0x1p-2");
+}
+
 // --- shard invariance of every RoundStats field ------------------------------
 //
 // The fixed-point merge makes the final state independent of the shard

@@ -1,11 +1,15 @@
 // Unit tests for the tensor library: construction, elementwise ops with
 // broadcasting, linear algebra, reductions, structural ops and error paths.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "tensor/kernels.h"
+#include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace calibre::tensor {
@@ -339,6 +343,138 @@ TEST(KernelGolden, PairwiseIsNonNegativeOnDuplicateRows) {
 TEST(KernelGolden, MatmulNTShapeChecks) {
   EXPECT_THROW(matmul_nt(Tensor(2, 3), Tensor(4, 5)), CheckError);
   EXPECT_THROW(matmul_tn(Tensor(2, 3), Tensor(4, 3)), CheckError);
+}
+
+// --- kernel bitwise oracle ----------------------------------------------------
+//
+// Every GEMM output element is one k-ordered chain acc = acc + a(i,kk) *
+// b(kk,j) from acc = 0, added once into the zeroed C, whichever path
+// (register tile, 16-wide strip, scalar tail, packed panel, transposed
+// product) or thread computes it. The chain contracts to fmaf in the AVX2
+// and AVX-512 clones and stays a plain multiply-add in the baseline clone.
+// The shapes straddle the panel-packing gate and are ragged in n % 8,
+// m % 32 and m % 16; each runs serial and over the kernel pool.
+
+bool kernels_contract_to_fma() {
+#if defined(__FMA__)
+  return true;  // every clone, the default one included, has FMA
+#elif defined(__SANITIZE_THREAD__)
+  return false;  // TSan builds compile only the default clone
+#else
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("x86-64-v3") != 0;
+#endif
+}
+
+struct BitwiseCase {
+  std::int64_t n, k, m;
+  std::vector<float> a;       // logical A [n, k]
+  std::vector<float> b;       // logical B [k, m]
+  std::vector<float> expect;  // C [n, m]
+};
+
+// The i, kk, j loop order keeps each element's chain in k order while the
+// inner j loop runs over independent chains.
+__attribute__((target("fma"))) void chain_fma(const BitwiseCase& c,
+                                              std::vector<float>& acc) {
+  for (std::int64_t i = 0; i < c.n; ++i) {
+    float* row = acc.data() + i * c.m;
+    for (std::int64_t kk = 0; kk < c.k; ++kk) {
+      const float av = c.a[i * c.k + kk];
+      const float* brow = c.b.data() + kk * c.m;
+      for (std::int64_t j = 0; j < c.m; ++j) {
+        row[j] = std::fmaf(av, brow[j], row[j]);
+      }
+    }
+  }
+}
+
+void chain_mul_add(const BitwiseCase& c, std::vector<float>& acc) {
+  for (std::int64_t i = 0; i < c.n; ++i) {
+    float* row = acc.data() + i * c.m;
+    for (std::int64_t kk = 0; kk < c.k; ++kk) {
+      const float av = c.a[i * c.k + kk];
+      const float* brow = c.b.data() + kk * c.m;
+      for (std::int64_t j = 0; j < c.m; ++j) row[j] = row[j] + av * brow[j];
+    }
+  }
+}
+
+const std::vector<BitwiseCase>& bitwise_cases() {
+  static const std::vector<BitwiseCase> cases = [] {
+    const std::int64_t shapes[][3] = {
+        {32, 1024, 1024}, {96, 1024, 1024}, {33, 1024, 1000}, {64, 2048, 130},
+        {7, 48, 1024},    {32, 128, 128},   {256, 512, 512}};
+    const bool fma = kernels_contract_to_fma();
+    std::vector<BitwiseCase> out;
+    rng::Generator gen(2412);
+    for (const auto& s : shapes) {
+      BitwiseCase c{s[0], s[1], s[2], {}, {}, {}};
+      c.a.resize(static_cast<std::size_t>(c.n * c.k));
+      c.b.resize(static_cast<std::size_t>(c.k * c.m));
+      for (float& v : c.a) v = static_cast<float>(gen.normal());
+      for (float& v : c.b) v = static_cast<float>(gen.normal());
+      std::vector<float> acc(static_cast<std::size_t>(c.n * c.m), 0.0f);
+      fma ? chain_fma(c, acc) : chain_mul_add(c, acc);
+      c.expect.assign(acc.size(), 0.0f);
+      for (std::size_t e = 0; e < acc.size(); ++e) c.expect[e] += acc[e];
+      out.push_back(std::move(c));
+    }
+    return out;
+  }();
+  return cases;
+}
+
+std::vector<float> transposed(const std::vector<float>& x, std::int64_t rows,
+                              std::int64_t cols) {
+  std::vector<float> out(x.size());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) out[c * rows + r] = x[r * cols + c];
+  }
+  return out;
+}
+
+// Runs `kernel(case, a_storage, b_storage, c)` on zeroed C for every case,
+// serial and over the kernel pool, and memcmps C against the oracle.
+template <typename Kernel>
+void expect_bitwise(bool transpose_a, bool transpose_b, const Kernel& kernel) {
+  for (const BitwiseCase& c : bitwise_cases()) {
+    const std::vector<float> a = transpose_a ? transposed(c.a, c.n, c.k) : c.a;
+    const std::vector<float> b = transpose_b ? transposed(c.b, c.k, c.m) : c.b;
+    for (const std::int64_t threshold : {std::int64_t{-1}, std::int64_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.n << "x" << c.k << "x" << c.m
+                   << (threshold < 0 ? " serial" : " pooled"));
+      kernels::set_parallel_threshold_override(threshold);
+      std::vector<float> out(c.expect.size(), 0.0f);
+      kernel(c, a.data(), b.data(), out.data());
+      kernels::set_parallel_threshold_override(0);
+      EXPECT_EQ(std::memcmp(out.data(), c.expect.data(),
+                            out.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(KernelBitwise, Gemm) {
+  expect_bitwise(false, false, [](const BitwiseCase& c, const float* a,
+                                  const float* b, float* out) {
+    kernels::gemm(c.n, c.k, c.m, a, b, out);
+  });
+}
+
+TEST(KernelBitwise, GemmNt) {
+  expect_bitwise(false, true, [](const BitwiseCase& c, const float* a,
+                                 const float* b, float* out) {
+    kernels::gemm_nt(c.n, c.k, c.m, a, b, out);
+  });
+}
+
+TEST(KernelBitwise, GemmTn) {
+  expect_bitwise(true, false, [](const BitwiseCase& c, const float* a,
+                                 const float* b, float* out) {
+    kernels::gemm_tn(c.n, c.k, c.m, a, b, out);
+  });
 }
 
 // Parameterized shape sweep: (A @ B)^T == B^T @ A^T for random shapes.
