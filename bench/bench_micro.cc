@@ -10,10 +10,17 @@
 // per-element int128 loop, and dumps a machine-readable BENCH_kernels.json
 // so future PRs have a perf trajectory to regress against. Run with
 // --benchmark_filter=NONE to get just the JSON dump.
+//
+// --suite personalize times the personalization stage of bench_e2e's wide
+// workloads as one sweep against per-client sweeps of one and writes
+// BENCH_personalize.json; with --smoke it runs a tiny shape and only
+// checks that the two groupings give identical accuracies.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -25,12 +32,17 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "bench/without_sweep.h"
 #include "cluster/kmeans.h"
 #include "comm/codec.h"
 #include "comm/router.h"
 #include "common/thread_pool.h"
 #include "core/pfl_ssl.h"
 #include "core/prototype_loss.h"
+#include "data/partition.h"
+#include "data/synthetic.h"
+#include "fl/fed_data.h"
+#include "fl/runner.h"
 #include "flapi/algorithm.h"
 #include "flapi/fixed_accum.h"
 #include "metrics/tsne.h"
@@ -1042,13 +1054,214 @@ void dump_comm_json(const char* path) {
   std::printf("[comm] wrote %s\n", path);
 }
 
+// --- personalize suite ------------------------------------------------------
+//
+// The personalization stage of bench_e2e's wide workloads: pFL-SimCLR on the
+// 48-1024-1024-256 encoder, 128 + 48 clients of 32 train and 64 test rows
+// (Dirichlet 0.3 over the cifar10 preset), three device threads. It runs
+// twice over one state: as one sweep, where core::PflSsl encodes each
+// distinct row once into its feature table, and as per-client sweeps of
+// one, where every client encodes its own rows as the stage did before the
+// table. The two must give identical accuracies.
+
+struct PersonalizeShape {
+  int train_clients = 128;
+  int novel_clients = 48;
+  int samples = 32;
+  int test_samples = 64;
+  std::vector<std::int64_t> hidden_dims = {1024, 1024};
+  std::int64_t feature_dim = 256;
+  int trials = 9;
+};
+
+// CPU seconds of every thread of the process.
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// Median and quartiles of a set of trials.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] +
+           (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+std::string spread_json(const Spread& s) {
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"median\": %.4f, \"q1\": %.4f, \"q3\": %.4f}", s.median,
+                s.q1, s.q3);
+  return buffer;
+}
+
+// Returns false when the two groupings disagree on any accuracy. With
+// `smoke` it runs a tiny shape once and writes nothing.
+bool dump_personalize_json(const char* path, bool smoke) {
+  PersonalizeShape shape;
+  if (smoke) {
+    shape.train_clients = 8;
+    shape.novel_clients = 4;
+    shape.samples = 16;
+    shape.test_samples = 16;
+    shape.hidden_dims = {64, 64};
+    shape.feature_dim = 32;
+    shape.trials = 0;
+  }
+  const data::SyntheticDataset synth =
+      data::make_synthetic(data::preset_by_name("cifar10"));
+  data::PartitionConfig partition_config;
+  partition_config.num_clients = shape.train_clients + shape.novel_clients;
+  partition_config.samples_per_client = shape.samples;
+  partition_config.test_samples_per_client = shape.test_samples;
+  rng::Generator partition_gen(71);
+  const data::Partition partition = data::partition_dirichlet(
+      synth.train, synth.test, partition_config, 0.3, partition_gen);
+  rng::Generator fed_gen(72);
+  const fl::FedDataset fed =
+      fl::build_fed_dataset(synth, partition, shape.train_clients, fed_gen);
+
+  fl::FlConfig config;
+  config.encoder.input_dim = synth.train.input_dim();
+  config.encoder.hidden_dims = shape.hidden_dims;
+  config.encoder.feature_dim = shape.feature_dim;
+  config.num_classes = synth.train.num_classes;
+  config.num_train_clients = shape.train_clients;
+  config.threads = 3;
+  config.seed = 73;
+  core::PflSsl algorithm(config, ssl::Kind::kSimClr);
+  bench::WithoutSweep without(algorithm);
+  const nn::ModelState state = algorithm.initialize();
+
+  std::size_t rows_referenced = 0;
+  std::vector<int> train_rows;
+  std::vector<int> test_rows;
+  for (std::size_t c = 0; c < fed.train_indices.size(); ++c) {
+    rows_referenced += fed.train_indices[c].size() + fed.test_indices[c].size();
+    train_rows.insert(train_rows.end(), fed.train_indices[c].begin(),
+                      fed.train_indices[c].end());
+    test_rows.insert(test_rows.end(), fed.test_indices[c].begin(),
+                     fed.test_indices[c].end());
+  }
+  for (std::vector<int>* rows : {&train_rows, &test_rows}) {
+    std::sort(rows->begin(), rows->end());
+    rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+  }
+  const std::size_t rows_distinct = train_rows.size() + test_rows.size();
+
+  struct Grouping {
+    const char* name;
+    fl::Algorithm* algorithm;
+    std::vector<double> wall_s;
+    std::vector<double> cpu_s;
+    std::vector<std::uint64_t> accuracy_bits;
+  } groupings[] = {{"sweep", &algorithm, {}, {}, {}},
+                   {"per_client", &without, {}, {}, {}}};
+  // One untimed run of each first (it builds the methods and records the
+  // accuracies), then the timed trials, alternating the two so drift in
+  // machine speed reaches both alike.
+  for (int trial = -1; trial < shape.trials; ++trial) {
+    for (Grouping& g : groupings) {
+      const double cpu0 = process_cpu_seconds();
+      const auto wall0 = std::chrono::steady_clock::now();
+      fl::RunResult result;
+      fl::personalize_clients(*g.algorithm, state, fed,
+                              /*personalize_novel=*/true, result);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall0)
+                              .count();
+      const double cpu = process_cpu_seconds() - cpu0;
+      if (trial < 0) {
+        for (const auto* set :
+             {&result.train_accuracies, &result.novel_accuracies}) {
+          for (const double a : *set) {
+            g.accuracy_bits.push_back(std::bit_cast<std::uint64_t>(a));
+          }
+        }
+        continue;
+      }
+      g.wall_s.push_back(wall);
+      g.cpu_s.push_back(cpu);
+    }
+  }
+  const bool identical =
+      groupings[0].accuracy_bits == groupings[1].accuracy_bits;
+  // The sweep was one block exactly when the table's peak held every
+  // distinct row; then those are the rows it encoded.
+  const bool one_block =
+      algorithm.peak_table_floats() ==
+      rows_distinct * static_cast<std::size_t>(shape.feature_dim);
+  std::printf(
+      "[personalize] %zu clients, %zu rows referenced, %zu distinct (%s), "
+      "accuracies %s\n",
+      fed.train_indices.size(), rows_referenced, rows_distinct,
+      one_block ? "one block" : "several blocks",
+      identical ? "identical" : "DIFFER");
+  if (smoke) return identical;
+
+  std::ofstream out(path);
+  out << "{\n  \"generated_by\": \"bench_micro\",\n"
+      << "  \"suite\": \"personalize\",\n"
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n  \"threads\": " << config.threads
+      << ",\n  \"method\": \"pFL-SimCLR\",\n"
+      << "  \"encoder\": \"48-1024-1024-256\",\n"
+      << "  \"clients\": " << fed.train_indices.size()
+      << ",\n  \"rows_referenced\": " << rows_referenced
+      << ",\n  \"rows_distinct\": " << rows_distinct
+      << ",\n  \"one_block\": " << (one_block ? "true" : "false")
+      << ",\n  \"table_peak_floats\": " << algorithm.peak_table_floats()
+      << ",\n  \"trials\": " << shape.trials
+      << ",\n  \"accuracies_identical\": " << (identical ? "true" : "false")
+      << ",\n  \"groupings\": [\n";
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Grouping& g = groupings[i];
+    const Spread wall = spread_of(g.wall_s);
+    const Spread cpu = spread_of(g.cpu_s);
+    const std::string rows_encoded =
+        i == 1 ? std::to_string(rows_referenced)
+               : (one_block ? std::to_string(rows_distinct) : "null");
+    out << "    {\"grouping\": \"" << g.name
+        << "\", \"rows_encoded\": " << rows_encoded
+        << ",\n     \"stage_wall_s\": " << spread_json(wall)
+        << ",\n     \"stage_cpu_s\": " << spread_json(cpu) << "}"
+        << (i == 0 ? "," : "") << "\n";
+    std::printf(
+        "[personalize] %-10s stage wall %.3f s [%.3f, %.3f], cpu %.3f s "
+        "[%.3f, %.3f]\n",
+        g.name, wall.median, wall.q1, wall.q3, cpu.median, cpu.q1, cpu.q3);
+  }
+  out << "  ]\n}\n";
+  std::printf("[personalize] wrote %s\n", path);
+  return identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --suite {kernels|train_step|comm|all} selects which JSON dump(s) run
-  // after the google-benchmark suite. Parsed (and stripped) before
-  // benchmark::Initialize so the library never sees the flag.
+  // --suite {kernels|train_step|comm|personalize|all} selects which JSON
+  // dump(s) run after the google-benchmark suite; --smoke shrinks the
+  // personalize suite to a CI-sized check. Parsed (and stripped) before
+  // benchmark::Initialize so the library never sees the flags.
   std::string suite = "all";
+  bool smoke = false;
   int out_argc = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1056,17 +1269,19 @@ int main(int argc, char** argv) {
       suite = arg.substr(8);
     } else if (arg == "--suite" && i + 1 < argc) {
       suite = argv[++i];
+    } else if (arg == "--smoke") {
+      smoke = true;
     } else {
       argv[out_argc++] = argv[i];
     }
   }
   argc = out_argc;
   if (suite != "all" && suite != "kernels" && suite != "train_step" &&
-      suite != "comm") {
-    std::fprintf(
-        stderr,
-        "unknown --suite '%s' (expected kernels|train_step|comm|all)\n",
-        suite.c_str());
+      suite != "comm" && suite != "personalize") {
+    std::fprintf(stderr,
+                 "unknown --suite '%s' (expected "
+                 "kernels|train_step|comm|personalize|all)\n",
+                 suite.c_str());
     return 1;
   }
 
@@ -1082,6 +1297,10 @@ int main(int argc, char** argv) {
   }
   if (suite == "all" || suite == "comm") {
     dump_comm_json("BENCH_comm.json");
+  }
+  if ((suite == "all" || suite == "personalize") &&
+      !dump_personalize_json("BENCH_personalize.json", smoke)) {
+    return 1;
   }
   return 0;
 }

@@ -30,4 +30,8 @@ double FedEma::personalize(const nn::ModelState& global,
   return PflSsl::personalize(global, ctx);
 }
 
+bool FedEma::personalizes_on_global(int client_id) const {
+  return !local_models_.visit(client_id, [](const nn::ModelState&) {});
+}
+
 }  // namespace calibre::algos

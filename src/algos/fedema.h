@@ -23,6 +23,11 @@ class FedEma : public core::PflSsl {
   double personalize(const nn::ModelState& global,
                      const fl::PersonalizationContext& ctx) override;
 
+ protected:
+  // A client with a merged local model personalizes on it, not on the
+  // global state.
+  bool personalizes_on_global(int client_id) const override;
+
  private:
   float lambda_;
   ClientStore<nn::ModelState> local_models_;

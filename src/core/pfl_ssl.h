@@ -5,8 +5,19 @@
 // methods yields pFL-SimCLR, pFL-BYOL, pFL-SimSiam, pFL-MoCoV2, pFL-SwAV and
 // pFL-SMoG. Calibre derives from this class and overrides the loss and the
 // aggregation rule.
+//
+// Personalization reads its features from a per-sweep table (DESIGN.md
+// §7.3): the clients of one fl::PersonalizationSweep share one frozen
+// encoder, so each distinct row of the base splits is encoded once per
+// sweep, by the device threads that reach it first, and every client
+// gathers its rows from the table. A call without a sweep is a sweep of one
+// client. The table holds at most resolve_threads(config) x |state| floats
+// of features at a time; a client that does not fit encodes its own rows.
 #pragma once
 
+#include <condition_variable>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,6 +32,7 @@ class PflSsl : public fl::Algorithm {
  public:
   PflSsl(const fl::FlConfig& config, ssl::Kind kind,
          const ssl::SslConfig& ssl_config = {});
+  ~PflSsl() override;
 
   std::string name() const override;
   nn::ModelState initialize() override;
@@ -38,6 +50,11 @@ class PflSsl : public fl::Algorithm {
 
   // Built methods waiting on the free list (see lease_method()).
   std::size_t idle_methods() const;
+
+  // Floats of encoder features the personalization tables hold now, and
+  // the most they have held at once since construction.
+  std::size_t live_table_floats() const;
+  std::size_t peak_table_floats() const;
 
  protected:
   // Per-local-update scratch shared between the hooks (thread-confined: one
@@ -90,6 +107,13 @@ class PflSsl : public fl::Algorithm {
                                const fl::ClientContext& ctx,
                                rng::Generator& gen, fl::ClientUpdate& update);
 
+  // Hook: false when personalize() will be given a state of the client's
+  // own rather than the sweep's global state (FedEMA's merged local model);
+  // the sweep's table leaves that client's rows out. Asked once per sweep
+  // and client (by each thread that finds the sweep's table missing),
+  // before any of the sweep's clients is personalized.
+  virtual bool personalizes_on_global(int client_id) const;
+
   ssl::Kind kind_;
   ssl::SslConfig ssl_config_;
 
@@ -105,9 +129,32 @@ class PflSsl : public fl::Algorithm {
     ssl::SslMethod::PrivateState private_state;
   };
 
+  // The feature table of one sweep (defined in pfl_ssl.cc).
+  struct SweepTable;
+
+  // Fills `train`/`test` with the position's features: gathered from the
+  // sweep's table, encoded into it first if this thread reaches an encode
+  // that is not done yet, or encoded alone when the position does not fit.
+  void sweep_features(const nn::ModelState& global,
+                      const fl::PersonalizationSweep& sweep, int position,
+                      const fl::PersonalizationContext& ctx,
+                      tensor::Tensor& train, tensor::Tensor& test);
+  // A fresh table for `sweep`: its positions grouped into blocks.
+  std::unique_ptr<SweepTable> build_table(
+      const nn::ModelState& global,
+      const fl::PersonalizationSweep& sweep) const;
+
   mutable std::mutex methods_mutex_;
   mutable std::vector<std::unique_ptr<ssl::SslMethod>> free_methods_;
   mutable std::optional<InitialValues> initial_;
+
+  // Live sweep tables by sweep id, and their feature floats; a table goes
+  // when its last position is released.
+  mutable std::mutex tables_mutex_;
+  std::condition_variable encoded_cv_;  // a block's encode finished or failed
+  std::map<std::uint64_t, std::unique_ptr<SweepTable>> tables_;
+  std::size_t live_table_floats_ = 0;
+  std::size_t peak_table_floats_ = 0;
 };
 
 }  // namespace calibre::core

@@ -22,11 +22,6 @@ double seconds_between(SteadyClock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-std::size_t resolve_threads(const FlConfig& config) {
-  return config.threads > 0 ? static_cast<std::size_t>(config.threads)
-                            : common::ThreadPool::default_parallelism();
-}
-
 // Wires the config's fault model into the router: heterogeneous device
 // classes when configured (client c -> class c % num_classes), else the
 // uniform fault knobs. The fault stream seed is derived once, so sync and
@@ -557,14 +552,19 @@ void personalize_clients(Algorithm& algorithm, const nn::ModelState& state,
                          const FedDataset& fed, bool personalize_novel,
                          RunResult& result) {
   const FlConfig& config = algorithm.config();
-  common::ThreadPool pool(resolve_threads(config));
-  // `novel` switches both the shard accessors and the cap's sample stream;
-  // ids are indices within the respective set. With personalize_cap set, a
-  // seeded without-replacement sample of that size is evaluated instead of
-  // the full sweep (the cap stream is independent of the round sampler, so
-  // capping never perturbs training).
-  auto personalize_set = [&](int count, bool novel, std::uint64_t salt,
-                             int id_offset) {
+  // One client of the sweep: `id` indexes its set (participating or novel),
+  // `index` its entry in the FedDataset's index lists.
+  struct Evaluated {
+    int id = 0;
+    bool novel = false;
+    std::size_t index = 0;
+  };
+  // `novel` switches the index offset, the id offset and the cap's sample
+  // stream. With personalize_cap set, a seeded without-replacement sample of
+  // that size is evaluated instead of the whole set (the cap stream is
+  // independent of the round sampler, so capping never perturbs training).
+  std::vector<Evaluated> evaluated;
+  auto add_set = [&](int count, bool novel) {
     std::vector<int> ids;
     if (config.personalize_cap > 0 && count > config.personalize_cap) {
       rng::Generator cap_gen(derive_seed(config.seed, 0x9CA9, novel ? 1 : 0));
@@ -574,36 +574,56 @@ void personalize_clients(Algorithm& algorithm, const nn::ModelState& state,
       ids.resize(static_cast<std::size_t>(count));
       for (int i = 0; i < count; ++i) ids[static_cast<std::size_t>(i)] = i;
     }
-    std::vector<std::future<double>> futures;
-    futures.reserve(ids.size());
+    const int offset = novel ? fed.num_train_clients() : 0;
     for (const int id : ids) {
-      futures.push_back(pool.submit([&, id] {
-        const data::Dataset train =
-            novel ? fed.novel_train_shard(id) : fed.train_shard(id);
-        const data::Dataset test =
-            novel ? fed.novel_test_shard(id) : fed.test_shard(id);
-        PersonalizationContext ctx;
-        ctx.client_id = id_offset + id;
-        ctx.train = &train;
-        ctx.test = &test;
-        ctx.seed =
-            derive_seed(config.seed, salt, static_cast<std::uint64_t>(id));
-        return algorithm.personalize(state, ctx);
-      }));
+      evaluated.push_back({id, novel, static_cast<std::size_t>(offset + id)});
     }
-    std::vector<double> accuracies;
-    accuracies.reserve(futures.size());
-    for (auto& future : futures) accuracies.push_back(future.get());
-    return accuracies;
   };
-  result.train_accuracies = personalize_set(fed.num_train_clients(),
-                                            /*novel=*/false, 0xA11,
-                                            /*id_offset=*/0);
-  result.novel_accuracies.clear();
+  add_set(fed.num_train_clients(), /*novel=*/false);
   if (personalize_novel && fed.num_novel_clients() > 0) {
-    result.novel_accuracies =
-        personalize_set(fed.num_novel_clients(), /*novel=*/true, 0xB22,
-                        /*id_offset=*/fed.num_train_clients());
+    add_set(fed.num_novel_clients(), /*novel=*/true);
+  }
+
+  // The whole stage is one sweep, so an algorithm can share work between
+  // clients that read the same rows of the base splits.
+  PersonalizationSweep sweep;
+  sweep.id = next_sweep_id();
+  sweep.train = &fed.base_train;
+  sweep.test = &fed.base_test;
+  for (const Evaluated& e : evaluated) {
+    sweep.client_ids.push_back(static_cast<int>(e.index));
+    sweep.train_rows.push_back(fed.train_indices[e.index]);
+    sweep.test_rows.push_back(fed.test_indices[e.index]);
+  }
+
+  common::ThreadPool pool(resolve_threads(config));
+  std::vector<std::future<double>> futures;
+  futures.reserve(evaluated.size());
+  for (std::size_t position = 0; position < evaluated.size(); ++position) {
+    futures.push_back(pool.submit([&, position] {
+      const Evaluated& e = evaluated[position];
+      const data::Dataset train =
+          fed.base_train.subset(sweep.train_rows[position]);
+      const data::Dataset test =
+          fed.base_test.subset(sweep.test_rows[position]);
+      PersonalizationContext ctx;
+      ctx.client_id = sweep.client_ids[position];
+      ctx.train = &train;
+      ctx.test = &test;
+      ctx.seed = derive_seed(config.seed, e.novel ? 0xB22 : 0xA11,
+                             static_cast<std::uint64_t>(e.id));
+      ctx.sweep = &sweep;
+      ctx.sweep_position = static_cast<int>(position);
+      return algorithm.personalize(state, ctx);
+    }));
+  }
+  result.train_accuracies.clear();
+  result.novel_accuracies.clear();
+  for (std::size_t position = 0; position < futures.size(); ++position) {
+    const double accuracy = futures[position].get();
+    (evaluated[position].novel ? result.novel_accuracies
+                               : result.train_accuracies)
+        .push_back(accuracy);
   }
 }
 

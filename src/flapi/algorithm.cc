@@ -1,5 +1,6 @@
 #include "flapi/algorithm.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "comm/codec.h"
@@ -57,6 +58,11 @@ comm::Codec peek_update_codec(const std::vector<std::uint8_t>& bytes) {
   if (head != kUpdateCodecMagic) return comm::Codec::kF32;  // legacy layout
   CALIBRE_CHECK_LT(sizeof(head), bytes.size(), "update ends at codec magic");
   return static_cast<comm::Codec>(bytes[sizeof(head)]);
+}
+
+std::uint64_t next_sweep_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 std::size_t update_wire_size_f32(const ClientUpdate& update) {

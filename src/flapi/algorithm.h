@@ -14,7 +14,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -75,12 +77,38 @@ struct ClientContext {
   std::uint64_t seed = 0;                   // per-(client, round) stream
 };
 
+// One call of the personalization stage over many clients (built by
+// personalize_clients): every evaluated client's rows as views into the
+// shared base splits, in sweep order. Lets an algorithm share work between
+// clients that read the same rows; an algorithm that does not is free to
+// ignore it. Every position is personalized exactly once, and every call
+// that carries the sweep passes the same global state.
+struct PersonalizationSweep {
+  std::uint64_t id = 0;  // unique within the process (next_sweep_id())
+  const data::Dataset* train = nullptr;  // base splits the row spans index
+  const data::Dataset* test = nullptr;
+  // Per position: the client's id and its rows of `train` and `test`.
+  std::vector<int> client_ids;
+  std::vector<std::span<const int>> train_rows;
+  std::vector<std::span<const int>> test_rows;
+
+  std::size_t size() const { return client_ids.size(); }
+};
+
+// A fresh, never-zero sweep id.
+std::uint64_t next_sweep_id();
+
 // Everything a client knows during personalization/evaluation.
 struct PersonalizationContext {
   int client_id = 0;
   const data::Dataset* train = nullptr;
   const data::Dataset* test = nullptr;
   std::uint64_t seed = 0;
+  // The sweep this call belongs to and the client's position in it; null
+  // for a call on its own. `train`/`test` hold the position's rows either
+  // way.
+  const PersonalizationSweep* sweep = nullptr;
+  int sweep_position = 0;
 };
 
 // --- streaming aggregation ---------------------------------------------------

@@ -1,6 +1,7 @@
 #include "flapi/config.h"
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace calibre::fl {
 
@@ -108,6 +109,11 @@ void validate(const FlConfig& config) {
                       "client_dropout_rate is a sync-only knob; model device "
                       "churn with --device-classes duty cycles instead");
   }
+}
+
+std::size_t resolve_threads(const FlConfig& config) {
+  return config.threads > 0 ? static_cast<std::size_t>(config.threads)
+                            : common::ThreadPool::default_parallelism();
 }
 
 }  // namespace calibre::fl

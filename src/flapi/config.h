@@ -1,6 +1,7 @@
 // Experiment configuration shared by all FL algorithms.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -154,5 +155,9 @@ struct FlConfig {
 // calls it at flag-parse time so bad invocations exit with a clear message
 // rather than a truncated run.
 void validate(const FlConfig& config);
+
+// Device threads a run uses: FlConfig::threads, or the library default when
+// it is 0.
+std::size_t resolve_threads(const FlConfig& config);
 
 }  // namespace calibre::fl

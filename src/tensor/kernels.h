@@ -48,6 +48,16 @@
 // batch of 32 rows is one chunk and stays on the calling thread whatever
 // its flop count.
 //
+// Row-count invariance (a relied-upon contract): an output row's bits
+// depend only on its own row of A and on B, never on how many other rows
+// are in the call or how they are split into tiles, chunks and packed
+// panels. core::PflSsl's personalization table encodes each distinct row
+// once, in whatever 64-row slice it lands in, and hands its features to
+// every client that reads it (DESIGN.md §7.3). A kernel change that made a
+// row's result depend on n would silently change every personalization
+// accuracy. KernelBitwise.* (kernels) and EncoderRowInvariance.* (the whole
+// encoder) pin it.
+//
 // Determinism: every run on the same machine produces identical results
 // (the clone choice and the accumulation order are fixed per CPU). Across
 // machines with different vector widths the accumulation order — and hence

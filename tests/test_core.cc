@@ -5,11 +5,13 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "algos/fedema.h"
+#include "bench/without_sweep.h"
 #include "common/check.h"
 #include "core/calibre.h"
 #include "core/divergence.h"
@@ -500,6 +502,208 @@ TEST(MethodReuse, FederationIsIdenticalAcrossThreadCounts) {
         << name;
     EXPECT_EQ(one.train_accuracies, three.train_accuracies) << name;
     EXPECT_EQ(one.novel_accuracies, three.novel_accuracies) << name;
+  }
+}
+
+// --- personalization sweeps --------------------------------------------------
+//
+// personalize_clients hands every call one PersonalizationSweep, and PflSsl
+// encodes each distinct row of a sweep once into a bounded feature table
+// (DESIGN.md §7.3). A sweep must give exactly the accuracies that the same
+// clients get from calls that carry no sweep.
+
+// Participating accuracies, then novel ones, as hexfloat text.
+std::vector<std::string> hexfloats(const fl::RunResult& result) {
+  std::vector<std::string> out;
+  for (const auto* set : {&result.train_accuracies, &result.novel_accuracies}) {
+    for (const double value : *set) {
+      std::ostringstream text;
+      text << std::hexfloat << value;
+      out.push_back(text.str());
+    }
+  }
+  return out;
+}
+
+using SweepFactory =
+    std::function<std::unique_ptr<PflSsl>(const fl::FlConfig&)>;
+
+std::vector<SweepFactory> sweep_algorithms() {
+  const ssl::SslConfig ssl = reuse_world().ssl;
+  return {
+      [ssl](const fl::FlConfig& c) {
+        return std::make_unique<PflSsl>(c, ssl::Kind::kSimClr, ssl);
+      },
+      [ssl](const fl::FlConfig& c) {
+        return std::make_unique<Calibre>(c, ssl::Kind::kSimClr,
+                                         CalibreConfig{}, ssl);
+      },
+      [ssl](const fl::FlConfig& c) {
+        return std::make_unique<PflSsl>(c, ssl::Kind::kByol, ssl);
+      },
+      [](const fl::FlConfig& c) { return std::make_unique<algos::FedEma>(c); },
+  };
+}
+
+// The state every sweep test personalizes: one local update from the
+// initial state. Clients 0 and 2 train, so FedEMA holds a merged model of
+// its own for them and personalizes the others on the global state.
+nn::ModelState train_for_sweep(PflSsl& algorithm) {
+  const nn::ModelState global = algorithm.initialize();
+  (void)algorithm.local_update(global, client_context(0, 5));
+  return algorithm.local_update(global, client_context(2, 7)).state;
+}
+
+fl::RunResult sweep(fl::Algorithm& algorithm, const nn::ModelState& state,
+                    const fl::FedDataset& fed = reuse_world().fed) {
+  fl::RunResult result;
+  fl::personalize_clients(algorithm, state, fed, /*personalize_novel=*/true,
+                          result);
+  return result;
+}
+
+TEST(PersonalizeSweep, MatchesCallsWithoutASweep) {
+  for (const SweepFactory& make : sweep_algorithms()) {
+    for (const auto head : {fl::ProbeConfig::Head::kLinear,
+                            fl::ProbeConfig::Head::kPrototype}) {
+      for (const int threads : {1, 3, 8}) {
+        for (const int cap : {0, 2}) {
+          fl::FlConfig config = reuse_world().config;
+          config.probe.head = head;
+          config.threads = threads;
+          config.personalize_cap = cap;
+          const auto swept = make(config);
+          const nn::ModelState state = train_for_sweep(*swept);
+          const fl::RunResult got = sweep(*swept, state);
+
+          const auto alone = make(config);
+          EXPECT_TRUE(bits(train_for_sweep(*alone).values()) ==
+                      bits(state.values()));
+          bench::WithoutSweep without(*alone);
+          const fl::RunResult want = sweep(without, state);
+
+          const std::string name =
+              swept->name() +
+              (head == fl::ProbeConfig::Head::kLinear ? " linear" : " proto") +
+              " threads " + std::to_string(threads) + " cap " +
+              std::to_string(cap);
+          ASSERT_EQ(got.novel_accuracies.size(), 1u) << name;
+          ASSERT_EQ(got.train_accuracies.size(), cap > 0 ? 2u : 4u) << name;
+          EXPECT_EQ(hexfloats(got), hexfloats(want)) << name;
+          EXPECT_EQ(swept->live_table_floats(), 0u) << name;
+          EXPECT_LE(swept->idle_methods(), static_cast<std::size_t>(threads))
+              << name;
+        }
+      }
+    }
+  }
+}
+
+// Two sweeps in a row on one instance, over two different states: each
+// matches a fresh instance's sweep, so nothing of the first table (or of a
+// method still holding the first state) reaches the second. The second
+// state is all zeros, whose features carry no class signal, so a stale
+// table could not pass for it. The prototype head, because on this small
+// world the linear probe scores the two states alike.
+TEST(PersonalizeSweep, ConsecutiveSweepsMatchFreshInstances) {
+  for (const SweepFactory& make : sweep_algorithms()) {
+    fl::FlConfig config = reuse_world().config;
+    config.threads = 3;
+    config.probe.head = fl::ProbeConfig::Head::kPrototype;
+    const auto reused = make(config);
+    const nn::ModelState trained = train_for_sweep(*reused);
+    const nn::ModelState zeros(std::vector<float>(trained.size(), 0.0f));
+    const std::string name = reused->name();
+    const fl::RunResult first = sweep(*reused, trained);
+    const fl::RunResult second = sweep(*reused, zeros);
+    EXPECT_EQ(reused->live_table_floats(), 0u) << name;
+    EXPECT_NE(hexfloats(first), hexfloats(second)) << name;
+
+    const auto fresh_first = make(config);
+    (void)train_for_sweep(*fresh_first);
+    EXPECT_EQ(hexfloats(first), hexfloats(sweep(*fresh_first, trained)))
+        << name;
+    const auto fresh_second = make(config);
+    (void)train_for_sweep(*fresh_second);
+    EXPECT_EQ(hexfloats(second), hexfloats(sweep(*fresh_second, zeros)))
+        << name;
+  }
+}
+
+// The live table never holds more than threads x |state| floats, and is
+// empty once the sweep is done.
+TEST(PersonalizeSweep, TableStaysWithinThreadsTimesStateFloats) {
+  for (const int threads : {1, 3, 8}) {
+    fl::FlConfig config = reuse_world().config;
+    config.threads = threads;
+    PflSsl algorithm(config, ssl::Kind::kSimClr, reuse_world().ssl);
+    const nn::ModelState state = algorithm.initialize();
+    (void)sweep(algorithm, state);
+    const std::size_t budget = static_cast<std::size_t>(threads) * state.size();
+    EXPECT_GT(algorithm.peak_table_floats(), 0u) << threads;
+    EXPECT_LE(algorithm.peak_table_floats(), budget) << threads;
+    EXPECT_EQ(algorithm.live_table_floats(), 0u) << threads;
+  }
+}
+
+// A block encode that throws fails the sweep. The base test split gets one
+// column more than the encoder takes, so the block's test slice throws
+// while its train slices encode; the threads already in the block, waiting
+// for its slices or claiming the next, and the block's later clients all
+// rethrow. Nothing of the failed sweep stays behind: the table is gone, and
+// the next sweep on the same instance matches a fresh instance's.
+TEST(PersonalizeSweep, AThrowingBlockEncodeFailsTheSweepAndLeavesNoTable) {
+  fl::FedDataset broken = reuse_world().fed;
+  broken.base_test.x = Tensor::zeros(broken.base_test.x.rows(),
+                                     broken.base_test.x.cols() + 1);
+  for (const int threads : {3, 8}) {
+    fl::FlConfig config = reuse_world().config;
+    config.threads = threads;
+    config.probe.head = fl::ProbeConfig::Head::kPrototype;
+    PflSsl reused(config, ssl::Kind::kSimClr, reuse_world().ssl);
+    const nn::ModelState state = train_for_sweep(reused);
+    EXPECT_THROW((void)sweep(reused, state, broken), CheckError) << threads;
+    EXPECT_GT(reused.peak_table_floats(), 0u) << threads;
+    EXPECT_EQ(reused.live_table_floats(), 0u) << threads;
+    EXPECT_LE(reused.idle_methods(), static_cast<std::size_t>(threads))
+        << threads;
+
+    const fl::RunResult after = sweep(reused, state);
+    EXPECT_EQ(reused.live_table_floats(), 0u) << threads;
+    PflSsl fresh(config, ssl::Kind::kSimClr, reuse_world().ssl);
+    (void)train_for_sweep(fresh);
+    EXPECT_EQ(hexfloats(after), hexfloats(sweep(fresh, state))) << threads;
+  }
+}
+
+// A model so small that one client's features alone overflow the budget:
+// no client enters the table, each encodes its own rows, and the
+// accuracies still match calls without a sweep.
+TEST(PersonalizeSweep, AClientOverTheBudgetEncodesItsOwnRows) {
+  fl::FlConfig config = reuse_world().config;
+  config.encoder.hidden_dims = {2};
+  config.encoder.feature_dim = 16;
+  ssl::SslConfig ssl = reuse_world().ssl;
+  ssl.proj_hidden = 2;
+  ssl.proj_dim = 2;
+  for (const int threads : {1, 3}) {
+    config.threads = threads;
+    PflSsl swept(config, ssl::Kind::kSimClr, ssl);
+    const nn::ModelState state = swept.initialize();
+    const std::size_t budget = static_cast<std::size_t>(threads) * state.size();
+    const fl::FedDataset& fed = reuse_world().fed;
+    for (std::size_t c = 0; c < fed.train_indices.size(); ++c) {
+      const std::size_t client_floats =
+          (fed.train_indices[c].size() + fed.test_indices[c].size()) *
+          static_cast<std::size_t>(config.encoder.feature_dim);
+      ASSERT_GT(client_floats, budget) << threads << " client " << c;
+    }
+    const fl::RunResult got = sweep(swept, state);
+    EXPECT_EQ(swept.peak_table_floats(), 0u) << threads;
+
+    PflSsl alone(config, ssl::Kind::kSimClr, ssl);
+    bench::WithoutSweep without(alone);
+    EXPECT_EQ(hexfloats(got), hexfloats(sweep(without, state))) << threads;
   }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "nn/networks.h"
+#include "ssl/method.h"
 #include "tensor/kernels.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -475,6 +477,60 @@ TEST(KernelBitwise, GemmTn) {
                                  const float* b, float* out) {
     kernels::gemm_tn(c.n, c.k, c.m, a, b, out);
   });
+}
+
+// --- encoder row invariance -------------------------------------------------
+//
+// The personalization table (core::PflSsl, DESIGN.md §7.3) encodes each row
+// in whichever 64-row slice it lands in and hands the features to every
+// client that reads the row. That is exact only because a row's features do
+// not depend on the rows encoded with it: every GEMM element is the same
+// k-ordered chain whatever the row count (KernelBitwise.*), and LayerNorm,
+// bias and ReLU act row by row. This pins the property at the encoder level:
+// each row alone and in 32-, 64- and 512-row batches, serial and over the
+// kernel pool, memcmp-equal to the serial 512-row encode.
+void expect_row_invariant(nn::EncoderConfig encoder) {
+  for (const bool layer_norm : {true, false}) {
+    encoder.layer_norm = layer_norm;
+    const auto method = ssl::make_method(ssl::Kind::kSimClr, encoder,
+                                         ssl::SslConfig{}, /*seed=*/17);
+    rng::Generator gen(18);
+    const Tensor x = Tensor::randn(512, encoder.input_dim, gen);
+    kernels::set_parallel_threshold_override(-1);
+    const Tensor want = method->encode(x);
+    ASSERT_EQ(want.rows(), 512);
+    ASSERT_EQ(want.cols(), encoder.feature_dim);
+    for (const std::int64_t threshold : {std::int64_t{-1}, std::int64_t{1}}) {
+      kernels::set_parallel_threshold_override(threshold);
+      for (const std::int64_t batch : {1, 32, 64, 512}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "layer_norm " << layer_norm << " batch " << batch
+                     << (threshold < 0 ? " serial" : " pooled"));
+        int differing = 0;
+        for (std::int64_t begin = 0; begin < x.rows(); begin += batch) {
+          const Tensor got =
+              method->encode(slice_rows(x, begin, begin + batch));
+          differing +=
+              std::memcmp(got.data(), want.data() + begin * want.cols(),
+                          static_cast<std::size_t>(got.size()) *
+                              sizeof(float)) != 0;
+        }
+        EXPECT_EQ(differing, 0);
+      }
+    }
+    kernels::set_parallel_threshold_override(0);
+  }
+}
+
+TEST(EncoderRowInvariance, DefaultEncoder) {
+  expect_row_invariant(nn::EncoderConfig{});
+}
+
+TEST(EncoderRowInvariance, WideEncoder) {
+  nn::EncoderConfig wide;
+  wide.hidden_dims = {1024, 1024};
+  wide.feature_dim = 256;
+  expect_row_invariant(wide);
 }
 
 // Parameterized shape sweep: (A @ B)^T == B^T @ A^T for random shapes.
