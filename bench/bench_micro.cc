@@ -27,6 +27,8 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "comm/codec.h"
 #include "comm/router.h"
 #include "common/thread_pool.h"
+#include "core/calibre.h"
 #include "core/pfl_ssl.h"
 #include "core/prototype_loss.h"
 #include "data/partition.h"
@@ -45,6 +48,7 @@
 #include "fl/runner.h"
 #include "flapi/algorithm.h"
 #include "flapi/fixed_accum.h"
+#include "flapi/probe.h"
 #include "metrics/tsne.h"
 #include "nn/losses.h"
 #include "nn/networks.h"
@@ -369,15 +373,21 @@ std::vector<KernelEntry> collect_kernel_entries() {
     entries.push_back(e);
   }
 
-  // Wide-layer products (n x k x m, B is k*m floats): the 1024-wide
-  // encoder's 32-row batch and a 96-row one, above the kernels' panel-packing
-  // gate (2^19 floats); its 1024x256 layer at 2^18 and a 128-wide layer,
-  // below it. No seed baseline: these rows track the blocked kernels against
-  // their own history.
+  // Layer products (n x k x m, B is k*m floats): the 1024-wide encoder's
+  // 32-row batch and a 96-row one, above the kernels' panel-packing gate
+  // (2^19 floats); its 1024x256 layer at 2^18 and a 128-wide layer, below
+  // it. Then narrow outputs (m = 10 < 16 columns, the kernels' C^T path): a
+  // 32-row batch and a 200-row shard against 10 prototypes or a 10-class
+  // head, at 64- and 256-dim features; gemm_tn is the head's dW. No seed
+  // baseline: these rows track the blocked kernels against their own
+  // history.
   for (const auto& [n, k, m] : {std::array<std::int64_t, 3>{32, 1024, 1024},
                                 std::array<std::int64_t, 3>{96, 1024, 1024},
                                 std::array<std::int64_t, 3>{32, 1024, 256},
-                                std::array<std::int64_t, 3>{32, 128, 128}}) {
+                                std::array<std::int64_t, 3>{32, 128, 128},
+                                std::array<std::int64_t, 3>{32, 64, 10},
+                                std::array<std::int64_t, 3>{200, 64, 10},
+                                std::array<std::int64_t, 3>{32, 256, 10}}) {
     const std::string shape = std::to_string(n) + "x" + std::to_string(k) +
                               "x" + std::to_string(m);
     const double flops = 2.0 * static_cast<double>(n * k * m);
@@ -389,12 +399,33 @@ std::vector<KernelEntry> collect_kernel_entries() {
       KernelEntry e;
       e.name = std::string(kind) + "_" + shape;
       e.flops = flops;
-      e.seconds = time_best([&] { benchmark::DoNotOptimize(product()); }, 7);
+      // A narrow product takes microseconds: more calls for its best-of.
+      e.seconds = time_best([&] { benchmark::DoNotOptimize(product()); },
+                            m < 16 ? 51 : 7);
       entries.push_back(e);
     };
     time_row("gemm_nn", [&] { return tensor::matmul(x, w); });
     time_row("gemm_nt", [&] { return tensor::matmul_nt(x, wt); });
     time_row("gemm_tn", [&] { return tensor::matmul_tn(xt, w); });
+  }
+
+  // Whole KMeans runs (k-means++ seeding, then Lloyd iterations, k = 10) on
+  // a 32-row batch of encodings and a 200-row shard, as Calibre's prototype
+  // losses and divergence run them. The flop count is that of the distance
+  // products: one one-column product per seeding step, one k-column
+  // product per iteration and one for the final assignment.
+  for (const std::int64_t n : {std::int64_t{32}, std::int64_t{200}}) {
+    const auto points = tensor::Tensor::randn(n, 64, gen);
+    const auto run = [&] {
+      rng::Generator kmeans_gen(99);
+      return cluster::kmeans(points, cluster::KMeansConfig{}, kmeans_gen);
+    };
+    const int iterations = run().iterations;
+    KernelEntry e;
+    e.name = "kmeans_" + std::to_string(n) + "x64_k10";
+    e.flops = 2.0 * static_cast<double>(n * 64) * (9 + 10 * (iterations + 1));
+    e.seconds = time_best([&] { benchmark::DoNotOptimize(run()); }, 21);
+    entries.push_back(e);
   }
 
   // Pairwise squared distances + KMeans assignment on the ISSUE acceptance
@@ -621,7 +652,8 @@ void dump_kernel_json(const char* path) {
 //
 // End-to-end cost of one full PflSsl::local_update (Algorithm 1's client
 // step: augment two views, SSL forward, backward, SGD step) per SSL method,
-// in two configurations:
+// plus Calibre (SimCLR) with its prototype losses and divergence, in two
+// configurations:
 //  * "pooled"   — the tensor pool on (this tree's training step);
 //  * "pool_off" — CALIBRE_TENSOR_POOL kill-switch off (every buffer freshly
 //                 allocated and zeroed), isolating the pool.
@@ -642,25 +674,56 @@ struct TrainStepEntry {
   TrainStepRun pool_off;
 };
 
-TrainStepEntry time_train_step(ssl::Kind kind) {
+// One client's inputs as the calibre_cifar10 workload sees them: 256 rows
+// of the cifar10 preset as the SSL pool, whose views the preset's oracle
+// renders from the class latents, and 200 of them as the labeled shard.
+// Only Calibre reads the shard: it clusters the shard's encodings for the
+// divergence it ships.
+struct TrainStepClient {
+  data::SyntheticDataset synth;
+  data::Dataset pool;
+  data::Dataset shard;
+};
+
+const TrainStepClient& train_step_client() {
+  static const TrainStepClient client = [] {
+    TrainStepClient c;
+    c.synth = data::make_synthetic(data::preset_by_name("cifar10"));
+    std::vector<int> rows(256);
+    std::iota(rows.begin(), rows.end(), 0);
+    c.pool = c.synth.train.subset(rows);
+    rows.resize(200);
+    c.shard = c.synth.train.subset(rows);
+    return c;
+  }();
+  return client;
+}
+
+fl::FlConfig train_step_config() {
   fl::FlConfig config;
+  config.encoder.input_dim = train_step_client().synth.train.input_dim();
   config.local_epochs = 1;
   config.batch_size = 32;
   config.seed = 1234;
-  core::PflSsl algo(config, kind);
-  const nn::ModelState global = algo.initialize();
+  return config;
+}
 
-  rng::Generator gen(55);
-  const tensor::Tensor ssl_pool =
-      tensor::Tensor::randn(256, config.encoder.input_dim, gen);
+// `algo` is built from train_step_config().
+TrainStepEntry time_train_step(fl::Algorithm& algo, std::string method) {
+  const fl::FlConfig config = train_step_config();
+  const nn::ModelState global = algo.initialize();
+  const TrainStepClient& client = train_step_client();
+  const tensor::Tensor& ssl_pool = client.pool.latents;
   fl::ClientContext ctx;
   ctx.client_id = 0;
   ctx.round = 0;
+  ctx.train = &client.shard;
   ctx.ssl_pool = &ssl_pool;
+  ctx.oracle = &client.synth.oracle;
   ctx.seed = 77;
 
   TrainStepEntry entry;
-  entry.method = ssl::kind_name(kind);
+  entry.method = std::move(method);
   entry.steps_per_call =
       static_cast<int>((ssl_pool.rows() + config.batch_size - 1) /
                        config.batch_size) *
@@ -678,7 +741,9 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
     TrainStepRun run;
     run.allocs_per_step = static_cast<double>(stats.misses) /
                           static_cast<double>(entry.steps_per_call);
-    run.seconds_per_call = time_best(one_call, 5);
+    // Best of 25: a call is a few ms, and on a shared machine best-of-5
+    // still moved some rows by 1.5x between runs.
+    run.seconds_per_call = time_best(one_call, 25);
     run.steps_per_sec =
         static_cast<double>(entry.steps_per_call) / run.seconds_per_call;
     return run;
@@ -757,7 +822,15 @@ void dump_train_step_json(const char* path) {
   const ssl::Kind kinds[] = {ssl::Kind::kSimClr, ssl::Kind::kByol,
                              ssl::Kind::kSimSiam};
   std::vector<TrainStepEntry> entries;
-  for (const ssl::Kind kind : kinds) entries.push_back(time_train_step(kind));
+  for (const ssl::Kind kind : kinds) {
+    core::PflSsl algo(train_step_config(), kind);
+    entries.push_back(time_train_step(algo, ssl::kind_name(kind)));
+  }
+  // Calibre adds the prototype losses (a KMeans over every batch's
+  // encodings, L_n's logits against the prototypes, L_p's NT-Xent over
+  // them) and the divergence (a KMeans over the shard's encodings).
+  core::Calibre calibre(train_step_config(), ssl::Kind::kSimClr);
+  entries.push_back(time_train_step(calibre, "Calibre (SimCLR)"));
   const WideTrainStepEntry wide = time_wide_train_step();
 
   std::ofstream out(path);
@@ -1063,6 +1136,11 @@ void dump_comm_json(const char* path) {
 // distinct row once into its feature table, and as per-client sweeps of
 // one, where every client encodes its own rows as the stage did before the
 // table. The two must give identical accuracies.
+//
+// It then splits the sweep's work in two and times each part on its own:
+// the block encode (every distinct row once, in the table's 64-row slices)
+// and the per-client gather and linear probe (with the stage's seeds, so
+// the accuracies must again be identical).
 
 struct PersonalizeShape {
   int train_clients = 128;
@@ -1112,8 +1190,82 @@ std::string spread_json(const Spread& s) {
   return buffer;
 }
 
-// Returns false when the two groupings disagree on any accuracy. With
-// `smoke` it runs a tiny shape once and writes nothing.
+// The sweep's two parts, run apart on the calling thread over one state,
+// with serial kernels so each part's CPU time is its own work.
+struct PersonalizeSplit {
+  double encode_cpu_s = 0.0;
+  double probe_cpu_s = 0.0;
+  std::vector<std::uint64_t> accuracy_bits;  // train clients, then novel
+};
+
+PersonalizeSplit run_personalize_split(const fl::FlConfig& config,
+                                       const nn::ModelState& state,
+                                       const fl::FedDataset& fed,
+                                       const std::vector<int>& train_rows,
+                                       const std::vector<int>& test_rows) {
+  constexpr std::size_t kSliceRows = 64;  // core::PflSsl's table slices
+  const auto feature_dim = static_cast<std::size_t>(config.encoder.feature_dim);
+  PersonalizeSplit split;
+  tensor::kernels::set_parallel_threshold_override(-1);
+  double cpu0 = process_cpu_seconds();
+  // Built like core::PflSsl's methods, so the features are the stage's.
+  const auto method = ssl::make_method(ssl::Kind::kSimClr, config.encoder,
+                                       ssl::SslConfig{}, config.seed);
+  state.apply_to(method->shared_parameters());
+  const auto encode_all = [&](const tensor::Tensor& x,
+                              const std::vector<int>& rows) {
+    std::vector<float> table(rows.size() * feature_dim);
+    for (std::size_t first = 0; first < rows.size(); first += kSliceRows) {
+      const std::size_t count = std::min(kSliceRows, rows.size() - first);
+      const tensor::Tensor encoded = method->encode(tensor::take_rows(
+          x, std::span<const int>(rows.data() + first, count)));
+      std::copy_n(encoded.data(), encoded.size(),
+                  table.data() + first * feature_dim);
+    }
+    return table;
+  };
+  const std::vector<float> train_table =
+      encode_all(fed.base_train.x, train_rows);
+  const std::vector<float> test_table = encode_all(fed.base_test.x, test_rows);
+  split.encode_cpu_s = process_cpu_seconds() - cpu0;
+
+  cpu0 = process_cpu_seconds();
+  const auto gather = [&](const std::vector<float>& table,
+                          const std::vector<int>& distinct,
+                          std::span<const int> rows) {
+    tensor::Tensor out(static_cast<std::int64_t>(rows.size()),
+                       static_cast<std::int64_t>(feature_dim));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), rows[i]) -
+          distinct.begin());
+      std::copy_n(table.data() + at * feature_dim, feature_dim,
+                  out.data() + i * feature_dim);
+    }
+    return out;
+  };
+  const int train_clients = fed.num_train_clients();
+  for (std::size_t c = 0; c < fed.train_indices.size(); ++c) {
+    const bool novel = static_cast<int>(c) >= train_clients;
+    const int id = novel ? static_cast<int>(c) - train_clients
+                         : static_cast<int>(c);
+    const data::Dataset train = fed.base_train.subset(fed.train_indices[c]);
+    const data::Dataset test = fed.base_test.subset(fed.test_indices[c]);
+    const double accuracy = fl::linear_probe_accuracy(
+        gather(train_table, train_rows, fed.train_indices[c]), train.labels,
+        gather(test_table, test_rows, fed.test_indices[c]), test.labels,
+        config.num_classes, config.probe,
+        fl::derive_seed(config.seed, novel ? 0xB22 : 0xA11,
+                        static_cast<std::uint64_t>(id)));
+    split.accuracy_bits.push_back(std::bit_cast<std::uint64_t>(accuracy));
+  }
+  split.probe_cpu_s = process_cpu_seconds() - cpu0;
+  tensor::kernels::set_parallel_threshold_override(0);
+  return split;
+}
+
+// Returns false when the two groupings, or the split, disagree on any
+// accuracy. With `smoke` it runs a tiny shape once and writes nothing.
 bool dump_personalize_json(const char* path, bool smoke) {
   PersonalizeShape shape;
   if (smoke) {
@@ -1201,8 +1353,21 @@ bool dump_personalize_json(const char* path, bool smoke) {
       g.cpu_s.push_back(cpu);
     }
   }
+  std::vector<double> encode_cpu_s;
+  std::vector<double> probe_cpu_s;
+  bool split_identical = true;
+  for (int trial = -1; trial < shape.trials; ++trial) {
+    const PersonalizeSplit split =
+        run_personalize_split(config, state, fed, train_rows, test_rows);
+    split_identical =
+        split_identical && split.accuracy_bits == groupings[0].accuracy_bits;
+    if (trial < 0) continue;
+    encode_cpu_s.push_back(split.encode_cpu_s);
+    probe_cpu_s.push_back(split.probe_cpu_s);
+  }
   const bool identical =
-      groupings[0].accuracy_bits == groupings[1].accuracy_bits;
+      groupings[0].accuracy_bits == groupings[1].accuracy_bits &&
+      split_identical;
   // The sweep was one block exactly when the table's peak held every
   // distinct row; then those are the rows it encoded.
   const bool one_block =
@@ -1210,10 +1375,12 @@ bool dump_personalize_json(const char* path, bool smoke) {
       rows_distinct * static_cast<std::size_t>(shape.feature_dim);
   std::printf(
       "[personalize] %zu clients, %zu rows referenced, %zu distinct (%s), "
-      "accuracies %s\n",
+      "accuracies %s, split %s\n",
       fed.train_indices.size(), rows_referenced, rows_distinct,
       one_block ? "one block" : "several blocks",
-      identical ? "identical" : "DIFFER");
+      groupings[0].accuracy_bits == groupings[1].accuracy_bits ? "identical"
+                                                               : "DIFFER",
+      split_identical ? "identical" : "DIFFERS");
   if (smoke) return identical;
 
   std::ofstream out(path);
@@ -1248,7 +1415,17 @@ bool dump_personalize_json(const char* path, bool smoke) {
         "[%.3f, %.3f]\n",
         g.name, wall.median, wall.q1, wall.q3, cpu.median, cpu.q1, cpu.q3);
   }
-  out << "  ]\n}\n";
+  const Spread encode = spread_of(encode_cpu_s);
+  const Spread probe = spread_of(probe_cpu_s);
+  out << "  ],\n  \"split\": {\"threads\": 1"
+      << ",\n    \"encode_cpu_s\": " << spread_json(encode)
+      << ",\n    \"gather_probe_cpu_s\": " << spread_json(probe)
+      << ",\n    \"accuracies_identical\": "
+      << (split_identical ? "true" : "false") << "}\n}\n";
+  std::printf(
+      "[personalize] split: encode cpu %.3f s [%.3f, %.3f], gather+probe "
+      "cpu %.3f s [%.3f, %.3f]\n",
+      encode.median, encode.q1, encode.q3, probe.median, probe.q1, probe.q3);
   std::printf("[personalize] wrote %s\n", path);
   return identical;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -159,6 +160,48 @@ inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
   }
 }
 
+// C^T path for rows [i0, i1) of C[., m]: computes C^T = B^T * A^T and adds
+// it into C, 32 rows of A at a time. The m columns of C become microtile rows
+// (B's element (kk, j) read at bi.index(j, kk)); each stripe of up to 32
+// rows of A becomes the microtile's vector columns, as a k x pw panel of A^T
+// (pw = 16 or 32, zero-padded past the stripe). The stripe's C^T goes to
+// m x pw scratch and is then added into C. A transposed A ([k, n], TransA)
+// already holds A^T's rows in place, so a full stripe reads it at stride n
+// without packing. Float multiply and fma commute bitwise, so every element
+// is the same k-ordered chain from 0 as in the plain tiles.
+template <typename AIndex, typename BIndex>
+inline void gemm_ct(std::int64_t i0, std::int64_t i1, std::int64_t k,
+                    std::int64_t m, const float* a, AIndex ai, const float* b,
+                    BIndex bi, float* c) {
+  float* packed = scratch((k + m) * kColTile);
+  float* ct = packed + k * kColTile;
+  for (std::int64_t s0 = i0; s0 < i1; s0 += kColTile) {
+    const std::int64_t sw = std::min(kColTile, i1 - s0);
+    const std::int64_t pw = sw <= kVecWidth ? kVecWidth : kColTile;
+    const float* at = packed;
+    std::int64_t ldat = pw;
+    if constexpr (std::is_same_v<AIndex, TransA>) {
+      if (sw == pw) {
+        at = a + s0;
+        ldat = ai.n;
+      }
+    }
+    if (at == packed) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        float* prow = packed + kk * pw;
+        for (std::int64_t r = 0; r < sw; ++r) prow[r] = a[ai.index(s0 + r, kk)];
+        std::fill(prow + sw, prow + pw, 0.0f);
+      }
+    }
+    std::fill(ct, ct + m * pw, 0.0f);
+    gemm_block(0, m, k, b, bi, at, ldat, 0, ct, pw, 0, pw);
+    for (std::int64_t r = 0; r < sw; ++r) {
+      float* crow = c + (s0 + r) * m;
+      for (std::int64_t j = 0; j < m; ++j) crow[j] += ct[j * pw + r];
+    }
+  }
+}
+
 // Per-chunk entry points. target_clones compiles each body (with the
 // templates above flattened in) for AVX-512, AVX2 and baseline x86-64; the
 // loader picks the widest clone the CPU supports, so the binary stays
@@ -175,6 +218,10 @@ inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
                                "default"), flatten))
 #endif
 
+// All three products send an output narrower than one vf (m < 16) through
+// gemm_ct: in row-major C every one of its columns would otherwise fall to
+// gemm_block's scalar tail.
+//
 // Below the gate B is read in place (row stride m). Above it each full
 // 32-column panel is copied once per chunk into contiguous k x 32 scratch,
 // so the microtiles of every row tile read it at stride 32 from L2 instead
@@ -184,6 +231,10 @@ inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nn(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
+  if (m < kVecWidth) {
+    gemm_ct(i0, i1, k, m, a, NoTransA{k}, b, TransA{m}, c);
+    return;
+  }
   std::int64_t full = 0;
   if (k * m >= kPackMinFloats) {
     full = m - m % kColTile;
@@ -203,6 +254,10 @@ CALIBRE_KERNEL_CLONES
 void gemm_chunk_tn(std::int64_t i0, std::int64_t i1, std::int64_t n,
                    std::int64_t k, std::int64_t m, const float* a,
                    const float* b, float* c) {
+  if (m < kVecWidth) {
+    gemm_ct(i0, i1, k, m, a, TransA{n}, b, TransA{m}, c);
+    return;
+  }
   gemm_block(i0, i1, k, a, TransA{n}, b, m, 0, c, m, 0, m);
 }
 
@@ -210,32 +265,14 @@ void gemm_chunk_tn(std::int64_t i0, std::int64_t i1, std::int64_t n,
 // packed transposed and the plain microkernel runs on the packed panel.
 // By default that is B^T, one kColTile-wide panel at a time (k x 32 floats,
 // L1/L2 resident): O(k*m) packing per chunk against O(rows*k*m) compute.
-// Above the gate, a chunk with fewer rows than B packs the smaller operand:
-// it computes C^T = B*A^T over 32 rows of A at a time (A^T zero-padded to a
-// 16- or 32-wide panel) and adds C^T back into C. Float multiply and fma
-// commute bitwise, so each element is the same k-ordered chain; the result
-// equals the default path's because C is zero on entry.
+// A narrow output, and above the gate a chunk with fewer rows than B, packs
+// A^T instead (gemm_ct). The result equals the default path's because C is
+// zero on entry.
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nt(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
-  if (k * m >= kPackMinFloats && i1 - i0 < m) {
-    float* packed = scratch((k + m) * kColTile);
-    float* ct = packed + k * kColTile;
-    for (std::int64_t s0 = i0; s0 < i1; s0 += kColTile) {
-      const std::int64_t sw = std::min(kColTile, i1 - s0);
-      const std::int64_t pw = sw <= kVecWidth ? kVecWidth : kColTile;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float* prow = packed + kk * pw;
-        for (std::int64_t r = 0; r < sw; ++r) prow[r] = a[(s0 + r) * k + kk];
-        std::fill(prow + sw, prow + pw, 0.0f);
-      }
-      std::fill(ct, ct + m * pw, 0.0f);
-      gemm_block(0, m, k, b, NoTransA{k}, packed, pw, 0, ct, pw, 0, pw);
-      for (std::int64_t r = 0; r < sw; ++r) {
-        float* crow = c + (s0 + r) * m;
-        for (std::int64_t j = 0; j < m; ++j) crow[j] += ct[j * pw + r];
-      }
-    }
+  if (m < kVecWidth || (k * m >= kPackMinFloats && i1 - i0 < m)) {
+    gemm_ct(i0, i1, k, m, a, NoTransA{k}, b, NoTransA{k}, c);
     return;
   }
   float* packed = scratch(k * std::min(kColTile, m));

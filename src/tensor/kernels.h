@@ -36,6 +36,16 @@
 //    chain through the same microkernel arithmetic (multiply and fma
 //    commute bitwise). gemm_tn is unchanged: its B (a batch of gradients)
 //    stays below the gate in training.
+//  * Narrow outputs (m < 16 columns: KMeans and prototype distances against
+//    k = 10 centroids, 10-class probe and classifier heads): a row of C is
+//    narrower than one vector group, so the tiles would leave every column
+//    to the scalar tail. All three kernels compute C^T = B^T * A^T instead:
+//    the m columns of C become microtile rows and up to 32 rows of A its
+//    vector columns, as a zero-padded k x 16 or k x 32 panel of A^T (gemm
+//    and gemm_nt pack it; gemm_tn's A is already [k, n] and a full stripe
+//    is read in place at stride n). The stripe's C^T is added into C. It
+//    reuses the panel scratch, and each element is the same k-ordered chain
+//    from 0 as in the tiles.
 //  * pairwise_sq_dists: the ||a||^2 + ||b||^2 - 2 a.b^T decomposition; the
 //    cross term is a gemm_nt, the norms are single vectorized passes, and
 //    the combine clamps tiny negative float residue to zero.
@@ -86,14 +96,25 @@ void set_parallel_threshold_override(std::int64_t flops);
 // zero-initialised (gemm and gemm_tn also accept partial-result) storage.
 // All pointers reference dense row-major buffers; `c` must not alias `a` or
 // `b`.
+//
+// Partial results: a tile computes each element's k-ordered chain from 0
+// and adds it to C once (c += chain). That holds for every element of a
+// narrow output (m < 16) and for the full 16-column groups of a wider one;
+// only the m % 16 tail columns of a wider output run their chain from C's
+// value. On zeroed C the two agree bit for bit. The one caller that
+// accumulates into a non-zero C, NT-Xent's backward (gemm then gemm_tn into
+// one dL/dz buffer), has m = the projection width (SslConfig::proj_dim,
+// 32; only unit tests set it below 16). KernelBitwise.* pins the narrow
+// rule.
 
 // c[n,m] += a[n,k] * b[k,m]
 void gemm(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
           const float* b, float* c);
 
 // c[n,m] += a[n,k] * b[m,k]^T  (fused transpose: b stays row-major [m,k])
-// Precondition: c is zero on entry. The wide path computes c^T apart and
-// adds it in, which matches the in-place chain bitwise only from zero.
+// Precondition: c is zero on entry. The narrow and wide paths compute c^T
+// apart and add it in, which matches the in-place chain bitwise only from
+// zero.
 // matmul_nt, pairwise_sq_dists and NT-Xent's logits all pass fresh zeroed
 // outputs.
 void gemm_nt(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,

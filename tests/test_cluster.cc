@@ -1,6 +1,10 @@
 // Tests for KMeans and the cluster-quality metrics.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +212,61 @@ TEST_P(PuritySplitProperty, SplittingNeverHurtsPurity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, PuritySplitProperty, ::testing::Values(2, 3, 5));
+
+// --- golden ---------------------------------------------------------------
+//
+// Every distance KMeans reads comes from the GEMM kernels: a one-column
+// product per k-means++ seeding step, a k-column one per Lloyd iteration.
+// The seeding's categorical draws read those distances, so a single changed
+// bit can move a centroid, and with it every later draw. These fingerprints
+// pin the centroids, assignments, iteration count, mean distance and the
+// generator's next raw draw. Release-build bits only: sanitized builds
+// compile the kernels differently.
+#if defined(CALIBRE_SANITIZED_BUILD)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+std::string kmeans_fingerprint(std::int64_t n, std::int64_t dim,
+                               std::uint64_t seed) {
+  rng::Generator data_gen(seed);
+  const Tensor points = Tensor::randn(n, dim, data_gen);
+  rng::Generator gen(seed + 1);
+  const KMeansResult result = kmeans(points, KMeansConfig{}, gen);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint32_t bits) {
+    for (int b = 0; b < 32; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (std::int64_t i = 0; i < result.centroids.size(); ++i) {
+    mix(std::bit_cast<std::uint32_t>(result.centroids.data()[i]));
+  }
+  for (const int a : result.assignments) mix(static_cast<std::uint32_t>(a));
+  std::ostringstream out;
+  out << "hash 0x" << std::hex << hash << std::dec << " iterations "
+      << result.iterations << " mean " << std::hexfloat << result.mean_distance
+      << " next 0x" << std::hex << gen.next_u64();
+  return out.str();
+}
+
+TEST(KMeansGolden, Batch32x64K10) {
+  const std::string got = kmeans_fingerprint(32, 64, 2020);
+  if (kSanitizedBuild) return;
+  EXPECT_EQ(got,
+            "hash 0x71b4a4845c78c3bf iterations 2 mean 0x1.754076p+2 "
+            "next 0xb3375df73539e763");
+}
+
+TEST(KMeansGolden, Shard200x64K10) {
+  const std::string got = kmeans_fingerprint(200, 64, 2021);
+  if (kSanitizedBuild) return;
+  EXPECT_EQ(got,
+            "hash 0x676a4760a43766c8 iterations 8 mean 0x1.e03d0cp+2 "
+            "next 0x86d763c08c718d30");
+}
 
 }  // namespace
 }  // namespace calibre::cluster

@@ -2282,5 +2282,56 @@ TEST(DeriveSeed, DeterministicAndDistinct) {
   EXPECT_EQ(seeds.size(), 100u);
 }
 
+
+// Both personalization heads on fixed features: the linear probe's logits
+// and backward are 10-column products, the prototype head's distances a
+// 10-column pairwise product. Accuracies are pinned as hexfloats so any
+// kernel change that moves a prediction shows up. The classes overlap, so
+// predictions sit near decision boundaries.
+double probe_golden_accuracy(std::int64_t dim, bool linear) {
+  rng::Generator gen(static_cast<std::uint64_t>(7000 + dim));
+  constexpr int kClasses = 10;
+  const Tensor means = Tensor::randn(kClasses, dim, gen);
+  auto draw = [&](std::int64_t rows, Tensor& x, std::vector<int>& y) {
+    x = Tensor::randn(rows, dim, gen);
+    y.resize(static_cast<std::size_t>(rows));
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const int label = static_cast<int>(gen.uniform_index(kClasses));
+      y[static_cast<std::size_t>(i)] = label;
+      for (std::int64_t d = 0; d < dim; ++d) x(i, d) += 0.3f * means(label, d);
+    }
+  };
+  Tensor train;
+  Tensor test;
+  std::vector<int> train_labels;
+  std::vector<int> test_labels;
+  draw(160, train, train_labels);
+  draw(400, test, test_labels);
+  return linear ? linear_probe_accuracy(train, train_labels, test,
+                                        test_labels, kClasses, ProbeConfig{},
+                                        /*seed=*/31)
+                : prototype_probe_accuracy(train, train_labels, test,
+                                           test_labels, kClasses);
+}
+
+std::string probe_golden(std::int64_t dim) {
+  std::ostringstream out;
+  out << std::hexfloat << probe_golden_accuracy(dim, true) << ' '
+      << probe_golden_accuracy(dim, false);
+  return out.str();
+}
+
+TEST(ProbeGolden, Features64) {
+  const std::string got = probe_golden(64);
+  if (kSanitizedBuild) return;
+  EXPECT_EQ(got, "0x1.147ae147ae148p-1 0x1.228f5c28f5c29p-1");
+}
+
+TEST(ProbeGolden, Features256) {
+  const std::string got = probe_golden(256);
+  if (kSanitizedBuild) return;
+  EXPECT_EQ(got, "0x1.ccccccccccccdp-1 0x1.d5c28f5c28f5cp-1");
+}
+
 }  // namespace
 }  // namespace calibre::fl

@@ -355,7 +355,8 @@ TEST(KernelGolden, MatmulNTShapeChecks) {
 // product) or thread computes it. The chain contracts to fmaf in the AVX2
 // and AVX-512 clones and stays a plain multiply-add in the baseline clone.
 // The shapes straddle the panel-packing gate and are ragged in n % 8,
-// m % 32 and m % 16; each runs serial and over the kernel pool.
+// m % 32 and m % 16; the narrow ones (m < 16) take the C^T path, with n
+// ragged in n % 32 and n % 16. Each runs serial and over the kernel pool.
 
 bool kernels_contract_to_fma() {
 #if defined(__FMA__)
@@ -372,7 +373,8 @@ struct BitwiseCase {
   std::int64_t n, k, m;
   std::vector<float> a;       // logical A [n, k]
   std::vector<float> b;       // logical B [k, m]
-  std::vector<float> expect;  // C [n, m]
+  std::vector<float> chain;   // each element's chain from 0 [n, m]
+  std::vector<float> expect;  // C [n, m]: the chains added into zeroed C
 };
 
 // The i, kk, j loop order keeps each element's chain in k order while the
@@ -402,25 +404,36 @@ void chain_mul_add(const BitwiseCase& c, std::vector<float>& acc) {
   }
 }
 
+BitwiseCase make_bitwise_case(std::int64_t n, std::int64_t k, std::int64_t m,
+                              rng::Generator& gen) {
+  BitwiseCase c{n, k, m, {}, {}, {}, {}};
+  c.a.resize(static_cast<std::size_t>(c.n * c.k));
+  c.b.resize(static_cast<std::size_t>(c.k * c.m));
+  for (float& v : c.a) v = static_cast<float>(gen.normal());
+  for (float& v : c.b) v = static_cast<float>(gen.normal());
+  c.chain.assign(static_cast<std::size_t>(c.n * c.m), 0.0f);
+  kernels_contract_to_fma() ? chain_fma(c, c.chain) : chain_mul_add(c, c.chain);
+  c.expect.assign(c.chain.size(), 0.0f);
+  for (std::size_t e = 0; e < c.chain.size(); ++e) c.expect[e] += c.chain[e];
+  return c;
+}
+
 const std::vector<BitwiseCase>& bitwise_cases() {
   static const std::vector<BitwiseCase> cases = [] {
     const std::int64_t shapes[][3] = {
         {32, 1024, 1024}, {96, 1024, 1024}, {33, 1024, 1000}, {64, 2048, 130},
         {7, 48, 1024},    {32, 128, 128},   {256, 512, 512}};
-    const bool fma = kernels_contract_to_fma();
     std::vector<BitwiseCase> out;
     rng::Generator gen(2412);
     for (const auto& s : shapes) {
-      BitwiseCase c{s[0], s[1], s[2], {}, {}, {}};
-      c.a.resize(static_cast<std::size_t>(c.n * c.k));
-      c.b.resize(static_cast<std::size_t>(c.k * c.m));
-      for (float& v : c.a) v = static_cast<float>(gen.normal());
-      for (float& v : c.b) v = static_cast<float>(gen.normal());
-      std::vector<float> acc(static_cast<std::size_t>(c.n * c.m), 0.0f);
-      fma ? chain_fma(c, acc) : chain_mul_add(c, acc);
-      c.expect.assign(acc.size(), 0.0f);
-      for (std::size_t e = 0; e < acc.size(); ++e) c.expect[e] += acc[e];
-      out.push_back(std::move(c));
+      out.push_back(make_bitwise_case(s[0], s[1], s[2], gen));
+    }
+    for (const std::int64_t m : {1, 3, 10, 15}) {
+      for (const std::int64_t n : {1, 7, 32, 33, 200, 2048}) {
+        for (const std::int64_t k : {10, 48, 64, 256}) {
+          out.push_back(make_bitwise_case(n, k, m, gen));
+        }
+      }
     }
     return out;
   }();
@@ -475,6 +488,48 @@ TEST(KernelBitwise, GemmNt) {
 TEST(KernelBitwise, GemmTn) {
   expect_bitwise(true, false, [](const BitwiseCase& c, const float* a,
                                  const float* b, float* out) {
+    kernels::gemm_tn(c.n, c.k, c.m, a, b, out);
+  });
+}
+
+// A narrow output (m < 16) adds each element's chain from 0 into C, as the
+// full register tiles do; it does not run the chain from C's value
+// (tensor/kernels.h). gemm and gemm_tn accept a partial-result C, so pin
+// that rule on one with non-zero, non-integral entries.
+template <typename Kernel>
+void expect_narrow_accumulates(bool transpose_a, const Kernel& kernel) {
+  rng::Generator gen(2413);
+  for (const std::int64_t m : {3, 10}) {
+    const BitwiseCase c = make_bitwise_case(45, 64, m, gen);
+    const std::vector<float> a = transpose_a ? transposed(c.a, c.n, c.k) : c.a;
+    std::vector<float> partial(c.chain.size());
+    for (float& v : partial) v = static_cast<float>(gen.normal());
+    std::vector<float> want = partial;
+    for (std::size_t e = 0; e < want.size(); ++e) want[e] += c.chain[e];
+    for (const std::int64_t threshold : {std::int64_t{-1}, std::int64_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m " << m << (threshold < 0 ? " serial" : " pooled"));
+      kernels::set_parallel_threshold_override(threshold);
+      std::vector<float> out = partial;
+      kernel(c, a.data(), c.b.data(), out.data());
+      kernels::set_parallel_threshold_override(0);
+      EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                            out.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(KernelBitwise, GemmNarrowAddsChainIntoPartialC) {
+  expect_narrow_accumulates(false, [](const BitwiseCase& c, const float* a,
+                                      const float* b, float* out) {
+    kernels::gemm(c.n, c.k, c.m, a, b, out);
+  });
+}
+
+TEST(KernelBitwise, GemmTnNarrowAddsChainIntoPartialC) {
+  expect_narrow_accumulates(true, [](const BitwiseCase& c, const float* a,
+                                     const float* b, float* out) {
     kernels::gemm_tn(c.n, c.k, c.m, a, b, out);
   });
 }
