@@ -8,7 +8,8 @@
 //
 //   1. Bit-identity: the f32 run's final-state hash must equal the constant
 //      captured before the codec work landed — the default path never
-//      drifts.
+//      drifts — and the topk16 and auto runs must hash to their recorded
+//      constants, so error-feedback encoder rewrites stay bit-identical.
 //   2. Compression: topk16 (with error feedback) and int8a must shrink the
 //      folded updates to <= 25% / <= 26% of their f32 wire bytes. (int8a's
 //      floor is 1 byte per coordinate + per-block params ~ 25.8% of f32 —
@@ -41,6 +42,11 @@ using SteadyClock = std::chrono::steady_clock;
 // Final-state hash of the f32 run captured on the pre-codec tree; the
 // compression work must never move the default path off these bits.
 constexpr std::uint64_t kExpectedF32Hash = 0x89149e2ffb0b8859ULL;
+// Final-state hashes of the error-feedback runs (topk16, and auto, which
+// mixes int8a with delta16), captured before the topk16 encoder moved to an
+// in-place radix select: encoder rewrites must keep these bits too.
+constexpr std::uint64_t kExpectedTopK16Hash = 0xe68575b46c93c48bULL;
+constexpr std::uint64_t kExpectedAutoHash = 0xc2d3d247c21009bcULL;
 constexpr double kAccuracyTolerance = 0.005;  // half a probe point
 
 std::uint64_t fnv1a(const std::vector<float>& values) {
@@ -153,6 +159,10 @@ int run(const std::string& out_path) {
   };
   gate(f32.hash == kExpectedF32Hash,
        "f32 final-state hash moved off the pre-codec constant");
+  gate(topk.hash == kExpectedTopK16Hash,
+       "topk16 final-state hash moved off its recorded constant");
+  gate(auto_run.hash == kExpectedAutoHash,
+       "auto final-state hash moved off its recorded constant");
   const auto ratio = [&f32](const CodecRun& run) {
     return static_cast<double>(run.wire) / static_cast<double>(f32.wire);
   };

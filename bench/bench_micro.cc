@@ -24,9 +24,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <span>
 #include <string>
@@ -46,6 +48,7 @@
 #include "data/synthetic.h"
 #include "fl/fed_data.h"
 #include "fl/runner.h"
+#include "fl/update_codec.h"
 #include "flapi/algorithm.h"
 #include "flapi/fixed_accum.h"
 #include "flapi/probe.h"
@@ -56,6 +59,24 @@
 #include "ssl/simclr.h"
 #include "tensor/kernels.h"
 #include "tensor/pool.h"
+
+// Heap bytes requested through the global operator new on this thread, so
+// a bench can report what one call allocates. Every array, nothrow and
+// sized form of new/delete forwards to this replaced pair. noinline keeps
+// callers seeing new/delete pairs rather than new/free.
+thread_local std::uint64_t t_heap_bytes = 0;
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  t_heap_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -898,7 +919,11 @@ void dump_train_step_json(const char* path) {
 //  * codecs: encode/decode throughput of f32 / f16 / delta16 / topk16 /
 //    int8a on an encoder-sized client update, with the round-trip relative
 //    error norm (topk16 at the default 1/16 keep rate);
-//  * per-round bytes by codec at a fixed K, against the f32 baseline.
+//  * per-round bytes by codec at a fixed K, against the f32 baseline;
+//  * ef_encode: one client's steady-state error-feedback topk16 encode
+//    (fl::UpdateEncoder, k = 1/16) at the wide workloads' 1.37M-parameter
+//    encoder, in ms and in heap bytes per encode. The smoke gate fails if
+//    an encode allocates a model-sized buffer.
 
 nn::ModelState bench_model_state() {
   rng::Generator gen(9);
@@ -974,7 +999,49 @@ struct CodecEntry {
   std::uint64_t round_bytes = 0;      // K * (broadcast + update + headers)
 };
 
-void dump_comm_json(const char* path) {
+struct EfEncodeEntry {
+  std::size_t params = 0;
+  std::size_t topk = 0;
+  std::uint64_t wire_bytes = 0;
+  double seconds = 0.0;           // best-of steady-state encode
+  std::uint64_t heap_bytes = 0;   // requested by one steady-state encode
+};
+
+EfEncodeEntry time_ef_encode() {
+  fl::FlConfig config;
+  config.encoder.hidden_dims = {1024, 1024};
+  config.encoder.feature_dim = 256;
+  config.wire_codec = comm::Codec::kTopK16;
+  config.topk_rate = 1.0f / 16.0f;
+  rng::Generator gen(9);
+  nn::MlpEncoder encoder(config.encoder, gen);
+  const nn::ModelState base =
+      nn::ModelState::from_parameters(encoder.parameters());
+  fl::ClientUpdate update;
+  {
+    std::vector<float> values = base.values();
+    for (float& v : values) v += 0.01f * static_cast<float>(gen.normal());
+    update.state = nn::ModelState(std::move(values));
+  }
+  update.weight = 32.0f;
+  update.scalars["divergence"] = 0.25f;
+
+  fl::UpdateEncoder ef(config);
+  EfEncodeEntry entry;
+  entry.params = base.size();
+  entry.topk = ef.topk_for(base.size());
+  // The first encode creates the client's residual buffer; time_best's
+  // warmup call is that first encode, so every timed call is steady state.
+  entry.seconds = time_best(
+      [&] { benchmark::DoNotOptimize(ef.encode(update, &base, 0)); }, 10);
+  const std::uint64_t before = t_heap_bytes;
+  const std::vector<std::uint8_t> bytes = ef.encode(update, &base, 0);
+  entry.heap_bytes = t_heap_bytes - before;
+  entry.wire_bytes = bytes.size();
+  return entry;
+}
+
+bool dump_comm_json(const char* path) {
   const nn::ModelState state = bench_model_state();
   const double state_mb =
       static_cast<double>(state.size()) * sizeof(float) / 1e6;
@@ -1123,8 +1190,35 @@ void dump_comm_json(const char* path) {
         e.decode_seconds > 0.0 ? state_mb / e.decode_seconds : 0.0,
         e.rel_error, static_cast<double>(e.round_bytes) / 1e3, reduction);
   }
-  out << "  ]\n}\n";
+  const EfEncodeEntry ef = time_ef_encode();
+  const std::uint64_t model_bytes = ef.params * sizeof(float);
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "  ],\n  \"ef_encode\": {\"codec\": \"topk16\", "
+                "\"params\": %zu, \"topk\": %zu, \"wire_bytes\": %llu, "
+                "\"ms_per_encode\": %.3f, \"heap_bytes_per_encode\": %llu, "
+                "\"model_bytes\": %llu}\n}\n",
+                ef.params, ef.topk,
+                static_cast<unsigned long long>(ef.wire_bytes),
+                ef.seconds * 1e3,
+                static_cast<unsigned long long>(ef.heap_bytes),
+                static_cast<unsigned long long>(model_bytes));
+  out << buffer;
+  std::printf(
+      "[comm] ef encode topk16 %zu params (k %zu): %.2f ms, %.2f MB heap per "
+      "encode (model %.2f MB)\n",
+      ef.params, ef.topk, ef.seconds * 1e3,
+      static_cast<double>(ef.heap_bytes) / 1e6,
+      static_cast<double>(model_bytes) / 1e6);
   std::printf("[comm] wrote %s\n", path);
+  if (ef.heap_bytes >= model_bytes) {
+    std::fprintf(stderr,
+                 "[comm] FAILED: an error-feedback encode allocated %llu "
+                 "bytes, at least one model-sized buffer\n",
+                 static_cast<unsigned long long>(ef.heap_bytes));
+    return false;
+  }
+  return true;
 }
 
 // --- personalize suite ------------------------------------------------------
@@ -1472,8 +1566,9 @@ int main(int argc, char** argv) {
   if (suite == "all" || suite == "train_step") {
     dump_train_step_json("BENCH_train_step.json");
   }
-  if (suite == "all" || suite == "comm") {
-    dump_comm_json("BENCH_comm.json");
+  if ((suite == "all" || suite == "comm") &&
+      !dump_comm_json("BENCH_comm.json")) {
+    return 1;
   }
   if ((suite == "all" || suite == "personalize") &&
       !dump_personalize_json("BENCH_personalize.json", smoke)) {

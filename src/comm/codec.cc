@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "common/check.h"
 
@@ -20,6 +19,8 @@ namespace {
 typedef float vf32 __attribute__((vector_size(64), aligned(4), may_alias));
 typedef std::uint32_t vu32 __attribute__((vector_size(64), aligned(4),
                                           may_alias));
+typedef std::int32_t vi32 __attribute__((vector_size(64), aligned(4),
+                                         may_alias));  // comparison masks
 typedef std::uint16_t vu16 __attribute__((vector_size(32), aligned(2),
                                           may_alias));
 typedef std::uint8_t vu8 __attribute__((vector_size(16), aligned(1),
@@ -200,6 +201,180 @@ void int8a_block_params(const float* src, std::size_t count, float* zero,
                    : 0.0f;
 }
 
+// Magnitude key of a topk16 delta: its f32 bits without the sign. Integer
+// order on keys is |delta| order for every non-NaN delta, places every NaN
+// above +inf, and ties +0.0 with -0.0, so keys totally order any input.
+inline std::uint32_t magnitude_key(float delta) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &delta, sizeof(bits));
+  return bits & 0x7FFFFFFFu;
+}
+
+// magnitude_key of the 16 deltas values[0..16) - base[0..16).
+inline vu32 magnitude_keys(const float* values, const float* base) {
+  return (vu32)(*(const vf32*)values - *(const vf32*)base) & 0x7FFFFFFFu;
+}
+
+// Lanes of a vector comparison result as a 16-bit mask.
+inline std::uint32_t lane_bits(vi32 mask) {
+  std::uint32_t bits = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) bits |= (mask[l] & 1u) << l;
+  return bits;
+}
+
+// topk16 selection splits each 31-bit key into a 16-bit bucket and a 15-bit
+// offset within it.
+constexpr std::uint32_t kKeyLowBits = 15;
+constexpr std::uint32_t kKeyLowMask = (1u << kKeyLowBits) - 1u;
+
+// Selection pass 1: counts every key's bucket into hist[1 << 16]. Keys are
+// formed a vector group at a time into a small buffer; the increments stay
+// scalar.
+CALIBRE_CODEC_CLONES
+void count_key_buckets(const float* values, const float* base,
+                       std::size_t count, std::uint32_t* hist) {
+  constexpr std::size_t kChunk = 256;
+  alignas(64) std::uint32_t buckets[kChunk];
+  std::size_t i = 0;
+  for (; i + kChunk <= count; i += kChunk) {
+    for (std::size_t c = 0; c < kChunk; c += kLanes) {
+      *(vu32*)(buckets + c) =
+          magnitude_keys(values + i + c, base + i + c) >> kKeyLowBits;
+    }
+    for (const std::uint32_t bucket : buckets) ++hist[bucket];
+  }
+  for (; i < count; ++i) {
+    ++hist[magnitude_key(values[i] - base[i]) >> kKeyLowBits];
+  }
+}
+
+// Selection pass 2: counts the offsets of the keys in bucket `bucket` into
+// hist[1 << 15]. Few keys fall in one bucket, so a vector group with none
+// is skipped whole.
+CALIBRE_CODEC_CLONES
+void count_bucket_offsets(const float* values, const float* base,
+                          std::size_t count, std::uint32_t bucket,
+                          std::uint32_t* hist) {
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const vu32 keys = magnitude_keys(values + i, base + i);
+    std::uint32_t in_bucket = lane_bits((keys >> kKeyLowBits) == bucket);
+    for (; in_bucket != 0; in_bucket &= in_bucket - 1) {
+      ++hist[keys[__builtin_ctz(in_bucket)] & kKeyLowMask];
+    }
+  }
+  for (; i < count; ++i) {
+    const std::uint32_t key = magnitude_key(values[i] - base[i]);
+    if ((key >> kKeyLowBits) == bucket) ++hist[key & kKeyLowMask];
+  }
+}
+
+// Selection pass 3: in ascending index order, keeps every key above
+// `threshold` and the first `ties` keys equal to it, writing their indices
+// and deltas; returns how many it kept. With a non-null `residual` it
+// writes the delta at every dropped index and leaves values[i] at kept
+// ones (for the caller's fix-up), whether or not `residual` aliases
+// `values`. Only vector groups holding a key >= threshold go lane by lane.
+CALIBRE_CODEC_CLONES
+std::size_t emit_top_keys(const float* values, const float* base,
+                          std::size_t count, std::uint32_t threshold,
+                          std::size_t ties, std::uint32_t* indices,
+                          float* kept, float* residual) {
+  std::size_t j = 0;
+  const auto take = [&](std::size_t i, float value, float delta,
+                        std::uint32_t key) {
+    if (key > threshold || (key == threshold && ties > 0)) {
+      if (key == threshold) --ties;
+      indices[j] = static_cast<std::uint32_t>(i);
+      kept[j] = delta;
+      ++j;
+      if (residual != nullptr) residual[i] = value;
+    } else if (residual != nullptr) {
+      residual[i] = delta;
+    }
+  };
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const vf32 v = *(const vf32*)(values + i);
+    const vf32 delta = v - *(const vf32*)(base + i);
+    const vu32 keys = (vu32)delta & 0x7FFFFFFFu;
+    const vi32 candidate = keys >= threshold;
+    if (residual != nullptr) *(vf32*)(residual + i) = candidate ? v : delta;
+    for (std::uint32_t lanes = lane_bits(candidate); lanes != 0;
+         lanes &= lanes - 1) {
+      const int l = __builtin_ctz(lanes);
+      take(i + l, v[l], delta[l], keys[l]);
+    }
+  }
+  for (; i < count; ++i) {
+    const float delta = values[i] - base[i];
+    take(i, values[i], delta, magnitude_key(delta));
+  }
+  return j;
+}
+
+// The topk16 block body (everything after the tag). Keeps the k deltas
+// values[i] - base[i] that come first under the strict order |delta|
+// descending, index ascending on ties — the order that makes the block a
+// pure function of its input.
+//
+// Selection is an exact two-level radix select on the 31-bit keys: a
+// histogram of the top 16 key bits finds the bucket holding the k-th key,
+// and a histogram of the low 15 bits inside that bucket finds the k-th key
+// T itself, plus how many elements tied at T still fit. One ascending pass
+// then keeps every key > T and the lowest-index ties at T, which is the
+// exact order's top-k already in wire (ascending index) order: no sort, no
+// partial sort, no candidate set. Deltas are recomputed in each pass rather
+// than stored, so nothing model-sized is allocated.
+//
+// With a non-null `residual` (which may alias `values`) the emit pass
+// writes the delta at dropped indices, and a fix-up over the kept ones
+// writes values[i] - (base[i] + f16(delta)): values - decode(block), in the
+// exact expression decode_values reconstructs.
+void encode_topk16(Writer& writer, const float* values, const float* base,
+                   std::size_t count, std::size_t topk, float* residual) {
+  CALIBRE_CHECK_MSG(topk <= count && (topk >= 1 || count == 0),
+                    "topk16 k " << topk << " out of [1, " << count << "]");
+  CALIBRE_CHECK_LE(count, std::size_t{0xFFFFFFFFu},
+                   "topk16 indices are u32");
+  std::uint32_t threshold = 0;  // T, the k-th largest key
+  std::size_t ties = 0;         // elements keyed T still kept
+  if (topk > 0) {
+    std::vector<std::uint32_t> hist(std::size_t{1} << 16, 0u);
+    count_key_buckets(values, base, count, hist.data());
+    // Walk down from the largest bucket; `need` ends as the number of
+    // elements the boundary bucket contributes, in [1, hist[bucket]].
+    std::size_t need = topk;
+    std::uint32_t bucket = 0xFFFFu;
+    while (hist[bucket] < need) need -= hist[bucket--];
+    // Second level, reusing the first half of the histogram.
+    std::fill_n(hist.begin(), kKeyLowMask + 1, 0u);
+    count_bucket_offsets(values, base, count, bucket, hist.data());
+    std::uint32_t offset = kKeyLowMask;
+    while (hist[offset] < need) need -= hist[offset--];
+    threshold = (bucket << kKeyLowBits) | offset;
+    ties = need;
+  }
+  std::vector<std::uint32_t> indices(topk);
+  std::vector<float> kept(topk);
+  const std::size_t selected = emit_top_keys(
+      values, base, count, threshold, ties, indices.data(), kept.data(),
+      residual);
+  CALIBRE_CHECK_EQ(selected, topk, "topk16 selection kept the wrong count");
+  std::vector<std::uint16_t> halves(topk);
+  f32_to_f16_block(kept.data(), nullptr, halves.data(), topk);
+  if (residual != nullptr) {
+    for (std::size_t m = 0; m < topk; ++m) {
+      const std::uint32_t i = indices[m];
+      residual[i] = values[i] - (base[i] + f16_to_f32(halves[m]));
+    }
+  }
+  writer.write_u64(count);
+  writer.write_u64(topk);
+  writer.write_u32_array(indices.data(), topk);
+  writer.write_u16_array(halves.data(), topk);
+}
+
 }  // namespace
 
 std::string codec_name(Codec codec) {
@@ -319,7 +494,7 @@ std::size_t encoded_size(Codec codec, std::size_t count, std::size_t topk) {
 
 void encode_values(Writer& writer, const std::vector<float>& values,
                    Codec codec, const float* base, std::size_t base_size,
-                   std::size_t topk) {
+                   std::size_t topk, float* residual) {
   CALIBRE_CHECK_MSG(codec != Codec::kAuto,
                     "codec auto is config-only; resolve it to a concrete "
                     "codec before encoding");
@@ -330,103 +505,30 @@ void encode_values(Writer& writer, const std::vector<float>& values,
     codec = Codec::kF16;
   }
   writer.write_u8(static_cast<std::uint8_t>(codec));
+  const std::size_t count = values.size();
   switch (codec) {
     case Codec::kF32:
       writer.write_f32_vector(values);
+      if (residual != nullptr) std::fill_n(residual, count, 0.0f);
       return;
-    case Codec::kF16: {
-      std::vector<std::uint16_t> halves(values.size());
-      f32_to_f16_block(values.data(), nullptr, halves.data(), values.size());
-      writer.write_u16_vector(halves);
-      return;
-    }
+    case Codec::kF16:
     case Codec::kDelta16: {
-      std::vector<std::uint16_t> halves(values.size());
-      f32_to_f16_block(values.data(), base, halves.data(), values.size());
+      const float* ref = codec == Codec::kDelta16 ? base : nullptr;
+      std::vector<std::uint16_t> halves(count);
+      f32_to_f16_block(values.data(), ref, halves.data(), count);
       writer.write_u16_vector(halves);
-      return;
-    }
-    case Codec::kTopK16: {
-      const std::size_t count = values.size();
-      CALIBRE_CHECK_MSG(topk <= count && (topk >= 1 || count == 0),
-                        "topk16 k " << topk << " out of [1, " << count << "]");
-      std::vector<float> deltas(count);
-      std::vector<std::uint32_t> mags(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        deltas[i] = values[i] - base[i];
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &deltas[i], sizeof(bits));
-        mags[i] = bits & 0x7FFFFFFFu;
-      }
-      // Select the k largest-magnitude deltas under a strict total order
-      // (|delta| descending, index ascending on ties) so the selection is
-      // deterministic. Magnitudes compare as their integer bit patterns —
-      // monotone with |float| and well-ordered even for NaN deltas.
-      //
-      // Sampled-threshold pre-pass: estimate the k-th largest magnitude
-      // from a fixed-stride sample and keep only candidates at or above
-      // it, so nth_element runs over a few-times-k candidate set instead
-      // of the whole tensor. The filter is by magnitude alone, so whenever
-      // >= k candidates survive the set provably contains the exact top-k
-      // (the k-th largest magnitude is >= the threshold) including every
-      // element tied with the k-th — the selection below stays
-      // bit-identical to the unfiltered path. If the sample overshoots
-      // (< k survivors), fall back to threshold 0, which keeps everything.
-      std::uint32_t floor_mag = 0;
-      if (count >= 4096 && topk * 4 <= count) {
-        constexpr std::size_t kSampleCap = 2048;
-        const std::size_t stride =
-            count > kSampleCap ? count / kSampleCap : 1;
-        std::vector<std::uint32_t> sample;
-        sample.reserve(count / stride + 1);
-        for (std::size_t i = 0; i < count; i += stride) {
-          sample.push_back(mags[i]);
-        }
-        // Aim at twice the proportional rank so the candidate set lands
-        // near 2k elements; rank 0 (the sample max) would filter too hard.
-        std::size_t rank = (2 * topk * sample.size()) / count;
-        if (rank >= sample.size()) rank = sample.size() - 1;
-        std::nth_element(sample.begin(),
-                         sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                         sample.end(),
-                         [](std::uint32_t a, std::uint32_t b) {
-                           return a > b;
-                         });
-        floor_mag = sample[rank];
-      }
-      std::vector<std::uint32_t> indices;
-      indices.reserve(floor_mag != 0 ? std::min(count, topk * 4) : count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (mags[i] >= floor_mag) {
-          indices.push_back(static_cast<std::uint32_t>(i));
+      if (residual != nullptr) {
+        for (std::size_t i = 0; i < count; ++i) {
+          const float half = f16_to_f32(halves[i]);
+          residual[i] = values[i] - (ref != nullptr ? ref[i] + half : half);
         }
       }
-      if (indices.size() < topk) {  // overshoot: take the unfiltered path
-        indices.resize(count);
-        std::iota(indices.begin(), indices.end(), 0u);
-      }
-      std::nth_element(indices.begin(),
-                       indices.begin() + static_cast<std::ptrdiff_t>(topk),
-                       indices.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         const std::uint32_t ma = mags[a];
-                         const std::uint32_t mb = mags[b];
-                         return ma != mb ? ma > mb : a < b;
-                       });
-      indices.resize(topk);
-      std::sort(indices.begin(), indices.end());  // wire order: ascending
-      std::vector<float> selected(topk);
-      for (std::size_t j = 0; j < topk; ++j) selected[j] = deltas[indices[j]];
-      std::vector<std::uint16_t> halves(topk);
-      f32_to_f16_block(selected.data(), nullptr, halves.data(), topk);
-      writer.write_u64(count);
-      writer.write_u64(topk);
-      writer.write_u32_array(indices.data(), topk);
-      writer.write_u16_array(halves.data(), topk);
       return;
     }
+    case Codec::kTopK16:
+      encode_topk16(writer, values.data(), base, count, topk, residual);
+      return;
     case Codec::kInt8A: {
-      const std::size_t count = values.size();
       const std::size_t blocks =
           (count + kInt8BlockSize - 1) / kInt8BlockSize;
       writer.write_u64(count);
@@ -443,6 +545,12 @@ void encode_values(Writer& writer, const std::vector<float>& values,
                              quants.data() + begin, len);
         writer.write_f32(zeros[b]);
         writer.write_f32(scales[b]);
+        if (residual != nullptr) {
+          for (std::size_t i = begin; i < begin + len; ++i) {
+            residual[i] =
+                values[i] - int8a_dequantize(quants[i], zeros[b], scales[b]);
+          }
+        }
       }
       writer.write_u8_array(quants.data(), count);
       return;

@@ -95,11 +95,20 @@ std::size_t encoded_size(Codec codec, std::size_t count, std::size_t topk = 0);
 // `base_size == values.size()`; without a usable reference they degrade to a
 // plain f16 block (the tag on the wire says which was written, so decoding
 // stays unambiguous). topk16 additionally requires `topk` in [1, count] —
-// the number of largest-|value - base| coordinates shipped. f32/f16/int8a
-// ignore `base`; kAuto is config-only and CHECK-fails here.
+// the number of largest-|value - base| coordinates shipped, selected under
+// |value - base| descending, index ascending on ties (an exact radix select,
+// see codec.cc). f32/f16/int8a ignore `base`; kAuto is config-only and
+// CHECK-fails here.
+//
+// With a non-null `residual` (values.size() floats, which may alias
+// values.data()) the encoder also writes the error-feedback residual
+// values - decode_values(block), bit-identical to decoding the block and
+// subtracting, without materializing the decode. f32 round-trips exactly
+// and writes zeros.
 void encode_values(Writer& writer, const std::vector<float>& values,
                    Codec codec, const float* base = nullptr,
-                   std::size_t base_size = 0, std::size_t topk = 0);
+                   std::size_t base_size = 0, std::size_t topk = 0,
+                   float* residual = nullptr);
 
 // Reads one codec block, dispatching on its tag. delta16/topk16 blocks
 // require the same reference the encoder used (CHECK-fails otherwise).

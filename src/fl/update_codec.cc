@@ -215,39 +215,39 @@ std::vector<std::uint8_t> UpdateEncoder::encode(const ClientUpdate& update,
     return bytes;
   }
 
-  const std::size_t n = update.state.size();
-  ClientUpdate carried = update;
-  carry_.visit(client_id, [&](const std::vector<float>& residual) {
-    if (residual.size() != n) return;  // absent-or-stale: nothing to carry
-    std::vector<float>& values = carried.state.values();
-    for (std::size_t i = 0; i < n; ++i) values[i] += residual[i];
-  });
+  // Take this client's residual buffer out of the store. While it is out
+  // this call owns it alone; it becomes the carried update, then — written
+  // over in place by the encoder — the next residual, and goes back in.
+  ClientUpdate carried;
+  std::vector<float>& values = carried.state.values();
+  carry_.mutate(client_id,
+                [&](std::vector<float>& stored) { values.swap(stored); });
+  const std::vector<float>& raw = update.state.values();
+  const std::size_t n = raw.size();
+  if (values.size() == n) {
+    for (std::size_t i = 0; i < n; ++i) values[i] = raw[i] + values[i];
+  } else {
+    // Absent, stale, or the exactly-zero sentinel: nothing to carry. A copy
+    // rather than raw + 0.0f, so a -0.0 coordinate keeps its sign.
+    values.assign(raw.begin(), raw.end());
+  }
+  carried.weight = update.weight;
+  carried.scalars = update.scalars;
 
   const float* base_values =
       base != nullptr && base->size() == n ? base->values().data() : nullptr;
   const std::size_t topk = topk_for(n);
   const comm::Codec codec =
-      configured == comm::Codec::kAuto
-          ? choose(carried.state.values(), base_values, topk)
-          : comm::Codec::kTopK16;
-  std::vector<std::uint8_t> bytes = serialize_update(carried, codec, base,
-                                                     topk);
-  const comm::Codec actual = peek_update_codec(bytes);
-  if (chosen != nullptr) *chosen = actual;
-  if (actual == comm::Codec::kF32) {
-    // Lossless round trip: the residual is exactly zero. Store the empty
-    // sentinel rather than an O(model) zero vector.
-    carry_.put(client_id, {});
-  } else {
-    // New residual: what the encoder was given minus what the server will
-    // decode from these exact bytes.
-    const ClientUpdate echoed = deserialize_update(bytes, base);
-    std::vector<float> residual(n);
-    const std::vector<float>& c = carried.state.values();
-    const std::vector<float>& d = echoed.state.values();
-    for (std::size_t i = 0; i < n; ++i) residual[i] = c[i] - d[i];
-    carry_.put(client_id, std::move(residual));
-  }
+      configured == comm::Codec::kAuto ? choose(values, base_values, topk)
+                                       : comm::Codec::kTopK16;
+  // A lossless f32 round trip leaves an exactly-zero residual, stored as the
+  // empty sentinel rather than an O(model) zero vector. Every other codec
+  // rewrites `values` as carried - decode(bytes) while encoding.
+  const bool lossless = codec == comm::Codec::kF32;
+  std::vector<std::uint8_t> bytes = serialize_update(
+      carried, codec, base, topk, lossless ? nullptr : values.data());
+  if (chosen != nullptr) *chosen = peek_update_codec(bytes);
+  carry_.put(client_id, lossless ? std::vector<float>{} : std::move(values));
   return bytes;
 }
 

@@ -14,6 +14,13 @@
 // configs (kTopK16, kAuto); f32/f16/delta16 pass through untouched, keeping
 // those paths bitwise identical to pre-EF builds.
 //
+// The residual is one buffer per client, reused in place: an encode takes
+// it out of the store, adds the update into it (carried), lets the codec
+// overwrite it with carried - decode(bytes) while writing the bytes (no
+// decode is materialized), and puts it back. At steady state an update
+// allocates only its wire bytes and the codec's own scratch (for topk16,
+// k-sized index and half arrays) — nothing model-sized.
+//
 // The chooser (wire_codec = kAuto) picks, per update, the cheapest codec
 // whose exact relative-L2 reconstruction error fits codec_error_budget.
 // Candidates are tried in ascending encoded size (topk16, int8a, delta16,
@@ -26,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "algos/client_store.h"
@@ -50,7 +58,16 @@ class UpdateEncoder {
   // in first, the concrete codec is fixed (configured k) or chosen (error
   // budget), and the new residual is stored back for this client's next
   // round. `chosen` (optional) receives the concrete codec tag written.
-  // Thread-safe for distinct client ids (the runner's only concurrency).
+  //
+  // Thread-safe for any client ids. Distinct ids never interact. Two
+  // concurrent encodes of the *same* id also happen: in a sync run with a
+  // round deadline, a straggler can be re-sampled while its previous request
+  // is still in flight. They never share the buffer — the encode that finds
+  // it taken carries no residual — so both payloads are valid encodings of
+  // what each carried, and the store ends holding a correctly sized residual:
+  // the one stored last, which replaces the other's. That loses the other
+  // encode's dropped mass; such runs are timing-dependent anyway, since the
+  // runner discards the straggler's late reply.
   std::vector<std::uint8_t> encode(const ClientUpdate& update,
                                    const nn::ModelState* base, int client_id,
                                    comm::Codec* chosen = nullptr);
@@ -66,6 +83,9 @@ class UpdateEncoder {
   // Test hooks into the error-feedback state.
   bool has_residual(int client_id) const { return carry_.contains(client_id); }
   double residual_norm(int client_id) const;
+  std::optional<std::vector<float>> residual(int client_id) const {
+    return carry_.get(client_id);
+  }
 
  private:
   comm::Codec choose(const std::vector<float>& values, const float* base,

@@ -1,5 +1,6 @@
 #include "flapi/algorithm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -26,7 +27,8 @@ std::size_t scalar_map_wire_size(const std::map<std::string, float>& scalars) {
 std::vector<std::uint8_t> serialize_update(const ClientUpdate& update,
                                            comm::Codec codec,
                                            const nn::ModelState* base,
-                                           std::size_t topk) {
+                                           std::size_t topk,
+                                           float* residual) {
   const std::size_t tail =
       sizeof(update.weight) + scalar_map_wire_size(update.scalars);
   if (codec == comm::Codec::kF32) {
@@ -36,6 +38,9 @@ std::vector<std::uint8_t> serialize_update(const ClientUpdate& update,
     writer.write_f32_vector(update.state.values());
     writer.write_f32(update.weight);
     writer.write_scalar_map(update.scalars);
+    if (residual != nullptr) {
+      std::fill_n(residual, update.state.size(), 0.0f);  // exact round trip
+    }
     return writer.take();
   }
   comm::Writer writer(
@@ -44,7 +49,7 @@ std::vector<std::uint8_t> serialize_update(const ClientUpdate& update,
   writer.write_u32(kUpdateCodecMagic);
   comm::encode_values(writer, update.state.values(), codec,
                       base != nullptr ? base->values().data() : nullptr,
-                      base != nullptr ? base->size() : 0, topk);
+                      base != nullptr ? base->size() : 0, topk, residual);
   writer.write_f32(update.weight);
   writer.write_scalar_map(update.scalars);
   return writer.take();

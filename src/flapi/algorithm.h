@@ -47,9 +47,14 @@ struct ClientUpdate {
 // both layouts by peeking the leading u32: a legacy payload starts with the
 // low half of a u64 element count, which would have to exceed 3.3e9 elements
 // to collide with the magic — far past what the count validation admits.
+// `residual` (optional, update.state.size() floats, may alias the state's
+// storage) receives state - decode(payload state), as comm::encode_values
+// documents; the error-feedback encoder (fl/update_codec.h) passes its
+// carried state here to turn it into the next residual in place.
 std::vector<std::uint8_t> serialize_update(
     const ClientUpdate& update, comm::Codec codec = comm::Codec::kF32,
-    const nn::ModelState* base = nullptr, std::size_t topk = 0);
+    const nn::ModelState* base = nullptr, std::size_t topk = 0,
+    float* residual = nullptr);
 ClientUpdate deserialize_update(const std::vector<std::uint8_t>& bytes,
                                 const nn::ModelState* base = nullptr);
 

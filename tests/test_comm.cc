@@ -788,11 +788,11 @@ TEST(Codec, TopK16EncodingIsDeterministicUnderTies) {
 }
 
 TEST(Codec, TopK16SampledThresholdSelectionStaysExact) {
-  // The encoder's sampled-threshold pre-pass (engaged at count >= 4096,
-  // k*4 <= count) must select the exact same index set as a brute-force
-  // sort under the documented total order (|delta| desc, index asc on
-  // ties). Heavy ties around the k-th magnitude are the hard case: the
-  // threshold filter keeps every tied element, the index tiebreak picks.
+  // The encoder's radix select must pick the exact same index set as a
+  // brute-force sort under the documented total order (|delta| desc, index
+  // asc on ties) at a size past the old sampled-threshold cutoff (count >=
+  // 4096). Heavy ties around the k-th magnitude are the hard case: every
+  // tied element shares the threshold key, the index tiebreak picks.
   const std::size_t count = 8192;
   std::vector<float> base(count, 0.0f);
   std::vector<float> values = random_values(count, 91, 1e-3f);
@@ -825,6 +825,162 @@ TEST(Codec, TopK16SampledThresholdSelectionStaysExact) {
     expected.resize(k);
     std::sort(expected.begin(), expected.end());  // wire order: ascending
     EXPECT_EQ(got, expected) << "k=" << k;
+  }
+}
+
+std::vector<std::uint32_t> float_bits(const float* values, std::size_t count) {
+  std::vector<std::uint32_t> bits(count);
+  std::memcpy(bits.data(), values, count * sizeof(float));
+  return bits;
+}
+
+// Values against a base whose deltas cover every selection hazard: a small
+// random background, heavy bands of exactly tied magnitudes (of both signs,
+// against non-zero bases), +-0.0, subnormals, +-inf and NaNs of both signs.
+void hazard_inputs(std::size_t count, std::uint64_t seed,
+                   std::vector<float>* values, std::vector<float>* base) {
+  rng::Generator gen(seed);
+  const float kBases[] = {0.0f, 1.0f, -2.0f, 0.5f};
+  const float kTies[] = {0.25f, -0.25f, 0.125f};
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  values->resize(count);
+  base->resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    float b = kBases[gen.uniform_index(4)];
+    float v = b + static_cast<float>(gen.normal()) * 1e-2f;
+    switch (gen.uniform_index(12)) {
+      case 0: case 1: case 2:  // tie bands
+        v = b + kTies[gen.uniform_index(3)];
+        break;
+      case 3:
+        v = b;  // +0.0 delta
+        break;
+      case 4:
+        b = 0.0f;
+        v = -0.0f;  // -0.0 delta
+        break;
+      case 5:
+        b = 0.0f;
+        v = (gen.uniform_index(2) ? 1.0f : -1.0f) * denorm *
+            static_cast<float>(1 + gen.uniform_index(3));
+        break;
+      case 6:
+        if (gen.uniform_index(8) == 0) v = gen.uniform_index(2) ? inf : -inf;
+        break;
+      case 7:
+        if (gen.uniform_index(8) == 0) v = gen.uniform_index(2) ? nan : -nan;
+        break;
+      default:
+        break;  // background
+    }
+    (*values)[i] = v;
+    (*base)[i] = b;
+  }
+}
+
+TEST(Codec, TopK16SelectionMatchesSortReference) {
+  // Property: for any input, topk16 keeps exactly the first k indices of
+  // the full sort under (magnitude key desc, index asc), ships them in
+  // ascending order with f16(delta) payloads, and its residual output is
+  // values - decode(block), bit for bit.
+  for (const std::size_t count :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4095}, std::size_t{4096},
+        std::size_t{70001}}) {
+    for (const std::uint64_t seed : {101u, 202u, 303u}) {
+      std::vector<float> values;
+      std::vector<float> base;
+      hazard_inputs(count, seed + count, &values, &base);
+      std::vector<float> deltas(count);
+      std::vector<std::uint32_t> keys(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        deltas[i] = values[i] - base[i];
+        std::memcpy(&keys[i], &deltas[i], sizeof(float));
+        keys[i] &= 0x7FFFFFFFu;
+      }
+      std::vector<std::uint32_t> order(count);
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return keys[a] != keys[b] ? keys[a] > keys[b] : a < b;
+                });
+      std::set<std::size_t> ks;
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{2}, count / 16, count - 1, count}) {
+        if (k >= 1 && k <= count) ks.insert(k);
+      }
+      for (const std::size_t k : ks) {
+        SCOPED_TRACE(testing::Message()
+                     << "count=" << count << " seed=" << seed << " k=" << k);
+        std::vector<std::uint32_t> expected(order.begin(),
+                                            order.begin() + k);
+        std::sort(expected.begin(), expected.end());
+        std::vector<std::uint16_t> expected_halves(k);
+        for (std::size_t j = 0; j < k; ++j) {
+          expected_halves[j] = f32_to_f16(deltas[expected[j]]);
+        }
+
+        std::vector<float> residual = values;  // aliased in-place output
+        Writer writer;
+        encode_values(writer, residual, Codec::kTopK16, base.data(),
+                      base.size(), k, residual.data());
+        const auto bytes = writer.take();
+        ASSERT_EQ(bytes.size(), encoded_size(Codec::kTopK16, count, k));
+        Reader reader(bytes);
+        ASSERT_EQ(reader.read_u8(), 0x04);
+        ASSERT_EQ(reader.read_u64(), count);
+        ASSERT_EQ(reader.read_u64(), k);
+        EXPECT_EQ(reader.read_u32_array(k), expected);
+        EXPECT_EQ(reader.read_u16_array(k), expected_halves);
+
+        Reader echo(bytes);
+        const std::vector<float> decoded =
+            decode_values(echo, base.data(), base.size());
+        std::vector<float> reference(count);
+        for (std::size_t i = 0; i < count; ++i) {
+          reference[i] = values[i] - decoded[i];
+        }
+        EXPECT_EQ(float_bits(residual.data(), count),
+                  float_bits(reference.data(), count));
+      }
+    }
+  }
+}
+
+TEST(Codec, ResidualOutputEqualsValuesMinusDecode) {
+  // Every codec's residual output, aliased onto its input or not, is the
+  // bitwise difference between the input and what the block decodes to.
+  std::vector<float> values;
+  std::vector<float> base;
+  hazard_inputs(1031, 77, &values, &base);
+  const std::size_t n = values.size();
+  for (const Codec codec : {Codec::kF32, Codec::kF16, Codec::kDelta16,
+                            Codec::kTopK16, Codec::kInt8A}) {
+    for (const bool with_base : {true, false}) {
+      SCOPED_TRACE(testing::Message() << codec_name(codec)
+                                      << (with_base ? "" : " (no base)"));
+      const float* ref = with_base ? base.data() : nullptr;
+      const std::size_t ref_size = with_base ? n : 0;
+      std::vector<float> separate(n, 7.0f);
+      Writer a;
+      encode_values(a, values, codec, ref, ref_size, n / 16,
+                    separate.data());
+      std::vector<float> aliased = values;
+      Writer b;
+      encode_values(b, aliased, codec, ref, ref_size, n / 16,
+                    aliased.data());
+      const auto bytes = a.take();
+      EXPECT_EQ(bytes, b.take());
+      Reader reader(bytes);
+      const std::vector<float> decoded = decode_values(reader, ref, ref_size);
+      std::vector<float> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] = codec == Codec::kF32 ? 0.0f : values[i] - decoded[i];
+      }
+      EXPECT_EQ(float_bits(separate.data(), n), float_bits(expected.data(), n));
+      EXPECT_EQ(float_bits(aliased.data(), n), float_bits(expected.data(), n));
+    }
   }
 }
 

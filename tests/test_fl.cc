@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -842,6 +843,212 @@ TEST(UpdateCodecEF, EncoderIsDeterministicAcrossInstances) {
   EXPECT_EQ(a.encode(update, &base, 2, &chosen_a),
             b.encode(update, &base, 2, &chosen_b));
   EXPECT_EQ(chosen_a, chosen_b);
+}
+
+std::vector<std::uint32_t> bit_pattern(const std::vector<float>& values) {
+  std::vector<std::uint32_t> bits(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint32_t>(values[i]);
+  }
+  return bits;
+}
+
+// The error-feedback encoder written as a composition of the public wire
+// helpers: carried = update + r (a copy when r is absent or stale), then
+// serialize_update, then r' = carried - deserialize_update(bytes) — empty
+// after a lossless f32 payload. UpdateEncoder must match it bit for bit.
+class ReferenceEncoder {
+ public:
+  std::vector<std::uint8_t> encode(const ClientUpdate& update,
+                                   const nn::ModelState* base, int client_id,
+                                   comm::Codec codec, std::size_t topk) {
+    ClientUpdate carried = update;
+    std::vector<float>& c = carried.state.values();
+    const auto it = carry_.find(client_id);
+    if (it != carry_.end() && it->second.size() == c.size()) {
+      for (std::size_t i = 0; i < c.size(); ++i) c[i] += it->second[i];
+    }
+    std::vector<std::uint8_t> bytes =
+        serialize_update(carried, codec, base, topk);
+    std::vector<float> next;
+    if (peek_update_codec(bytes) != comm::Codec::kF32) {
+      const ClientUpdate echoed = deserialize_update(bytes, base);
+      next.resize(c.size());
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        next[i] = c[i] - echoed.state.values()[i];
+      }
+    }
+    carry_[client_id] = std::move(next);
+    return bytes;
+  }
+  const std::vector<float>& residual(int client_id) const {
+    return carry_.at(client_id);
+  }
+
+ private:
+  std::map<int, std::vector<float>> carry_;
+};
+
+// Client `client`'s update in `round`: the base plus a seeded drift whose
+// shape depends on the client (client 0 spiky, 1 dense, 2 tied bands), so
+// the auto chooser meets different codecs.
+ClientUpdate drifted_update(const nn::ModelState& base, int client,
+                            int round) {
+  rng::Generator gen(static_cast<std::uint64_t>(1000 * client + round + 1));
+  std::vector<float> values = base.values();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    float drift = static_cast<float>(gen.normal()) * 1e-3f;
+    if (client == 0 && i % 16 == 0) drift += 0.5f;
+    if (client == 1) drift *= 40.0f;
+    if (client == 2 && i % 7 == 0) drift = (i % 14 == 0) ? 0.25f : -0.25f;
+    values[i] += drift;
+  }
+  ClientUpdate update;
+  update.state = nn::ModelState(std::move(values));
+  update.weight = static_cast<float>(10 + client);
+  update.scalars["divergence"] = 0.125f * static_cast<float>(round);
+  return update;
+}
+
+TEST(UpdateCodecEF, InPlaceEncoderMatchesReferenceComposition) {
+  const std::size_t n = 4099;
+  std::vector<float> base_values(n);
+  {
+    rng::Generator gen(17);
+    for (std::size_t i = 0; i < n; ++i) {
+      base_values[i] = i % 5 == 0 ? 0.0f : static_cast<float>(gen.normal());
+    }
+  }
+  const nn::ModelState base(base_values);
+  std::vector<float> wide_values = base_values;
+  wide_values.resize(n + 3, 0.5f);
+  const nn::ModelState wide_base(wide_values);
+
+  for (const comm::Codec configured :
+       {comm::Codec::kTopK16, comm::Codec::kAuto}) {
+    SCOPED_TRACE(comm::codec_name(configured));
+    FlConfig config = toy_config(3);
+    config.wire_codec = configured;
+    config.topk_rate = 1.0f / 16.0f;
+    config.codec_error_budget = 0.05f;
+    UpdateEncoder encoder(config);
+    ReferenceEncoder reference;
+    std::set<comm::Codec> seen;
+    for (int round = 0; round < 6; ++round) {
+      for (int client = 0; client < 3; ++client) {
+        // Re-selection gap: client 2 sits out rounds 1 and 2.
+        if (client == 2 && (round == 1 || round == 2)) continue;
+        SCOPED_TRACE(testing::Message()
+                     << "round " << round << " client " << client);
+        ClientUpdate update = drifted_update(base, client, round);
+        const nn::ModelState* update_base = &base;
+        if (round == 0 && client == 0) {
+          // A first update holding -0.0 against the +0.0 base coordinates:
+          // with no residual yet, the carried copy must keep the sign.
+          for (std::size_t i = 0; i < n; i += 5) {
+            update.state.values()[i] = -0.0f;
+          }
+        }
+        if (round == 3 && client == 1) {
+          // One update of another dimension leaves a residual that is
+          // stale for every later round and must be ignored.
+          update.state.values().resize(n + 3, 0.75f);
+          update_base = &wide_base;
+        }
+        comm::Codec chosen = comm::Codec::kAuto;
+        const std::vector<std::uint8_t> bytes =
+            encoder.encode(update, update_base, client, &chosen);
+        seen.insert(chosen);
+        const std::vector<std::uint8_t> expected = reference.encode(
+            update, update_base, client, chosen,
+            encoder.topk_for(update.state.size()));
+        EXPECT_EQ(bytes, expected);
+        const std::optional<std::vector<float>> residual =
+            encoder.residual(client);
+        ASSERT_TRUE(residual.has_value());
+        EXPECT_EQ(bit_pattern(*residual),
+                  bit_pattern(reference.residual(client)));
+      }
+    }
+    EXPECT_TRUE(seen.count(comm::Codec::kTopK16)) << "topk16 never encoded";
+    if (configured == comm::Codec::kAuto) {
+      EXPECT_GE(seen.size(), 2u) << "auto chose one codec throughout";
+    }
+  }
+}
+
+TEST(UpdateCodecEF, ConcurrentEncodesMatchSerialAndSameIdIsRaceFree) {
+  FlConfig config = toy_config(3);
+  config.wire_codec = comm::Codec::kTopK16;
+  config.topk_rate = 1.0f / 16.0f;
+  const std::size_t n = 2048;
+  std::vector<float> base_values(n);
+  rng::Generator gen(23);
+  for (float& v : base_values) v = static_cast<float>(gen.normal());
+  const nn::ModelState base(base_values);
+  constexpr int kClients = 3;
+  constexpr int kRounds = 4;
+
+  // Serial run: every client's rounds in order, one thread.
+  UpdateEncoder serial(config);
+  std::vector<std::vector<std::vector<std::uint8_t>>> serial_bytes(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    for (int r = 0; r < kRounds; ++r) {
+      serial_bytes[c].push_back(
+          serial.encode(drifted_update(base, c, r), &base, c));
+    }
+  }
+
+  // Three threads, one client id each, sharing one encoder.
+  UpdateEncoder shared(config);
+  std::vector<std::vector<std::vector<std::uint8_t>>> threaded_bytes(
+      kClients);
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        threaded_bytes[c].push_back(
+            shared.encode(drifted_update(base, c, r), &base, c));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(threaded_bytes[c], serial_bytes[c]) << "client " << c;
+    EXPECT_EQ(bit_pattern(*shared.residual(c)),
+              bit_pattern(*serial.residual(c)))
+        << "client " << c;
+  }
+
+  // Two threads encoding the same id at once (a deadline straggler
+  // re-sampled while its old request is in flight): no shared buffer, valid
+  // payloads, and a correctly sized residual at the end.
+  constexpr int kSameId = 9;
+  shared.encode(drifted_update(base, 0, 0), &base, kSameId);
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::uint8_t>> same_id_bytes[2];
+  std::vector<std::thread> racers;
+  for (int t = 0; t < 2; ++t) {
+    racers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      for (int r = 0; r < 8; ++r) {
+        same_id_bytes[t].push_back(
+            shared.encode(drifted_update(base, t, r), &base, kSameId));
+      }
+    });
+  }
+  for (std::thread& racer : racers) racer.join();
+  for (const auto& per_thread : same_id_bytes) {
+    for (const std::vector<std::uint8_t>& bytes : per_thread) {
+      EXPECT_EQ(bytes.size(), serial_bytes[0][0].size());
+      EXPECT_EQ(deserialize_update(bytes, &base).state.size(), n);
+    }
+  }
+  const std::optional<std::vector<float>> residual =
+      shared.residual(kSameId);
+  ASSERT_TRUE(residual.has_value());
+  EXPECT_EQ(residual->size(), n);
 }
 
 TEST(UpdateCodecEF, AutoRunIsBitIdenticalAcrossThreadCounts) {
