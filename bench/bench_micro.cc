@@ -12,9 +12,9 @@
 // --benchmark_filter=NONE to get just the JSON dump.
 //
 // --suite personalize times the personalization stage of bench_e2e's wide
-// workloads as one sweep against per-client sweeps of one and writes
-// BENCH_personalize.json; with --smoke it runs a tiny shape and only
-// checks that the two groupings give identical accuracies.
+// workloads as one sweep against per-client encodes (calls without a
+// sweep) and writes BENCH_personalize.json; with --smoke it runs a tiny
+// shape and only checks that the two give identical accuracies.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -1226,13 +1226,13 @@ bool dump_comm_json(const char* path) {
 // The personalization stage of bench_e2e's wide workloads: pFL-SimCLR on the
 // 48-1024-1024-256 encoder, 128 + 48 clients of 32 train and 64 test rows
 // (Dirichlet 0.3 over the cifar10 preset), three device threads. It runs
-// twice over one state: as one sweep, where core::PflSsl encodes each
-// distinct row once into its feature table, and as per-client sweeps of
-// one, where every client encodes its own rows as the stage did before the
-// table. The two must give identical accuracies.
+// twice over one state: as one sweep, whose distinct rows fit the budget,
+// so core::PflSsl encodes each of them once into its feature table, and
+// through bench::WithoutSweep, where every client encodes its own rows.
+// The two must give identical accuracies.
 //
 // It then splits the sweep's work in two and times each part on its own:
-// the block encode (every distinct row once, in the table's 64-row slices)
+// the table encode (every distinct row once, in the table's 64-row slices)
 // and the per-client gather and linear probe (with the stage's seeds, so
 // the accuracies must again be identical).
 
@@ -1462,16 +1462,16 @@ bool dump_personalize_json(const char* path, bool smoke) {
   const bool identical =
       groupings[0].accuracy_bits == groupings[1].accuracy_bits &&
       split_identical;
-  // The sweep was one block exactly when the table's peak held every
-  // distinct row; then those are the rows it encoded.
-  const bool one_block =
+  // The sweep was tabled when the table's peak held every distinct row;
+  // then those are the rows it encoded, else every client encoded its own.
+  const bool tabled =
       algorithm.peak_table_floats() ==
       rows_distinct * static_cast<std::size_t>(shape.feature_dim);
   std::printf(
       "[personalize] %zu clients, %zu rows referenced, %zu distinct (%s), "
       "accuracies %s, split %s\n",
       fed.train_indices.size(), rows_referenced, rows_distinct,
-      one_block ? "one block" : "several blocks",
+      tabled ? "tabled" : "not tabled",
       groupings[0].accuracy_bits == groupings[1].accuracy_bits ? "identical"
                                                                : "DIFFER",
       split_identical ? "identical" : "DIFFERS");
@@ -1487,7 +1487,7 @@ bool dump_personalize_json(const char* path, bool smoke) {
       << "  \"clients\": " << fed.train_indices.size()
       << ",\n  \"rows_referenced\": " << rows_referenced
       << ",\n  \"rows_distinct\": " << rows_distinct
-      << ",\n  \"one_block\": " << (one_block ? "true" : "false")
+      << ",\n  \"tabled\": " << (tabled ? "true" : "false")
       << ",\n  \"table_peak_floats\": " << algorithm.peak_table_floats()
       << ",\n  \"trials\": " << shape.trials
       << ",\n  \"accuracies_identical\": " << (identical ? "true" : "false")
@@ -1496,9 +1496,8 @@ bool dump_personalize_json(const char* path, bool smoke) {
     const Grouping& g = groupings[i];
     const Spread wall = spread_of(g.wall_s);
     const Spread cpu = spread_of(g.cpu_s);
-    const std::string rows_encoded =
-        i == 1 ? std::to_string(rows_referenced)
-               : (one_block ? std::to_string(rows_distinct) : "null");
+    const std::size_t rows_encoded =
+        i == 0 && tabled ? rows_distinct : rows_referenced;
     out << "    {\"grouping\": \"" << g.name
         << "\", \"rows_encoded\": " << rows_encoded
         << ",\n     \"stage_wall_s\": " << spread_json(wall)

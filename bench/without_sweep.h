@@ -1,9 +1,9 @@
 // A forwarding fl::Algorithm that drops the personalization sweep, shared by
 // bench_micro's personalize suite and the PersonalizeSweep.* tests.
 //
-// fl::personalize_clients over a WithoutSweep makes every personalize call a
-// sweep of one client, which is how core::PflSsl personalized before its
-// per-sweep feature table (DESIGN.md §7.3). Comparing the two groupings
+// fl::personalize_clients over a WithoutSweep makes every personalize call
+// one without a sweep, so core::PflSsl encodes each client's own rows and
+// builds no feature table (DESIGN.md §7.3). Comparing it with the sweep
 // checks that the table changes no bits and measures what it saves.
 #pragma once
 

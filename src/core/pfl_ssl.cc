@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
-#include <numeric>
 
 #include "common/check.h"
 #include "data/augment.h"
@@ -15,77 +14,79 @@ namespace calibre::core {
 
 namespace {
 
-// Rows per encode() call when a table block is encoded. Small enough that
-// the activations stay in small per-thread tensor-pool buckets, which the
-// device threads keep after the stage (larger slices raise peak RSS), large
-// enough to keep the GEMMs efficient. The bits do not depend on it: a row's
-// features do not depend on the rows encoded with it
-// (EncoderRowInvariance.*).
+// Rows per encode() call, on the table and on a client's own rows alike.
+// Small enough that the activations stay in small per-thread tensor-pool
+// buckets, which the device threads keep after the stage (encoding a
+// client's rows in one call raises peak RSS), large enough to keep the
+// GEMMs efficient. The bits do not depend on it: a row's features do not
+// depend on the rows encoded with it (EncoderRowInvariance.*).
 constexpr std::size_t kSliceRows = 64;
+
+std::size_t slices_of(std::size_t rows) {
+  return (rows + kSliceRows - 1) / kSliceRows;
+}
+
+// Encodes slice `slice` of a row set into `out`, the set's rows x
+// feature_dim features. The set is `rows` of `x`, or every row of `x` when
+// `rows` is null.
+void encode_slice(ssl::SslMethod& method, const tensor::Tensor& x,
+                  const std::vector<int>* rows, std::size_t slice,
+                  std::size_t feature_dim, float* out) {
+  const std::size_t total = rows != nullptr
+                                ? rows->size()
+                                : static_cast<std::size_t>(x.rows());
+  const std::size_t first = slice * kSliceRows;
+  const std::size_t count = std::min(kSliceRows, total - first);
+  const tensor::Tensor encoded = method.encode(
+      rows != nullptr
+          ? tensor::take_rows(
+                x, std::span<const int>(*rows).subspan(first, count))
+          : tensor::slice_rows(x, static_cast<std::int64_t>(first),
+                               static_cast<std::int64_t>(first + count)));
+  CALIBRE_CHECK(encoded.rows() == static_cast<std::int64_t>(count) &&
+                encoded.cols() == static_cast<std::int64_t>(feature_dim));
+  std::memcpy(out + first * feature_dim, encoded.data(),
+              count * feature_dim * sizeof(float));
+}
+
+// Every row of `x`, encoded a slice at a time.
+tensor::Tensor encode_rows(ssl::SslMethod& method, const tensor::Tensor& x,
+                           std::size_t feature_dim) {
+  tensor::Tensor out =
+      tensor::Tensor::uninit(x.rows(), static_cast<std::int64_t>(feature_dim));
+  for (std::size_t slice = 0;
+       slice < slices_of(static_cast<std::size_t>(x.rows())); ++slice) {
+    encode_slice(method, x, nullptr, slice, feature_dim, out.data());
+  }
+  return out;
+}
 
 }  // namespace
 
-// The feature table of one sweep. Its positions are grouped, in sweep
-// order, into blocks whose distinct rows' features fit the budget of
-// resolve_threads(config) x |state| floats. A block takes a region of the
-// table's storage when its first client enters it and gives it back when
-// its last client has gathered, so the regions in use never exceed the
-// budget. The storage is one buffer per sweep, freed with the table: a
-// buffer per block left freed blocks cached in the device threads' malloc
-// arenas (about +2 MB peak RSS on calibre_cifar10). Everything but the
-// feature values is guarded by tables_mutex_; a slice's values are written
-// by the thread that claimed it and read only after the block's encode
-// finished.
+// The feature table of one sweep: every distinct row of the base splits
+// that its positions on the global state read, encoded once. It holds
+// features only when they fit the budget of resolve_threads(config) x
+// |state| floats; otherwise it only counts the sweep's positions, and each
+// encodes its own rows. Everything but the feature values is guarded by
+// tables_mutex_; a slice's values are written by the thread that claimed it
+// and read only after the last slice is done.
 struct PflSsl::SweepTable {
-  struct Block {
-    std::vector<int> train_rows;  // distinct rows of the base splits,
-    std::vector<int> test_rows;   // ascending
-    int unreleased = 0;           // positions that have not released it
-    bool oversize = false;        // one client over budget: never tabled
-    std::exception_ptr error;     // the first slice encode that threw
-    // Offset in the storage of the block's (train_rows + test_rows) x
-    // feature_dim floats, while it holds a region.
-    std::optional<std::size_t> region;
-    std::size_t next_slice = 0;
-    std::size_t done_slices = 0;
-
-    std::size_t rows() const { return train_rows.size() + test_rows.size(); }
-    std::size_t train_slices() const {
-      return (train_rows.size() + kSliceRows - 1) / kSliceRows;
-    }
-    std::size_t slices() const {
-      return train_slices() + (test_rows.size() + kSliceRows - 1) / kSliceRows;
-    }
-  };
-
+  std::vector<bool> on_global;  // per position: personalizes_on_global
+  std::vector<bool> arrived;    // per position
+  std::size_t unreleased = 0;   // positions not yet released
+  std::vector<int> train_rows;  // distinct rows of the base splits read by
+  std::vector<int> test_rows;   // the positions on_global, ascending
+  // (train_rows + test_rows) x feature_dim floats; empty when not tabled.
+  std::vector<float> features;
   // The sweep's global state, as passed by its first tabled position.
   const nn::ModelState* state = nullptr;
-  std::size_t feature_dim = 0;
-  std::size_t budget = 0;                 // floats
-  std::vector<int> block_of;              // per position; -1: on its own
-  std::vector<bool> arrived;              // per position
-  std::vector<Block> blocks;
-  std::size_t unreleased = 0;             // positions not yet released
-  std::size_t capacity = 0;  // floats: min(budget, all tabled blocks)
-  std::vector<float> storage;             // allocated on first use
+  std::exception_ptr error;  // the first slice encode that threw
+  std::size_t next_slice = 0;
+  std::size_t done_slices = 0;
 
-  // The first offset where `floats` fit between the regions in use.
-  std::optional<std::size_t> find_room(std::size_t floats) const {
-    std::vector<std::pair<std::size_t, std::size_t>> taken;
-    for (const Block& block : blocks) {
-      if (block.region) {
-        taken.emplace_back(*block.region,
-                           *block.region + block.rows() * feature_dim);
-      }
-    }
-    std::sort(taken.begin(), taken.end());
-    std::size_t cursor = 0;
-    for (const auto& [begin, end] : taken) {
-      if (begin - cursor >= floats) return cursor;
-      cursor = end;
-    }
-    if (capacity - cursor >= floats) return cursor;
-    return std::nullopt;
+  std::size_t train_slices() const { return slices_of(train_rows.size()); }
+  std::size_t slices() const {
+    return train_slices() + slices_of(test_rows.size());
   }
 };
 
@@ -222,23 +223,16 @@ double PflSsl::personalize(const nn::ModelState& global,
                            const fl::PersonalizationContext& ctx) {
   tensor::Tensor train_features;
   tensor::Tensor test_features;
-  if (ctx.sweep != nullptr) {
-    sweep_features(global, *ctx.sweep, ctx.sweep_position, ctx,
-                   train_features, test_features);
-  } else {
-    // A call on its own: a sweep of one client over its own datasets.
-    std::vector<int> train_rows(static_cast<std::size_t>(ctx.train->size()));
-    std::vector<int> test_rows(static_cast<std::size_t>(ctx.test->size()));
-    std::iota(train_rows.begin(), train_rows.end(), 0);
-    std::iota(test_rows.begin(), test_rows.end(), 0);
-    fl::PersonalizationSweep own;
-    own.id = fl::next_sweep_id();
-    own.train = ctx.train;
-    own.test = ctx.test;
-    own.client_ids = {ctx.client_id};
-    own.train_rows = {train_rows};
-    own.test_rows = {test_rows};
-    sweep_features(global, own, 0, ctx, train_features, test_features);
+  if (ctx.sweep == nullptr ||
+      !sweep_features(global, *ctx.sweep, ctx.sweep_position, ctx,
+                      train_features, test_features)) {
+    // Not in a table: encode the client's own rows under `global`.
+    const auto feature_dim =
+        static_cast<std::size_t>(config_.encoder.feature_dim);
+    const MethodLease method = lease_method();
+    global.apply_to(method->shared_parameters());
+    train_features = encode_rows(*method, ctx.train->x, feature_dim);
+    test_features = encode_rows(*method, ctx.test->x, feature_dim);
   }
   if (config_.probe.head == fl::ProbeConfig::Head::kPrototype) {
     return fl::prototype_probe_accuracy(train_features, ctx.train->labels,
@@ -252,87 +246,40 @@ double PflSsl::personalize(const nn::ModelState& global,
 }
 
 std::unique_ptr<PflSsl::SweepTable> PflSsl::build_table(
-    const nn::ModelState& global, const fl::PersonalizationSweep& sweep) const {
+    const fl::PersonalizationSweep& sweep) const {
   auto table = std::make_unique<SweepTable>();
-  table->feature_dim = static_cast<std::size_t>(config_.encoder.feature_dim);
-  table->budget = fl::resolve_threads(config_) * global.size();
-  table->block_of.assign(sweep.size(), -1);
+  table->on_global.assign(sweep.size(), false);
   table->arrived.assign(sweep.size(), false);
   table->unreleased = sweep.size();
-
-  // Greedy blocks in sweep order. `marks` flags the rows the open block
-  // already holds, so a client adds only the rows that are new to it.
-  std::vector<bool> train_marks(
-      static_cast<std::size_t>(sweep.train->size()), false);
-  std::vector<bool> test_marks(static_cast<std::size_t>(sweep.test->size()),
-                               false);
-  SweepTable::Block open;  // the block being filled
-  auto add_rows = [](std::span<const int> rows, std::vector<bool>& marks,
-                     std::vector<int>& held) {
-    for (const int row : rows) {
-      CALIBRE_CHECK(row >= 0 && static_cast<std::size_t>(row) < marks.size());
-      if (!marks[static_cast<std::size_t>(row)]) {
-        marks[static_cast<std::size_t>(row)] = true;
-        held.push_back(row);
+  for (std::size_t position = 0; position < sweep.size(); ++position) {
+    table->on_global[position] =
+        personalizes_on_global(sweep.client_ids[position]);
+  }
+  // Marks the rows of `split` that the positions on the global state read,
+  // then lists them ascending.
+  auto distinct = [&](const data::Dataset& split,
+                      const std::vector<std::span<const int>>& rows) {
+    std::vector<bool> marked(static_cast<std::size_t>(split.size()), false);
+    for (std::size_t position = 0; position < sweep.size(); ++position) {
+      if (!table->on_global[position]) continue;
+      for (const int row : rows[position]) {
+        CALIBRE_CHECK(row >= 0 &&
+                      static_cast<std::size_t>(row) < marked.size());
+        marked[static_cast<std::size_t>(row)] = true;
       }
     }
+    std::vector<int> out;
+    for (std::size_t row = 0; row < marked.size(); ++row) {
+      if (marked[row]) out.push_back(static_cast<int>(row));
+    }
+    return out;
   };
-  // Unmarks and drops the rows after the first `keep`.
-  auto drop_rows = [](std::vector<int>& held, std::size_t keep,
-                      std::vector<bool>& marks) {
-    for (std::size_t i = keep; i < held.size(); ++i) {
-      marks[static_cast<std::size_t>(held[i])] = false;
-    }
-    held.resize(keep);
-  };
-  auto over_budget = [&](const SweepTable::Block& block) {
-    return block.rows() * table->feature_dim > table->budget;
-  };
-  auto finish_open = [&] {
-    if (open.unreleased == 0) return;
-    for (const int row : open.train_rows) {
-      train_marks[static_cast<std::size_t>(row)] = false;
-    }
-    for (const int row : open.test_rows) {
-      test_marks[static_cast<std::size_t>(row)] = false;
-    }
-    std::sort(open.train_rows.begin(), open.train_rows.end());
-    std::sort(open.test_rows.begin(), open.test_rows.end());
-    open.oversize = over_budget(open);
-    if (open.oversize) {
-      open.train_rows.clear();
-      open.test_rows.clear();
-    }
-    table->blocks.push_back(std::move(open));
-    open = SweepTable::Block{};
-  };
-  for (std::size_t position = 0; position < sweep.size(); ++position) {
-    if (!personalizes_on_global(sweep.client_ids[position])) continue;
-    const std::size_t train_before = open.train_rows.size();
-    const std::size_t test_before = open.test_rows.size();
-    add_rows(sweep.train_rows[position], train_marks, open.train_rows);
-    add_rows(sweep.test_rows[position], test_marks, open.test_rows);
-    if (open.unreleased > 0 && over_budget(open)) {
-      // The client does not fit: the block closes without it and the next
-      // one opens with it (alone, it may itself be over budget).
-      drop_rows(open.train_rows, train_before, train_marks);
-      drop_rows(open.test_rows, test_before, test_marks);
-      finish_open();
-      add_rows(sweep.train_rows[position], train_marks, open.train_rows);
-      add_rows(sweep.test_rows[position], test_marks, open.test_rows);
-    }
-    table->block_of[position] = static_cast<int>(table->blocks.size());
-    ++open.unreleased;
-  }
-  finish_open();
-  for (const SweepTable::Block& block : table->blocks) {
-    if (!block.oversize) table->capacity += block.rows() * table->feature_dim;
-  }
-  table->capacity = std::min(table->capacity, table->budget);
+  table->train_rows = distinct(*sweep.train, sweep.train_rows);
+  table->test_rows = distinct(*sweep.test, sweep.test_rows);
   return table;
 }
 
-void PflSsl::sweep_features(const nn::ModelState& global,
+bool PflSsl::sweep_features(const nn::ModelState& global,
                             const fl::PersonalizationSweep& sweep,
                             int position,
                             const fl::PersonalizationContext& ctx,
@@ -344,145 +291,119 @@ void PflSsl::sweep_features(const nn::ModelState& global,
                     static_cast<std::int64_t>(sweep.train_rows[pos].size()) &&
                 ctx.test->size() ==
                     static_cast<std::int64_t>(sweep.test_rows[pos].size()));
+  const auto feature_dim =
+      static_cast<std::size_t>(config_.encoder.feature_dim);
   SweepTable* table = nullptr;
-  SweepTable::Block* block = nullptr;
-  float* features = nullptr;  // the block's region, when the client uses it
+  bool tabled = false;
   {
     std::unique_lock<std::mutex> lock(tables_mutex_);
     if (!tables_.contains(sweep.id)) {
       // Built without the lock (it asks personalizes_on_global); when
       // several first callers race, the first table in wins.
       lock.unlock();
-      std::unique_ptr<SweepTable> built = build_table(global, sweep);
+      std::unique_ptr<SweepTable> built = build_table(sweep);
       lock.lock();
-      tables_.try_emplace(sweep.id, std::move(built));
+      const auto [entry, inserted] =
+          tables_.try_emplace(sweep.id, std::move(built));
+      // The sweep's one decision: its features are tabled if they fit what
+      // the budget leaves beside the instance's other live tables.
+      SweepTable& fresh = *entry->second;
+      const std::size_t floats =
+          (fresh.train_rows.size() + fresh.test_rows.size()) * feature_dim;
+      if (inserted && live_table_floats_ + floats <=
+                          fl::resolve_threads(config_) * global.size()) {
+        fresh.features.resize(floats);
+        live_table_floats_ += floats;
+        peak_table_floats_ = std::max(peak_table_floats_, live_table_floats_);
+      }
     }
     table = tables_.at(sweep.id).get();
     CALIBRE_CHECK_MSG(!table->arrived[pos],
                       "a sweep position was personalized twice");
     table->arrived[pos] = true;
-    if (const int b = table->block_of[pos]; b >= 0) {
+    tabled = !table->features.empty() && table->on_global[pos];
+    if (tabled) {
       if (table->state == nullptr) table->state = &global;
       CALIBRE_CHECK_MSG(&global == table->state,
                         "every call of a sweep passes the same global state");
-      block = &table->blocks[static_cast<std::size_t>(b)];
-      if (!block->oversize && !block->region) {
-        // The block's first client gives it a region if the budget leaves
-        // room; a client that finds no room encodes its own rows.
-        const std::size_t floats = block->rows() * table->feature_dim;
-        const std::optional<std::size_t> offset =
-            live_table_floats_ + floats <= table->budget
-                ? table->find_room(floats)
-                : std::nullopt;
-        if (offset) {
-          table->storage.resize(table->capacity);
-          block->region = offset;
-          live_table_floats_ += floats;
-          peak_table_floats_ = std::max(peak_table_floats_, live_table_floats_);
-        }
-      }
-      if (block->region) features = table->storage.data() + *block->region;
     }
   }
 
-  // Gives the position back, however this call ends. The block's last
-  // client frees its features, the sweep's last position its table.
-  bool released = false;
-  auto release = [&] {
-    if (released) return;
-    released = true;
-    const std::lock_guard<std::mutex> lock(tables_mutex_);
-    if (block != nullptr && --block->unreleased == 0 && block->region) {
-      live_table_floats_ -= block->rows() * table->feature_dim;
-      block->region.reset();
+  // Gives the position back, however this call ends. The sweep's last
+  // position frees its table.
+  struct Release {
+    PflSsl& owner;
+    SweepTable& table;
+    std::uint64_t id;
+    ~Release() {
+      const std::lock_guard<std::mutex> lock(owner.tables_mutex_);
+      if (--table.unreleased == 0) {
+        owner.live_table_floats_ -= table.features.size();
+        owner.tables_.erase(id);
+      }
     }
-    if (--table->unreleased == 0) tables_.erase(sweep.id);
+  } release{*this, *table, sweep.id};
+  if (!tabled) return false;
+
+  // Claims the table's next 64-row slice. When none is left it waits for
+  // the slices other threads are still encoding and returns nothing. If one
+  // of them threw, every tabled client rethrows its error: the stage fails
+  // anyway, so nobody encodes its own rows instead.
+  auto claim = [&]() -> std::optional<std::size_t> {
+    std::unique_lock<std::mutex> lock(tables_mutex_);
+    encoded_cv_.wait(lock, [&] {
+      return table->error || table->next_slice < table->slices() ||
+             table->done_slices == table->slices();
+    });
+    if (table->error) std::rethrow_exception(table->error);
+    if (table->next_slice == table->slices()) return std::nullopt;
+    return table->next_slice++;
   };
-  struct ReleaseOnExit {
-    decltype(release)& fn;
-    ~ReleaseOnExit() { fn(); }
-  } release_on_exit{release};
-
-  const std::size_t feature_dim = table->feature_dim;
-  if (features != nullptr) {
-    // Claims the block's next 64-row slice. When none is left it waits for
-    // the slices other threads are still encoding and returns nothing. If
-    // one of them threw, every client of the block rethrows its error: the
-    // stage fails anyway, so nobody encodes its own rows instead.
-    auto claim = [&]() -> std::optional<std::size_t> {
-      std::unique_lock<std::mutex> lock(tables_mutex_);
-      encoded_cv_.wait(lock, [&] {
-        return block->error || block->next_slice < block->slices() ||
-               block->done_slices == block->slices();
-      });
-      if (block->error) std::rethrow_exception(block->error);
-      if (block->next_slice == block->slices()) return std::nullopt;
-      return block->next_slice++;
-    };
-    if (std::optional<std::size_t> slice = claim()) {
-      // One lease, so one apply_to, per thread and block it helps encode.
-      const MethodLease method = lease_method();
-      global.apply_to(method->shared_parameters());
-      do {
-        const bool train_side = *slice < block->train_slices();
-        const std::vector<int>& rows =
-            train_side ? block->train_rows : block->test_rows;
-        const std::size_t first =
-            (train_side ? *slice : *slice - block->train_slices()) *
-            kSliceRows;
-        const std::size_t count = std::min(kSliceRows, rows.size() - first);
-        try {
-          const tensor::Tensor encoded = method->encode(tensor::take_rows(
-              (train_side ? sweep.train : sweep.test)->x,
-              std::span<const int>(rows).subspan(first, count)));
-          CALIBRE_CHECK(
-              encoded.rows() == static_cast<std::int64_t>(count) &&
-              encoded.cols() == static_cast<std::int64_t>(feature_dim));
-          const std::size_t row0 =
-              (train_side ? 0 : block->train_rows.size()) + first;
-          std::memcpy(features + row0 * feature_dim, encoded.data(),
-                      count * feature_dim * sizeof(float));
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(tables_mutex_);
-          if (!block->error) block->error = std::current_exception();
-          encoded_cv_.notify_all();
-          throw;
+  float* const features = table->features.data();
+  float* const test_features =
+      features + table->train_rows.size() * feature_dim;
+  if (std::optional<std::size_t> slice = claim()) {
+    // One lease, so one apply_to, per thread that helps encode the table.
+    const MethodLease method = lease_method();
+    global.apply_to(method->shared_parameters());
+    do {
+      try {
+        if (*slice < table->train_slices()) {
+          encode_slice(*method, sweep.train->x, &table->train_rows, *slice,
+                       feature_dim, features);
+        } else {
+          encode_slice(*method, sweep.test->x, &table->test_rows,
+                       *slice - table->train_slices(), feature_dim,
+                       test_features);
         }
+      } catch (...) {
         const std::lock_guard<std::mutex> lock(tables_mutex_);
-        if (++block->done_slices == block->slices()) {
-          encoded_cv_.notify_all();
-        }
-      } while ((slice = claim()));
-    }
-
-    auto gather = [&](const std::vector<int>& distinct, std::size_t offset,
-                      std::span<const int> rows) {
-      tensor::Tensor out = tensor::Tensor::uninit(
-          static_cast<std::int64_t>(rows.size()),
-          static_cast<std::int64_t>(feature_dim));
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto at = static_cast<std::size_t>(
-            std::lower_bound(distinct.begin(), distinct.end(), rows[i]) -
-            distinct.begin());
-        std::memcpy(out.data() + i * feature_dim,
-                    features + (offset + at) * feature_dim,
-                    feature_dim * sizeof(float));
+        if (!table->error) table->error = std::current_exception();
+        encoded_cv_.notify_all();
+        throw;
       }
-      return out;
-    };
-    train = gather(block->train_rows, 0, sweep.train_rows[pos]);
-    test = gather(block->test_rows, block->train_rows.size(),
-                  sweep.test_rows[pos]);
-    release();
-    return;
+      const std::lock_guard<std::mutex> lock(tables_mutex_);
+      if (++table->done_slices == table->slices()) encoded_cv_.notify_all();
+    } while ((slice = claim()));
   }
 
-  // Not in the table: encode the client's own rows under `global`.
-  release();
-  const MethodLease method = lease_method();
-  global.apply_to(method->shared_parameters());
-  train = method->encode(ctx.train->x);
-  test = method->encode(ctx.test->x);
+  auto gather = [&](const std::vector<int>& distinct, const float* from,
+                    std::span<const int> rows) {
+    tensor::Tensor out = tensor::Tensor::uninit(
+        static_cast<std::int64_t>(rows.size()),
+        static_cast<std::int64_t>(feature_dim));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), rows[i]) -
+          distinct.begin());
+      std::memcpy(out.data() + i * feature_dim, from + at * feature_dim,
+                  feature_dim * sizeof(float));
+    }
+    return out;
+  };
+  train = gather(table->train_rows, features, sweep.train_rows[pos]);
+  test = gather(table->test_rows, test_features, sweep.test_rows[pos]);
+  return true;
 }
 
 tensor::Tensor PflSsl::extract_features(const nn::ModelState& global,

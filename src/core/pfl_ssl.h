@@ -6,13 +6,13 @@
 // pFL-SMoG. Calibre derives from this class and overrides the loss and the
 // aggregation rule.
 //
-// Personalization reads its features from a per-sweep table (DESIGN.md
+// Personalization shares one encode per sweep when it can (DESIGN.md
 // §7.3): the clients of one fl::PersonalizationSweep share one frozen
-// encoder, so each distinct row of the base splits is encoded once per
-// sweep, by the device threads that reach it first, and every client
-// gathers its rows from the table. A call without a sweep is a sweep of one
-// client. The table holds at most resolve_threads(config) x |state| floats
-// of features at a time; a client that does not fit encodes its own rows.
+// encoder, so when the features of every distinct row the sweep reads fit
+// resolve_threads(config) x |state| floats, those rows are encoded once into
+// one table, by the device threads that reach it first, and every client
+// gathers its rows from it. Otherwise, and for a call without a sweep, each
+// client encodes its own rows. Both encode 64 rows at a time.
 #pragma once
 
 #include <condition_variable>
@@ -52,7 +52,8 @@ class PflSsl : public fl::Algorithm {
   std::size_t idle_methods() const;
 
   // Floats of encoder features the personalization tables hold now, and
-  // the most they have held at once since construction.
+  // the most they have held at once since construction (0 while no sweep
+  // has fit its budget).
   std::size_t live_table_floats() const;
   std::size_t peak_table_floats() const;
 
@@ -109,9 +110,10 @@ class PflSsl : public fl::Algorithm {
 
   // Hook: false when personalize() will be given a state of the client's
   // own rather than the sweep's global state (FedEMA's merged local model);
-  // the sweep's table leaves that client's rows out. Asked once per sweep
-  // and client (by each thread that finds the sweep's table missing),
-  // before any of the sweep's clients is personalized.
+  // the sweep's table leaves that client's rows out, also when it decides
+  // whether the sweep fits its budget. Asked once per sweep and client (by
+  // each thread that finds the sweep's table missing), before any of the
+  // sweep's clients is personalized.
   virtual bool personalizes_on_global(int client_id) const;
 
   ssl::Kind kind_;
@@ -132,16 +134,17 @@ class PflSsl : public fl::Algorithm {
   // The feature table of one sweep (defined in pfl_ssl.cc).
   struct SweepTable;
 
-  // Fills `train`/`test` with the position's features: gathered from the
-  // sweep's table, encoded into it first if this thread reaches an encode
-  // that is not done yet, or encoded alone when the position does not fit.
-  void sweep_features(const nn::ModelState& global,
+  // Fills `train`/`test` with the position's features from the sweep's
+  // table, encoding the table's unclaimed slices first, and returns true.
+  // Returns false when the sweep is not tabled or the client personalizes
+  // on a state of its own; the caller then encodes the client's rows.
+  bool sweep_features(const nn::ModelState& global,
                       const fl::PersonalizationSweep& sweep, int position,
                       const fl::PersonalizationContext& ctx,
                       tensor::Tensor& train, tensor::Tensor& test);
-  // A fresh table for `sweep`: its positions grouped into blocks.
+  // A fresh table for `sweep`: the distinct rows its positions on the
+  // global state read, without features (the first caller decides those).
   std::unique_ptr<SweepTable> build_table(
-      const nn::ModelState& global,
       const fl::PersonalizationSweep& sweep) const;
 
   mutable std::mutex methods_mutex_;
@@ -149,9 +152,10 @@ class PflSsl : public fl::Algorithm {
   mutable std::optional<InitialValues> initial_;
 
   // Live sweep tables by sweep id, and their feature floats; a table goes
-  // when its last position is released.
+  // when its sweep's last position is released.
   mutable std::mutex tables_mutex_;
-  std::condition_variable encoded_cv_;  // a block's encode finished or failed
+  std::condition_variable encoded_cv_;  // a table's last slice is done, or
+                                        // a slice's encode failed
   std::map<std::uint64_t, std::unique_ptr<SweepTable>> tables_;
   std::size_t live_table_floats_ = 0;
   std::size_t peak_table_floats_ = 0;

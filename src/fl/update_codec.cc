@@ -118,19 +118,6 @@ double estimated_error(comm::Codec codec, const std::vector<float>& values,
   return std::sqrt(err / nrm);
 }
 
-// Exact relative error of one full encode/decode round trip.
-double exact_error(comm::Codec codec, const std::vector<float>& values,
-                   const float* base, std::size_t topk) {
-  const std::size_t n = values.size();
-  comm::Writer writer(comm::encoded_size(codec, n, topk));
-  comm::encode_values(writer, values, codec, base, base != nullptr ? n : 0,
-                      topk);
-  comm::Reader reader(writer.bytes());
-  const std::vector<float> decoded =
-      comm::decode_values(reader, base, base != nullptr ? n : 0);
-  return UpdateEncoder::relative_error(values, decoded);
-}
-
 }  // namespace
 
 comm::Codec resolve_broadcast_codec(comm::Codec codec) {
@@ -169,14 +156,16 @@ double UpdateEncoder::residual_norm(int client_id) const {
   return std::sqrt(total);
 }
 
-comm::Codec UpdateEncoder::choose(const std::vector<float>& values,
-                                  const float* base, std::size_t topk) const {
+std::vector<std::uint8_t> UpdateEncoder::choose(
+    ClientUpdate& carried, const nn::ModelState* base,
+    const float* base_values, std::size_t topk) const {
+  std::vector<float>& values = carried.state.values();
   const std::size_t n = values.size();
   const double budget = static_cast<double>(config_.codec_error_budget);
   // Candidates in ascending encoded size; delta-referenced codecs only when
   // a usable base exists (they would silently degrade to f16 otherwise).
   std::vector<std::pair<std::size_t, comm::Codec>> candidates;
-  if (base != nullptr) {
+  if (base_values != nullptr) {
     candidates.emplace_back(comm::encoded_size(comm::Codec::kTopK16, n, topk),
                             comm::Codec::kTopK16);
     candidates.emplace_back(comm::encoded_size(comm::Codec::kDelta16, n),
@@ -192,12 +181,25 @@ comm::Codec UpdateEncoder::choose(const std::vector<float>& values,
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [size, codec] : candidates) {
     if (size >= comm::encoded_size(comm::Codec::kF32, n)) break;  // no win
-    if (estimated_error(codec, values, base, topk) > budget * kEstimateSlack) {
+    if (estimated_error(codec, values, base_values, topk) >
+        budget * kEstimateSlack) {
       continue;
     }
-    if (exact_error(codec, values, base, topk) <= budget) return codec;
+    // The exact check decodes the candidate's own payload; the winner's
+    // decode then gives the residual carried - decode(bytes), bit-identical
+    // to the codec's in-place residual (comm/codec.h).
+    std::vector<std::uint8_t> bytes =
+        serialize_update(carried, codec, base, topk);
+    comm::Reader reader(bytes);
+    (void)reader.read_u32();  // the codec magic
+    const std::vector<float> decoded = comm::decode_values(
+        reader, base_values, base_values != nullptr ? n : 0);
+    if (relative_error(values, decoded) <= budget) {
+      for (std::size_t i = 0; i < n; ++i) values[i] = values[i] - decoded[i];
+      return bytes;
+    }
   }
-  return comm::Codec::kF32;  // error zero — the budget always holds
+  return serialize_update(carried, comm::Codec::kF32, base);  // error zero
 }
 
 std::vector<std::uint8_t> UpdateEncoder::encode(const ClientUpdate& update,
@@ -217,7 +219,7 @@ std::vector<std::uint8_t> UpdateEncoder::encode(const ClientUpdate& update,
 
   // Take this client's residual buffer out of the store. While it is out
   // this call owns it alone; it becomes the carried update, then — written
-  // over in place by the encoder — the next residual, and goes back in.
+  // over in place — the next residual, and goes back in.
   ClientUpdate carried;
   std::vector<float>& values = carried.state.values();
   carry_.mutate(client_id,
@@ -237,17 +239,18 @@ std::vector<std::uint8_t> UpdateEncoder::encode(const ClientUpdate& update,
   const float* base_values =
       base != nullptr && base->size() == n ? base->values().data() : nullptr;
   const std::size_t topk = topk_for(n);
-  const comm::Codec codec =
-      configured == comm::Codec::kAuto ? choose(values, base_values, topk)
-                                       : comm::Codec::kTopK16;
-  // A lossless f32 round trip leaves an exactly-zero residual, stored as the
-  // empty sentinel rather than an O(model) zero vector. Every other codec
-  // rewrites `values` as carried - decode(bytes) while encoding.
-  const bool lossless = codec == comm::Codec::kF32;
-  std::vector<std::uint8_t> bytes = serialize_update(
-      carried, codec, base, topk, lossless ? nullptr : values.data());
-  if (chosen != nullptr) *chosen = peek_update_codec(bytes);
-  carry_.put(client_id, lossless ? std::vector<float>{} : std::move(values));
+  // Every codec but f32 leaves `values` holding carried - decode(bytes). A
+  // lossless f32 round trip leaves an exactly-zero residual, stored as the
+  // empty sentinel rather than an O(model) zero vector.
+  std::vector<std::uint8_t> bytes =
+      configured == comm::Codec::kAuto
+          ? choose(carried, base, base_values, topk)
+          : serialize_update(carried, comm::Codec::kTopK16, base, topk,
+                             values.data());
+  const comm::Codec codec = peek_update_codec(bytes);
+  if (chosen != nullptr) *chosen = codec;
+  carry_.put(client_id, codec == comm::Codec::kF32 ? std::vector<float>{}
+                                                   : std::move(values));
   return bytes;
 }
 

@@ -15,21 +15,22 @@
 // those paths bitwise identical to pre-EF builds.
 //
 // The residual is one buffer per client, reused in place: an encode takes
-// it out of the store, adds the update into it (carried), lets the codec
-// overwrite it with carried - decode(bytes) while writing the bytes (no
-// decode is materialized), and puts it back. At steady state an update
-// allocates only its wire bytes and the codec's own scratch (for topk16,
-// k-sized index and half arrays) — nothing model-sized.
+// it out of the store, adds the update into it (carried), overwrites it
+// with carried - decode(bytes), and puts it back. Under topk16 the codec
+// writes that residual while writing the bytes, so no decode is
+// materialized: at steady state an update allocates only its wire bytes
+// and the codec's k-sized index and half arrays, nothing model-sized.
 //
 // The chooser (wire_codec = kAuto) picks, per update, the cheapest codec
 // whose exact relative-L2 reconstruction error fits codec_error_budget.
 // Candidates are tried in ascending encoded size (topk16, int8a, delta16,
 // f16, f32); a deterministic stride subsample prunes hopeless candidates
-// cheaply, and the winning codec is always verified with an exact
-// encode/decode round trip, so the budget is a hard guarantee (f32, error
-// zero, is the last resort). Every input to the choice is a pure function
-// of the update, the broadcast base, and the config — no clocks, no thread
-// state — so choices are bit-identical across thread counts.
+// cheaply, and a candidate that passes is checked by decoding its payload,
+// so the budget is a hard guarantee (f32, error zero, is the last resort).
+// The payload checked is the payload sent, and the residual is carried
+// minus the decode the check made. Every input to the choice is a pure
+// function of the update, the broadcast base, and the config — no clocks,
+// no thread state — so choices are bit-identical across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +89,15 @@ class UpdateEncoder {
   }
 
  private:
-  comm::Codec choose(const std::vector<float>& values, const float* base,
-                     std::size_t topk) const;
+  // Serializes `carried` under the cheapest candidate codec whose exact
+  // error fits the budget, and overwrites its values with the residual
+  // carried - decode(bytes); under the f32 fallback the values are left
+  // as they are. `base_values` is `base`'s values when they match the
+  // update's size, else null.
+  std::vector<std::uint8_t> choose(ClientUpdate& carried,
+                                   const nn::ModelState* base,
+                                   const float* base_values,
+                                   std::size_t topk) const;
 
   const FlConfig config_;
   // Per-client error-feedback residual. An empty vector means "exactly

@@ -1,5 +1,6 @@
 // Tests for the Calibre core: prototype losses, divergence weighting, and
 // the pFL-SSL / Calibre algorithms' state handling.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -508,9 +509,9 @@ TEST(MethodReuse, FederationIsIdenticalAcrossThreadCounts) {
 // --- personalization sweeps --------------------------------------------------
 //
 // personalize_clients hands every call one PersonalizationSweep, and PflSsl
-// encodes each distinct row of a sweep once into a bounded feature table
-// (DESIGN.md §7.3). A sweep must give exactly the accuracies that the same
-// clients get from calls that carry no sweep.
+// encodes each distinct row of a sweep once into a feature table when the
+// whole sweep fits its budget (DESIGN.md §7.3). A sweep must give exactly
+// the accuracies that the same clients get from calls that carry no sweep.
 
 // Participating accuracies, then novel ones, as hexfloat text.
 std::vector<std::string> hexfloats(const fl::RunResult& result) {
@@ -591,6 +592,8 @@ TEST(PersonalizeSweep, MatchesCallsWithoutASweep) {
           ASSERT_EQ(got.train_accuracies.size(), cap > 0 ? 2u : 4u) << name;
           EXPECT_EQ(hexfloats(got), hexfloats(want)) << name;
           EXPECT_EQ(swept->live_table_floats(), 0u) << name;
+          // Calls without a sweep encode their own rows: no table at all.
+          EXPECT_EQ(alone->peak_table_floats(), 0u) << name;
           EXPECT_LE(swept->idle_methods(), static_cast<std::size_t>(threads))
               << name;
         }
@@ -630,9 +633,28 @@ TEST(PersonalizeSweep, ConsecutiveSweepsMatchFreshInstances) {
   }
 }
 
-// The live table never holds more than threads x |state| floats, and is
-// empty once the sweep is done.
+// Distinct rows of the base splits that a sweep over every client of
+// `fed` reads.
+std::size_t distinct_rows(const fl::FedDataset& fed) {
+  std::size_t total = 0;
+  for (const data::IndexLists* lists :
+       {&fed.train_indices, &fed.test_indices}) {
+    std::vector<int> rows = lists->flat();
+    std::sort(rows.begin(), rows.end());
+    total += static_cast<std::size_t>(
+        std::unique(rows.begin(), rows.end()) - rows.begin());
+  }
+  return total;
+}
+
+// The sweep is tabled only when all its distinct rows' features fit
+// threads x |state| floats; the table is empty once the sweep is done. On
+// the reuse world the sweep reads 210 distinct rows of 8 features, 1,680
+// floats: over the 562-float budget at one thread, within it at 3 and 8.
 TEST(PersonalizeSweep, TableStaysWithinThreadsTimesStateFloats) {
+  const std::size_t floats =
+      distinct_rows(reuse_world().fed) *
+      static_cast<std::size_t>(reuse_world().config.encoder.feature_dim);
   for (const int threads : {1, 3, 8}) {
     fl::FlConfig config = reuse_world().config;
     config.threads = threads;
@@ -640,16 +662,76 @@ TEST(PersonalizeSweep, TableStaysWithinThreadsTimesStateFloats) {
     const nn::ModelState state = algorithm.initialize();
     (void)sweep(algorithm, state);
     const std::size_t budget = static_cast<std::size_t>(threads) * state.size();
-    EXPECT_GT(algorithm.peak_table_floats(), 0u) << threads;
-    EXPECT_LE(algorithm.peak_table_floats(), budget) << threads;
+    if (threads == 1) {
+      ASSERT_GT(floats, budget);
+      EXPECT_EQ(algorithm.peak_table_floats(), 0u);
+    } else {
+      ASSERT_LE(floats, budget) << threads;
+      EXPECT_GT(algorithm.peak_table_floats(), 0u) << threads;
+      EXPECT_LE(algorithm.peak_table_floats(), budget) << threads;
+    }
     EXPECT_EQ(algorithm.live_table_floats(), 0u) << threads;
   }
 }
 
-// A block encode that throws fails the sweep. The base test split gets one
-// column more than the encoder takes, so the block's test slice throws
-// while its train slices encode; the threads already in the block, waiting
-// for its slices or claiming the next, and the block's later clients all
+// Both sides of the decision on hand-built lists at 4 threads, whose
+// budget is a whole number of rows. A sweep whose distinct rows fill the
+// budget exactly is tabled; with one test row more it is not, and every
+// client encodes its own rows. Both match calls without a sweep.
+TEST(PersonalizeSweep, TabledExactlyWhenTheWholeSweepFits) {
+  fl::FlConfig config = reuse_world().config;
+  config.threads = 4;
+  const auto feature_dim =
+      static_cast<std::size_t>(config.encoder.feature_dim);
+  fl::FedDataset fed = reuse_world().fed;
+  const auto train_rows = static_cast<int>(fed.base_train.size());
+  const std::size_t clients = fed.train_indices.size();
+  for (const int extra : {0, 1}) {
+    PflSsl swept(config, ssl::Kind::kSimClr, reuse_world().ssl);
+    const nn::ModelState state = train_for_sweep(swept);
+    const std::size_t budget = 4 * state.size();
+    ASSERT_EQ(budget % feature_dim, 0u);
+    // Every train row, each read by two clients, and `test_rows` test
+    // rows, row 0 read by every client.
+    const int test_rows =
+        static_cast<int>(budget / feature_dim) - train_rows + extra;
+    ASSERT_GT(test_rows, 1);
+    ASSERT_LE(test_rows, static_cast<int>(fed.base_test.size()));
+    std::vector<std::vector<int>> train(clients);
+    std::vector<std::vector<int>> test(clients);
+    const int stride = train_rows / static_cast<int>(clients);
+    for (std::size_t c = 0; c < clients; ++c) {
+      const int first = static_cast<int>(c) * stride;
+      for (int i = 0; i < 2 * stride; ++i) {
+        train[c].push_back((first + i) % train_rows);
+      }
+      test[c].push_back(0);
+      for (int row = 1; row < test_rows; ++row) {
+        if (static_cast<std::size_t>(row) % clients == c) {
+          test[c].push_back(row);
+        }
+      }
+    }
+    fed.train_indices = data::IndexLists::from_lists(train);
+    fed.test_indices = data::IndexLists::from_lists(test);
+    ASSERT_EQ(distinct_rows(fed) * feature_dim,
+              budget + static_cast<std::size_t>(extra) * feature_dim);
+
+    const fl::RunResult got = sweep(swept, state, fed);
+    EXPECT_EQ(swept.peak_table_floats(), extra == 0 ? budget : 0u) << extra;
+    EXPECT_EQ(swept.live_table_floats(), 0u) << extra;
+
+    PflSsl alone(config, ssl::Kind::kSimClr, reuse_world().ssl);
+    (void)train_for_sweep(alone);
+    bench::WithoutSweep without(alone);
+    EXPECT_EQ(hexfloats(got), hexfloats(sweep(without, state, fed))) << extra;
+  }
+}
+
+// A table encode that throws fails the sweep. The base test split gets one
+// column more than the encoder takes, so the table's test slices throw
+// while its train slices encode; the threads already encoding, waiting for
+// its slices or claiming the next, and the sweep's later clients all
 // rethrow. Nothing of the failed sweep stays behind: the table is gone, and
 // the next sweep on the same instance matches a fresh instance's.
 TEST(PersonalizeSweep, AThrowingBlockEncodeFailsTheSweepAndLeavesNoTable) {

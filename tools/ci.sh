@@ -76,6 +76,12 @@ else
   # the auto chooser stops being thread-count deterministic.
   run_step "bench.codec" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R '^bench\.codec_smoke$'
+  # Personalization-sweep gate: the stage as one sweep (its feature table),
+  # through per-client encodes, and split into its encode and probe parts
+  # must give bit-identical accuracies (bench_micro exits nonzero on any
+  # mismatch).
+  run_step "bench.personalize" ctest --test-dir "$BUILD_DIR" \
+    --output-on-failure -R '^bench\.personalize_smoke$'
   # End-to-end benchmark gate: bench_e2e/ is its own CMake project (it
   # compiles src/ itself, exactly as bench_e2e/run.py does), so it gets its
   # own tree under the CI build dir. Its ctest entries are
