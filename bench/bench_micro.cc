@@ -1381,8 +1381,23 @@ bool dump_personalize_json(const char* path, bool smoke) {
   const data::Partition partition = data::partition_dirichlet(
       synth.train, synth.test, partition_config, 0.3, partition_gen);
   rng::Generator fed_gen(72);
-  const fl::FedDataset fed =
+  fl::FedDataset fed =
       fl::build_fed_dataset(synth, partition, shape.train_clients, fed_gen);
+  if (smoke) {
+    // A Dirichlet partition hands out disjoint rows. Client 1 takes the
+    // first half of client 0's rows in place of its own, so the smoke's
+    // table serves rows that two clients share.
+    const auto share_rows = [](const data::IndexLists& lists) {
+      std::vector<std::vector<int>> out;
+      for (std::size_t c = 0; c < lists.size(); ++c) {
+        out.emplace_back(lists[c].begin(), lists[c].end());
+      }
+      std::copy_n(out[0].begin(), out[0].size() / 2, out[1].begin());
+      return data::IndexLists::from_lists(out);
+    };
+    fed.train_indices = share_rows(fed.train_indices);
+    fed.test_indices = share_rows(fed.test_indices);
+  }
 
   fl::FlConfig config;
   config.encoder.input_dim = synth.train.input_dim();

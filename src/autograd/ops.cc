@@ -163,19 +163,6 @@ VarPtr relu(const VarPtr& a) {
   });
 }
 
-VarPtr tanh(const VarPtr& a) {
-  return make_node(tensor::tanh(a->value), {a}, [a](Variable& self) {
-    // d tanh(x) = 1 - tanh(x)^2
-    float* gd = self.grad.data();
-    const float* out = self.value.data();
-    const std::int64_t size = self.grad.size();
-    for (std::int64_t i = 0; i < size; ++i) {
-      gd[i] *= 1.0f - out[i] * out[i];
-    }
-    push(a, std::move(self.grad));
-  });
-}
-
 VarPtr square(const VarPtr& a) {
   return make_node(tensor::square(a->value), {a}, [a](Variable& self) {
     float* gd = self.grad.data();
@@ -652,16 +639,6 @@ VarPtr layer_norm(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
 VarPtr mse(const VarPtr& a, const tensor::Tensor& target) {
   const VarPtr diff = sub(a, constant(target));
   return mean_all(square(diff));
-}
-
-VarPtr sq_dists_to(const VarPtr& a, const VarPtr& centroids) {
-  // ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 via broadcasting:
-  // [N,1] + [1,K] - 2 [N,K]. The cross term fuses the centroid transpose
-  // into the GEMM; only the [K,1] norm vector is ever transposed.
-  const VarPtr x_sq = row_sum(square(a));                       // [N,1]
-  const VarPtr c_sq = transpose(row_sum(square(centroids)));    // [1,K]
-  const VarPtr cross = matmul_nt(a, centroids);                 // [N,K]
-  return add(add(x_sq, c_sq), mul_scalar(cross, -2.0f));
 }
 
 }  // namespace calibre::ag

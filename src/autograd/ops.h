@@ -31,7 +31,6 @@ VarPtr exp(const VarPtr& a);
 VarPtr log(const VarPtr& a);   // caller guarantees positive input
 VarPtr sqrt(const VarPtr& a);  // caller guarantees non-negative input
 VarPtr relu(const VarPtr& a);
-VarPtr tanh(const VarPtr& a);
 VarPtr square(const VarPtr& a);
 
 // --- linear algebra ------------------------------------------------------------
@@ -92,7 +91,5 @@ VarPtr cross_entropy_soft(const VarPtr& logits,
 VarPtr l2_normalize(const VarPtr& a, float eps = 1e-8f);
 // Mean squared error against a fixed target.
 VarPtr mse(const VarPtr& a, const tensor::Tensor& target);
-// Squared Euclidean distances to fixed centroids: [N,D] x const [K,D] -> [N,K].
-VarPtr sq_dists_to(const VarPtr& a, const VarPtr& centroids);
 
 }  // namespace calibre::ag

@@ -75,29 +75,18 @@ void Router::register_default_handler(Handler handler) {
   default_handler_ = std::move(handler);
 }
 
-void Router::set_fault_injection(FaultConfig config) {
-  validate_fault_config(config);
-  fault_ = config;
-  if (fault_.latency_ms > 0) ensure_timer();
-}
-
-void Router::set_fault_profiles(std::vector<FaultConfig> profiles,
-                                std::function<std::size_t(int)> class_of) {
+void Router::set_fault_profiles(std::vector<FaultConfig> profiles) {
   CALIBRE_CHECK_MSG(!profiles.empty(), "need at least one fault profile");
-  CALIBRE_CHECK_MSG(class_of != nullptr, "class_of must be callable");
   for (const FaultConfig& profile : profiles) {
     validate_fault_config(profile);
-  }
-  fault_profiles_ = std::move(profiles);
-  fault_class_of_ = std::move(class_of);
-  for (const FaultConfig& profile : fault_profiles_) {
     if (profile.latency_ms > 0) ensure_timer();
   }
+  fault_profiles_ = std::move(profiles);
 }
 
 const FaultConfig& Router::profile_for(int receiver) const {
-  if (fault_profiles_.empty()) return fault_;
-  return fault_profiles_[fault_class_of_(receiver) % fault_profiles_.size()];
+  return fault_profiles_[static_cast<std::size_t>(receiver) %
+                         fault_profiles_.size()];
 }
 
 void Router::ensure_timer() {

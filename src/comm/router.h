@@ -98,17 +98,11 @@ class Router {
   // registered endpoint still wins. Must be called before sends start.
   void register_default_handler(Handler handler);
 
-  // Enables fault injection for subsequent client-addressed sends.
-  // Must not be called concurrently with send().
-  void set_fault_injection(FaultConfig config);
-
-  // Heterogeneous device classes: endpoint `e` uses
-  // profiles[class_of(e) % profiles.size()]. Overrides any uniform
-  // set_fault_injection() config. `class_of` must be pure (called on the
-  // sending thread for every dispatch). Must not be called concurrently
-  // with send().
-  void set_fault_profiles(std::vector<FaultConfig> profiles,
-                          std::function<std::size_t(int)> class_of);
+  // Enables fault injection for subsequent client-addressed sends: endpoint
+  // `e` uses profiles[e % profiles.size()], so one profile is a uniform
+  // fault model and several are device classes. Must not be called
+  // concurrently with send().
+  void set_fault_profiles(std::vector<FaultConfig> profiles);
 
   // Routes `message`: server-addressed messages go to the server mailbox;
   // client-addressed ones are dispatched to the endpoint handler on the pool.
@@ -137,9 +131,7 @@ class Router {
   Mailbox server_mailbox_;
   std::unordered_map<int, Handler> handlers_;
   Handler default_handler_;
-  FaultConfig fault_;
-  std::vector<FaultConfig> fault_profiles_;       // empty => uniform fault_
-  std::function<std::size_t(int)> fault_class_of_;
+  std::vector<FaultConfig> fault_profiles_{FaultConfig{}};  // no faults
   std::mutex attempts_mutex_;
   std::unordered_map<int, std::uint64_t> attempts_;  // dispatches per endpoint
   std::atomic<std::uint64_t> messages_{0};

@@ -85,11 +85,6 @@ class Reader {
     read_raw(&value, sizeof(value));
     return value;
   }
-  std::uint16_t read_u16() {
-    std::uint16_t value = 0;
-    read_raw(&value, sizeof(value));
-    return value;
-  }
   std::uint32_t read_u32() {
     std::uint32_t value = 0;
     read_raw(&value, sizeof(value));

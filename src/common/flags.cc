@@ -1,6 +1,10 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+
+#include "common/check.h"
 
 namespace calibre::flags {
 
@@ -34,20 +38,27 @@ int Parser::get_int(const std::string& name, int fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const long parsed = std::strtol(it->second.c_str(), &end, 10);
-  return (end != it->second.c_str() && *end == '\0')
-             ? static_cast<int>(parsed)
-             : fallback;
+  errno = 0;
+  const long parsed = std::strtol(text, &end, 10);
+  CALIBRE_CHECK_MSG(end != text && *end == '\0',
+                    "--" << name << "='" << text << "' is not an integer");
+  CALIBRE_CHECK_MSG(errno != ERANGE && parsed >= INT_MIN && parsed <= INT_MAX,
+                    "--" << name << "='" << text << "' is out of int range");
+  return static_cast<int>(parsed);
 }
 
 double Parser::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const double parsed = std::strtod(it->second.c_str(), &end);
-  return (end != it->second.c_str() && *end == '\0') ? parsed : fallback;
+  const double parsed = std::strtod(text, &end);
+  CALIBRE_CHECK_MSG(end != text && *end == '\0',
+                    "--" << name << "='" << text << "' is not a number");
+  return parsed;
 }
 
 bool Parser::has(const std::string& name) const {

@@ -15,6 +15,9 @@ class Parser {
 
   // Value of --name, or `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
+  // Numeric values, or `fallback` when absent. Text that does not parse as
+  // the type, or for get_int does not fit an int, throws CheckError naming
+  // the flag.
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   // True when --name was passed (with any value or as a bare switch).

@@ -78,21 +78,15 @@ std::unique_ptr<fl::StreamingAggregator> Calibre::make_aggregator(
   if (!calibre_config_.divergence_weighted_aggregation) {
     return PflSsl::make_aggregator(global, round);
   }
-  // Unnormalised per-update weight mirroring divergence_weights(); the
-  // shared fold normalises by the running total at finish(). The shared
-  // fold is also what makes Calibre mergeable: its fixed-point accumulators
-  // let agg_shards split this fold into partials without changing a single
-  // output bit.
+  // The shared fold normalises the per-update weights by their running
+  // total at finish(); its fixed-point accumulators let agg_shards split
+  // the fold into partials without changing an output bit.
   const DivergenceMode mode = calibre_config_.divergence_mode;
   return std::make_unique<fl::WeightedStreamingAggregator>(
       [mode](const fl::ClientUpdate& update) {
         const auto it = update.scalars.find("divergence");
         const float d = it == update.scalars.end() ? 0.0f : it->second;
-        CALIBRE_CHECK_MSG(d >= 0.0f, "negative divergence");
-        constexpr float kEps = 1e-3f;  // divergence_weights() default
-        return static_cast<double>(mode == DivergenceMode::kInverse
-                                       ? update.weight / (d + kEps)
-                                       : update.weight * (d + kEps));
+        return static_cast<double>(divergence_weight(update.weight, d, mode));
       });
 }
 

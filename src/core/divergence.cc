@@ -14,23 +14,13 @@ float client_divergence(ssl::SslMethod& method, const tensor::Tensor& inputs,
   return cluster::kmeans(encodings, config, gen).mean_distance;
 }
 
-std::vector<float> divergence_weights(const std::vector<float>& divergences,
-                                      const std::vector<float>& sample_weights,
-                                      DivergenceMode mode, float eps) {
-  CALIBRE_CHECK(divergences.size() == sample_weights.size());
-  CALIBRE_CHECK(!divergences.empty());
-  std::vector<float> weights(divergences.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < divergences.size(); ++i) {
-    CALIBRE_CHECK_MSG(divergences[i] >= 0.0f, "negative divergence");
-    weights[i] = mode == DivergenceMode::kInverse
-                     ? sample_weights[i] / (divergences[i] + eps)
-                     : sample_weights[i] * (divergences[i] + eps);
-    total += weights[i];
-  }
-  CALIBRE_CHECK(total > 0.0);
-  for (float& w : weights) w = static_cast<float>(w / total);
-  return weights;
+float divergence_weight(float sample_weight, float divergence,
+                        DivergenceMode mode) {
+  CALIBRE_CHECK_MSG(divergence >= 0.0f, "negative divergence");
+  constexpr float kEps = 1e-3f;
+  return mode == DivergenceMode::kInverse
+             ? sample_weight / (divergence + kEps)
+             : sample_weight * (divergence + kEps);
 }
 
 }  // namespace calibre::core

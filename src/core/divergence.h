@@ -4,8 +4,6 @@
 // turns these into aggregation weights.
 #pragma once
 
-#include <vector>
-
 #include "ssl/method.h"
 
 namespace calibre::core {
@@ -20,11 +18,11 @@ float client_divergence(ssl::SslMethod& method, const tensor::Tensor& inputs,
 //                    spirit of q-FFL): w ~ divergence + eps.
 enum class DivergenceMode { kInverse, kProportional };
 
-// Aggregation weights from divergences, scaled by sample weights and
-// normalised to sum to 1. All-equal divergences reduce to FedAvg weights.
-std::vector<float> divergence_weights(
-    const std::vector<float>& divergences,
-    const std::vector<float>& sample_weights,
-    DivergenceMode mode = DivergenceMode::kInverse, float eps = 1e-3f);
+// One update's unnormalised aggregation weight from its divergence, scaled by
+// its sample weight: w / (d + 1e-3) or w * (d + 1e-3). The fold normalises
+// by the running total (fl::WeightedStreamingAggregator::finish()), so
+// all-equal divergences reduce to FedAvg weights.
+float divergence_weight(float sample_weight, float divergence,
+                        DivergenceMode mode);
 
 }  // namespace calibre::core

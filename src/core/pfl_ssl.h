@@ -41,8 +41,6 @@ class PflSsl : public fl::Algorithm {
   double personalize(const nn::ModelState& global,
                      const fl::PersonalizationContext& ctx) override;
 
-  ssl::Kind ssl_kind() const { return kind_; }
-
   // Encoder features of `inputs` under the given global state (used by the
   // representation-quality benches).
   tensor::Tensor extract_features(const nn::ModelState& global,

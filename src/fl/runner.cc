@@ -22,38 +22,31 @@ double seconds_between(SteadyClock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-// Wires the config's fault model into the router: heterogeneous device
-// classes when configured (client c -> class c % num_classes), else the
-// uniform fault knobs. The fault stream seed is derived once, so sync and
-// async runs over the same config see the same faults.
+// Wires the config's fault model into the router: one profile per device
+// class when configured (client c -> class c % num_classes), else the
+// uniform fault knobs as the single profile. The fault stream seed is
+// derived once, so sync and async runs over the same config see the same
+// faults.
 void configure_faults(const FlConfig& config, comm::Router& router) {
   const std::uint64_t fault_seed = derive_seed(config.seed, 0xFA01, 0);
-  if (!config.device_classes.empty()) {
-    std::vector<comm::FaultConfig> profiles;
-    profiles.reserve(config.device_classes.size());
-    for (const DeviceClass& device : config.device_classes) {
-      comm::FaultConfig profile;
-      profile.failure_rate = device.fault_rate;
-      profile.latency_ms = device.fault_latency_ms;
-      profile.seed = fault_seed;
-      profile.duty_cycle = device.duty_cycle;
-      profile.period_rounds = device.period_rounds;
-      profiles.push_back(profile);
-    }
-    router.set_fault_profiles(
-        std::move(profiles),
-        [num_classes = config.device_classes.size()](int endpoint) {
-          return static_cast<std::size_t>(endpoint) % num_classes;
-        });
-    return;
-  }
-  if (config.fault_rate > 0.0f || config.fault_latency_ms > 0) {
+  std::vector<comm::FaultConfig> profiles;
+  if (config.device_classes.empty()) {
     comm::FaultConfig fault;
     fault.failure_rate = config.fault_rate;
     fault.latency_ms = config.fault_latency_ms;
     fault.seed = fault_seed;
-    router.set_fault_injection(fault);
+    profiles.push_back(fault);
   }
+  for (const DeviceClass& device : config.device_classes) {
+    comm::FaultConfig profile;
+    profile.failure_rate = device.fault_rate;
+    profile.latency_ms = device.fault_latency_ms;
+    profile.seed = fault_seed;
+    profile.duty_cycle = device.duty_cycle;
+    profile.period_rounds = device.period_rounds;
+    profiles.push_back(profile);
+  }
+  router.set_fault_profiles(std::move(profiles));
 }
 
 // --- The round engine -------------------------------------------------------

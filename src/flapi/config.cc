@@ -84,6 +84,14 @@ void validate(const FlConfig& config) {
       "agg_shards (" << config.agg_shards << ") exceeds clients_per_round ("
                      << config.clients_per_round
                      << "): shards beyond the sample size can never fold");
+  // 0 selects the library default and all clients; a negative value is an
+  // error, not a spelling of either.
+  CALIBRE_CHECK_MSG(config.threads >= 0,
+                    "threads must be >= 0 (0 = library default), got "
+                        << config.threads);
+  CALIBRE_CHECK_MSG(config.personalize_cap >= 0,
+                    "personalize_cap must be >= 0 (0 = all clients), got "
+                        << config.personalize_cap);
   if (config.async_mode) {
     CALIBRE_CHECK_MSG(config.async_buffer_size >= 1,
                       "async_buffer_size must be >= 1, got "

@@ -1,4 +1,4 @@
-// Basic differentiable layers: Linear, ReLU, Tanh, LayerNorm.
+// Basic differentiable layers: Linear, ReLU, LayerNorm.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +33,6 @@ class Linear : public Module {
 class ReLU : public Module {
  public:
   ag::VarPtr forward(const ag::VarPtr& x) override { return ag::relu(x); }
-  void collect_parameters(std::vector<ag::VarPtr>&) const override {}
-};
-
-// Elementwise tanh.
-class Tanh : public Module {
- public:
-  ag::VarPtr forward(const ag::VarPtr& x) override { return ag::tanh(x); }
   void collect_parameters(std::vector<ag::VarPtr>&) const override {}
 };
 

@@ -42,11 +42,6 @@ class Module {
   void zero_grad() const {
     for (const ag::VarPtr& p : parameters()) p->zero_grad();
   }
-
-  // Convenience: forward on a raw tensor treated as a constant input.
-  ag::VarPtr forward_tensor(const tensor::Tensor& x) {
-    return forward(ag::constant(x));
-  }
 };
 
 // Runs `modules` in order. Does not own forward semantics beyond chaining.

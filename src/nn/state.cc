@@ -42,14 +42,6 @@ void ModelState::apply_to(const std::vector<ag::VarPtr>& params) const {
                    "ModelState / parameter-list size mismatch");
 }
 
-ModelState ModelState::zeros_like(const std::vector<ag::VarPtr>& params) {
-  std::size_t total = 0;
-  for (const ag::VarPtr& p : params) {
-    total += static_cast<std::size_t>(p->value.size());
-  }
-  return ModelState(std::vector<float>(total, 0.0f));
-}
-
 void ModelState::add_scaled(const ModelState& other, float alpha) {
   CALIBRE_CHECK(values_.size() == other.values_.size());
   for (std::size_t i = 0; i < values_.size(); ++i) {

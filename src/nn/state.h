@@ -25,9 +25,6 @@ class ModelState {
   // Writes this state back into `params` (total sizes must match).
   void apply_to(const std::vector<ag::VarPtr>& params) const;
 
-  // A zero state with the same dimension as `params`.
-  static ModelState zeros_like(const std::vector<ag::VarPtr>& params);
-
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   const std::vector<float>& values() const { return values_; }

@@ -24,16 +24,15 @@ class Byol : public SslMethod {
   // Online encoder + projector + predictor.
   std::vector<ag::VarPtr> trainable_parameters() const override;
 
-  nn::ProjectionHead& predictor() { return *predictor_; }
-
  protected:
   // The target encoder and projector.
   std::vector<tensor::Tensor*> private_tensors() override;
 
  private:
-  std::unique_ptr<nn::ProjectionHead> predictor_;
-  std::unique_ptr<nn::MlpEncoder> target_encoder_;
-  std::unique_ptr<nn::ProjectionHead> target_projector_;
+  // Declaration order is construction order: the predictor's draws come
+  // before the target's.
+  nn::ProjectionHead predictor_;
+  MomentumBranch target_;
 };
 
 }  // namespace calibre::ssl

@@ -1,6 +1,7 @@
 #include "ssl/method.h"
 
 #include "common/check.h"
+#include "nn/optim.h"
 #include "ssl/byol.h"
 #include "ssl/mocov2.h"
 #include "ssl/simclr.h"
@@ -85,9 +86,33 @@ void freeze(const nn::Module& module) {
   }
 }
 
-void append_values(const nn::Module& module,
-                   std::vector<tensor::Tensor*>& out) {
-  for (const ag::VarPtr& p : module.parameters()) out.push_back(&p->value);
+MomentumBranch::MomentumBranch(const nn::EncoderConfig& encoder_config,
+                               const SslConfig& config,
+                               const nn::MlpEncoder& encoder,
+                               const nn::ProjectionHead& projector,
+                               rng::Generator& gen)
+    : encoder_(encoder_config, gen),
+      projector_(encoder_config.feature_dim, config.proj_hidden,
+                 config.proj_dim, gen) {
+  nn::copy_parameters(encoder_.parameters(), encoder.parameters());
+  nn::copy_parameters(projector_.parameters(), projector.parameters());
+  freeze(encoder_);
+  freeze(projector_);
+}
+
+ag::VarPtr MomentumBranch::forward(const tensor::Tensor& view) {
+  return projector_.forward(encoder_.forward(ag::constant(view)));
+}
+
+void MomentumBranch::ema_from(const nn::MlpEncoder& encoder,
+                              const nn::ProjectionHead& projector, float m) {
+  nn::ema_update(encoder_.parameters(), encoder.parameters(), m);
+  nn::ema_update(projector_.parameters(), projector.parameters(), m);
+}
+
+void MomentumBranch::append_values(std::vector<tensor::Tensor*>& out) const {
+  for (const ag::VarPtr& p : encoder_.parameters()) out.push_back(&p->value);
+  for (const ag::VarPtr& p : projector_.parameters()) out.push_back(&p->value);
 }
 
 std::unique_ptr<SslMethod> make_method(Kind kind,

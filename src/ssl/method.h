@@ -72,7 +72,6 @@ class SslMethod {
 
   nn::MlpEncoder& encoder() { return *encoder_; }
   const nn::MlpEncoder& encoder() const { return *encoder_; }
-  nn::ProjectionHead& projector() { return *projector_; }
 
   const SslConfig& config() const { return config_; }
 
@@ -113,10 +112,32 @@ class SslMethod {
 // momentum/target networks that are updated by EMA, never by gradients.
 void freeze(const nn::Module& module);
 
-// Appends pointers to the values of `module`'s parameters to `out` (for
-// private_tensors() overrides).
-void append_values(const nn::Module& module,
-                   std::vector<tensor::Tensor*>& out);
+// The momentum copy of an online encoder + projector: BYOL's target, MoCo's
+// key network and SMoG's momentum branch. It is drawn from the owning
+// method's generator at the point where the owner builds it (the draws are
+// then overwritten, but they keep the owner's later draws in place), starts
+// as a copy of the online pair, is frozen, and only ever moves by EMA.
+class MomentumBranch {
+ public:
+  MomentumBranch(const nn::EncoderConfig& encoder_config,
+                 const SslConfig& config, const nn::MlpEncoder& encoder,
+                 const nn::ProjectionHead& projector, rng::Generator& gen);
+
+  // Projection of `view` through the branch; no gradient reaches it.
+  ag::VarPtr forward(const tensor::Tensor& view);
+
+  // branch = m * branch + (1 - m) * online, parameter by parameter.
+  void ema_from(const nn::MlpEncoder& encoder,
+                const nn::ProjectionHead& projector, float m);
+
+  // Appends the branch's parameter values, encoder first (for
+  // private_tensors() overrides).
+  void append_values(std::vector<tensor::Tensor*>& out) const;
+
+ private:
+  nn::MlpEncoder encoder_;
+  nn::ProjectionHead projector_;
+};
 
 // Creates the requested method.
 std::unique_ptr<SslMethod> make_method(Kind kind,

@@ -1,20 +1,13 @@
 #include "ssl/mocov2.h"
 
 #include "nn/losses.h"
-#include "nn/optim.h"
 
 namespace calibre::ssl {
 
 MoCoV2::MoCoV2(const nn::EncoderConfig& encoder_config,
                const SslConfig& config, std::uint64_t seed)
-    : SslMethod(encoder_config, config, seed) {
-  key_encoder_ = std::make_unique<nn::MlpEncoder>(encoder_config, gen_);
-  key_projector_ = std::make_unique<nn::ProjectionHead>(
-      encoder_config.feature_dim, config.proj_hidden, config.proj_dim, gen_);
-  nn::copy_parameters(key_encoder_->parameters(), encoder_->parameters());
-  nn::copy_parameters(key_projector_->parameters(), projector_->parameters());
-  freeze(*key_encoder_);
-  freeze(*key_projector_);
+    : SslMethod(encoder_config, config, seed),
+      key_(encoder_config, config, *encoder_, *projector_, gen_) {
   // Seed the queue with random directions so InfoNCE is defined from the
   // first step; real keys displace them within a few iterations.
   queue_ = tensor::l2_normalize_rows(
@@ -26,10 +19,8 @@ SslForward MoCoV2::forward(const tensor::Tensor& view1,
   SslForward out;
   encode_views(view1, view2, out);
   // Keys from the frozen momentum branch.
-  const ag::VarPtr k1 = key_projector_->forward(
-      key_encoder_->forward(ag::constant(view1)));
-  const ag::VarPtr k2 = key_projector_->forward(
-      key_encoder_->forward(ag::constant(view2)));
+  const ag::VarPtr k1 = key_.forward(view1);
+  const ag::VarPtr k2 = key_.forward(view2);
   const ag::VarPtr loss1 =
       nn::info_nce(out.h1, ag::detach(k2), queue_, config_.temperature);
   const ag::VarPtr loss2 =
@@ -41,10 +32,7 @@ SslForward MoCoV2::forward(const tensor::Tensor& view1,
 }
 
 void MoCoV2::after_step() {
-  nn::ema_update(key_encoder_->parameters(), encoder_->parameters(),
-                 config_.ema_momentum);
-  nn::ema_update(key_projector_->parameters(), projector_->parameters(),
-                 config_.ema_momentum);
+  key_.ema_from(*encoder_, *projector_, config_.ema_momentum);
   // Ring-buffer enqueue of this step's keys.
   for (std::int64_t r = 0; r < pending_keys_.rows(); ++r) {
     for (std::int64_t c = 0; c < queue_.cols(); ++c) {
@@ -57,8 +45,7 @@ void MoCoV2::after_step() {
 
 std::vector<tensor::Tensor*> MoCoV2::private_tensors() {
   std::vector<tensor::Tensor*> tensors;
-  append_values(*key_encoder_, tensors);
-  append_values(*key_projector_, tensors);
+  key_.append_values(tensors);
   tensors.push_back(&queue_);
   return tensors;
 }

@@ -29,8 +29,7 @@ class MoCoV2 : public SslMethod {
   void reset_private_counters() override;
 
  private:
-  std::unique_ptr<nn::MlpEncoder> key_encoder_;
-  std::unique_ptr<nn::ProjectionHead> key_projector_;
+  MomentumBranch key_;  // drawn before the queue
   tensor::Tensor queue_;          // [queue_size, proj_dim], L2-normalised rows
   std::int64_t queue_cursor_ = 0;
   tensor::Tensor pending_keys_;   // keys produced by the last forward()

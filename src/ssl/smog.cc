@@ -1,21 +1,13 @@
 #include "ssl/smog.h"
 
 #include "cluster/kmeans.h"
-#include "nn/optim.h"
 
 namespace calibre::ssl {
 
 Smog::Smog(const nn::EncoderConfig& encoder_config, const SslConfig& config,
            std::uint64_t seed)
-    : SslMethod(encoder_config, config, seed) {
-  momentum_encoder_ = std::make_unique<nn::MlpEncoder>(encoder_config, gen_);
-  momentum_projector_ = std::make_unique<nn::ProjectionHead>(
-      encoder_config.feature_dim, config.proj_hidden, config.proj_dim, gen_);
-  nn::copy_parameters(momentum_encoder_->parameters(), encoder_->parameters());
-  nn::copy_parameters(momentum_projector_->parameters(),
-                      projector_->parameters());
-  freeze(*momentum_encoder_);
-  freeze(*momentum_projector_);
+    : SslMethod(encoder_config, config, seed),
+      momentum_(encoder_config, config, *encoder_, *projector_, gen_) {
   groups_ = tensor::l2_normalize_rows(
       tensor::Tensor::randn(config.num_prototypes, config.proj_dim, gen_));
 }
@@ -25,10 +17,8 @@ SslForward Smog::forward(const tensor::Tensor& view1,
   SslForward out;
   encode_views(view1, view2, out);
   // Momentum branch encodes view2 and picks the group for each instance.
-  const tensor::Tensor k = tensor::l2_normalize_rows(
-      momentum_projector_
-          ->forward(momentum_encoder_->forward(ag::constant(view2)))
-          ->value);
+  const tensor::Tensor k =
+      tensor::l2_normalize_rows(momentum_.forward(view2)->value);
   pending_assignments_ = cluster::assign_to_centroids(k, groups_);
   pending_features_ = k;
 
@@ -46,10 +36,7 @@ SslForward Smog::forward(const tensor::Tensor& view1,
 }
 
 void Smog::after_step() {
-  nn::ema_update(momentum_encoder_->parameters(), encoder_->parameters(),
-                 config_.ema_momentum);
-  nn::ema_update(momentum_projector_->parameters(), projector_->parameters(),
-                 config_.ema_momentum);
+  momentum_.ema_from(*encoder_, *projector_, config_.ema_momentum);
   if (pending_features_.rows() == 0) return;
   // Synchronous group update: move each assigned group toward the mean of
   // its assigned momentum features, then re-normalise.
@@ -74,8 +61,7 @@ void Smog::after_step() {
 
 std::vector<tensor::Tensor*> Smog::private_tensors() {
   std::vector<tensor::Tensor*> tensors;
-  append_values(*momentum_encoder_, tensors);
-  append_values(*momentum_projector_, tensors);
+  momentum_.append_values(tensors);
   tensors.push_back(&groups_);
   return tensors;
 }

@@ -35,8 +35,7 @@ class Smog : public SslMethod {
   void reset_private_counters() override;
 
  private:
-  std::unique_ptr<nn::MlpEncoder> momentum_encoder_;
-  std::unique_ptr<nn::ProjectionHead> momentum_projector_;
+  MomentumBranch momentum_;  // drawn before the groups
   tensor::Tensor groups_;  // [num_prototypes, proj_dim], unit rows
   tensor::Tensor pending_features_;
   std::vector<int> pending_assignments_;

@@ -126,10 +126,6 @@ void Tensor::div_(const Tensor& other) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] /= other.data_[i];
 }
 
-void Tensor::relu_() {
-  for (auto& value : data_) value = value > 0.0f ? value : 0.0f;
-}
-
 float Tensor::sum() const {
   double total = 0.0;
   for (float value : data_) total += value;
@@ -340,14 +336,6 @@ Tensor sqrt(const Tensor& a) {
 
 Tensor relu(const Tensor& a) {
   return unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor relu_mask(const Tensor& a) {
-  return unary(a, [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor tanh(const Tensor& a) {
-  return unary(a, [](float x) { return std::tanh(x); });
 }
 
 Tensor square(const Tensor& a) {

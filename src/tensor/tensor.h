@@ -97,8 +97,6 @@ class Tensor {
   void mul_(const Tensor& other);
   // this /= other elementwise (same shape).
   void div_(const Tensor& other);
-  // this = max(this, 0) elementwise.
-  void relu_();
 
   // --- reductions ----------------------------------------------------------
   float sum() const;
@@ -148,8 +146,6 @@ Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
 Tensor sqrt(const Tensor& a);
 Tensor relu(const Tensor& a);
-Tensor relu_mask(const Tensor& a);  // 1 where a > 0 else 0
-Tensor tanh(const Tensor& a);
 Tensor square(const Tensor& a);
 
 // --- linear algebra ----------------------------------------------------------

@@ -320,7 +320,7 @@ TEST(Router, FaultInjectionRateOneFailsEveryDispatch) {
   FaultConfig fault;
   fault.failure_rate = 1.0f;
   fault.seed = 17;
-  router.set_fault_injection(fault);
+  router.set_fault_profiles({fault});
   for (int e = 0; e < 4; ++e) {
     Message request;
     request.receiver = e;
@@ -354,7 +354,7 @@ TEST(Router, FaultInjectionIsDeterministicPerSeed) {
     FaultConfig fault;
     fault.failure_rate = 0.5f;
     fault.seed = seed;
-    router.set_fault_injection(fault);
+    router.set_fault_profiles({fault});
     for (int round = 0; round < 4; ++round) {
       for (int e = 0; e < 6; ++e) {
         Message request;
@@ -1551,8 +1551,7 @@ TEST(Router, FaultProfilesRouteByDeviceClass) {
   FaultConfig healthy;
   healthy.seed = 9;
   // Even endpoints are class 0 (always fail), odd ones class 1 (never).
-  router.set_fault_profiles({broken, healthy},
-                            [](int e) { return static_cast<std::size_t>(e % 2); });
+  router.set_fault_profiles({broken, healthy});
   for (int e = 0; e < 6; ++e) {
     Message request;
     request.receiver = e;
@@ -1594,7 +1593,7 @@ TEST(Router, AvailabilityScheduleIsOfflineForWholeRounds) {
   fault.seed = 33;
   fault.duty_cycle = 0.5f;
   fault.period_rounds = 2;
-  router.set_fault_injection(fault);
+  router.set_fault_profiles({fault});
   std::vector<bool> online_by_round;
   for (int round = 0; round < 6; ++round) {
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -1628,16 +1627,15 @@ TEST(Router, RejectsInvalidFaultConfigs) {
   Router router(1);
   FaultConfig fault;
   fault.failure_rate = 1.5f;
-  EXPECT_THROW(router.set_fault_injection(fault), CheckError);
+  EXPECT_THROW(router.set_fault_profiles({fault}), CheckError);
   fault.failure_rate = 0.0f;
   fault.latency_ms = -1;
-  EXPECT_THROW(router.set_fault_injection(fault), CheckError);
+  EXPECT_THROW(router.set_fault_profiles({fault}), CheckError);
   fault.latency_ms = 0;
   fault.duty_cycle = 0.5f;  // needs period_rounds > 0
-  EXPECT_THROW(router.set_fault_injection(fault), CheckError);
+  EXPECT_THROW(router.set_fault_profiles({fault}), CheckError);
   fault.duty_cycle = 1.0f;
-  EXPECT_THROW(router.set_fault_profiles({}, [](int) { return 0u; }),
-               CheckError);
+  EXPECT_THROW(router.set_fault_profiles({}), CheckError);
 }
 
 // Regression for injected latency parking pool workers: with ONE pool
@@ -1659,7 +1657,7 @@ TEST(Router, InjectedLatencyDoesNotSerializeOnPoolWorkers) {
   FaultConfig fault;
   fault.latency_ms = 300;
   fault.seed = 5;
-  router.set_fault_injection(fault);
+  router.set_fault_profiles({fault});
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kDispatches; ++i) {
     Message request;

@@ -155,11 +155,33 @@ TEST(PrototypeLoss, RegularizersAreMinimizable) {
 
 // --- divergence ---------------------------------------------------------------
 
+// The weights Calibre's aggregation gives updates with these divergences
+// and sample weights: each update's state is a one-hot vector, so the
+// aggregate is the normalised weight vector.
+std::vector<float> folded_weights(const std::vector<float>& divergences,
+                                  const std::vector<float>& sample_weights,
+                                  DivergenceMode mode) {
+  fl::FlConfig config;
+  config.encoder = small_encoder();
+  CalibreConfig calibre_config;
+  calibre_config.divergence_mode = mode;
+  Calibre calibre(config, ssl::Kind::kSimClr, calibre_config);
+  std::vector<fl::ClientUpdate> updates(divergences.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    std::vector<float> one_hot(divergences.size(), 0.0f);
+    one_hot[i] = 1.0f;
+    updates[i].state = nn::ModelState(std::move(one_hot));
+    updates[i].weight = sample_weights[i];
+    updates[i].scalars["divergence"] = divergences[i];
+  }
+  return calibre.aggregate(nn::ModelState(), updates, 0).values();
+}
+
 TEST(Divergence, WeightsNormalisedAndOrdered) {
   const std::vector<float> divergences = {0.1f, 0.4f, 0.2f};
   const std::vector<float> samples = {1.0f, 1.0f, 1.0f};
-  const std::vector<float> weights =
-      divergence_weights(divergences, samples, DivergenceMode::kInverse);
+  const std::vector<float> weights = folded_weights(
+      divergences, samples, DivergenceMode::kInverse);
   double total = 0.0;
   for (const float w : weights) total += w;
   EXPECT_NEAR(total, 1.0, 1e-6);
@@ -167,25 +189,30 @@ TEST(Divergence, WeightsNormalisedAndOrdered) {
   EXPECT_GT(weights[0], weights[2]);
   EXPECT_GT(weights[2], weights[1]);
   // Proportional mode: reversed ordering.
-  const std::vector<float> proportional =
-      divergence_weights(divergences, samples, DivergenceMode::kProportional);
+  const std::vector<float> proportional = folded_weights(
+      divergences, samples, DivergenceMode::kProportional);
   EXPECT_LT(proportional[0], proportional[2]);
   EXPECT_LT(proportional[2], proportional[1]);
+  // The per-update rule itself, exactly.
+  EXPECT_EQ(divergence_weight(2.0f, 0.5f, DivergenceMode::kInverse),
+            2.0f / (0.5f + 1e-3f));
+  EXPECT_EQ(divergence_weight(2.0f, 0.5f, DivergenceMode::kProportional),
+            2.0f * (0.5f + 1e-3f));
 }
 
 TEST(Divergence, EqualDivergencesReduceToSampleWeights) {
-  const std::vector<float> divergences = {0.3f, 0.3f};
-  const std::vector<float> samples = {1.0f, 3.0f};
-  const std::vector<float> weights =
-      divergence_weights(divergences, samples);
+  const std::vector<float> weights = folded_weights(
+      {0.3f, 0.3f}, {1.0f, 3.0f}, DivergenceMode::kInverse);
   EXPECT_NEAR(weights[0], 0.25f, 1e-5f);
   EXPECT_NEAR(weights[1], 0.75f, 1e-5f);
 }
 
 TEST(Divergence, Validation) {
-  EXPECT_THROW(divergence_weights({}, {}), CheckError);
-  EXPECT_THROW(divergence_weights({0.1f}, {1.0f, 2.0f}), CheckError);
-  EXPECT_THROW(divergence_weights({-0.1f}, {1.0f}), CheckError);
+  for (const DivergenceMode mode :
+       {DivergenceMode::kInverse, DivergenceMode::kProportional}) {
+    EXPECT_THROW(divergence_weight(1.0f, -0.1f, mode), CheckError);
+    EXPECT_NO_THROW(divergence_weight(1.0f, 0.0f, mode));
+  }
 }
 
 TEST(Divergence, ClientDivergencePositive) {

@@ -1,5 +1,5 @@
-// Tests for the library extensions: fairness metrics, Adam + LR schedules,
-// flag parsing, checkpointing, and the runner's dropout/history features.
+// Tests for the library extensions: fairness metrics, flag parsing,
+// checkpointing, and the runner's dropout/history features.
 #include <cmath>
 #include <cstdio>
 
@@ -16,7 +16,6 @@
 #include "flapi/probe.h"
 #include "fl/runner.h"
 #include "metrics/fairness.h"
-#include "nn/adam.h"
 #include "nn/checkpoint.h"
 #include "nn/layers.h"
 
@@ -60,53 +59,6 @@ TEST(Fairness, EmptyInputThrows) {
   EXPECT_THROW(metrics::compute_fairness({}), CheckError);
 }
 
-// --- Adam -----------------------------------------------------------------------
-
-TEST(Adam, ConvergesOnLeastSquares) {
-  rng::Generator gen(1);
-  const tensor::Tensor w_star = tensor::Tensor::randn(3, 2, gen);
-  const tensor::Tensor x = tensor::Tensor::randn(64, 3, gen);
-  const tensor::Tensor y = tensor::matmul(x, w_star);
-  nn::Linear layer(3, 2, gen);
-  nn::Adam optimizer(layer.parameters(), {0.05f, 0.9f, 0.999f, 1e-8f, 0.0f});
-  float last = 1e9f;
-  for (int step = 0; step < 300; ++step) {
-    optimizer.zero_grad();
-    const ag::VarPtr loss = ag::mse(layer.forward(ag::constant(x)), y);
-    ag::backward(loss);
-    optimizer.step();
-    last = loss->value(0, 0);
-  }
-  EXPECT_LT(last, 1e-3f);
-  EXPECT_EQ(optimizer.steps_taken(), 300);
-}
-
-TEST(Adam, WeightDecayShrinksWeights) {
-  const ag::VarPtr p = ag::parameter(tensor::Tensor::full(1, 1, 1.0f));
-  nn::Adam optimizer({p}, {0.1f, 0.9f, 0.999f, 1e-8f, 0.5f});
-  p->zero_grad();
-  optimizer.step();
-  EXPECT_LT(p->value(0, 0), 1.0f);
-}
-
-TEST(LrSchedules, CosineEndpointsAndMonotone) {
-  EXPECT_FLOAT_EQ(nn::cosine_lr(0.1f, 0.01f, 0, 100), 0.1f);
-  EXPECT_FLOAT_EQ(nn::cosine_lr(0.1f, 0.01f, 100, 100), 0.01f);
-  EXPECT_FLOAT_EQ(nn::cosine_lr(0.1f, 0.01f, 200, 100), 0.01f);
-  float previous = 1.0f;
-  for (int step = 0; step <= 100; step += 10) {
-    const float lr = nn::cosine_lr(0.1f, 0.01f, step, 100);
-    EXPECT_LE(lr, previous + 1e-7f);
-    previous = lr;
-  }
-}
-
-TEST(LrSchedules, StepDecay) {
-  EXPECT_FLOAT_EQ(nn::step_lr(0.1f, 0.5f, 0, 10), 0.1f);
-  EXPECT_FLOAT_EQ(nn::step_lr(0.1f, 0.5f, 10, 10), 0.05f);
-  EXPECT_FLOAT_EQ(nn::step_lr(0.1f, 0.5f, 25, 10), 0.025f);
-}
-
 // --- flags ----------------------------------------------------------------------
 
 TEST(Flags, ParsesAllForms) {
@@ -135,11 +87,27 @@ TEST(Flags, UnusedDetection) {
   EXPECT_EQ(unused[0], "typo");
 }
 
-TEST(Flags, MalformedNumbersFallBack) {
-  const char* argv[] = {"prog", "--rounds=abc"};
-  const flags::Parser parser(2, argv);
-  EXPECT_EQ(parser.get_int("rounds", 5), 5);
-  EXPECT_DOUBLE_EQ(parser.get_double("rounds", 1.5), 1.5);
+TEST(Flags, MalformedNumbersThrow) {
+  const char* argv[] = {"prog", "--rounds=abc", "--seed=7x",
+                        "--clients=99999999999", "--alpha=0.3.1"};
+  const flags::Parser parser(5, argv);
+  const auto expect_throw_naming = [](const auto& call, const char* flag) {
+    try {
+      call();
+      ADD_FAILURE() << "no throw for --" << flag;
+    } catch (const CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find(flag), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_throw_naming([&] { parser.get_int("rounds", 5); }, "--rounds");
+  expect_throw_naming([&] { parser.get_double("rounds", 1.5); }, "--rounds");
+  expect_throw_naming([&] { parser.get_int("seed", 42); }, "--seed");
+  expect_throw_naming([&] { parser.get_int("clients", 20); }, "--clients");
+  expect_throw_naming([&] { parser.get_double("alpha", 0.3); }, "--alpha");
+  // Absent flags still take the fallback.
+  EXPECT_EQ(parser.get_int("absent", 5), 5);
+  EXPECT_DOUBLE_EQ(parser.get_double("absent", 1.5), 1.5);
 }
 
 // --- checkpoint ------------------------------------------------------------------

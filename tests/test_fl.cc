@@ -1813,6 +1813,22 @@ TEST(ConfigValidation, CodecKnobsBoundsChecked) {
   EXPECT_THROW(validate(config), CheckError);
 }
 
+TEST(ConfigValidation, NegativeThreadsAndPersonalizeCapRejected) {
+  FlConfig config = toy_config(4);
+  config.threads = 0;  // library default
+  config.personalize_cap = 0;  // all clients
+  EXPECT_NO_THROW(validate(config));
+  config.threads = -1;
+  EXPECT_THROW(validate(config), CheckError);
+  config.threads = 3;
+  config.personalize_cap = -2;
+  EXPECT_THROW(validate(config), CheckError);
+  ToyAlgorithm algorithm(config);
+  EXPECT_THROW(run_federated(algorithm, toy_fed(4), false), CheckError);
+  config.personalize_cap = 2;
+  EXPECT_NO_THROW(validate(config));
+}
+
 TEST(ConfigValidation, AggShardsBoundsChecked) {
   FlConfig config = toy_config(4);
   EXPECT_NO_THROW(validate(config));  // default agg_shards = 1
@@ -2340,16 +2356,13 @@ TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
 }
 
-// pFL-SimCLR with a 1024-wide encoder (16 -> 1024 -> 1024 -> 256) and
-// personalization on: the only pinned federation whose layer products are
-// large enough to take the kernels' packed-panel paths (tensor/kernels.h),
-// in local_update's forward and backward passes and in the probe's feature
-// extraction.
-TEST(RunnerGolden, SyncWideEncoder) {
-  FlConfig config = pinned_world().config;
-  config.encoder.hidden_dims = {1024, 1024};
-  config.encoder.feature_dim = 256;
-  const auto algorithm = algos::make_algorithm("pFL-SimCLR", config);
+// Runs `method` on the pinned federation with personalization on and checks
+// the final-state hash and the hexfloat train and novel accuracies.
+void expect_pinned_personalized(const std::string& method,
+                                const FlConfig& config,
+                                std::uint64_t state_hash,
+                                const std::string& expected_accuracies) {
+  const auto algorithm = algos::make_algorithm(method, config);
   const RunResult result =
       run_federated(*algorithm, pinned_world().fed, /*personalize_novel=*/true);
   if (kSanitizedBuild) return;  // model bits are release-build bits
@@ -2359,12 +2372,51 @@ TEST(RunnerGolden, SyncWideEncoder) {
   accuracies << "novel";
   for (const double value : result.novel_accuracies) accuracies << ' ' << value;
   const std::uint64_t hash = fnv1a(result.final_state.values());
-  EXPECT_EQ(hash, 0xe97d3da5341f8e7ULL)
-      << "final state hash 0x" << std::hex << hash;
-  EXPECT_EQ(accuracies.str(),
-            "0x1.d555555555555p-1 0x1p-2 0x1.aaaaaaaaaaaabp-1 "
-            "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1p-1 0x1.5555555555555p-1 "
-            "0x1.d555555555555p-1 novel 0x1p-2");
+  EXPECT_EQ(hash, state_hash) << "final state hash 0x" << std::hex << hash;
+  EXPECT_EQ(accuracies.str(), expected_accuracies);
+}
+
+// pFL-SimCLR with a 1024-wide encoder (16 -> 1024 -> 1024 -> 256) and
+// personalization on: the only pinned federation whose layer products are
+// large enough to take the kernels' packed-panel paths (tensor/kernels.h),
+// in local_update's forward and backward passes and in the probe's feature
+// extraction.
+TEST(RunnerGolden, SyncWideEncoder) {
+  FlConfig config = pinned_world().config;
+  config.encoder.hidden_dims = {1024, 1024};
+  config.encoder.feature_dim = 256;
+  expect_pinned_personalized(
+      "pFL-SimCLR", config, 0xe97d3da5341f8e7ULL,
+      "0x1.d555555555555p-1 0x1p-2 0x1.aaaaaaaaaaaabp-1 "
+      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1p-1 0x1.5555555555555p-1 "
+      "0x1.d555555555555p-1 novel 0x1p-2");
+}
+
+// The momentum-target methods (BYOL, MoCoV2, SMoG): the final shared state
+// and the accuracies pin their target networks' construction, EMA and
+// restore.
+TEST(RunnerGolden, PflByol) {
+  expect_pinned_personalized("pFL-BYOL", pinned_world().config,
+      0xaf19e836eb45b34fULL,
+      "0x1.d555555555555p-1 0x1p-2 0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 0x1.d555555555555p-1 "
+      "novel 0x1.aaaaaaaaaaaabp-2");
+}
+
+TEST(RunnerGolden, PflMoCoV2) {
+  expect_pinned_personalized("pFL-MoCoV2", pinned_world().config,
+      0x4e429c5be4f0ec3eULL,
+      "0x1.d555555555555p-1 0x1.5555555555555p-2 0x1.d555555555555p-1 "
+      "0x1.aaaaaaaaaaaabp-1 0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+      "0x1.d555555555555p-1 novel 0x1p-1");
+}
+
+TEST(RunnerGolden, PflSmog) {
+  expect_pinned_personalized("pFL-SMoG", pinned_world().config,
+      0x24f9dbfe593bffd4ULL,
+      "0x1.d555555555555p-1 0x1p-2 0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 0x1.d555555555555p-1 "
+      "novel 0x1.aaaaaaaaaaaabp-2");
 }
 
 // --- shard invariance of every RoundStats field ------------------------------

@@ -292,13 +292,5 @@ TEST(ModelState, WireFormatRejectsCorruption) {
   EXPECT_THROW(ModelState::from_bytes({0x01, 0x02}), CheckError);
 }
 
-TEST(ModelState, ZerosLike) {
-  auto gen = make_gen(12);
-  Linear layer(3, 3, gen);
-  const ModelState zeros = ModelState::zeros_like(layer.parameters());
-  EXPECT_EQ(zeros.size(), 12u);
-  EXPECT_FLOAT_EQ(zeros.norm(), 0.0f);
-}
-
 }  // namespace
 }  // namespace calibre::nn

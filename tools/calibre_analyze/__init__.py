@@ -32,5 +32,3 @@ string is mandatory; a lint-allow without one is itself a finding
 
 Entry point: tools/calibre_lint.py (kept as the ctest-facing CLI shim).
 """
-
-ANALYZER_VERSION = 2  # bump to invalidate on-disk fact caches

@@ -1,4 +1,4 @@
-"""Driver: file collection, fact caching, pass orchestration, suppression
+"""Driver: file collection, fact extraction, pass orchestration, suppression
 handling, fixture self-test, and the CLI (text/JSON output, per-pass
 timing). tools/calibre_lint.py is the thin entry-point shim."""
 
@@ -7,9 +7,8 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Set
 
-from . import cache as cache_mod
 from . import facts as facts_mod
 from . import determinism, layering, locks, patterns
 
@@ -65,8 +64,6 @@ class AnalysisResult(NamedTuple):
     suppressed: int
     files: int
     timings: List  # [(phase, seconds)]
-    cache_hits: int
-    cache_misses: int
 
 
 def _apply_suppressions(findings: List[Finding],
@@ -104,24 +101,15 @@ def _apply_suppressions(findings: List[Finding],
 
 
 def analyze_tree(root: str, active_passes: List[str],
-                 cache_path: Optional[str] = None,
                  module_deps=None) -> AnalysisResult:
     timings = []
     t0 = time.monotonic()
     rels = collect_files(root)
-    fact_cache = cache_mod.FactCache(cache_path)
     per_file_facts: Dict[str, Dict] = {}
     for rel in rels:
-        full = os.path.join(root, rel)
-        facts = fact_cache.lookup(rel, full)
-        if facts is None:
-            with open(full, "r", encoding="utf-8", errors="replace") as fh:
-                raw = fh.read()
-            facts = facts_mod.extract(rel, raw)
-            fact_cache.store(rel, full, facts)
-        per_file_facts[rel] = facts
-    fact_cache.prune(rels)
-    fact_cache.save()
+        with open(os.path.join(root, rel), "r", encoding="utf-8",
+                  errors="replace") as fh:
+            per_file_facts[rel] = facts_mod.extract(rel, fh.read())
     timings.append(("parse", time.monotonic() - t0))
 
     findings: List[Finding] = []
@@ -166,8 +154,7 @@ def analyze_tree(root: str, active_passes: List[str],
     findings, suppressed = _apply_suppressions(
         findings, per_file_facts, active_rules)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return AnalysisResult(findings, suppressed, len(rels), timings,
-                          fact_cache.hits, fact_cache.misses)
+    return AnalysisResult(findings, suppressed, len(rels), timings)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +225,6 @@ def _emit_text(result: AnalysisResult, show_timings: bool) -> None:
     if show_timings:
         for phase, seconds in result.timings:
             print(f"calibre_lint timing: {phase:<22s} {seconds * 1e3:8.1f} ms")
-        print(f"calibre_lint cache: {result.cache_hits} hit(s), "
-              f"{result.cache_misses} miss(es)")
 
 
 def _emit_json(result: AnalysisResult, root: str,
@@ -255,8 +240,6 @@ def _emit_json(result: AnalysisResult, root: str,
         "counts": {"files": result.files,
                    "findings": len(result.findings),
                    "suppressed": result.suppressed},
-        "cache": {"hits": result.cache_hits,
-                  "misses": result.cache_misses},
         "active_passes": list(active_passes),
     }
     json.dump(doc, sys.stdout, indent=2)
@@ -278,9 +261,6 @@ def main(argv=None) -> int:
                              + ",".join(PASS_NAMES))
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="per-file fact cache (JSON); invalidated per "
-                             "file on mtime/size change")
     parser.add_argument("--timings", action="store_true",
                         help="print per-pass wall-clock timing")
     args = parser.parse_args(argv)
@@ -300,7 +280,7 @@ def main(argv=None) -> int:
     if args.fixtures_only:
         return 0
 
-    result = analyze_tree(root, active_passes, cache_path=args.cache)
+    result = analyze_tree(root, active_passes)
     if args.format == "json":
         _emit_json(result, root, active_passes)
     else:

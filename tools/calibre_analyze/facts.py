@@ -1,6 +1,6 @@
 """Per-file fact extraction. Everything a pass needs from a single file is
-computed here once and is JSON-serializable, so the driver can cache it per
-(mtime, size) and whole-program passes stay fast on warm runs."""
+computed here once, so the whole-program passes read facts rather than
+re-parsing sources."""
 
 import re
 from typing import Dict, List, Tuple

@@ -52,9 +52,12 @@ run_step "configure" cmake -S "$SRC_ROOT" -B "$BUILD_DIR" \
 if [ $overall -ne 0 ]; then
   echo "ci: configure/build failed; skipping test lanes"
 else
-  # Tier-1: everything except the nested sanitizer lanes and lint entries.
+  # Tier-1: everything except the nested sanitizer lanes, the lint entries
+  # and the bench smokes that each get a summary row of their own below
+  # (bench.comm_smoke has none, so it runs here).
   run_step "tier1.ctest" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$NPROC" -E '^(tsan|asan|ubsan|lint)\.'
+    -j "$NPROC" \
+    -E '^((tsan|asan|ubsan|lint)\.|bench\.(scale|async|hierarchy|codec|personalize)_smoke$)'
   # Scalability gate, surfaced as its own summary row: streaming rounds over
   # a virtual FedDataset must keep peak RSS flat as the population grows
   # (bench_scale exits nonzero on a superlinear blow-up).

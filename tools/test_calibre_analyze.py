@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for the tools/calibre_analyze package itself (the lint.cli
 ctest entry): CLI exit codes, the --format json schema, suppression
-rejection, fact-cache invalidation, and raw-string-literal stripping.
+rejection, and raw-string-literal stripping.
 
 These test the analyzer as a program; the rule *semantics* are covered by
 the fixture self-test under tests/lint_fixtures/ (lint.calibre etc.)."""
@@ -43,13 +43,11 @@ class TempTree(unittest.TestCase):
         self.root = tempfile.mkdtemp(prefix="calibre_analyze_test_")
         self.addCleanup(shutil.rmtree, self.root, ignore_errors=True)
 
-    def write(self, rel, content, mtime=None):
+    def write(self, rel, content):
         path = os.path.join(self.root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
-        if mtime is not None:
-            os.utime(path, (mtime, mtime))
         return path
 
     def analyze(self, *extra):
@@ -96,7 +94,6 @@ class JsonFormatTest(TempTree):
         self.assertEqual(doc["counts"]["files"], 1)
         self.assertEqual(doc["counts"]["findings"], len(doc["findings"]))
         self.assertEqual(doc["counts"]["suppressed"], 0)
-        self.assertEqual(set(doc["cache"]), {"hits", "misses"})
         finding = doc["findings"][0]
         self.assertEqual(set(finding),
                          {"path", "line", "rule", "pass", "message"})
@@ -152,44 +149,6 @@ class SuppressionTest(TempTree):
         doc = json.loads(out)
         self.assertEqual([f["rule"] for f in doc["findings"]],
                          ["bad-suppression"])
-
-
-class CacheTest(TempTree):
-    def cache_path(self):
-        return os.path.join(self.root, "lint_cache.json")
-
-    def test_warm_run_hits_every_file(self):
-        self.write("src/common/ok.cc", CLEAN_CC)
-        self.write("src/common/more.cc", CLEAN_CC.replace("answer", "more"))
-        code, out = self.analyze("--format", "json", "--cache",
-                                 self.cache_path())
-        self.assertEqual(code, 0)
-        self.assertEqual(json.loads(out)["cache"], {"hits": 0, "misses": 2})
-        code, out = self.analyze("--format", "json", "--cache",
-                                 self.cache_path())
-        self.assertEqual(code, 0)
-        self.assertEqual(json.loads(out)["cache"], {"hits": 2, "misses": 0})
-
-    def test_edit_invalidates_only_that_file(self):
-        self.write("src/common/ok.cc", CLEAN_CC, mtime=1000)
-        self.write("src/common/bad.cc", CLEAN_CC.replace("answer", "other"),
-                   mtime=1000)
-        code, _ = self.analyze("--cache", self.cache_path())
-        self.assertEqual(code, 0)
-        # Introduce a violation; same mtime but different size still misses.
-        self.write("src/common/bad.cc", VIOLATION_CC, mtime=1000)
-        code, out = self.analyze("--format", "json", "--cache",
-                                 self.cache_path())
-        self.assertEqual(code, 1)
-        doc = json.loads(out)
-        self.assertEqual(doc["cache"], {"hits": 1, "misses": 1})
-        self.assertEqual([f["rule"] for f in doc["findings"]],
-                         ["thread-funnel"])
-        # And fixing it (new mtime) flips back to clean — no stale facts.
-        self.write("src/common/bad.cc", CLEAN_CC.replace("answer", "other"),
-                   mtime=2000)
-        code, _ = self.analyze("--cache", self.cache_path())
-        self.assertEqual(code, 0)
 
 
 class RawStringStripTest(unittest.TestCase):
