@@ -138,8 +138,7 @@ static double compression_ratio(const fl::RoundStats& r) {
          static_cast<double>(r.update_bytes_f32);
 }
 
-int main(int argc, char** argv) {
-  const flags::Parser args(argc, argv);
+static int run(const flags::Parser& args) {
   if (args.has("list-methods")) {
     for (const auto& name : algos::registered_algorithms()) {
       std::cout << name << "\n";
@@ -207,12 +206,7 @@ int main(int argc, char** argv) {
   config.staleness_alpha =
       static_cast<float>(args.get_double("staleness-alpha", 0.5));
   const std::string wire_codec = args.get("wire-codec", "f32");
-  try {
-    config.wire_codec = comm::codec_from_name(wire_codec);
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << "\n";
-    return 2;
-  }
+  config.wire_codec = comm::codec_from_name(wire_codec);
   config.topk_rate = static_cast<float>(args.get_double("topk-rate", 0.0625));
   config.codec_error_budget =
       static_cast<float>(args.get_double("codec-error-budget", 0.01));
@@ -335,4 +329,16 @@ int main(int argc, char** argv) {
               << " timed out, " << total_late << " late replies dropped\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // Bad input (a flag value that does not parse, an unknown method, dataset
+  // or codec) throws a CheckError naming it: report it and exit 2, like an
+  // invalid configuration, instead of aborting.
+  try {
+    return run(flags::Parser(argc, argv));
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
+  }
 }

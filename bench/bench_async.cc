@@ -182,37 +182,32 @@ int run(const AsyncOptions& options) {
 int main(int argc, char** argv) {
   using calibre::bench::AsyncOptions;
   AsyncOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--smoke") {
-      // CI-sized: still exercises both loops, the shared availability
-      // trace, and the fold-budget invariant, in a few seconds.
-      options.rounds = 4;
-      options.clients_per_round = 4;
-      options.train_clients = 8;
-      options.samples_per_client = 30;
-      options.latency_scale_ms = 30;
-    } else if (arg == "--rounds" && has_value) {
-      options.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--clients-per-round" && has_value) {
-      options.clients_per_round = std::atoi(argv[++i]);
-    } else if (arg == "--train-clients" && has_value) {
-      options.train_clients = std::atoi(argv[++i]);
-    } else if (arg == "--samples" && has_value) {
-      options.samples_per_client = std::atoi(argv[++i]);
-    } else if (arg == "--local-epochs" && has_value) {
-      options.local_epochs = std::atoi(argv[++i]);
-    } else if (arg == "--latency-ms" && has_value) {
-      options.latency_scale_ms = std::atoi(argv[++i]);
-    } else if (arg == "--method" && has_value) {
-      options.method = argv[++i];
-    } else if (arg == "--out" && has_value) {
-      options.out = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
+  const calibre::flags::Parser args(argc, argv);
+  if (!calibre::bench::read_flags(args, [&] {
+        if (args.has("smoke")) {
+          // CI-sized: still exercises both loops, the shared availability
+          // trace, and the fold-budget invariant, in a few seconds.
+          options.rounds = 4;
+          options.clients_per_round = 4;
+          options.train_clients = 8;
+          options.samples_per_client = 30;
+          options.latency_scale_ms = 30;
+        }
+        options.rounds = args.get_int("rounds", options.rounds);
+        options.clients_per_round =
+            args.get_int("clients-per-round", options.clients_per_round);
+        options.train_clients =
+            args.get_int("train-clients", options.train_clients);
+        options.samples_per_client =
+            args.get_int("samples", options.samples_per_client);
+        options.local_epochs =
+            args.get_int("local-epochs", options.local_epochs);
+        options.latency_scale_ms =
+            args.get_int("latency-ms", options.latency_scale_ms);
+        options.method = args.get("method", options.method);
+        options.out = args.get("out", options.out);
+      })) {
+    return 1;
   }
   if (options.rounds <= 0 || options.clients_per_round <= 0) {
     std::fprintf(stderr, "need positive rounds and clients-per-round\n");

@@ -230,17 +230,15 @@ int run(const std::string& out_path) {
 
 int main(int argc, char** argv) {
   std::string out = "BENCH_codec.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      // The gate constants are tied to the fixed workbench, so the smoke
-      // run IS the full run (~3 s for all codecs).
-    } else if (arg == "--out" && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
+  const calibre::flags::Parser args(argc, argv);
+  if (!calibre::bench::read_flags(args, [&] {
+        // --smoke is accepted and changes nothing: the gate constants are
+        // tied to the fixed workbench, so the smoke run IS the full run
+        // (~3 s for all codecs).
+        args.has("smoke");
+        out = args.get("out", out);
+      })) {
+    return 1;
   }
   return calibre::bench::run(out);
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "comm/payload.h"
 #include "common/thread_pool.h"
 #include "fl/shard_fold.h"
@@ -226,24 +227,19 @@ int run(const HierarchyOptions& options) {
 int main(int argc, char** argv) {
   using calibre::bench::HierarchyOptions;
   HierarchyOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--smoke") {
-      // CI-sized: still exercises every shard count and the two-level
-      // merge, in a couple of seconds.
-      options.dim = 1 << 13;
-      options.updates = 16;
-    } else if (arg == "--dim" && has_value) {
-      options.dim = std::atoi(argv[++i]);
-    } else if (arg == "--updates" && has_value) {
-      options.updates = std::atoi(argv[++i]);
-    } else if (arg == "--out" && has_value) {
-      options.out = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
+  const calibre::flags::Parser args(argc, argv);
+  if (!calibre::bench::read_flags(args, [&] {
+        if (args.has("smoke")) {
+          // CI-sized: still exercises every shard count and the two-level
+          // merge, in a couple of seconds.
+          options.dim = 1 << 13;
+          options.updates = 16;
+        }
+        options.dim = args.get_int("dim", options.dim);
+        options.updates = args.get_int("updates", options.updates);
+        options.out = args.get("out", options.out);
+      })) {
+    return 1;
   }
   if (options.dim <= 0 || options.updates < 8) {
     std::fprintf(stderr, "need --dim > 0 and --updates >= 8\n");

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "algos/registry.h"
+#include "bench/harness.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/fed_data.h"
@@ -262,7 +263,9 @@ std::vector<int> parse_populations(const std::string& arg) {
     const std::size_t comma = arg.find(',', begin);
     const std::string token =
         arg.substr(begin, comma == std::string::npos ? comma : comma - begin);
-    if (!token.empty()) populations.push_back(std::atoi(token.c_str()));
+    if (!token.empty()) {
+      populations.push_back(flags::parse_int(token, "populations"));
+    }
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
@@ -275,36 +278,33 @@ std::vector<int> parse_populations(const std::string& arg) {
 int main(int argc, char** argv) {
   using calibre::bench::ScaleOptions;
   ScaleOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--smoke") {
-      // CI-sized sweep: still exercises fork + dataset build + streaming
-      // rounds + the RSS guard, in a few seconds.
-      options.populations = {200, 1000};
-      options.rounds = 2;
-      options.clients_per_round = 8;
-      options.samples_per_client = 30;
-    } else if (arg == "--populations" && has_value) {
-      options.populations = calibre::bench::parse_populations(argv[++i]);
-    } else if (arg == "--rounds" && has_value) {
-      options.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--clients-per-round" && has_value) {
-      options.clients_per_round = std::atoi(argv[++i]);
-    } else if (arg == "--samples" && has_value) {
-      options.samples_per_client = std::atoi(argv[++i]);
-    } else if (arg == "--local-epochs" && has_value) {
-      options.local_epochs = std::atoi(argv[++i]);
-    } else if (arg == "--personalize-cap" && has_value) {
-      options.personalize_cap = std::atoi(argv[++i]);
-    } else if (arg == "--method" && has_value) {
-      options.method = argv[++i];
-    } else if (arg == "--out" && has_value) {
-      options.out = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
+  const calibre::flags::Parser args(argc, argv);
+  if (!calibre::bench::read_flags(args, [&] {
+        if (args.has("smoke")) {
+          // CI-sized sweep: still exercises fork + dataset build +
+          // streaming rounds + the RSS guard, in a few seconds.
+          options.populations = {200, 1000};
+          options.rounds = 2;
+          options.clients_per_round = 8;
+          options.samples_per_client = 30;
+        }
+        if (args.has("populations")) {
+          options.populations =
+              calibre::bench::parse_populations(args.get("populations", ""));
+        }
+        options.rounds = args.get_int("rounds", options.rounds);
+        options.clients_per_round =
+            args.get_int("clients-per-round", options.clients_per_round);
+        options.samples_per_client =
+            args.get_int("samples", options.samples_per_client);
+        options.local_epochs =
+            args.get_int("local-epochs", options.local_epochs);
+        options.personalize_cap =
+            args.get_int("personalize-cap", options.personalize_cap);
+        options.method = args.get("method", options.method);
+        options.out = args.get("out", options.out);
+      })) {
+    return 1;
   }
   if (options.populations.empty() || options.rounds <= 0) {
     std::fprintf(stderr, "need at least one population and one round\n");

@@ -11,6 +11,25 @@
 
 namespace calibre::bench {
 
+bool read_flags(const flags::Parser& args, const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const CheckError& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return false;
+  }
+  bool ok = true;
+  for (const std::string& name : args.unused()) {
+    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    ok = false;
+  }
+  for (const std::string& arg : args.positional()) {
+    std::fprintf(stderr, "unexpected argument %s\n", arg.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
 std::string Setting::label() const {
   char buffer[128];
   if (partition == "quantity") {

@@ -20,10 +20,12 @@
 //   CALIBRE_FAST=1          tiny smoke-scale run (CI)
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "algos/registry.h"
+#include "common/flags.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/fed_data.h"
@@ -31,6 +33,13 @@
 #include "metrics/report.h"
 
 namespace calibre::bench {
+
+// Reads a bench binary's flags: `read` queries `args` and fills the
+// binary's options. Returns false, after printing why, when a value is
+// missing or does not parse (the parser names the flag) or when `args`
+// holds a flag that `read` never asked for or a positional argument; the
+// binary then exits 1.
+bool read_flags(const flags::Parser& args, const std::function<void()>& read);
 
 // One (dataset, partition) experimental setting.
 struct Setting {

@@ -21,18 +21,9 @@ void Apfl::train_personal(std::vector<float>& v, const std::vector<float>& w,
                                             config_.batch_size, gen,
                                             /*min_batch=*/2);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(dataset.labels[static_cast<std::size_t>(index)]);
-      }
-      const tensor::Tensor view =
-          fl::training_view(dataset, batch, config_.augment, gen,
-                            config_.supervised_oracle_views);
       // Gradient of the mixed model's loss, applied to v scaled by alpha.
       nn::ModelState(mix_flat(v, w, alpha_)).apply_to(params);
-      for (const ag::VarPtr& p : params) p->zero_grad();
-      ag::backward(ag::cross_entropy(model.logits(ag::constant(view)), y));
+      fl::supervised_backward(model, params, dataset, batch, config_, gen);
       axpy_flat(v, flat_grads(params), -lr * alpha_);
     }
   }

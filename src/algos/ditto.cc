@@ -22,17 +22,8 @@ void Ditto::train_personal(std::vector<float>& v,
                                             config_.batch_size, gen,
                                             /*min_batch=*/2);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(dataset.labels[static_cast<std::size_t>(index)]);
-      }
-      const tensor::Tensor view =
-          fl::training_view(dataset, batch, config_.augment, gen,
-                            config_.supervised_oracle_views);
       nn::ModelState(v).apply_to(params);
-      for (const ag::VarPtr& p : params) p->zero_grad();
-      ag::backward(ag::cross_entropy(model.logits(ag::constant(view)), y));
+      fl::supervised_backward(model, params, dataset, batch, config_, gen);
       std::vector<float> grad = flat_grads(params);
       // Prox term gradient: lambda * (v - anchor).
       for (std::size_t i = 0; i < grad.size(); ++i) {

@@ -25,17 +25,8 @@ fl::ClientUpdate FedProx::local_update(const nn::ModelState& global,
                                             config_.batch_size, gen,
                                             /*min_batch=*/2);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(ctx.train->labels[static_cast<std::size_t>(index)]);
-      }
-      const tensor::Tensor view =
-          fl::training_view(*ctx.train, batch, config_.augment, gen,
-                            config_.supervised_oracle_views);
       nn::ModelState(w).apply_to(params);
-      for (const ag::VarPtr& p : params) p->zero_grad();
-      ag::backward(ag::cross_entropy(model.logits(ag::constant(view)), y));
+      fl::supervised_backward(model, params, *ctx.train, batch, config_, gen);
       std::vector<float> grad = flat_grads(params);
       // Proximal gradient: mu * (w - w_global).
       for (std::size_t i = 0; i < grad.size(); ++i) {

@@ -1,5 +1,5 @@
 // Flat-vector views over parameter lists, shared by the baselines that do
-// their own update arithmetic (SCAFFOLD, APFL, Ditto, PerFedAvg).
+// their own update arithmetic (SCAFFOLD, FedProx, APFL, Ditto, PerFedAvg).
 #pragma once
 
 #include <vector>

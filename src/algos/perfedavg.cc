@@ -3,30 +3,6 @@
 #include "algos/flat.h"
 
 namespace calibre::algos {
-namespace {
-
-// One cross-entropy backward pass over an augmented batch; returns the flat
-// gradient at the model's current parameters.
-std::vector<float> batch_gradient(fl::EncoderHeadModel& model,
-                                  const std::vector<ag::VarPtr>& params,
-                                  const data::Dataset& dataset,
-                                  const std::vector<int>& batch,
-                                  const fl::FlConfig& config,
-                                  rng::Generator& gen) {
-  std::vector<int> y;
-  y.reserve(batch.size());
-  for (const int index : batch) {
-    y.push_back(dataset.labels[static_cast<std::size_t>(index)]);
-  }
-  const tensor::Tensor view =
-      fl::training_view(dataset, batch, config.augment, gen,
-                        config.supervised_oracle_views);
-  for (const ag::VarPtr& p : params) p->zero_grad();
-  ag::backward(ag::cross_entropy(model.logits(ag::constant(view)), y));
-  return flat_grads(params);
-}
-
-}  // namespace
 
 nn::ModelState PerFedAvg::initialize() {
   const fl::EncoderHeadModel model =
@@ -51,16 +27,16 @@ fl::ClientUpdate PerFedAvg::local_update(const nn::ModelState& global,
       std::vector<float> theta =
           nn::ModelState::from_parameters(params).values();
       // Inner step on batch b.
-      const std::vector<float> inner_grad =
-          batch_gradient(model, params, *ctx.train, batches[b], config_, gen);
+      fl::supervised_backward(model, params, *ctx.train, batches[b], config_,
+                              gen);
       std::vector<float> adapted = theta;
-      axpy_flat(adapted, inner_grad, -lr);
+      axpy_flat(adapted, flat_grads(params), -lr);
       nn::ModelState(adapted).apply_to(params);
       // Outer gradient evaluated at the adapted point, on batch b+1.
-      const std::vector<float> outer_grad = batch_gradient(
-          model, params, *ctx.train, batches[b + 1], config_, gen);
+      fl::supervised_backward(model, params, *ctx.train, batches[b + 1],
+                              config_, gen);
       // FO-MAML: apply the outer gradient to theta.
-      axpy_flat(theta, outer_grad, -lr);
+      axpy_flat(theta, flat_grads(params), -lr);
       nn::ModelState(theta).apply_to(params);
     }
   }

@@ -164,17 +164,7 @@ fl::ClientUpdate Scaffold::local_update(const nn::ModelState& global,
                                             config_.batch_size, gen,
                                             /*min_batch=*/2);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(ctx.train->labels[static_cast<std::size_t>(index)]);
-      }
-      const tensor::Tensor view =
-          fl::training_view(*ctx.train, batch, config_.augment, gen,
-                            config_.supervised_oracle_views);
-      optimizer.zero_grad();
-      ag::backward(
-          ag::cross_entropy(model.logits(ag::constant(view)), y));
+      fl::supervised_backward(model, params, *ctx.train, batch, config_, gen);
       add_flat_to_grads(params, correction);
       optimizer.step();
       ++steps;

@@ -8,6 +8,17 @@
 
 namespace calibre::flags {
 
+int parse_int(const std::string& text, const std::string& flag) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  CALIBRE_CHECK_MSG(end != text.c_str() && *end == '\0',
+                    "--" << flag << "='" << text << "' is not an integer");
+  CALIBRE_CHECK_MSG(errno != ERANGE && parsed >= INT_MIN && parsed <= INT_MAX,
+                    "--" << flag << "='" << text << "' is out of int range");
+  return static_cast<int>(parsed);
+}
+
 Parser::Parser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -23,37 +34,34 @@ Parser::Parser(int argc, const char* const* argv) {
       values_[body] = argv[++i];
     } else {
       values_[body] = "true";  // bare switch
+      switches_.insert(body);
     }
   }
 }
 
-std::string Parser::get(const std::string& name,
-                        const std::string& fallback) const {
+const std::string* Parser::value(const std::string& name) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  if (it == values_.end()) return nullptr;
+  CALIBRE_CHECK_MSG(!switches_.count(name), "--" << name << " needs a value");
+  return &it->second;
+}
+
+std::string Parser::get(const std::string& name,
+                        const std::string& fallback) const {
+  const std::string* text = value(name);
+  return text == nullptr ? fallback : *text;
 }
 
 int Parser::get_int(const std::string& name, int fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(text, &end, 10);
-  CALIBRE_CHECK_MSG(end != text && *end == '\0',
-                    "--" << name << "='" << text << "' is not an integer");
-  CALIBRE_CHECK_MSG(errno != ERANGE && parsed >= INT_MIN && parsed <= INT_MAX,
-                    "--" << name << "='" << text << "' is out of int range");
-  return static_cast<int>(parsed);
+  const std::string* text = value(name);
+  return text == nullptr ? fallback : parse_int(*text, name);
 }
 
 double Parser::get_double(const std::string& name, double fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const char* text = it->second.c_str();
+  const std::string* given = value(name);
+  if (given == nullptr) return fallback;
+  const char* text = given->c_str();
   char* end = nullptr;
   const double parsed = std::strtod(text, &end);
   CALIBRE_CHECK_MSG(end != text && *end == '\0',

@@ -11,13 +11,19 @@ Dataset Dataset::subset(std::span<const int> indices) const {
     out.latents = tensor::take_rows(latents, indices);
   }
   out.oracle = oracle;
-  out.labels.reserve(indices.size());
-  for (const int index : indices) {
-    CALIBRE_CHECK(index >= 0 &&
-                  index < static_cast<int>(labels.size()));
-    out.labels.push_back(labels[static_cast<std::size_t>(index)]);
-  }
+  out.labels = take_labels(labels, indices);
   out.num_classes = num_classes;
+  return out;
+}
+
+std::vector<int> take_labels(const std::vector<int>& labels,
+                             std::span<const int> indices) {
+  std::vector<int> out;
+  out.reserve(indices.size());
+  for (const int index : indices) {
+    CALIBRE_CHECK(index >= 0 && index < static_cast<int>(labels.size()));
+    out.push_back(labels[static_cast<std::size_t>(index)]);
+  }
   return out;
 }
 

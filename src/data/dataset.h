@@ -27,8 +27,8 @@ struct Dataset {
   // crop/color-jitter pipelines on natural images.
   tensor::Tensor latents;
   // View generator shared by all splits of a synthetic dataset (null for
-  // datasets without one). When set together with `latents`, training code
-  // prefers oracle views over generic pixel-space augmentation.
+  // datasets without one). When set together with `latents`, SSL training
+  // draws oracle views instead of generic pixel-space augmentation.
   std::shared_ptr<const ViewOracle> oracle;
   int num_classes = 0;
 
@@ -50,6 +50,10 @@ struct Dataset {
   // Indices grouped by class; unlabeled samples are skipped.
   std::vector<std::vector<int>> indices_by_class() const;
 };
+
+// labels[indices[i]] for every i, in order.
+std::vector<int> take_labels(const std::vector<int>& labels,
+                             std::span<const int> indices);
 
 // Shuffled mini-batch index lists covering [0, n). The final partial batch is
 // kept when it has at least `min_batch` elements (losses like NT-Xent need a

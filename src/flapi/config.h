@@ -52,12 +52,6 @@ struct FlConfig {
                         /*weight_decay=*/1e-4f};
 
   data::AugmentConfig augment;
-  // Whether supervised local training may use the dataset's ViewOracle for
-  // augmentation. Default off: supervised FL baselines use generic (weak)
-  // augmentation, while SSL methods rely on the strong semantic-preserving
-  // view pipeline — mirroring practice, where SimCLR-style pipelines are far
-  // stronger than the crop/flip used in supervised FL.
-  bool supervised_oracle_views = false;
   ProbeConfig probe;
 
   // Probability that a sampled client fails to deliver its update in a

@@ -1,21 +1,9 @@
 #include "flapi/model.h"
 
 #include "common/check.h"
-#include "data/synthetic.h"
+#include "data/augment.h"
 
 namespace calibre::fl {
-
-tensor::Tensor training_view(const data::Dataset& dataset,
-                             const std::vector<int>& batch,
-                             const data::AugmentConfig& augment,
-                             rng::Generator& gen, bool allow_oracle) {
-  if (allow_oracle && dataset.oracle && dataset.oracle->valid() &&
-      dataset.latents.rows() > 0) {
-    return dataset.oracle->render_view(
-        tensor::take_rows(dataset.latents, batch), gen);
-  }
-  return data::augment(tensor::take_rows(dataset.x, batch), augment, gen);
-}
 
 EncoderHeadModel make_encoder_head(const FlConfig& config,
                                    std::uint64_t seed) {
@@ -25,6 +13,21 @@ EncoderHeadModel make_encoder_head(const FlConfig& config,
   model.head = std::make_unique<nn::LinearClassifier>(
       config.encoder.feature_dim, config.num_classes, gen);
   return model;
+}
+
+float supervised_backward(EncoderHeadModel& model,
+                          const std::vector<ag::VarPtr>& params,
+                          const data::Dataset& dataset,
+                          const std::vector<int>& batch,
+                          const FlConfig& config, rng::Generator& gen) {
+  const std::vector<int> y = data::take_labels(dataset.labels, batch);
+  const tensor::Tensor view =
+      data::augment(tensor::take_rows(dataset.x, batch), config.augment, gen);
+  for (const ag::VarPtr& p : params) p->zero_grad();
+  const ag::VarPtr loss =
+      ag::cross_entropy(model.logits(ag::constant(view)), y);
+  ag::backward(loss);
+  return loss->value(0, 0);
 }
 
 float train_supervised(EncoderHeadModel& model,
@@ -40,19 +43,9 @@ float train_supervised(EncoderHeadModel& model,
         data::make_batches(dataset.size(), config.batch_size, gen,
                            /*min_batch=*/2);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(dataset.labels[static_cast<std::size_t>(index)]);
-      }
-      const tensor::Tensor view = training_view(
-          dataset, batch, config.augment, gen, config.supervised_oracle_views);
-      optimizer.zero_grad();
-      const ag::VarPtr loss =
-          ag::cross_entropy(model.logits(ag::constant(view)), y);
-      ag::backward(loss);
+      total_loss +=
+          supervised_backward(model, params, dataset, batch, config, gen);
       optimizer.step();
-      total_loss += loss->value(0, 0);
       ++steps;
     }
   }
@@ -71,15 +64,11 @@ double finetune_and_eval(EncoderHeadModel& model,
     const auto batches =
         data::make_batches(train.size(), probe.batch_size, gen);
     for (const auto& batch : batches) {
-      std::vector<int> y;
-      y.reserve(batch.size());
-      for (const int index : batch) {
-        y.push_back(train.labels[static_cast<std::size_t>(index)]);
-      }
       optimizer.zero_grad();
       const ag::VarPtr logits = model.logits(
           ag::constant(tensor::take_rows(train.x, batch)));
-      ag::backward(ag::cross_entropy(logits, y));
+      ag::backward(
+          ag::cross_entropy(logits, data::take_labels(train.labels, batch)));
       optimizer.step();
     }
   }

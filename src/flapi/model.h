@@ -39,18 +39,22 @@ struct EncoderHeadModel {
 // Builds a fresh model; `seed` controls initialisation.
 EncoderHeadModel make_encoder_head(const FlConfig& config, std::uint64_t seed);
 
-// One stochastic training view of the selected batch rows: oracle views
-// when the dataset carries latents + a ViewOracle (synthetic datasets),
-// generic pixel-space augmentation otherwise.
-tensor::Tensor training_view(const data::Dataset& dataset,
-                             const std::vector<int>& batch,
-                             const data::AugmentConfig& augment,
-                             rng::Generator& gen,
-                             bool allow_oracle = false);
+// The supervised batch step every baseline shares, short of the update:
+// gathers the batch's labels, draws one generic pixel-space augmented view
+// of its rows from `gen`, zeroes the gradients of `params` and
+// back-propagates the cross entropy of the model's logits on that view.
+// The caller steps an optimizer or reads the gradients. Returns the batch
+// loss.
+float supervised_backward(EncoderHeadModel& model,
+                          const std::vector<ag::VarPtr>& params,
+                          const data::Dataset& dataset,
+                          const std::vector<int>& batch,
+                          const FlConfig& config, rng::Generator& gen);
 
-// One supervised local-training pass (cross entropy over augmented batches).
-// `params` selects which parameters the optimizer updates (freezing is
-// expressed by passing a subset). Returns the mean training loss.
+// One supervised local-training pass: `epochs` of shuffled batches, each a
+// supervised_backward plus an SGD step. `params` selects which parameters
+// the optimizer updates (freezing is expressed by passing a subset).
+// Returns the mean training loss.
 float train_supervised(EncoderHeadModel& model,
                        const std::vector<ag::VarPtr>& params,
                        const data::Dataset& dataset, const FlConfig& config,

@@ -27,15 +27,11 @@ double linear_probe_accuracy(const tensor::Tensor& train_features,
     const auto batches =
         data::make_batches(train_features.rows(), config.batch_size, gen);
     for (const auto& batch : batches) {
-      std::vector<int> labels;
-      labels.reserve(batch.size());
-      for (const int index : batch) {
-        labels.push_back(train_labels[static_cast<std::size_t>(index)]);
-      }
       optimizer.zero_grad();
       const ag::VarPtr logits = head.forward(
           ag::constant(tensor::take_rows(train_features, batch)));
-      ag::backward(ag::cross_entropy(logits, labels));
+      ag::backward(
+          ag::cross_entropy(logits, data::take_labels(train_labels, batch)));
       optimizer.step();
     }
   }

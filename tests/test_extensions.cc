@@ -110,6 +110,28 @@ TEST(Flags, MalformedNumbersThrow) {
   EXPECT_DOUBLE_EQ(parser.get_double("absent", 1.5), 1.5);
 }
 
+// A flag given last, or followed by another flag, is a bare switch: it has
+// no value, so reading one throws naming it instead of reading "true".
+TEST(Flags, BareSwitchHasNoValue) {
+  const char* argv[] = {"prog", "--out", "--rounds"};
+  const flags::Parser parser(3, argv);
+  EXPECT_TRUE(parser.has("out"));
+  const auto expect_needs_value = [](const auto& call, const char* flag) {
+    try {
+      call();
+      ADD_FAILURE() << "no throw for --" << flag;
+    } catch (const CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + flag +
+                                               " needs a value"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_needs_value([&] { parser.get("out", "BENCH.json"); }, "out");
+  expect_needs_value([&] { parser.get_int("rounds", 5); }, "rounds");
+  expect_needs_value([&] { parser.get_double("rounds", 1.5); }, "rounds");
+}
+
 // --- checkpoint ------------------------------------------------------------------
 
 TEST(Checkpoint, SaveLoadRoundTrip) {

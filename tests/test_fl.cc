@@ -3,6 +3,7 @@
 // fault-tolerant round loop.
 #include <atomic>
 #include <bit>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -2356,24 +2357,44 @@ TEST(RunnerGolden, AsyncCalibreFaultsTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.b8576p-2 norm 0x1.11a852p+3 v4 stale 0x1.8p-1/1"});
 }
 
+// The final-state hash and the hexfloat train and novel accuracies of
+// `method` on the pinned federation with personalization on.
+struct PersonalizedBits {
+  std::uint64_t state_hash = 0;
+  std::string accuracies;
+  bool operator==(const PersonalizedBits&) const = default;
+};
+
+PersonalizedBits pinned_personalized_bits(const std::string& method,
+                                          const FlConfig& config) {
+  const auto algorithm = algos::make_algorithm(method, config);
+  const RunResult result =
+      run_federated(*algorithm, pinned_world().fed, /*personalize_novel=*/true);
+  std::ostringstream accuracies;
+  accuracies << std::hexfloat;
+  for (const double value : result.train_accuracies) accuracies << value << ' ';
+  accuracies << "novel";
+  for (const double value : result.novel_accuracies) accuracies << ' ' << value;
+  return {fnv1a(result.final_state.values()), accuracies.str()};
+}
+
+void expect_pinned_bits(const PersonalizedBits& bits,
+                        std::uint64_t state_hash,
+                        const std::string& expected_accuracies) {
+  EXPECT_EQ(bits.state_hash, state_hash)
+      << "final state hash 0x" << std::hex << bits.state_hash;
+  EXPECT_EQ(bits.accuracies, expected_accuracies);
+}
+
 // Runs `method` on the pinned federation with personalization on and checks
 // the final-state hash and the hexfloat train and novel accuracies.
 void expect_pinned_personalized(const std::string& method,
                                 const FlConfig& config,
                                 std::uint64_t state_hash,
                                 const std::string& expected_accuracies) {
-  const auto algorithm = algos::make_algorithm(method, config);
-  const RunResult result =
-      run_federated(*algorithm, pinned_world().fed, /*personalize_novel=*/true);
+  const PersonalizedBits bits = pinned_personalized_bits(method, config);
   if (kSanitizedBuild) return;  // model bits are release-build bits
-  std::ostringstream accuracies;
-  accuracies << std::hexfloat;
-  for (const double value : result.train_accuracies) accuracies << value << ' ';
-  accuracies << "novel";
-  for (const double value : result.novel_accuracies) accuracies << ' ' << value;
-  const std::uint64_t hash = fnv1a(result.final_state.values());
-  EXPECT_EQ(hash, state_hash) << "final state hash 0x" << std::hex << hash;
-  EXPECT_EQ(accuracies.str(), expected_accuracies);
+  expect_pinned_bits(bits, state_hash, expected_accuracies);
 }
 
 // pFL-SimCLR with a 1024-wide encoder (16 -> 1024 -> 1024 -> 256) and
@@ -2418,6 +2439,125 @@ TEST(RunnerGolden, PflSmog) {
       "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 0x1.d555555555555p-1 "
       "novel 0x1.aaaaaaaaaaaabp-2");
 }
+
+// --- the supervised baselines -------------------------------------------------
+//
+// Every supervised method of the paper's Fig. 3 comparison on the pinned
+// federation, personalization on (so Ditto's and APFL's novel client trains
+// a personal model). Each runs at threads 1 and 3 and both runs must give the
+// same bits: Ditto, APFL, FedPer, FedRep, LG-FedAvg and SCAFFOLD keep
+// per-client state across rounds. The Script-* methods train only locally
+// and run with rounds = 0. A sanitized build checks the thread counts
+// against each other only.
+struct SupervisedPin {
+  const char* method;
+  std::uint64_t state_hash;
+  const char* accuracies;
+  friend void PrintTo(const SupervisedPin& pin, std::ostream* out) {
+    *out << pin.method;
+  }
+};
+
+class SupervisedGolden : public ::testing::TestWithParam<SupervisedPin> {};
+
+TEST_P(SupervisedGolden, SameBitsAtThreads1And3) {
+  const SupervisedPin& pin = GetParam();
+  FlConfig config = pinned_world().config;
+  if (std::string(pin.method).starts_with("Script-")) config.rounds = 0;
+  config.threads = 1;
+  const PersonalizedBits one = pinned_personalized_bits(pin.method, config);
+  config.threads = 3;
+  const PersonalizedBits three = pinned_personalized_bits(pin.method, config);
+  EXPECT_EQ(one, three) << "threads 1 vs 3: 0x" << std::hex << one.state_hash
+                        << " " << one.accuracies << " vs 0x"
+                        << three.state_hash << " " << three.accuracies;
+  if (kSanitizedBuild) return;  // model bits are release-build bits
+  expect_pinned_bits(one, pin.state_hash, pin.accuracies);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, SupervisedGolden,
+    ::testing::Values(
+        SupervisedPin{"FedAvg", 0xfd7bacaf8b86f84dULL,
+                      "0x1p-1 0x1.5555555555555p-2 0x1.5555555555555p-4 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-2 0x1p-1 0x1.5555555555555p-3 "
+                      "0x1.aaaaaaaaaaaabp-2 novel 0x1.5555555555555p-2"},
+        SupervisedPin{"FedAvg-FT", 0xfd7bacaf8b86f84dULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.aaaaaaaaaaaabp-2"},
+        SupervisedPin{"FedProx", 0xc41e480f4c56ac0fULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.aaaaaaaaaaaabp-2"},
+        SupervisedPin{"q-FedAvg", 0xe045e66441229b7eULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.aaaaaaaaaaaabp-2"},
+        SupervisedPin{"SCAFFOLD", 0x63fc1cb317555846ULL,
+                      "0x1.aaaaaaaaaaaabp-2 0x1.5555555555555p-2 "
+                      "0x1.5555555555555p-3 0x1.aaaaaaaaaaaabp-2 "
+                      "0x1.5555555555555p-2 0x1.aaaaaaaaaaaabp-2 "
+                      "0x1.5555555555555p-3 0x1.aaaaaaaaaaaabp-2 novel "
+                      "0x1.5555555555555p-2"},
+        SupervisedPin{"SCAFFOLD-FT", 0x63fc1cb317555846ULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.5555555555555p-2"},
+        SupervisedPin{"LG-FedAvg", 0xf08a1c1d4af6b776ULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1p-2"},
+        SupervisedPin{"FedPer", 0x536f5b032ba075ceULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.5555555555555p-2"},
+        SupervisedPin{"FedRep", 0x4c6f5fac9e487ddbULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.5555555555555p-2"},
+        SupervisedPin{"FedBABU", 0xfe3a8942d3eff299ULL,
+                      "0x1.d555555555555p-1 0x1.5555555555555p-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
+                      "0x1.d555555555555p-1 novel 0x1.5555555555555p-2"},
+        SupervisedPin{"PerFedAvg", 0x5bb34798a9fbb5faULL,
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-2 "
+                      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "0x1.5555555555555p-2 0x1.aaaaaaaaaaaabp-2 "
+                      "0x1.2aaaaaaaaaaabp-1 0x1.d555555555555p-1 novel "
+                      "0x1.5555555555555p-2"},
+        SupervisedPin{"APFL", 0xfd7bacaf8b86f84dULL,
+                      "0x1p-1 0x1.5555555555555p-2 0x1.5555555555555p-3 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1p-2 0x1p-1 0x1.5555555555555p-3 "
+                      "0x1.8p-1 novel 0x1.aaaaaaaaaaaabp-2"},
+        SupervisedPin{"Ditto", 0xfd7bacaf8b86f84dULL,
+                      "0x1.5555555555555p-1 0x1.aaaaaaaaaaaabp-2 0x1p-2 "
+                      "0x1.5555555555555p-1 0x1p-2 0x1p-1 0x1p-2 "
+                      "0x1.d555555555555p-1 novel 0x1.aaaaaaaaaaaabp-2"},
+        SupervisedPin{"Script-Fair", 0xcbf29ce484222325ULL,
+                      "0x1.d555555555555p-1 0x1p-1 0x1.d555555555555p-1 "
+                      "0x1.aaaaaaaaaaaabp-1 0x1.5555555555555p-2 0x1p-1 "
+                      "0x1.5555555555555p-1 0x1.d555555555555p-1 novel 0x1p-1"},
+        SupervisedPin{"Script-Convergent", 0xcbf29ce484222325ULL,
+                      "0x1.aaaaaaaaaaaabp-1 0x1p-1 0x1.d555555555555p-1 "
+                      "0x1.2aaaaaaaaaaabp-1 0x1.aaaaaaaaaaaabp-2 "
+                      "0x1.aaaaaaaaaaaabp-2 0x1.8p-1 0x1.aaaaaaaaaaaabp-1 "
+                      "novel 0x1.5555555555555p-2"}),
+    [](const ::testing::TestParamInfo<SupervisedPin>& param_info) {
+      std::string name = param_info.param.method;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 // --- shard invariance of every RoundStats field ------------------------------
 //
