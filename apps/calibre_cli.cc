@@ -54,6 +54,9 @@
 //                       (participating and novel clients, --personalize-cap
 //                       and --threads apply as after training)
 //   --history           print per-round progress
+//
+// Any other flag, a positional argument, or a value given to a switch
+// (`--list-methods foo`, `--async 3`) exits 2 with a message naming it.
 #include <array>
 #include <iostream>
 #include <sstream>
@@ -138,54 +141,41 @@ static double compression_ratio(const fl::RoundStats& r) {
          static_cast<double>(r.update_bytes_f32);
 }
 
+// Prints every argument nothing read: a flag no code path asked for (a typo
+// such as --round=1 would otherwise run with the default) or a positional
+// token. True when there is none.
+static bool all_read(const flags::Parser& args) {
+  const std::vector<std::string> unexpected = args.unexpected();
+  for (const std::string& message : unexpected) {
+    std::cerr << "error: " << message << "\n";
+  }
+  return unexpected.empty();
+}
+
 static int run(const flags::Parser& args) {
   if (args.has("list-methods")) {
+    if (!all_read(args)) return 2;
     for (const auto& name : algos::registered_algorithms()) {
       std::cout << name << "\n";
     }
     return 0;
   }
 
+  // Every flag is read before any work starts, so a bad one fails fast.
   const std::string method = args.get("method", "Calibre (SimCLR)");
   const std::string dataset = args.get("dataset", "cifar10");
   const std::string partition_kind = args.get("partition", "dirichlet");
   const int train_clients = args.get_int("clients", 20);
   const int novel_clients = args.get_int("novel", 5);
-
-  const data::SyntheticDataset synth =
-      data::make_synthetic(data::preset_by_name(dataset));
-
   data::PartitionConfig partition_config;
   partition_config.num_clients = train_clients + novel_clients;
   partition_config.samples_per_client = args.get_int("samples", 100);
   partition_config.test_samples_per_client = args.get_int("test-samples", 80);
-  rng::Generator partition_gen(
-      static_cast<std::uint64_t>(args.get_int("seed", 42)) ^ 0xFACE);
-  data::Partition partition;
-  if (partition_kind == "dirichlet") {
-    partition = data::partition_dirichlet(synth.train, synth.test,
-                                          partition_config,
-                                          args.get_double("alpha", 0.3),
-                                          partition_gen);
-  } else if (partition_kind == "quantity") {
-    partition = data::partition_quantity(
-        synth.train, synth.test, partition_config,
-        args.get_int("classes-per-client", 2), partition_gen);
-  } else if (partition_kind == "iid") {
-    partition = data::partition_iid(synth.train, synth.test, partition_config,
-                                    partition_gen);
-  } else {
-    std::cerr << "unknown --partition: " << partition_kind << "\n";
-    return 2;
-  }
-  rng::Generator fed_gen(
-      static_cast<std::uint64_t>(args.get_int("seed", 42)) ^ 0xFEED);
-  const fl::FedDataset fed =
-      fl::build_fed_dataset(synth, partition, train_clients, fed_gen);
+  const double alpha = args.get_double("alpha", 0.3);
+  const int classes_per_client = args.get_int("classes-per-client", 2);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 
   fl::FlConfig config;
-  config.encoder.input_dim = synth.train.input_dim();
-  config.num_classes = synth.train.num_classes;
   config.rounds = args.get_int("rounds", 30);
   config.clients_per_round = args.get_int("clients-per-round", 5);
   config.local_epochs = args.get_int("local-epochs", 3);
@@ -211,7 +201,7 @@ static int run(const flags::Parser& args) {
   config.codec_error_budget =
       static_cast<float>(args.get_double("codec-error-budget", 0.01));
   config.personalize_cap = args.get_int("personalize-cap", 0);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  config.seed = seed;
   config.threads = args.get_int("threads", 0);
   config.num_train_clients = train_clients;
   if (method.rfind("Script-", 0) == 0) config.rounds = 0;
@@ -219,9 +209,7 @@ static int run(const flags::Parser& args) {
   const std::string save_path = args.get("save", "");
   const std::string load_path = args.get("load", "");
   const bool print_history = args.has("history");
-  for (const auto& name : args.unused()) {
-    std::cerr << "warning: unknown flag --" << name << "\n";
-  }
+  if (!all_read(args)) return 2;
 
   // Fail fast on impossible configurations (e.g. --min-participants above
   // --clients-per-round, sync-only knobs combined with --async) instead of
@@ -232,6 +220,31 @@ static int run(const flags::Parser& args) {
     std::cerr << "invalid configuration: " << error.what() << "\n";
     return 2;
   }
+
+  const data::SyntheticDataset synth =
+      data::make_synthetic(data::preset_by_name(dataset));
+  rng::Generator partition_gen(seed ^ 0xFACE);
+  data::Partition partition;
+  if (partition_kind == "dirichlet") {
+    partition = data::partition_dirichlet(synth.train, synth.test,
+                                          partition_config, alpha,
+                                          partition_gen);
+  } else if (partition_kind == "quantity") {
+    partition = data::partition_quantity(synth.train, synth.test,
+                                         partition_config, classes_per_client,
+                                         partition_gen);
+  } else if (partition_kind == "iid") {
+    partition = data::partition_iid(synth.train, synth.test, partition_config,
+                                    partition_gen);
+  } else {
+    std::cerr << "unknown --partition: " << partition_kind << "\n";
+    return 2;
+  }
+  rng::Generator fed_gen(seed ^ 0xFEED);
+  const fl::FedDataset fed =
+      fl::build_fed_dataset(synth, partition, train_clients, fed_gen);
+  config.encoder.input_dim = synth.train.input_dim();
+  config.num_classes = synth.train.num_classes;
 
   const auto algorithm = algos::make_algorithm(method, config);
 

@@ -32,6 +32,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -923,7 +924,10 @@ void dump_train_step_json(const char* path) {
 //  * ef_encode: one client's steady-state error-feedback topk16 encode
 //    (fl::UpdateEncoder, k = 1/16) at the wide workloads' 1.37M-parameter
 //    encoder, in ms and in heap bytes per encode. The smoke gate fails if
-//    an encode allocates a model-sized buffer.
+//    an encode allocates a model-sized buffer;
+//  * auto_encode: the same encode under --wire-codec auto, whose exact
+//    checks decode candidates into one reused buffer (codec = the codec
+//    the chooser picked).
 
 nn::ModelState bench_model_state() {
   rng::Generator gen(9);
@@ -1000,6 +1004,7 @@ struct CodecEntry {
 };
 
 struct EfEncodeEntry {
+  std::string chosen;  // the concrete codec the encode wrote
   std::size_t params = 0;
   std::size_t topk = 0;
   std::uint64_t wire_bytes = 0;
@@ -1007,12 +1012,19 @@ struct EfEncodeEntry {
   std::uint64_t heap_bytes = 0;   // requested by one steady-state encode
 };
 
-EfEncodeEntry time_ef_encode() {
+// `codec` is kTopK16 (ef_encode) or kAuto (auto_encode: the chooser's
+// estimates and exact checks on top of the same error feedback).
+EfEncodeEntry time_ef_encode(comm::Codec codec) {
   fl::FlConfig config;
   config.encoder.hidden_dims = {1024, 1024};
   config.encoder.feature_dim = 256;
-  config.wire_codec = comm::Codec::kTopK16;
+  config.wire_codec = codec;
   config.topk_rate = 1.0f / 16.0f;
+  // A budget topk16 passes on its estimate but fails on its exact check
+  // (relative error ~0.18 on this update), so the chooser checks two
+  // candidates exactly before int8a fits: the case where the checks share
+  // one decode buffer.
+  config.codec_error_budget = 0.15f;
   rng::Generator gen(9);
   nn::MlpEncoder encoder(config.encoder, gen);
   const nn::ModelState base =
@@ -1035,9 +1047,11 @@ EfEncodeEntry time_ef_encode() {
   entry.seconds = time_best(
       [&] { benchmark::DoNotOptimize(ef.encode(update, &base, 0)); }, 10);
   const std::uint64_t before = t_heap_bytes;
-  const std::vector<std::uint8_t> bytes = ef.encode(update, &base, 0);
+  comm::Codec chosen = codec;
+  const std::vector<std::uint8_t> bytes = ef.encode(update, &base, 0, &chosen);
   entry.heap_bytes = t_heap_bytes - before;
   entry.wire_bytes = bytes.size();
+  entry.chosen = comm::codec_name(chosen);
   return entry;
 }
 
@@ -1190,26 +1204,33 @@ bool dump_comm_json(const char* path) {
         e.decode_seconds > 0.0 ? state_mb / e.decode_seconds : 0.0,
         e.rel_error, static_cast<double>(e.round_bytes) / 1e3, reduction);
   }
-  const EfEncodeEntry ef = time_ef_encode();
+  const EfEncodeEntry ef = time_ef_encode(comm::Codec::kTopK16);
+  const EfEncodeEntry chooser = time_ef_encode(comm::Codec::kAuto);
   const std::uint64_t model_bytes = ef.params * sizeof(float);
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "  ],\n  \"ef_encode\": {\"codec\": \"topk16\", "
-                "\"params\": %zu, \"topk\": %zu, \"wire_bytes\": %llu, "
-                "\"ms_per_encode\": %.3f, \"heap_bytes_per_encode\": %llu, "
-                "\"model_bytes\": %llu}\n}\n",
-                ef.params, ef.topk,
-                static_cast<unsigned long long>(ef.wire_bytes),
-                ef.seconds * 1e3,
-                static_cast<unsigned long long>(ef.heap_bytes),
-                static_cast<unsigned long long>(model_bytes));
-  out << buffer;
-  std::printf(
-      "[comm] ef encode topk16 %zu params (k %zu): %.2f ms, %.2f MB heap per "
-      "encode (model %.2f MB)\n",
-      ef.params, ef.topk, ef.seconds * 1e3,
-      static_cast<double>(ef.heap_bytes) / 1e6,
-      static_cast<double>(model_bytes) / 1e6);
+  out << "  ],\n";
+  for (const auto& [key, e] :
+       {std::pair{"ef_encode", &ef}, std::pair{"auto_encode", &chooser}}) {
+    char buffer[512];
+    std::snprintf(buffer, sizeof(buffer),
+                  "  \"%s\": {\"codec\": \"%s\", \"params\": %zu, "
+                  "\"topk\": %zu, \"wire_bytes\": %llu, "
+                  "\"ms_per_encode\": %.3f, \"heap_bytes_per_encode\": %llu, "
+                  "\"model_bytes\": %llu}%s\n",
+                  key, e->chosen.c_str(), e->params, e->topk,
+                  static_cast<unsigned long long>(e->wire_bytes),
+                  e->seconds * 1e3,
+                  static_cast<unsigned long long>(e->heap_bytes),
+                  static_cast<unsigned long long>(model_bytes),
+                  e == &ef ? "," : "");
+    out << buffer;
+    std::printf(
+        "[comm] %s (%s) %zu params (k %zu): %.2f ms, %.2f MB heap per "
+        "encode (model %.2f MB)\n",
+        key, e->chosen.c_str(), e->params, e->topk, e->seconds * 1e3,
+        static_cast<double>(e->heap_bytes) / 1e6,
+        static_cast<double>(model_bytes) / 1e6);
+  }
+  out << "}\n";
   std::printf("[comm] wrote %s\n", path);
   if (ef.heap_bytes >= model_bytes) {
     std::fprintf(stderr,

@@ -17,6 +17,12 @@
 // with K. The gate below fails the bench if RSS growth across the sweep
 // exceeds index-storage growth + 32 MiB.
 //
+// Each population's time also breaks down into layers: synth (the shared
+// splits), partition (the per-client index lists), fed build (the
+// FedDataset) and train (run_federated: rounds plus the capped
+// personalization sweep). The bench fails if those layers leave more than
+// 10% of a population's total unattributed.
+//
 //   bench_scale                         # 1k / 10k / 100k -> BENCH_scale.json
 //   bench_scale --smoke                 # tiny populations for CI
 //   bench_scale --populations 500,5000  # custom sweep
@@ -58,8 +64,14 @@ struct ScaleOptions {
 // fork boundary as raw bytes).
 struct ScaleResult {
   int clients = 0;
-  double train_seconds = 0.0;  // rounds only (personalization excluded)
-  double total_seconds = 0.0;  // build + rounds + capped personalization
+  // Set-up layers, in the order they run: the synthetic splits, the IID
+  // partition into per-client index lists, and the FedDataset over them.
+  double synth_seconds = 0.0;
+  double partition_seconds = 0.0;
+  double fed_build_seconds = 0.0;
+  // The run_federated call: rounds plus the capped personalization sweep.
+  double train_seconds = 0.0;
+  double total_seconds = 0.0;  // everything above, plus algorithm set-up
   // Server-side phase split from RunResult::phases: where the training
   // stage's server thread time actually goes (broadcast serialize + send /
   // reply decode / aggregator fold / merge + finish).
@@ -69,16 +81,34 @@ struct ScaleResult {
   double commit_seconds = 0.0;
   long peak_rss_kb = 0;
   std::size_t index_bytes = 0;  // the partition's train + test index storage
+
+  // Share of total_seconds that no timed layer covers.
+  double unattributed_frac() const {
+    const double layers =
+        synth_seconds + partition_seconds + fed_build_seconds + train_seconds;
+    return total_seconds > 0.0 ? (total_seconds - layers) / total_seconds
+                               : 0.0;
+  }
 };
+
+// The timed layers must account for all but this share of a population's
+// total_seconds.
+constexpr double kMaxUnattributedFrac = 0.10;
 
 double mib(std::size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
+double seconds_between(std::chrono::steady_clock::time_point begin,
+                       std::chrono::steady_clock::time_point end) {
+  return std::chrono::duration<double>(end - begin).count();
 }
 
 ScaleResult run_population(const ScaleOptions& options, int clients) {
   const auto wall_start = std::chrono::steady_clock::now();
   const data::SyntheticDataset synth =
       data::make_synthetic(data::preset_by_name("cifar10"));
+  const auto synth_end = std::chrono::steady_clock::now();
 
   data::PartitionConfig partition_config;
   partition_config.num_clients = clients;
@@ -88,9 +118,11 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
   const data::Partition partition =
       data::partition_iid(synth.train, synth.test, partition_config,
                           partition_gen);
+  const auto partition_end = std::chrono::steady_clock::now();
   rng::Generator fed_gen(42 ^ 0xFEED);
   const fl::FedDataset fed =
       fl::build_fed_dataset(synth, partition, clients, fed_gen);
+  const auto fed_build_end = std::chrono::steady_clock::now();
   const std::size_t index_bytes = partition.train_indices.storage_bytes() +
                                   partition.test_indices.storage_bytes();
 
@@ -111,12 +143,11 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
 
   ScaleResult out;
   out.clients = clients;
-  out.train_seconds =
-      std::chrono::duration<double>(train_end - train_start).count();
-  // run_federated's tail is the capped personalization sweep; fold it into
-  // total_seconds so the report stays honest about end-to-end cost.
-  out.total_seconds =
-      std::chrono::duration<double>(train_end - wall_start).count();
+  out.synth_seconds = seconds_between(wall_start, synth_end);
+  out.partition_seconds = seconds_between(synth_end, partition_end);
+  out.fed_build_seconds = seconds_between(partition_end, fed_build_end);
+  out.train_seconds = seconds_between(train_start, train_end);
+  out.total_seconds = seconds_between(wall_start, train_end);
   out.dispatch_seconds = result.phases.dispatch_seconds;
   out.decode_seconds = result.phases.decode_seconds;
   out.fold_seconds = result.phases.fold_seconds;
@@ -194,11 +225,30 @@ int run(const ScaleOptions& options) {
         result.total_seconds, static_cast<double>(result.peak_rss_kb) / 1024.0,
         mib(result.index_bytes));
     std::printf(
+        "[scale]            set-up: synth %.3fs  partition %.3fs  "
+        "fed build %.3fs  (unattributed %.1f%%)\n",
+        result.synth_seconds, result.partition_seconds,
+        result.fed_build_seconds, 100.0 * result.unattributed_frac());
+    std::printf(
         "[scale]            phases: dispatch %.3fs  decode %.3fs  "
         "fold %.3fs  commit %.3fs\n",
         result.dispatch_seconds, result.decode_seconds, result.fold_seconds,
         result.commit_seconds);
     results.push_back(result);
+  }
+
+  // Every population's time must break down into its named layers: a cost
+  // that none of them times would hide where a run spends its time.
+  for (const ScaleResult& r : results) {
+    if (r.unattributed_frac() > kMaxUnattributedFrac) {
+      std::fprintf(stderr,
+                   "[scale] K=%d: synth + partition + fed build + train "
+                   "leave %.1f%% of %.3fs total unattributed (at most "
+                   "%.0f%% allowed)\n",
+                   r.clients, 100.0 * r.unattributed_frac(), r.total_seconds,
+                   100.0 * kMaxUnattributedFrac);
+      return 2;
+    }
   }
 
   // The only per-client memory is the index storage, held once: peak RSS
@@ -235,9 +285,11 @@ int run(const ScaleOptions& options) {
       << "  \"populations\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
-    char buffer[512];
+    char buffer[640];
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"clients\": %d, \"rounds_per_s\": %.3f, "
+                  "\"synth_seconds\": %.3f, \"partition_seconds\": %.3f, "
+                  "\"fed_build_seconds\": %.3f, "
                   "\"train_seconds\": %.3f, \"total_seconds\": %.3f, "
                   "\"dispatch_seconds\": %.3f, \"decode_seconds\": %.3f, "
                   "\"fold_seconds\": %.3f, \"commit_seconds\": %.3f, "
@@ -245,6 +297,7 @@ int run(const ScaleOptions& options) {
                   r.clients,
                   r.train_seconds > 0.0 ? options.rounds / r.train_seconds
                                         : 0.0,
+                  r.synth_seconds, r.partition_seconds, r.fed_build_seconds,
                   r.train_seconds, r.total_seconds, r.dispatch_seconds,
                   r.decode_seconds, r.fold_seconds, r.commit_seconds,
                   static_cast<double>(r.peak_rss_kb) / 1024.0,
@@ -288,9 +341,9 @@ int main(int argc, char** argv) {
           options.clients_per_round = 8;
           options.samples_per_client = 30;
         }
-        if (args.has("populations")) {
-          options.populations =
-              calibre::bench::parse_populations(args.get("populations", ""));
+        const std::string populations = args.get("populations", "");
+        if (!populations.empty()) {
+          options.populations = calibre::bench::parse_populations(populations);
         }
         options.rounds = args.get_int("rounds", options.rounds);
         options.clients_per_round =

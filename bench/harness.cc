@@ -18,16 +18,11 @@ bool read_flags(const flags::Parser& args, const std::function<void()>& read) {
     std::fprintf(stderr, "%s\n", error.what());
     return false;
   }
-  bool ok = true;
-  for (const std::string& name : args.unused()) {
-    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-    ok = false;
+  const std::vector<std::string> unexpected = args.unexpected();
+  for (const std::string& message : unexpected) {
+    std::fprintf(stderr, "%s\n", message.c_str());
   }
-  for (const std::string& arg : args.positional()) {
-    std::fprintf(stderr, "unexpected argument %s\n", arg.c_str());
-    ok = false;
-  }
-  return ok;
+  return unexpected.empty();
 }
 
 std::string Setting::label() const {

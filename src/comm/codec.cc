@@ -562,15 +562,23 @@ void encode_values(Writer& writer, const std::vector<float>& values,
 
 std::vector<float> decode_values(Reader& reader, const float* base,
                                  std::size_t base_size) {
+  std::vector<float> values;
+  decode_values_into(reader, values, base, base_size);
+  return values;
+}
+
+void decode_values_into(Reader& reader, std::vector<float>& values,
+                        const float* base, std::size_t base_size) {
   const std::uint8_t tag = reader.read_u8();
   switch (static_cast<Codec>(tag)) {
     case Codec::kF32:
-      return reader.read_f32_vector();
+      reader.read_f32_vector(values);
+      return;
     case Codec::kF16: {
       const std::vector<std::uint16_t> halves = reader.read_u16_vector();
-      std::vector<float> values(halves.size());
+      values.resize(halves.size());
       f16_to_f32_block(halves.data(), nullptr, values.data(), halves.size());
-      return values;
+      return;
     }
     case Codec::kDelta16: {
       const std::vector<std::uint16_t> halves = reader.read_u16_vector();
@@ -579,9 +587,9 @@ std::vector<float> decode_values(Reader& reader, const float* base,
                                             << " values with no reference");
       CALIBRE_CHECK_EQ(base_size, halves.size(),
                        "delta16 reference/block size mismatch");
-      std::vector<float> values(halves.size());
+      values.resize(halves.size());
       f16_to_f32_block(halves.data(), base, values.data(), halves.size());
-      return values;
+      return;
     }
     case Codec::kTopK16: {
       const std::uint64_t total = reader.read_u64();
@@ -598,7 +606,7 @@ std::vector<float> decode_values(Reader& reader, const float* base,
                        "topk16 reference/block size mismatch");
       const std::vector<std::uint32_t> indices = reader.read_u32_array(k);
       const std::vector<std::uint16_t> halves = reader.read_u16_array(k);
-      std::vector<float> values(base, base + base_size);
+      values.assign(base, base + base_size);
       std::uint64_t prev = 0;
       for (std::uint64_t j = 0; j < k; ++j) {
         const std::uint32_t idx = indices[j];
@@ -607,7 +615,7 @@ std::vector<float> decode_values(Reader& reader, const float* base,
         values[idx] += f16_to_f32(halves[j]);
         prev = idx;
       }
-      return values;
+      return;
     }
     case Codec::kInt8A: {
       const std::uint64_t count = reader.read_u64();
@@ -626,7 +634,7 @@ std::vector<float> decode_values(Reader& reader, const float* base,
         scales[b] = reader.read_f32();
       }
       const std::vector<std::uint8_t> quants = reader.read_u8_array(count);
-      std::vector<float> values(count);
+      values.resize(count);
       for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t begin = b * kInt8BlockSize;
         const std::size_t len =
@@ -634,13 +642,12 @@ std::vector<float> decode_values(Reader& reader, const float* base,
         int8a_dequantize_block(quants.data() + begin, zeros[b], scales[b],
                                values.data() + begin, len);
       }
-      return values;
+      return;
     }
     case Codec::kAuto:
       break;  // tag 0 never appears on a valid wire
   }
   CALIBRE_CHECK_MSG(false, "corrupt codec tag " << static_cast<int>(tag));
-  return {};
 }
 
 }  // namespace calibre::comm

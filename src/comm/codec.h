@@ -116,5 +116,11 @@ void encode_values(Writer& writer, const std::vector<float>& values,
 // allocating.
 std::vector<float> decode_values(Reader& reader, const float* base = nullptr,
                                  std::size_t base_size = 0);
+// The same decode into `values`, resized to the block's length. Its
+// capacity is reused, so a caller decoding block after block (the auto
+// chooser's exact checks) allocates the model-sized output once.
+void decode_values_into(Reader& reader, std::vector<float>& values,
+                        const float* base = nullptr,
+                        std::size_t base_size = 0);
 
 }  // namespace calibre::comm

@@ -112,15 +112,20 @@ class Reader {
   }
 
   std::vector<float> read_f32_vector() {
+    std::vector<float> values;
+    read_f32_vector(values);
+    return values;
+  }
+  // Reads into `values`, resized to the count, reusing its capacity.
+  void read_f32_vector(std::vector<float>& values) {
     const std::uint64_t count = read_u64();
     // Checked as count <= remaining/4 (not count*4 <= remaining): an
     // untrusted u64 count can wrap the multiplication and slip past the
     // underflow check in read_raw with an absurd allocation.
     CALIBRE_CHECK_LE(count, remaining() / sizeof(float),
                      "serde corrupt f32 count");
-    std::vector<float> values(count);
+    values.resize(count);
     read_raw(values.data(), count * sizeof(float));
-    return values;
   }
 
   std::vector<std::uint16_t> read_u16_vector() {

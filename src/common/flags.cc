@@ -71,13 +71,29 @@ double Parser::get_double(const std::string& name, double fallback) const {
 
 bool Parser::has(const std::string& name) const {
   queried_[name] = true;
-  return values_.count(name) > 0;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return false;
+  CALIBRE_CHECK_MSG(switches_.count(name),
+                    "--" << name << " is a switch and takes no value, got '"
+                         << it->second << "'");
+  return true;
 }
 
 std::vector<std::string> Parser::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, value] : values_) {
     if (!queried_.count(name)) out.push_back(name);
+  }
+  return out;
+}
+
+std::vector<std::string> Parser::unexpected() const {
+  std::vector<std::string> out;
+  for (const std::string& name : unused()) {
+    out.push_back("unknown flag --" + name);
+  }
+  for (const std::string& arg : positional_) {
+    out.push_back("unexpected argument " + arg);
   }
   return out;
 }

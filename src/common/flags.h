@@ -1,6 +1,7 @@
 // Minimal command-line flag parsing for the CLI tools:
 //   --key=value   --key value   --switch
-// Unrecognised positional arguments are collected separately.
+// Positional arguments are collected separately; no tool takes any, so
+// unexpected() reports them beside the flags nothing read.
 #pragma once
 
 #include <map>
@@ -26,13 +27,21 @@ class Parser {
   // the flag; so does a bare --name.
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
-  // True when --name was passed (with any value or as a bare switch).
+  // A boolean switch: true when --name was passed bare. A switch given a
+  // value throws CheckError naming the flag and the value: in
+  // `--list-methods foo` or `--async 3` the parser took the next token as
+  // the switch's value, and it is a stray argument, not one to swallow.
   bool has(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 
   // Flags that were provided but never queried — typo detection.
   std::vector<std::string> unused() const;
+
+  // One message per flag that was provided but never queried ("unknown
+  // flag --name") and per positional argument ("unexpected argument x").
+  // Empty when every argument was read.
+  std::vector<std::string> unexpected() const;
 
  private:
   // The text given for --name, or null when absent; marks --name queried.

@@ -23,14 +23,24 @@ class ClassPools {
     }
   }
 
-  int draw(int klass) {
-    auto& pool = pools_[static_cast<std::size_t>(klass)];
-    auto& cursor = cursors_[static_cast<std::size_t>(klass)];
-    if (cursor >= pool.size()) {
-      gen_->shuffle(pool);
-      cursor = 0;
+  // Appends the next `count` indices of class `klass` to `lists`, in whole
+  // runs from the pool's cursor. An exhausted pool is reshuffled only when
+  // one more index is actually needed, so the lists and the generator's
+  // state match drawing the indices one at a time.
+  void append(std::size_t klass, std::size_t count,
+              IndexLists::Builder& lists) {
+    std::vector<int>& pool = pools_[klass];
+    std::size_t& cursor = cursors_[klass];
+    while (count > 0) {
+      if (cursor == pool.size()) {
+        gen_->shuffle(pool);
+        cursor = 0;
+      }
+      const std::size_t run = std::min(count, pool.size() - cursor);
+      lists.append({pool.data() + cursor, run});
+      cursor += run;
+      count -= run;
     }
-    return pool[cursor++];
   }
 
  private:
@@ -106,9 +116,7 @@ class PartitionBuilder {
   static void append(const std::vector<int>& counts, ClassPools& pools,
                      IndexLists::Builder& lists) {
     for (std::size_t k = 0; k < counts.size(); ++k) {
-      for (int i = 0; i < counts[k]; ++i) {
-        lists.append(pools.draw(static_cast<int>(k)));
-      }
+      pools.append(k, static_cast<std::size_t>(counts[k]), lists);
     }
     lists.end_list();
   }
@@ -153,7 +161,7 @@ IndexLists IndexLists::from_lists(const std::vector<std::vector<int>>& lists) {
   for (const auto& list : lists) total += list.size();
   Builder builder(lists.size(), total);
   for (const auto& list : lists) {
-    for (const int index : list) builder.append(index);
+    builder.append(list);
     builder.end_list();
   }
   return std::move(builder).build();

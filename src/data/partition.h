@@ -32,7 +32,10 @@ class IndexLists {
   class Builder {
    public:
     Builder(std::size_t lists, std::size_t total);
-    void append(int index) { values_.push_back(index); }
+    // Appends a run of indices to the list being built.
+    void append(std::span<const int> run) {
+      values_.insert(values_.end(), run.begin(), run.end());
+    }
     void end_list() { offsets_.push_back(values_.size()); }
     IndexLists build() &&;
 

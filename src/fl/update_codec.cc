@@ -179,6 +179,7 @@ std::vector<std::uint8_t> UpdateEncoder::choose(
   // less accurate against a valid base).
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<float> decoded;  // one decode buffer for every exact check
   for (const auto& [size, codec] : candidates) {
     if (size >= comm::encoded_size(comm::Codec::kF32, n)) break;  // no win
     if (estimated_error(codec, values, base_values, topk) >
@@ -192,8 +193,8 @@ std::vector<std::uint8_t> UpdateEncoder::choose(
         serialize_update(carried, codec, base, topk);
     comm::Reader reader(bytes);
     (void)reader.read_u32();  // the codec magic
-    const std::vector<float> decoded = comm::decode_values(
-        reader, base_values, base_values != nullptr ? n : 0);
+    comm::decode_values_into(reader, decoded, base_values,
+                             base_values != nullptr ? n : 0);
     if (relative_error(values, decoded) <= budget) {
       for (std::size_t i = 0; i < n; ++i) values[i] = values[i] - decoded[i];
       return bytes;

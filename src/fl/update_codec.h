@@ -28,7 +28,9 @@
 // cheaply, and a candidate that passes is checked by decoding its payload,
 // so the budget is a hard guarantee (f32, error zero, is the last resort).
 // The payload checked is the payload sent, and the residual is carried
-// minus the decode the check made. Every input to the choice is a pure
+// minus the decode the check made. Every exact check of one encode decodes
+// into the same buffer, so the checks allocate one model-sized decode
+// between them, not one per candidate. Every input to the choice is a pure
 // function of the update, the broadcast base, and the config — no clocks,
 // no thread state — so choices are bit-identical across thread counts.
 #pragma once

@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Generator::Generator(std::uint64_t seed) {
@@ -28,37 +24,8 @@ Generator::Generator(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Generator::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Generator::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Generator::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Generator::uniform_index(std::uint64_t n) {
-  CALIBRE_CHECK(n > 0);
-  // Rejection sampling to avoid modulo bias: accept r >= (2^64 mod n). That
-  // threshold is < n, so any r >= n is accepted without computing it.
-  std::uint64_t r = next_u64();
-  if (r < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (r < threshold) r = next_u64();
-  }
-  return r % n;
 }
 
 double Generator::normal() {

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -407,6 +411,197 @@ TEST(PartitionGolden, Dirichlet) {
   const std::uint64_t hash = partition_hash(partition_dirichlet(
       synth.train, synth.test, golden_partition_config(), 0.3, gen));
   EXPECT_EQ(hash, 0x95197cecb394cf38ULL) << "0x" << std::hex << hash;
+}
+
+
+// --- partition runs ----------------------------------------------------------
+//
+// The partitioners append whole runs of each class pool. The reference below
+// is the per-element path that runs replaced, copied here: one draw per
+// index, reshuffling an exhausted pool at the moment its next index is
+// drawn. Both must give the same lists and leave the generator in the same
+// state.
+
+class PerElementPools {
+ public:
+  PerElementPools(const Dataset& dataset, rng::Generator& gen)
+      : pools_(dataset.indices_by_class()), cursors_(pools_.size(), 0),
+        gen_(&gen) {
+    for (auto& pool : pools_) gen.shuffle(pool);
+  }
+
+  int draw(std::size_t klass) {
+    auto& pool = pools_[klass];
+    auto& cursor = cursors_[klass];
+    if (cursor >= pool.size()) {
+      gen_->shuffle(pool);
+      cursor = 0;
+    }
+    return pool[cursor++];
+  }
+
+ private:
+  std::vector<std::vector<int>> pools_;
+  std::vector<std::size_t> cursors_;
+  rng::Generator* gen_;
+};
+
+std::vector<int> reference_counts(const std::vector<double>& proportions,
+                                  int n) {
+  std::vector<int> counts(proportions.size(), 0);
+  std::vector<std::pair<double, std::size_t>> remainders;
+  int assigned = 0;
+  for (std::size_t k = 0; k < proportions.size(); ++k) {
+    const double exact = proportions[k] * n;
+    counts[k] = static_cast<int>(std::floor(exact));
+    assigned += counts[k];
+    remainders.emplace_back(exact - counts[k], k);
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (int i = 0; assigned < n; ++i, ++assigned) {
+    ++counts[remainders[static_cast<std::size_t>(i) % remainders.size()]
+                 .second];
+  }
+  return counts;
+}
+
+enum class Split { kIid, kQuantity, kDirichlet };
+
+// Per-element copy of partition_iid / partition_quantity /
+// partition_dirichlet: the lists of every client, train then test.
+std::vector<std::vector<int>> reference_partition(
+    Split split, const Dataset& train, const Dataset& test,
+    const PartitionConfig& config, rng::Generator& gen) {
+  PerElementPools train_pools(train, gen);
+  PerElementPools test_pools(test, gen);
+  const std::size_t classes = static_cast<std::size_t>(train.num_classes);
+  std::vector<int> deck;
+  std::vector<std::vector<int>> lists;
+  for (int c = 0; c < config.num_clients; ++c) {
+    std::vector<double> proportions(classes, 1.0 / train.num_classes);
+    if (split == Split::kQuantity) {  // two classes per client
+      std::vector<int> chosen;
+      while (chosen.size() < 2) {
+        if (deck.empty()) {
+          std::vector<int> fresh(classes);
+          for (std::size_t k = 0; k < classes; ++k) {
+            fresh[k] = static_cast<int>(k);
+          }
+          gen.shuffle(fresh);
+          deck.insert(deck.end(), fresh.begin(), fresh.end());
+        }
+        const int klass = deck.back();
+        deck.pop_back();
+        if (std::find(chosen.begin(), chosen.end(), klass) == chosen.end()) {
+          chosen.push_back(klass);
+        }
+      }
+      proportions.assign(classes, 0.0);
+      for (const int klass : chosen) {
+        proportions[static_cast<std::size_t>(klass)] = 0.5;
+      }
+    } else if (split == Split::kDirichlet) {
+      proportions = gen.dirichlet(0.3, train.num_classes);
+    }
+    const std::vector<int> train_counts =
+        reference_counts(proportions, config.samples_per_client);
+    std::vector<double> mirrored(classes);
+    for (std::size_t k = 0; k < classes; ++k) {
+      mirrored[k] = static_cast<double>(train_counts[k]) /
+                    config.samples_per_client;
+    }
+    const std::vector<int> test_counts =
+        reference_counts(mirrored, config.test_samples_per_client);
+    for (auto [pools, counts] :
+         {std::pair{&train_pools, &train_counts},
+          std::pair{&test_pools, &test_counts}}) {
+      std::vector<int>& list = lists.emplace_back();
+      for (std::size_t k = 0; k < classes; ++k) {
+        for (int i = 0; i < (*counts)[k]; ++i) list.push_back(pools->draw(k));
+      }
+    }
+  }
+  return lists;
+}
+
+// Labels only: the partitioners never read features. Class k has
+// `sizes[k]` samples, interleaved so no class is contiguous.
+Dataset labelled(const std::vector<int>& sizes) {
+  Dataset dataset;
+  dataset.num_classes = static_cast<int>(sizes.size());
+  std::vector<int> left = sizes;
+  for (bool any = true; any;) {
+    any = false;
+    for (std::size_t k = 0; k < left.size(); ++k) {
+      if (left[k] > 0) {
+        dataset.labels.push_back(static_cast<int>(k));
+        --left[k];
+        any = true;
+      }
+    }
+  }
+  return dataset;
+}
+
+TEST(PartitionRuns, MatchPerElementDraws) {
+  // Class 0 is a one-sample pool and class 1 holds 3 samples, so one
+  // client's run of class 1 spans several reshuffles. Four samples per
+  // client over four classes, or two classes per client, leave zero counts.
+  const Dataset train = labelled({1, 3, 50, 7});
+  const Dataset test = labelled({2, 1, 20, 5});
+  const SyntheticDataset synth = make_synthetic(small_config());
+  struct Case {
+    const Dataset* train;
+    const Dataset* test;
+    int clients;
+    int samples;
+    int test_samples;
+  };
+  const Case cases[] = {{&train, &test, 6, 40, 20},
+                        {&train, &test, 9, 4, 3},
+                        {&synth.train, &synth.test, 7, 300, 90}};
+  for (const Case& each : cases) {
+    PartitionConfig config;
+    config.num_clients = each.clients;
+    config.samples_per_client = each.samples;
+    config.test_samples_per_client = each.test_samples;
+    for (const Split split :
+         {Split::kIid, Split::kQuantity, Split::kDirichlet}) {
+      const std::uint64_t seed = 0x5eed + static_cast<std::uint64_t>(split);
+      const Dataset& train_split = *each.train;
+      const Dataset& test_split = *each.test;
+      rng::Generator gen(seed);
+      Partition partition;
+      if (split == Split::kIid) {
+        partition = partition_iid(train_split, test_split, config, gen);
+      } else if (split == Split::kQuantity) {
+        partition =
+            partition_quantity(train_split, test_split, config, 2, gen);
+      } else {
+        partition =
+            partition_dirichlet(train_split, test_split, config, 0.3, gen);
+      }
+      rng::Generator reference_gen(seed);
+      const std::vector<std::vector<int>> expected = reference_partition(
+          split, train_split, test_split, config, reference_gen);
+      const std::string where =
+          "split " + std::to_string(static_cast<int>(split)) + ", " +
+          std::to_string(each.clients) + " clients";
+      ASSERT_EQ(partition.num_clients(), each.clients) << where;
+      for (std::size_t c = 0; c < expected.size() / 2; ++c) {
+        const std::span<const int> train_list = partition.train_indices[c];
+        const std::span<const int> test_list = partition.test_indices[c];
+        EXPECT_EQ(std::vector<int>(train_list.begin(), train_list.end()),
+                  expected[2 * c])
+            << where << ", client " << c << " train";
+        EXPECT_EQ(std::vector<int>(test_list.begin(), test_list.end()),
+                  expected[2 * c + 1])
+            << where << ", client " << c << " test";
+      }
+      EXPECT_EQ(gen.next_u64(), reference_gen.next_u64()) << where;
+    }
+  }
 }
 
 }  // namespace

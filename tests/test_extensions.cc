@@ -132,6 +132,45 @@ TEST(Flags, BareSwitchHasNoValue) {
   expect_needs_value([&] { parser.get_double("rounds", 1.5); }, "rounds");
 }
 
+// A token after a switch is taken as its value; reading the switch then
+// throws naming the flag and the token instead of swallowing it. Positional
+// arguments and flags nothing read are reported by unexpected().
+TEST(Flags, StrayTokensAreReported) {
+  const char* argv[] = {"prog",  "stray",   "--list-methods", "foo",
+                        "--async", "3",     "--history=1",    "--verbose",
+                        "--round=1"};
+  const flags::Parser parser(9, argv);
+  const auto expect_throw_naming = [](const auto& call, const char* flag,
+                                      const char* token) {
+    try {
+      call();
+      ADD_FAILURE() << "no throw for --" << flag;
+    } catch (const CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(std::string("--") + flag), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("'") + token + "'"), std::string::npos)
+          << what;
+    }
+  };
+  expect_throw_naming([&] { parser.has("list-methods"); }, "list-methods",
+                      "foo");
+  expect_throw_naming([&] { parser.has("async"); }, "async", "3");
+  expect_throw_naming([&] { parser.has("history"); }, "history", "1");
+  EXPECT_TRUE(parser.has("verbose"));
+  EXPECT_FALSE(parser.has("absent"));
+  const std::vector<std::string> unexpected = parser.unexpected();
+  ASSERT_EQ(unexpected.size(), 2u);
+  EXPECT_EQ(unexpected[0], "unknown flag --round");
+  EXPECT_EQ(unexpected[1], "unexpected argument stray");
+
+  const char* clean_argv[] = {"prog", "--rounds=3", "--verbose"};
+  const flags::Parser clean(3, clean_argv);
+  EXPECT_EQ(clean.get_int("rounds", 0), 3);
+  EXPECT_TRUE(clean.has("verbose"));
+  EXPECT_TRUE(clean.unexpected().empty());
+}
+
 // --- checkpoint ------------------------------------------------------------------
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
