@@ -19,12 +19,15 @@
 //   --clients-per-round sampled clients per round              (5)
 //   --local-epochs      local epochs per round                 (3)
 //   --dropout           per-round client dropout probability   (0)
-//   --round-deadline-ms per-round deadline; 0 waits for all    (0)
+//   --round-deadline-ms per-round deadline in virtual ms; 0 waits
+//                       for all                                (0)
 //   --min-participants  quorum of updates before the deadline
 //                       may cut stragglers loose               (1)
 //   --retries           per-round retries of a failed client   (0)
 //   --fault-rate        injected handler-failure probability   (0)
-//   --fault-latency-ms  injected per-dispatch latency cap      (0)
+//   --fault-latency-ms  injected per-dispatch latency cap, in
+//                       virtual ms: it places a reply on the
+//                       round clock, nothing waits for it       (0)
 //   --device-classes    heterogeneous fault profiles, one per class:
 //                       "name:fault_rate:latency_ms:duty[:period],..."
 //                       (client c belongs to class c % num_classes; duty < 1
@@ -53,7 +56,9 @@
 //   --load              skip training; load a state and only personalize
 //                       (participating and novel clients, --personalize-cap
 //                       and --threads apply as after training)
-//   --history           print per-round progress
+//   --history           print per-round progress, with each commit's
+//                       virtual time; a sync round waits for all its
+//                       replies, so only async runs drop late ones
 //
 // Any other flag, a positional argument, or a value given to a switch
 // (`--list-methods foo`, `--async 3`) exits 2 with a message naming it.
@@ -268,14 +273,15 @@ static int run(const flags::Parser& args) {
       // Async history: one entry per buffer commit; staleness columns show
       // how far behind the committed version the folded updates trained.
       std::cout << "commit  version  folds  failed  retried  late"
-                   "  stale_mean  stale_max  bcast_kB  coll_kB"
+                   "  stale_mean  stale_max  virtual_ms  bcast_kB  coll_kB"
                    "  mean_divergence  update_norm  ratio  codec\n";
       for (const fl::RoundStats& r : result.history) {
         std::printf(
-            "%6d  %7d  %5d  %6d  %7d  %4d  %10.2f  %9d  %8.1f  %7.1f"
-            "  %15.4f  %11.3f  %5.3f  %s\n",
+            "%6d  %7d  %5d  %6d  %7d  %4d  %10.2f  %9d  %10lld  %8.1f"
+            "  %7.1f  %15.4f  %11.3f  %5.3f  %s\n",
             r.round, r.committed_version, r.participants, r.failures,
             r.retries, r.late_dropped, r.staleness_mean, r.staleness_max,
+            static_cast<long long>(r.virtual_ms),
             static_cast<double>(r.bytes_broadcast) / 1e3,
             static_cast<double>(r.bytes_collected) / 1e3, r.mean_divergence,
             r.mean_update_norm, compression_ratio(r),
@@ -283,14 +289,14 @@ static int run(const flags::Parser& args) {
       }
     } else {
       std::cout << "round  participants  dropped  failed  retried  timed_out"
-                   "  late  bcast_kB  coll_kB  ser  mean_divergence"
+                   "  virtual_ms  bcast_kB  coll_kB  ser  mean_divergence"
                    "  update_norm  ratio  codec\n";
       for (const fl::RoundStats& r : result.history) {
         std::printf(
-            "%5d  %12d  %7d  %6d  %7d  %9d  %4d  %8.1f  %7.1f  %3llu"
+            "%5d  %12d  %7d  %6d  %7d  %9d  %10lld  %8.1f  %7.1f  %3llu"
             "  %15.4f  %11.3f  %5.3f  %s\n",
             r.round, r.participants, r.dropped, r.failures, r.retries,
-            r.timeouts, r.late_dropped,
+            r.timeouts, static_cast<long long>(r.virtual_ms),
             static_cast<double>(r.bytes_broadcast) / 1e3,
             static_cast<double>(r.bytes_collected) / 1e3,
             static_cast<unsigned long long>(r.serializations),

@@ -1,4 +1,4 @@
-// bench_async — convergence vs wall-clock for buffered asynchronous
+// bench_async — convergence vs simulated time for buffered asynchronous
 // aggregation against the synchronous barrier loop, under one shared
 // availability trace.
 //
@@ -6,10 +6,12 @@
 // same seeded device classes (a fast class, a flaky+slow class, and a
 // diurnal class that sleeps half its period). Total fold budget is matched:
 // sync runs R rounds of C clients; async commits R buffers of C folds with
-// C requests in flight. Sync pays the straggler tax at every barrier — each
-// round lasts as long as its slowest sampled device — while async keeps
-// folding whatever arrives, so the same number of aggregated updates lands
-// in less wall-clock time at a small staleness cost.
+// C requests in flight. Injected latency is virtual, so each mode reports
+// two clocks: simulated seconds (the last commit's RoundStats::virtual_ms,
+// i.e. network latency only, no compute time) and wall seconds (the real
+// compute, which latency no longer inflates). Sync pays the straggler tax
+// at every barrier — each round lasts as long as its slowest sampled
+// device — while async refills a slot as soon as the fold front passes it.
 //
 //   bench_async                 # paper-ish scale -> BENCH_async.json
 //   bench_async --smoke         # CI-sized, a few seconds
@@ -18,6 +20,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/registry.h"
@@ -39,6 +42,7 @@ struct AsyncOptions {
 
 struct ModeResult {
   std::string mode;
+  double sim_seconds = 0.0;   // simulated: the last commit's virtual time
   double wall_seconds = 0.0;
   int folds = 0;
   int failures = 0;
@@ -92,6 +96,8 @@ ModeResult run_mode(const AsyncOptions& options, const Workbench& bench,
     mode.bytes_total += entry.bytes_broadcast + entry.bytes_collected;
   }
   if (!result.history.empty()) {
+    mode.sim_seconds =
+        static_cast<double>(result.history.back().virtual_ms) / 1000.0;
     mode.last_update_norm = result.history.back().mean_update_norm;
     mode.staleness_mean = result.history.back().staleness_mean;
     mode.staleness_max = result.history.back().staleness_max;
@@ -123,22 +129,22 @@ int run(const AsyncOptions& options) {
 
   for (const ModeResult* mode : {&sync_run, &async_run}) {
     std::printf(
-        "[async] %-5s  %6.2fs wall  %4d folds  acc %.3f  "
+        "[async] %-5s  %6.2fs simulated  %6.2fs wall  %4d folds  acc %.3f  "
         "fail %d  retry %d  late %d  stale %.2f/%d  %.1f KB\n",
-        mode->mode.c_str(), mode->wall_seconds, mode->folds,
+        mode->mode.c_str(), mode->sim_seconds, mode->wall_seconds, mode->folds,
         mode->mean_accuracy, mode->failures, mode->retries,
         mode->late_dropped, mode->staleness_mean, mode->staleness_max,
         static_cast<double>(mode->bytes_total) / 1024.0);
   }
-  if (sync_run.wall_seconds > 0.0) {
-    std::printf("[async] speedup %.2fx at matched fold budget (%d updates)\n",
-                sync_run.wall_seconds /
-                    (async_run.wall_seconds > 0.0 ? async_run.wall_seconds
-                                                  : 1.0),
-                sync_run.folds);
+  if (async_run.sim_seconds > 0.0) {
+    std::printf(
+        "[async] simulated speedup %.2fx at matched fold budget (%d vs %d "
+        "updates)\n",
+        sync_run.sim_seconds / async_run.sim_seconds, sync_run.folds,
+        async_run.folds);
   }
 
-  // The fold budgets must actually match, or the wall-clock comparison is
+  // The fold budgets must actually match, or the time comparison is
   // meaningless: async folds exactly rounds * buffer_size by construction.
   if (async_run.folds != options.rounds * options.clients_per_round) {
     std::fprintf(stderr, "[async] expected %d async folds, got %d\n",
@@ -153,6 +159,8 @@ int run(const AsyncOptions& options) {
       << "  \"clients_per_round\": " << options.clients_per_round << ",\n"
       << "  \"train_clients\": " << options.train_clients << ",\n"
       << "  \"latency_scale_ms\": " << options.latency_scale_ms << ",\n"
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n"
       << "  \"modes\": [\n";
   const std::vector<const ModeResult*> modes = {&sync_run, &async_run};
   for (std::size_t i = 0; i < modes.size(); ++i) {
@@ -160,11 +168,13 @@ int run(const AsyncOptions& options) {
     char buffer[384];
     std::snprintf(
         buffer, sizeof(buffer),
-        "    {\"mode\": \"%s\", \"wall_seconds\": %.3f, \"folds\": %d, "
+        "    {\"mode\": \"%s\", \"sim_seconds\": %.3f, "
+        "\"wall_seconds\": %.3f, \"folds\": %d, "
         "\"mean_accuracy\": %.4f, \"failures\": %d, \"retries\": %d, "
         "\"late_dropped\": %d, \"staleness_mean\": %.3f, "
         "\"staleness_max\": %d, \"bytes_total\": %llu}%s\n",
-        mode.mode.c_str(), mode.wall_seconds, mode.folds, mode.mean_accuracy,
+        mode.mode.c_str(), mode.sim_seconds, mode.wall_seconds, mode.folds,
+        mode.mean_accuracy,
         mode.failures, mode.retries, mode.late_dropped, mode.staleness_mean,
         mode.staleness_max,
         static_cast<unsigned long long>(mode.bytes_total),

@@ -21,7 +21,8 @@
 // splits), partition (the per-client index lists), fed build (the
 // FedDataset) and train (run_federated: rounds plus the capped
 // personalization sweep). The bench fails if those layers leave more than
-// 10% of a population's total unattributed.
+// 10% of a population's total unattributed. rounds/s counts the training
+// stage alone (RunResult::train_seconds), not the personalization sweep.
 //
 //   bench_scale                         # 1k / 10k / 100k -> BENCH_scale.json
 //   bench_scale --smoke                 # tiny populations for CI
@@ -71,6 +72,8 @@ struct ScaleResult {
   double fed_build_seconds = 0.0;
   // The run_federated call: rounds plus the capped personalization sweep.
   double train_seconds = 0.0;
+  // Its training stage alone (the rounds and their drain): rounds/s.
+  double train_stage_seconds = 0.0;
   double total_seconds = 0.0;  // everything above, plus algorithm set-up
   // Server-side phase split from RunResult::phases: where the training
   // stage's server thread time actually goes (broadcast serialize + send /
@@ -81,6 +84,10 @@ struct ScaleResult {
   double commit_seconds = 0.0;
   long peak_rss_kb = 0;
   std::size_t index_bytes = 0;  // the partition's train + test index storage
+
+  double rounds_per_s(int rounds) const {
+    return train_stage_seconds > 0.0 ? rounds / train_stage_seconds : 0.0;
+  }
 
   // Share of total_seconds that no timed layer covers.
   double unattributed_frac() const {
@@ -147,6 +154,7 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
   out.partition_seconds = seconds_between(synth_end, partition_end);
   out.fed_build_seconds = seconds_between(partition_end, fed_build_end);
   out.train_seconds = seconds_between(train_start, train_end);
+  out.train_stage_seconds = result.train_seconds;
   out.total_seconds = seconds_between(wall_start, train_end);
   out.dispatch_seconds = result.phases.dispatch_seconds;
   out.decode_seconds = result.phases.decode_seconds;
@@ -215,14 +223,11 @@ int run(const ScaleOptions& options) {
       std::fprintf(stderr, "[scale] population %d failed\n", clients);
       return 1;
     }
-    const double rounds_per_s =
-        result.train_seconds > 0.0 ? options.rounds / result.train_seconds
-                                   : 0.0;
     std::printf(
-        "[scale] K=%-7d  %.2f rounds/s  (train %.2fs, total %.2fs)  "
-        "peak RSS %.1f MB  (indices %.1f MB)\n",
-        result.clients, rounds_per_s, result.train_seconds,
-        result.total_seconds, static_cast<double>(result.peak_rss_kb) / 1024.0,
+        "[scale] K=%-7d  %.2f rounds/s  (rounds %.3fs, train %.2fs, total "
+        "%.2fs)  peak RSS %.1f MB  (indices %.1f MB)\n",
+        result.clients, result.rounds_per_s(options.rounds),
+        result.train_stage_seconds, result.train_seconds, result.total_seconds, static_cast<double>(result.peak_rss_kb) / 1024.0,
         mib(result.index_bytes));
     std::printf(
         "[scale]            set-up: synth %.3fs  partition %.3fs  "
@@ -290,15 +295,14 @@ int run(const ScaleOptions& options) {
                   "    {\"clients\": %d, \"rounds_per_s\": %.3f, "
                   "\"synth_seconds\": %.3f, \"partition_seconds\": %.3f, "
                   "\"fed_build_seconds\": %.3f, "
+                  "\"train_stage_seconds\": %.3f, "
                   "\"train_seconds\": %.3f, \"total_seconds\": %.3f, "
                   "\"dispatch_seconds\": %.3f, \"decode_seconds\": %.3f, "
                   "\"fold_seconds\": %.3f, \"commit_seconds\": %.3f, "
                   "\"peak_rss_mb\": %.1f, \"index_mb\": %.1f}%s\n",
-                  r.clients,
-                  r.train_seconds > 0.0 ? options.rounds / r.train_seconds
-                                        : 0.0,
+                  r.clients, r.rounds_per_s(options.rounds),
                   r.synth_seconds, r.partition_seconds, r.fed_build_seconds,
-                  r.train_seconds, r.total_seconds, r.dispatch_seconds,
+                  r.train_stage_seconds, r.train_seconds, r.total_seconds, r.dispatch_seconds,
                   r.decode_seconds, r.fold_seconds, r.commit_seconds,
                   static_cast<double>(r.peak_rss_kb) / 1024.0,
                   mib(r.index_bytes), i + 1 < results.size() ? "," : "");

@@ -27,25 +27,6 @@ std::optional<Message> Mailbox::pop() {
   return message;
 }
 
-std::optional<Message> Mailbox::pop_until(
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!not_empty_.wait_until(lock, deadline,
-                             [this] { return closed_ || !queue_.empty(); })) {
-    return std::nullopt;  // timed out
-  }
-  if (queue_.empty()) return std::nullopt;  // closed and drained
-  Message message = std::move(queue_.front());
-  queue_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
-  return message;
-}
-
-std::optional<Message> Mailbox::pop_for(std::chrono::milliseconds timeout) {
-  return pop_until(std::chrono::steady_clock::now() + timeout);
-}
-
 std::optional<Message> Mailbox::try_pop() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (queue_.empty()) return std::nullopt;

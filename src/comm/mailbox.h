@@ -2,7 +2,6 @@
 // in the federated runtime; also usable per-endpoint.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -25,15 +24,6 @@ class Mailbox {
   // Blocks until a message is available or the box is closed+empty.
   // Returns nullopt only in the latter case.
   std::optional<Message> pop();
-
-  // Blocks until a message is available, `deadline` passes, or the box is
-  // closed+empty. Returns nullopt on timeout or closed+empty — use closed()
-  // to tell the two apart.
-  std::optional<Message> pop_until(
-      std::chrono::steady_clock::time_point deadline);
-
-  // pop_until() relative to now.
-  std::optional<Message> pop_for(std::chrono::milliseconds timeout);
 
   // Non-blocking pop. Returns nullopt when momentarily empty *or* when the
   // box is closed and drained; closed() disambiguates.

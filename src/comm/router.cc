@@ -1,6 +1,5 @@
 #include "comm/router.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "comm/serde.h"
@@ -77,10 +76,7 @@ void Router::register_default_handler(Handler handler) {
 
 void Router::set_fault_profiles(std::vector<FaultConfig> profiles) {
   CALIBRE_CHECK_MSG(!profiles.empty(), "need at least one fault profile");
-  for (const FaultConfig& profile : profiles) {
-    validate_fault_config(profile);
-    if (profile.latency_ms > 0) ensure_timer();
-  }
+  for (const FaultConfig& profile : profiles) validate_fault_config(profile);
   fault_profiles_ = std::move(profiles);
 }
 
@@ -89,11 +85,16 @@ const FaultConfig& Router::profile_for(int receiver) const {
                          fault_profiles_.size()];
 }
 
-void Router::ensure_timer() {
-  if (timer_ == nullptr) timer_ = std::make_unique<common::TimerQueue>();
+int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
+                      std::uint64_t attempt) {
+  if (fault.latency_ms <= 0) return 0;
+  return static_cast<int>(mix(fault.seed, static_cast<std::uint64_t>(receiver),
+                              static_cast<std::uint64_t>(round),
+                              attempt * 2 + 1) %
+                          static_cast<std::uint64_t>(fault.latency_ms + 1));
 }
 
-void Router::send(Message message) {
+int Router::send(Message message) {
   const std::uint64_t wire = message.wire_size();
   messages_.fetch_add(1, std::memory_order_relaxed);
   logical_bytes_.fetch_add(wire, std::memory_order_relaxed);
@@ -112,7 +113,7 @@ void Router::send(Message message) {
   physical_bytes_.fetch_add(physical, std::memory_order_relaxed);
   if (message.receiver == kServerEndpoint) {
     server_mailbox_.push(std::move(message));
-    return;
+    return 0;
   }
   const auto it = handlers_.find(message.receiver);
   CALIBRE_CHECK_MSG(it != handlers_.end() || default_handler_ != nullptr,
@@ -141,12 +142,8 @@ void Router::send(Message message) {
         (fault.failure_rate > 0.0f &&
          unit_double(mix(fault.seed, receiver, round, attempt * 2)) <
              static_cast<double>(fault.failure_rate));
-    if (fault.latency_ms > 0) {
-      delay_ms = static_cast<int>(mix(fault.seed, receiver, round,
-                                      attempt * 2 + 1) %
-                                  static_cast<std::uint64_t>(
-                                      fault.latency_ms + 1));
-    }
+    delay_ms = injected_delay_ms(fault, message.receiver, message.round,
+                                 attempt);
   }
 
   // The handler reference stays valid: registration is frozen before sending.
@@ -175,19 +172,8 @@ void Router::send(Message message) {
       }
     }
   };
-  if (delay_ms > 0) {
-    // Injected latency must never park a pool worker (a small pool plus a
-    // high latency cap would serialize dispatch): the timer holds the
-    // dispatch and feeds it to the pool when the delay elapses. The timer
-    // exists whenever any profile carries latency (ensure_timer).
-    CALIBRE_CHECK_MSG(timer_ != nullptr, "latency injected without a timer");
-    timer_->schedule_after(std::chrono::milliseconds(delay_ms),
-                           [this, dispatch = std::move(dispatch)]() mutable {
-                             pool_.submit(std::move(dispatch));
-                           });
-    return;
-  }
   pool_.submit(std::move(dispatch));
+  return delay_ms;
 }
 
 TrafficStats operator-(const TrafficStats& end, const TrafficStats& start) {

@@ -11,10 +11,11 @@
 // kTrainError message carrying the error text, so the round loop can
 // account for the failure instead of blocking forever. An optional fault
 // injector (seeded, deterministic) simulates flaky devices by failing a
-// configurable fraction of dispatches, adding artificial latency (deferred
-// through a TimerQueue, never a pool-thread sleep), and taking endpoints
-// offline on a diurnal schedule; heterogeneous device classes map each
-// endpoint to its own fault profile.
+// configurable fraction of dispatches, drawing a per-dispatch latency, and
+// taking endpoints offline on a diurnal schedule; heterogeneous device
+// classes map each endpoint to its own fault profile. Latency is virtual:
+// send() dispatches at once and returns the drawn delay, and the caller
+// places the reply on its own simulated clock (fl/runner.cc).
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,6 @@
 
 #include "comm/mailbox.h"
 #include "common/thread_pool.h"
-#include "common/timer_queue.h"
 
 namespace calibre::comm {
 
@@ -62,7 +62,7 @@ TrafficStats operator-(const TrafficStats& end, const TrafficStats& start);
 // round, so retries against it keep failing until the schedule flips.)
 struct FaultConfig {
   float failure_rate = 0.0f;  // P(dispatch fails before the handler runs)
-  int latency_ms = 0;         // per-dispatch artificial delay in [0, latency_ms]
+  int latency_ms = 0;         // per-dispatch virtual delay in [0, latency_ms]
   std::uint64_t seed = 0;     // fault stream seed
   // Diurnal availability: with duty_cycle < 1 and period_rounds > 0 the
   // endpoint is offline for the tail of every period_rounds-round cycle,
@@ -73,6 +73,12 @@ struct FaultConfig {
   float duty_cycle = 1.0f;
   int period_rounds = 0;
 };
+
+// The injected delay (virtual ms) of the `attempt`-th dispatch to `receiver`
+// in `round`: uniform in [0, fault.latency_ms], a pure function of its
+// arguments. Router::send draws every dispatch's delay through it.
+int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
+                      std::uint64_t attempt);
 
 // Error text carried by an availability-schedule failure, distinguishable
 // from a random injected fault ("injected handler fault").
@@ -107,9 +113,12 @@ class Router {
   // Routes `message`: server-addressed messages go to the server mailbox;
   // client-addressed ones are dispatched to the endpoint handler on the pool.
   // A handler that throws (or an injected fault) produces a kTrainError
-  // reply to the server instead of a lost message.
+  // reply to the server instead of a lost message. Returns the dispatch's
+  // injected delay in virtual ms (0 for server-addressed messages): the
+  // handler runs at once, and the delay only says when its reply arrives
+  // on the caller's simulated clock.
   // Throws when the receiver is unknown.
-  void send(Message message);
+  int send(Message message);
 
   // Inbox for messages addressed to kServerEndpoint.
   Mailbox& server_mailbox() { return server_mailbox_; }
@@ -125,8 +134,6 @@ class Router {
  private:
   // The fault profile governing dispatches to `receiver`.
   const FaultConfig& profile_for(int receiver) const;
-  // Lazily creates the delay timer once any profile can inject latency.
-  void ensure_timer();
 
   Mailbox server_mailbox_;
   std::unordered_map<int, Handler> handlers_;
@@ -142,12 +149,9 @@ class Router {
   std::atomic<std::uint64_t> broadcast_serializations_{0};
   std::atomic<std::uint64_t> collect_serializations_{0};
   // Destroyed before the rest of the router: ~ThreadPool drains straggler
-  // handler tasks (which touch the mailbox and handlers_) first, and the
-  // timer — destroyed before even the pool — flushes every delayed dispatch
-  // into the pool on its way out, so "one reply per dispatch" survives
-  // shutdown.
+  // handler tasks (which touch the mailbox and handlers_) first, so "one
+  // reply per dispatch" survives shutdown.
   common::ThreadPool pool_;
-  std::unique_ptr<common::TimerQueue> timer_;  // null until latency is set
 };
 
 }  // namespace calibre::comm

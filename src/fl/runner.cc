@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <optional>
 
 #include "common/check.h"
@@ -20,33 +21,6 @@ using SteadyClock = std::chrono::steady_clock;
 double seconds_between(SteadyClock::time_point from,
                        SteadyClock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-// Wires the config's fault model into the router: one profile per device
-// class when configured (client c -> class c % num_classes), else the
-// uniform fault knobs as the single profile. The fault stream seed is
-// derived once, so sync and async runs over the same config see the same
-// faults.
-void configure_faults(const FlConfig& config, comm::Router& router) {
-  const std::uint64_t fault_seed = derive_seed(config.seed, 0xFA01, 0);
-  std::vector<comm::FaultConfig> profiles;
-  if (config.device_classes.empty()) {
-    comm::FaultConfig fault;
-    fault.failure_rate = config.fault_rate;
-    fault.latency_ms = config.fault_latency_ms;
-    fault.seed = fault_seed;
-    profiles.push_back(fault);
-  }
-  for (const DeviceClass& device : config.device_classes) {
-    comm::FaultConfig profile;
-    profile.failure_rate = device.fault_rate;
-    profile.latency_ms = device.fault_latency_ms;
-    profile.seed = fault_seed;
-    profile.duty_cycle = device.duty_cycle;
-    profile.period_rounds = device.period_rounds;
-    profiles.push_back(profile);
-  }
-  router.set_fault_profiles(std::move(profiles));
 }
 
 // --- The round engine -------------------------------------------------------
@@ -66,8 +40,8 @@ void configure_faults(const FlConfig& config, comm::Router& router) {
 // are refilled:
 //  * sync (a barrier per round): a window is one cohort, drawn without
 //    replacement and dispatched when the window opens. It commits once every
-//    slot resolved, or when the round deadline fired with the quorum in —
-//    the cut resolves the remaining slots as timeouts.
+//    slot resolved; a round deadline may resolve some of them as timeouts
+//    first (see cut()).
 //  * async: the server keeps `clients_per_round` dispatches in flight,
 //    replacing each resolved slot with one rejection-sampled idle client,
 //    and commits a new global version every `async_buffer_size` folds.
@@ -75,12 +49,19 @@ void configure_faults(const FlConfig& config, comm::Router& router) {
 // the tag is the commit count at dispatch. A sync slot always folds in the
 // round it was dispatched in, so its staleness is 0 and its weight 1.
 //
-// Replies are keyed by (round tag, sender). A live slot is unique for its
-// key: async keeps at most one dispatch per client in flight, and a sync
-// client appears once per cohort. A deadline straggler can be re-sampled
-// into the next round while its old request is still in flight, so the
-// sender alone does not identify the slot; a reply whose key names no live
-// slot is a straggler from a cut round and is discarded as late.
+// Time is virtual (ms). Each slot carries the arrival of its current
+// attempt: its send time plus the router's injected delay. A sync window's
+// dispatches go out when the window opens, a retry when its failure
+// arrives, and an async refill at the front's time: the running maximum of
+// the resolved arrivals, in seq order. A commit happens at the front's time
+// (or at the cut, see cut()), and the next window opens there. Nothing here
+// reads a wall clock except the PhaseTimes counters, so a deadline run is a
+// pure function of the seed too.
+//
+// Replies are keyed by sender, checked against the round tag. A live slot
+// is unique for its sender: async keeps at most one dispatch per client in
+// flight, and a sync round waits for every reply of its cohort before it
+// commits, so no reply ever outlives its slot.
 class RoundEngine {
  public:
   RoundEngine(Algorithm& algorithm, const FedDataset& fed,
@@ -100,24 +81,13 @@ class RoundEngine {
   // flight, so no local_update outlives the training stage.
   void run() {
     if (config_.rounds > 0) open_window();
-    const bool has_deadline = config_.round_deadline_ms > 0;
     while (commits_ < config_.rounds) {
-      std::optional<comm::Message> reply;
-      if (has_deadline && !deadline_fired_) {
-        reply = router_.server_mailbox().pop_until(deadline_);
-        if (!reply.has_value() && !router_.server_mailbox().closed()) {
-          // Below quorum the round keeps waiting: every dispatch is
-          // guaranteed exactly one reply, so waiting cannot hang.
-          deadline_fired_ = true;
-          if (received_ >= quorum_) cut();
-          continue;
-        }
-      } else {
-        reply = router_.server_mailbox().pop();
-      }
+      std::optional<comm::Message> reply = router_.server_mailbox().pop();
       CALIBRE_CHECK_MSG(reply.has_value(), "server mailbox closed early");
       on_reply(std::move(*reply));
-      if (deadline_fired_ && received_ >= quorum_) cut();
+      // A deadline round that holds a late slot cuts once every dispatch of
+      // the round has its final outcome; each one is guaranteed a reply.
+      if (hold_after_ != kNever && awaiting_ == 0) cut();
     }
     drain();
   }
@@ -129,11 +99,17 @@ class RoundEngine {
     kFailed,
     kTimedOut
   };
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+
   struct Slot {
     int client = -1;
     int tag = 0;  // commit count at dispatch: the sync round / base version
-    int retries_used = 0;
     SlotState status = SlotState::kOutstanding;
+    std::int64_t arrival = 0;  // virtual ms: the current attempt's outcome
+    // Arrivals of the failed attempts that bought a retry, oldest first.
+    // A deadline cut credits only those at or before the cut.
+    std::vector<std::int64_t> retried_at;
     comm::Payload request;  // the broadcast this dispatch trains against
     // The broadcast as clients decode it: the reference delta16/topk16
     // replies decode against (null under f32). Shared because an async
@@ -167,9 +143,7 @@ class RoundEngine {
     window_ = RoundStats{};
     traffic_at_open_ = router_.stats();
     folds_ = 0;
-    received_ = 0;
     staleness_total_ = 0.0;
-    deadline_fired_ = false;
     if (!barrier_) {
       while (next_seq_ - front_ < config_.clients_per_round) {
         dispatch(sample_idle_client());
@@ -200,8 +174,9 @@ class RoundEngine {
     // [1, clients_per_round]; the clamp only covers dropout legitimately
     // shrinking the round below the configured quorum.
     quorum_ = std::min(config_.min_participants, next_seq_ - front_);
-    deadline_ = SteadyClock::now() +
-                std::chrono::milliseconds(config_.round_deadline_ms);
+    if (config_.round_deadline_ms > 0) {
+      hold_after_ = now_ + config_.round_deadline_ms;
+    }
   }
 
   // Rejection-samples a client with no unresolved slot. Terminates: the
@@ -222,13 +197,15 @@ class RoundEngine {
     CALIBRE_CHECK_LT(next_seq_ - front_, static_cast<int>(slots_.size()),
                      "slot table overflow");
     Slot& fresh = slot(next_seq_);
-    fresh = Slot{client, commits_, 0, SlotState::kOutstanding, snapshot_,
+    fresh = Slot{client, commits_, SlotState::kOutstanding, 0, {}, snapshot_,
                  snapshot_base_, comm::Payload()};
     live_seq_[static_cast<std::size_t>(client)] = next_seq_++;
-    send(fresh);
+    send(fresh, now_);
   }
 
-  void send(const Slot& dispatched) {
+  // Sends `dispatched`'s request at virtual time `at`; the router's injected
+  // delay places its outcome's arrival.
+  void send(Slot& dispatched, std::int64_t at) {
     const SteadyClock::time_point start = SteadyClock::now();
     ++awaiting_;
     comm::Message request;
@@ -240,7 +217,7 @@ class RoundEngine {
     // rounds in sync mode, versions in async mode).
     request.round = dispatched.tag;
     request.payload = dispatched.request;
-    router_.send(std::move(request));
+    dispatched.arrival = at + router_.send(std::move(request));
     result_.phases.dispatch_seconds +=
         seconds_between(start, SteadyClock::now());
   }
@@ -248,21 +225,19 @@ class RoundEngine {
   void on_reply(comm::Message reply) {
     --awaiting_;
     const int seq = live_seq_.at(static_cast<std::size_t>(reply.sender));
-    if (seq < 0 || slot(seq).tag != reply.round) {
-      ++window_.late_dropped;
-      log::debug() << algorithm_.name() << " window " << commits_
-                   << " discarded late reply from client " << reply.sender
-                   << " (tag " << reply.round << ")";
-      return;
-    }
+    CALIBRE_CHECK_MSG(seq >= 0 && slot(seq).tag == reply.round,
+                      "reply from client " << reply.sender << " (tag "
+                                           << reply.round
+                                           << ") matches no live slot");
     Slot& live = slot(seq);
     if (reply.type == comm::MessageType::kTrainError) {
-      // Only a live slot's error gets here (late ones were dropped above).
       // Failures and retries are credited when the slot resolves (see
-      // advance_front).
-      if (live.retries_used < config_.max_client_retries) {
-        ++live.retries_used;
-        send(live);  // the retry keeps its seq (fold place) and snapshot
+      // advance_front). The retry goes out when the failure arrives, and
+      // keeps its seq (fold place) and snapshot.
+      if (static_cast<int>(live.retried_at.size()) <
+          config_.max_client_retries) {
+        live.retried_at.push_back(live.arrival);
+        send(live, live.arrival);
         return;
       }
       log::debug() << algorithm_.name() << " seq " << seq << " client "
@@ -273,14 +248,14 @@ class RoundEngine {
       CALIBRE_CHECK(reply.type == comm::MessageType::kTrainResponse);
       live.status = SlotState::kHeld;
       live.reply = std::move(reply.payload);
-      ++received_;
     }
     advance_front();
   }
 
   // Resolves every slot at the front that has its outcome, in seq order:
   // folds held replies, commits when the window closes, and refills. Stops
-  // at the first slot still awaiting its reply, or at the final commit.
+  // at the first slot still awaiting its reply, at a slot that arrives after
+  // an uncut deadline (it may yet time out), or at the final commit.
   void advance_front() {
     // Legit high-fault configs recover within tens of dispatches; only an
     // async configuration that can never fold (e.g. every class offline at
@@ -289,16 +264,23 @@ class RoundEngine {
         1000 + 50 * config_.clients_per_round;
     while (commits_ < config_.rounds && front_ < next_seq_) {
       Slot& resolved = slot(front_);
-      if (resolved.status == SlotState::kOutstanding) return;
+      if (resolved.status == SlotState::kOutstanding ||
+          resolved.arrival > hold_after_) {
+        return;
+      }
       ++front_;
       live_seq_[static_cast<std::size_t>(resolved.client)] = -1;
       // Failures/retries are attributed to the window in which the slot
       // RESOLVES, not the one where an error reply happened to arrive:
       // resolution order is deterministic, so the history's counters are
       // bit-identical across thread counts.
-      window_.retries += resolved.retries_used;
-      window_.failures += resolved.retries_used +
-                          (resolved.status == SlotState::kFailed ? 1 : 0);
+      const auto retries = static_cast<int>(resolved.retried_at.size());
+      window_.retries += retries;
+      window_.failures +=
+          retries + (resolved.status == SlotState::kFailed ? 1 : 0);
+      if (resolved.status != SlotState::kTimedOut) {
+        now_ = std::max(now_, resolved.arrival);
+      }
       if (resolved.status == SlotState::kHeld) {
         // Decodes and folds right here; the staleness weight multiplies
         // the decoded weight, and the folder keeps the update-content sums.
@@ -333,16 +315,39 @@ class RoundEngine {
     }
   }
 
-  // Deadline cut: every slot still awaiting its reply resolves as a
-  // timeout (its eventual reply is discarded as late), which releases the
-  // held replies behind it into the fold and closes the round.
+  // Deadline cut, once every dispatch of the round has its final outcome:
+  // the round closes at C = max(deadline, arrival of the quorum-th success),
+  // or waits for every slot when fewer than the quorum succeed. A slot whose
+  // outcome arrives after C is a timeout: its reply is discarded, and only
+  // the retries its failures bought at or before C are credited. The round
+  // then commits at C. Slots before the front all arrived by the deadline,
+  // and every success among them has folded.
   void cut() {
+    std::vector<std::int64_t> successes;
     for (int seq = front_; seq < next_seq_; ++seq) {
-      if (slot(seq).status == SlotState::kOutstanding) {
-        slot(seq).status = SlotState::kTimedOut;
-        ++window_.timeouts;
+      if (slot(seq).status == SlotState::kHeld) {
+        successes.push_back(slot(seq).arrival);
       }
     }
+    std::int64_t close = kNever;
+    const int missing = quorum_ - folds_;  // successes needed beyond the front
+    if (missing <= 0) {
+      close = hold_after_;
+    } else if (missing <= static_cast<int>(successes.size())) {
+      const auto quorum_th = successes.begin() + (missing - 1);
+      std::nth_element(successes.begin(), quorum_th, successes.end());
+      close = std::max(hold_after_, *quorum_th);
+    }
+    for (int seq = front_; seq < next_seq_; ++seq) {
+      Slot& late = slot(seq);
+      if (late.arrival <= close) continue;
+      late.status = SlotState::kTimedOut;
+      std::erase_if(late.retried_at,
+                    [close](std::int64_t at) { return at > close; });
+      ++window_.timeouts;
+    }
+    if (close != kNever) now_ = std::max(now_, close);
+    hold_after_ = kNever;
     advance_front();
   }
 
@@ -351,6 +356,7 @@ class RoundEngine {
   // sync round) keeps the state as-is rather than aggregating nothing.
   void commit() {
     const SteadyClock::time_point start = SteadyClock::now();
+    hold_after_ = kNever;  // a round that met its deadline needs no cut
     std::unique_ptr<StreamingAggregator> merged = folder_->collect();
     CALIBRE_CHECK_EQ(merged->folded(), folds_, "shard merge lost folds");
     if (folds_ > 0) {
@@ -371,6 +377,7 @@ class RoundEngine {
     consecutive_failures_ = 0;  // a commit is progress too
     window_.round = commits_ - 1;
     window_.participants = folds_;
+    window_.virtual_ms = now_;
     if (sums.divergence_count > 0) {
       window_.mean_divergence =
           static_cast<float>(sums.divergence_total / sums.divergence_count);
@@ -382,8 +389,8 @@ class RoundEngine {
           static_cast<float>(staleness_total_ / static_cast<double>(folds_));
     }
     if (!barrier_) window_.committed_version = commits_;
-    // Router counters diffed over the window: retries re-sent and late
-    // replies that surfaced during it are all included.
+    // Router counters diffed over the window: retries re-sent and, in async
+    // mode, replies from earlier windows that surfaced during it.
     const comm::TrafficStats traffic = router_.stats() - traffic_at_open_;
     window_.bytes_broadcast = traffic.broadcast_bytes;
     window_.bytes_collected = traffic.collected_bytes;
@@ -402,8 +409,8 @@ class RoundEngine {
   // overlaps personalization. Slots left unresolved (async: outstanding,
   // or held/failed behind a straggler) are discarded, never folded into a
   // later version; their count is the unresolved window, which is
-  // deterministic. A sync run has none: its final round resolved every
-  // slot, and replies to cut requests change no counter here.
+  // deterministic. A sync run has none: its final round waited for every
+  // reply before it committed.
   void drain() {
     const int discarded = next_seq_ - front_;
     for (; awaiting_ > 0; --awaiting_) {
@@ -434,6 +441,7 @@ class RoundEngine {
   int awaiting_ = 0;  // requests (retries included) without a reply yet
   int commits_ = 0;
   int consecutive_failures_ = 0;
+  std::int64_t now_ = 0;  // the virtual clock (ms) at the front
 
   comm::Payload snapshot_;  // the open window's broadcast
   std::shared_ptr<const nn::ModelState> snapshot_base_;
@@ -442,11 +450,11 @@ class RoundEngine {
   RoundStats window_;
   comm::TrafficStats traffic_at_open_;
   int folds_ = 0;
-  int received_ = 0;  // accepted TrainResponses (folded or held)
   int quorum_ = 0;
   double staleness_total_ = 0.0;
-  bool deadline_fired_ = false;
-  SteadyClock::time_point deadline_;
+  // A deadline round's deadline (virtual ms) until it commits or cuts: the
+  // front holds any slot that arrives after it. kNever otherwise.
+  std::int64_t hold_after_ = kNever;
 };
 
 }  // namespace
@@ -457,6 +465,32 @@ float staleness_weight(int staleness, float alpha) {
   return static_cast<float>(
       1.0 / std::pow(1.0 + static_cast<double>(staleness),
                      static_cast<double>(alpha)));
+}
+
+// One profile per device class when configured (client c -> class
+// c % num_classes), else the uniform fault knobs as the single profile. The
+// fault stream seed is derived once, so sync and async runs over the same
+// config see the same faults.
+std::vector<comm::FaultConfig> fault_profiles(const FlConfig& config) {
+  const std::uint64_t fault_seed = derive_seed(config.seed, 0xFA01, 0);
+  std::vector<comm::FaultConfig> profiles;
+  if (config.device_classes.empty()) {
+    comm::FaultConfig fault;
+    fault.failure_rate = config.fault_rate;
+    fault.latency_ms = config.fault_latency_ms;
+    fault.seed = fault_seed;
+    profiles.push_back(fault);
+  }
+  for (const DeviceClass& device : config.device_classes) {
+    comm::FaultConfig profile;
+    profile.failure_rate = device.fault_rate;
+    profile.latency_ms = device.fault_latency_ms;
+    profile.seed = fault_seed;
+    profile.duty_cycle = device.duty_cycle;
+    profile.period_rounds = device.period_rounds;
+    profiles.push_back(profile);
+  }
+  return profiles;
 }
 
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a,
@@ -476,7 +510,7 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   CALIBRE_CHECK_MSG(config.clients_per_round <= fed.num_train_clients(),
                     "cannot sample " << config.clients_per_round << " of "
                                      << fed.num_train_clients() << " clients");
-  const auto start_time = std::chrono::steady_clock::now();
+  const SteadyClock::time_point start_time = SteadyClock::now();
 
   // Client-side update encoder: error-feedback residuals (ClientStore-backed,
   // so they survive re-selection gaps) plus the per-update codec chooser.
@@ -484,7 +518,7 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   UpdateEncoder update_encoder(config);
 
   comm::Router router(resolve_threads(config));
-  configure_faults(config, router);
+  router.set_fault_profiles(fault_profiles(config));
 
   // ONE generic device handler serves the whole population, parameterized
   // by the client id in Message::receiver — registration cost O(1) instead
@@ -527,17 +561,16 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   nn::ModelState state = algorithm.initialize();
   RunResult result;
   result.algorithm = algorithm.name();
+  const SteadyClock::time_point train_start = SteadyClock::now();
   RoundEngine(algorithm, fed, router, state, result).run();
+  result.train_seconds = seconds_between(train_start, SteadyClock::now());
 
   // --- Personalization stage -------------------------------------------------
   personalize_clients(algorithm, state, fed, personalize_novel, result);
 
   result.traffic = router.stats();
   result.final_state = std::move(state);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time)
-          .count();
+  result.wall_seconds = seconds_between(start_time, SteadyClock::now());
   return result;
 }
 

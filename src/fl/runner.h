@@ -26,10 +26,18 @@ struct RoundStats {
   int failures = 0;           // kTrainError replies (thrown handlers,
                               // injected faults); includes retried attempts
   int retries = 0;            // requests re-sent after a failure
-  int timeouts = 0;           // clients still pending when the deadline fired
-  int late_dropped = 0;       // stale replies from earlier rounds discarded
-  // Logical wire bytes this round, by direction (retry re-sends and replies
-  // from earlier rounds that surfaced during this round are included).
+  int timeouts = 0;           // sampled clients whose outcome arrived after
+                              // the round's deadline cut (sync only)
+  int late_dropped = 0;       // async: in-flight replies discarded after the
+                              // final commit (always 0 in sync runs)
+  // Virtual clock (ms) at this commit: injected latency only, no compute
+  // time. A sync round ends when its last outcome arrives or at its
+  // deadline cut; an async commit at its fold front's time. 0 without
+  // latency.
+  std::int64_t virtual_ms = 0;
+  // Logical wire bytes this round, by direction (retry re-sends and, in
+  // async mode, replies from earlier windows that surfaced during this one
+  // are included).
   std::uint64_t bytes_broadcast = 0;  // server -> clients
   std::uint64_t bytes_collected = 0;  // clients -> server
   // Distinct broadcast payload buffers serialized this round. The shared
@@ -79,12 +87,17 @@ struct RunResult {
   std::vector<RoundStats> history;       // one entry per round
   comm::TrafficStats traffic;
   double wall_seconds = 0.0;
+  double train_seconds = 0.0;            // wall time of the training stage
   PhaseTimes phases;                     // training-stage server-side split
   nn::ModelState final_state;            // trained global state
 };
 
 // Deterministic per-(seed, round, client) sub-stream seed.
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
+
+// The router fault profiles of a run over `config`: endpoint c uses
+// profiles[c % profiles.size()].
+std::vector<comm::FaultConfig> fault_profiles(const FlConfig& config);
 
 // FedBuff-style staleness discount w(s) = 1 / (1 + s)^alpha, s >= 0.
 // alpha = 0 disables discounting (w = 1 for all s).

@@ -32,7 +32,7 @@ struct ProbeConfig {
 struct DeviceClass {
   std::string name;           // label for history/bench output
   float fault_rate = 0.0f;    // P(dispatch fails)
-  int fault_latency_ms = 0;   // per-dispatch delay in [0, fault_latency_ms]
+  int fault_latency_ms = 0;   // per-dispatch virtual delay, [0, this] ms
   float duty_cycle = 1.0f;    // fraction of each period the device is online
   int period_rounds = 24;     // diurnal period (rounds); used when duty < 1
 };
@@ -60,21 +60,25 @@ struct FlConfig {
   float client_dropout_rate = 0.0f;
 
   // --- Fault tolerance -------------------------------------------------------
-  // Wall-clock budget per round, measured from the broadcast. When it
-  // expires the server aggregates whatever arrived (partial aggregation);
-  // stragglers are counted as timeouts and their eventual replies are
-  // discarded by round tag. 0 = wait for every reply (no deadline).
+  // Per-round budget in virtual ms (the clock injected latency runs on),
+  // measured from the broadcast. The round cuts at the later of the
+  // deadline and the quorum-th successful arrival and aggregates whatever
+  // arrived by then (partial aggregation); slots whose outcome arrives
+  // later count as timeouts and their replies are discarded in the round.
+  // 0 = wait for every reply (no deadline).
   int round_deadline_ms = 0;
-  // Minimum successful updates per round: the deadline only fires once this
+  // Minimum successful updates per round: the cut never comes before this
   // many updates arrived (clamped to the number of sampled clients). Keeps
-  // a late-but-quorate round meaningful instead of aggregating nothing.
+  // a late-but-quorate round meaningful instead of aggregating nothing;
+  // below it the round waits for every reply.
   int min_participants = 1;
   // Bounded retry: a client whose update fails (kTrainError) is re-sent the
   // request up to this many times within the same round.
   int max_client_retries = 0;
   // Fault injection (comm::FaultConfig): probability that a dispatched
-  // client update fails, and per-dispatch artificial latency in
-  // [0, fault_latency_ms]. Seeded from `seed`; 0/0 disables injection.
+  // client update fails, and per-dispatch latency in [0, fault_latency_ms]
+  // virtual ms (it moves the reply on the round engine's clock; nothing
+  // waits for it in real time). Seeded from `seed`; 0/0 disables injection.
   float fault_rate = 0.0f;
   int fault_latency_ms = 0;
   // Heterogeneous device classes (empty = uniform fault_rate /

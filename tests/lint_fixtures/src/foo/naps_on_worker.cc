@@ -1,6 +1,6 @@
-// Seeded violation: a sleep_for outside common/timer_queue.*. On a
-// ThreadPool worker this parks the thread and serializes every dispatch
-// queued behind it — the injected fault-latency bug.
+// Seeded violation: a sleep_for anywhere in src/. On a ThreadPool worker
+// this parks the thread and serializes every dispatch queued behind it —
+// the injected fault-latency bug; latency is virtual time instead.
 // expect-lint: blocking-sleep
 #include <chrono>
 #include <thread>

@@ -14,7 +14,7 @@ class Counter {
   }
 
   // False-positive regression: unlock-then-relock on the guard object is
-  // still RAII-owned and legal (common/timer_queue.cc does exactly this).
+  // still RAII-owned and legal (core/pfl_ssl.cc does exactly this).
   void hand_off() {
     std::unique_lock<std::mutex> lk(mu_);
     ++value_;

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -22,13 +23,28 @@
 #include "comm/router.h"
 #include "comm/serde.h"
 #include "common/check.h"
-#include "common/timer_queue.h"
 #include "flapi/algorithm.h"
 #include "nn/state.h"
 #include "tensor/rng.h"
 
 namespace calibre::comm {
 namespace {
+
+// Pops the next message, or nullopt once `timeout` passes without one: a
+// router test that loses a reply fails instead of hanging the suite.
+std::optional<Message> pop_within(
+    Mailbox& mailbox,
+    std::chrono::milliseconds timeout = std::chrono::seconds(30)) {
+  const auto give_up = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    std::optional<Message> message = mailbox.try_pop();
+    if (message.has_value() ||
+        std::chrono::steady_clock::now() >= give_up) {
+      return message;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(Serde, ScalarRoundTrip) {
   Writer writer;
@@ -149,44 +165,6 @@ TEST(Mailbox, CloseDrainsAndStops) {
   EXPECT_THROW(mailbox.push(Message{}), std::runtime_error);
 }
 
-TEST(Mailbox, PopForTimesOutOnEmpty) {
-  Mailbox mailbox;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(mailbox.pop_for(std::chrono::milliseconds(30)).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(25));
-  EXPECT_FALSE(mailbox.closed());  // timeout, not shutdown
-}
-
-TEST(Mailbox, PopForDeliversBeforeTimeout) {
-  Mailbox mailbox;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    Message message;
-    message.round = 9;
-    mailbox.push(std::move(message));
-  });
-  const auto message = mailbox.pop_for(std::chrono::seconds(10));
-  ASSERT_TRUE(message.has_value());
-  EXPECT_EQ(message->round, 9);
-  producer.join();
-}
-
-TEST(Mailbox, PopForOnClosedDrainedReportsShutdownNotStarvation) {
-  Mailbox mailbox;
-  mailbox.push(Message{});
-  mailbox.close();
-  EXPECT_TRUE(mailbox.closed());
-  EXPECT_TRUE(mailbox.pop_for(std::chrono::seconds(10)).has_value());
-  // Drained + closed: returns immediately (no timeout wait), and closed()
-  // tells the caller this is shutdown rather than an empty moment.
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(mailbox.pop_for(std::chrono::seconds(10)).has_value());
-  EXPECT_LT(std::chrono::steady_clock::now() - start,
-            std::chrono::seconds(5));
-  EXPECT_TRUE(mailbox.closed());
-}
-
 TEST(Mailbox, TryPopDistinguishesClosedFromEmpty) {
   Mailbox mailbox;
   EXPECT_FALSE(mailbox.try_pop().has_value());
@@ -280,7 +258,7 @@ TEST(Router, DuplicateRegistrationThrows) {
 // Regression for the silent client-failure deadlock: a handler that throws
 // used to vanish into an abandoned future, leaving the server blocked in
 // pop() forever. It must now produce a kTrainError reply carrying the
-// exception text. Bounded by pop_for so a regression fails instead of
+// exception text. Bounded by pop_within so a regression fails instead of
 // hanging the suite.
 TEST(Router, ThrowingHandlerRepliesWithTrainError) {
   Router router(2);
@@ -291,7 +269,7 @@ TEST(Router, ThrowingHandlerRepliesWithTrainError) {
   request.receiver = 5;
   request.round = 3;
   router.send(std::move(request));
-  const auto reply = router.server_mailbox().pop_for(std::chrono::seconds(30));
+  const auto reply = pop_within(router.server_mailbox());
   ASSERT_TRUE(reply.has_value()) << "error reply never arrived (deadlock bug)";
   EXPECT_EQ(reply->type, MessageType::kTrainError);
   EXPECT_EQ(reply->sender, 5);
@@ -305,7 +283,7 @@ TEST(Router, NonStdExceptionAlsoRepliesWithTrainError) {
   Message request;
   request.receiver = 0;
   router.send(std::move(request));
-  const auto reply = router.server_mailbox().pop_for(std::chrono::seconds(30));
+  const auto reply = pop_within(router.server_mailbox());
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, MessageType::kTrainError);
   EXPECT_EQ(Router::error_text(*reply), "unknown error");
@@ -328,7 +306,7 @@ TEST(Router, FaultInjectionRateOneFailsEveryDispatch) {
   }
   for (int i = 0; i < 4; ++i) {
     const auto reply =
-        router.server_mailbox().pop_for(std::chrono::seconds(30));
+        pop_within(router.server_mailbox());
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->type, MessageType::kTrainError);
     EXPECT_EQ(Router::error_text(*reply), "injected handler fault");
@@ -366,7 +344,7 @@ TEST(Router, FaultInjectionIsDeterministicPerSeed) {
     std::set<std::tuple<int, int, bool>> outcomes;
     for (int i = 0; i < 24; ++i) {
       const auto reply =
-          router.server_mailbox().pop_for(std::chrono::seconds(30));
+          pop_within(router.server_mailbox());
       EXPECT_TRUE(reply.has_value());
       if (!reply.has_value()) break;
       outcomes.emplace(reply->sender, reply->round,
@@ -1522,7 +1500,7 @@ TEST(Router, ConcurrentHandlersReadOneSharedBufferSafely) {
   }
   for (int i = 0; i < kClients; ++i) {
     const auto response =
-        router.server_mailbox().pop_for(std::chrono::seconds(60));
+        pop_within(router.server_mailbox(), std::chrono::seconds(60));
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(static_cast<std::uint64_t>(response->round),
               expected_sum & 0x7FFFFFFF);
@@ -1560,7 +1538,7 @@ TEST(Router, FaultProfilesRouteByDeviceClass) {
   int errors = 0;
   for (int i = 0; i < 6; ++i) {
     const auto reply =
-        router.server_mailbox().pop_for(std::chrono::seconds(30));
+        pop_within(router.server_mailbox());
     ASSERT_TRUE(reply.has_value());
     if (reply->type == MessageType::kTrainError) {
       EXPECT_EQ(reply->sender % 2, 0) << "healthy class produced an error";
@@ -1602,7 +1580,7 @@ TEST(Router, AvailabilityScheduleIsOfflineForWholeRounds) {
       request.round = round;
       router.send(std::move(request));
       const auto reply =
-          router.server_mailbox().pop_for(std::chrono::seconds(30));
+          pop_within(router.server_mailbox());
       ASSERT_TRUE(reply.has_value());
       const bool online = reply->type == MessageType::kTrainResponse;
       if (!online) {
@@ -1638,11 +1616,10 @@ TEST(Router, RejectsInvalidFaultConfigs) {
   EXPECT_THROW(router.set_fault_profiles({}), CheckError);
 }
 
-// Regression for injected latency parking pool workers: with ONE pool
-// thread and per-dispatch delays up to 300 ms, eight dispatches used to
-// sleep back-to-back on that thread (~ sum of the delays). Delays now wait
-// on the TimerQueue and only the handler runs on the pool, so the batch
-// completes in roughly max(delay), far under the serialized sum.
+// Injected latency is virtual: send() runs the dispatch at once and returns
+// its seeded delay for the caller's clock. With ONE pool thread and a 300 ms
+// cap, eight sends therefore all reply at once, where delays slept on the
+// pool (or even waited out concurrently) would take at least the largest.
 TEST(Router, InjectedLatencyDoesNotSerializeOnPoolWorkers) {
   Router router(1);
   constexpr int kDispatches = 8;
@@ -1659,75 +1636,28 @@ TEST(Router, InjectedLatencyDoesNotSerializeOnPoolWorkers) {
   fault.seed = 5;
   router.set_fault_profiles({fault});
   const auto start = std::chrono::steady_clock::now();
+  std::vector<int> delays;
   for (int i = 0; i < kDispatches; ++i) {
     Message request;
     request.receiver = 0;
     request.round = i;
-    router.send(std::move(request));
+    delays.push_back(router.send(std::move(request)));
   }
   for (int i = 0; i < kDispatches; ++i) {
-    const auto reply =
-        router.server_mailbox().pop_for(std::chrono::seconds(30));
-    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(pop_within(router.server_mailbox()).has_value());
   }
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  // Serialized sleeps would take the sum of 8 uniform [0, 300] ms draws
-  // (~1200 ms expected; this seed's draws sum well above the bound below).
-  // Concurrent timers finish in max(delay) <= 300 ms plus slack.
-  EXPECT_LT(elapsed.count(), 900) << "delays appear to serialize";
-}
-
-// --- TimerQueue (the designated sleep-free deferral point) ------------------
-
-TEST(TimerQueue, FiresInDeadlineOrderNotScheduleOrder) {
-  common::TimerQueue timer;
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<int> order;
-  auto record = [&](int id) {
-    std::lock_guard<std::mutex> lock(mutex);
-    order.push_back(id);
-    cv.notify_all();
-  };
-  // Scheduled first but due last: a sleeping implementation would fire 1
-  // before 2; the deadline-ordered queue must not.
-  timer.schedule_after(std::chrono::milliseconds(400), [&] { record(1); });
-  timer.schedule_after(std::chrono::milliseconds(40), [&] { record(2); });
-  std::unique_lock<std::mutex> lock(mutex);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return order.size() == 2; }));
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
-TEST(TimerQueue, DestructionFiresEveryPendingCallback) {
-  std::atomic<int> fired{0};
-  {
-    common::TimerQueue timer;
-    for (int i = 0; i < 5; ++i) {
-      // Hours out: only the destructor's early-fire can run these today.
-      timer.schedule_after(std::chrono::hours(2), [&] { ++fired; });
-    }
-    EXPECT_EQ(timer.pending(), 5u);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // The i-th send is endpoint 0's i-th dispatch (attempt i) of round i.
+  for (int i = 0; i < kDispatches; ++i) {
+    EXPECT_EQ(delays[static_cast<std::size_t>(i)],
+              injected_delay_ms(fault, 0, i, static_cast<std::uint64_t>(i)))
+        << "dispatch " << i;
   }
-  EXPECT_EQ(fired.load(), 5) << "shutdown dropped scheduled callbacks";
-}
-
-TEST(TimerQueue, RejectsNullCallbacksAndNegativeDelayRunsPromptly) {
-  common::TimerQueue timer;
-  EXPECT_THROW(timer.schedule_after(std::chrono::milliseconds(1), nullptr),
-               CheckError);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool ran = false;
-  timer.schedule_after(std::chrono::milliseconds(-50), [&] {
-    std::lock_guard<std::mutex> lock(mutex);
-    ran = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mutex);
-  EXPECT_TRUE(
-      cv.wait_for(lock, std::chrono::seconds(30), [&] { return ran; }));
+  const int longest = *std::max_element(delays.begin(), delays.end());
+  EXPECT_GT(longest, 150) << "this seed draws a delay worth waiting for";
+  EXPECT_LE(longest, fault.latency_ms);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(longest))
+      << "the router waited out an injected delay";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the federated runtime: aggregation math, update serialization,
 // federated dataset construction, the linear probe, the runner, and the
 // fault-tolerant round loop.
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cctype>
@@ -235,6 +236,19 @@ TEST(EncoderHeadModel, TrainSupervisedLearnsLocalData) {
 
 // --- fault-tolerant round loop ----------------------------------------------
 
+// Injected latency is virtual: it moves a reply on the engine's clock, not
+// in real time. The tests that set a uniform fault_latency_ms to shuffle the
+// order in which replies really reach the server get that shuffle from the
+// toys themselves: a seeded per-(client, round) real sleep in
+// [0, fault_latency_ms] ms. Device-class latency stays virtual only, so the
+// deadline tests below run without sleeping.
+void scramble_arrival(const FlConfig& config, const ClientContext& ctx) {
+  if (config.fault_latency_ms <= 0) return;
+  const auto cap = static_cast<std::uint64_t>(config.fault_latency_ms) + 1;
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      derive_seed(ctx.seed, 0x5C4A, 0) % cap));
+}
+
 // Minimal algorithm for runner fault-tolerance tests: a trivial
 // two-parameter model with a per-update callback for injecting failures,
 // latency, or recording which clients actually trained, folded by the
@@ -250,6 +264,7 @@ class ToyAlgorithm : public Algorithm {
   }
   ClientUpdate local_update(const nn::ModelState& global,
                             const ClientContext& ctx) override {
+    scramble_arrival(config(), ctx);
     if (hook_) hook_(ctx);
     ClientUpdate update;
     std::vector<float> values = global.values();
@@ -394,99 +409,189 @@ TEST(RunnerFaults, FullyFailedRoundKeepsGlobalState) {
   EXPECT_FLOAT_EQ(result.final_state.values()[1], -0.25f);
 }
 
-// Two rounds with an 800 ms deadline and a quorum of 3 of 4 clients.
-// Round 0: client 0 outlives the deadline, replying mid-round-1 (with an
-// error when `straggler_throws`). Round 1: client 1 outlives the deadline
-// and the whole run.
-RunResult run_deadline_stragglers(bool straggler_throws) {
-  const int clients = 4;
-  FlConfig config = toy_config(clients);
+// --- deadline rounds on the virtual clock -----------------------------------
+//
+// A deadline round waits for every reply, then cuts at
+// C = max(deadline, arrival of the quorum-th success): a slot whose outcome
+// arrives after C is a timeout, and the round commits at C. The expected
+// cuts below are computed from the router's delay function, not picked by
+// hand.
+
+// The outcome of one deadline round as the cut rule predicts it.
+struct ExpectedRound {
+  std::vector<int> timed_out;  // clients whose reply arrives after the cut
+  std::int64_t commit_ms = 0;  // the round's commit on the virtual clock
+};
+
+// Predicts every round of a sync deadline run in which every client is in
+// every round's cohort (clients_per_round == clients) and every dispatch
+// succeeds on its first attempt: client c's round-r dispatch is then its
+// r-th, leaves when the round opens, and arrives injected_delay_ms later.
+// Each round opens at the previous one's commit.
+std::vector<ExpectedRound> expected_deadline_rounds(const FlConfig& config) {
+  const std::vector<comm::FaultConfig> profiles = fault_profiles(config);
+  std::vector<ExpectedRound> rounds;
+  std::int64_t open = 0;
+  for (int r = 0; r < config.rounds; ++r) {
+    std::vector<std::int64_t> arrivals;
+    for (int c = 0; c < config.clients_per_round; ++c) {
+      const comm::FaultConfig& profile =
+          profiles[static_cast<std::size_t>(c) % profiles.size()];
+      arrivals.push_back(open + comm::injected_delay_ms(
+                                    profile, c, r,
+                                    static_cast<std::uint64_t>(r)));
+    }
+    std::vector<std::int64_t> sorted = arrivals;
+    std::sort(sorted.begin(), sorted.end());
+    const std::int64_t deadline = open + config.round_deadline_ms;
+    const std::int64_t quorum_th =
+        sorted[static_cast<std::size_t>(config.min_participants - 1)];
+    ExpectedRound round;
+    round.commit_ms = sorted.back() <= deadline
+                          ? sorted.back()
+                          : std::max(deadline, quorum_th);
+    for (int c = 0; c < config.clients_per_round; ++c) {
+      if (arrivals[static_cast<std::size_t>(c)] > round.commit_ms) {
+        round.timed_out.push_back(c);
+      }
+    }
+    rounds.push_back(round);
+    open = round.commit_ms;
+  }
+  return rounds;
+}
+
+// Every RoundStats column of a run, one line per round, floats as hexfloat.
+std::vector<std::string> all_columns(const RunResult& result) {
+  std::vector<std::string> lines;
+  for (const RoundStats& r : result.history) {
+    std::ostringstream line;
+    line << std::hexfloat << r.round << ' ' << r.participants << ' '
+         << r.dropped << ' ' << r.failures << ' ' << r.retries << ' '
+         << r.timeouts << ' ' << r.late_dropped << ' ' << r.virtual_ms << ' '
+         << r.bytes_broadcast << ' ' << r.bytes_collected << ' '
+         << r.serializations << ' ' << r.mean_divergence << ' '
+         << r.mean_update_norm << ' ' << r.update_bytes_wire << ' '
+         << r.update_bytes_f32 << ' ' << r.committed_version << ' '
+         << r.staleness_mean << ' ' << r.staleness_max;
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+// Two rounds of 4 clients with a 100 ms deadline and a quorum of 3. Clients
+// 0 and 2 reply at once; 1 and 3 draw up to 1000 ms of latency, so the
+// quorum-th reply is the faster of those two and the slower one is cut.
+FlConfig deadline_stragglers_config() {
+  FlConfig config = toy_config(4);
   config.rounds = 2;
-  config.round_deadline_ms = 800;
+  config.round_deadline_ms = 100;
   config.min_participants = 3;
-  config.max_client_retries = 1;
-  ToyAlgorithm algorithm(config, [=](const ClientContext& ctx) {
-    if (ctx.round == 0 && ctx.client_id == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-      if (straggler_throws) throw std::runtime_error("late failure");
+  config.device_classes = {{"fast", 0.0f, 0, 1.0f, 0},
+                           {"slow", 0.0f, 1000, 1.0f, 0}};
+  return config;
+}
+
+// The exact state after folding each round's non-timed-out clients: the toy
+// bumps every parameter by 0.5 + 0.25 * client, with equal weights.
+std::vector<float> expected_toy_state(const std::vector<ExpectedRound>& rounds,
+                                      int clients) {
+  std::vector<float> state = {1.0f, -1.0f};
+  for (const ExpectedRound& round : rounds) {
+    double bump = 0.0;
+    int folded = 0;
+    for (int c = 0; c < clients; ++c) {
+      if (std::find(round.timed_out.begin(), round.timed_out.end(), c) ==
+          round.timed_out.end()) {
+        bump += 0.5 + 0.25 * c;
+        ++folded;
+      }
     }
-    if (ctx.round == 1 && ctx.client_id == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(3000));
+    for (float& value : state) {
+      value += static_cast<float>(bump / folded);
     }
-  });
-  const FedDataset fed = toy_fed(clients);
-  return run_federated(algorithm, fed, false);
+  }
+  return state;
 }
 
 TEST(RunnerFaults, DeadlineCutsStragglersAndDiscardsLateReplies) {
-  const RunResult result = run_deadline_stragglers(false);
+  const FlConfig config = deadline_stragglers_config();
+  const std::vector<ExpectedRound> expected =
+      expected_deadline_rounds(config);
+  ToyAlgorithm algorithm(config);
+  const RunResult result = run_federated(algorithm, toy_fed(4), false);
   ASSERT_EQ(result.history.size(), 2u);
-  EXPECT_EQ(result.history[0].participants, 3);
-  EXPECT_EQ(result.history[0].timeouts, 1);
-  EXPECT_EQ(result.history[0].late_dropped, 0);
-  EXPECT_EQ(result.history[1].participants, 3);
-  EXPECT_EQ(result.history[1].timeouts, 1);
-  // Client 0's stale round-0 reply arrived during round 1 and was
-  // discarded by round tag instead of corrupting the aggregation.
-  EXPECT_EQ(result.history[1].late_dropped, 1);
-}
-
-// An error reply from a straggler the deadline already cut belongs to a
-// resolved slot: it is discarded as late like any other stale reply, and
-// counts no failure and buys no retry, though the retry budget allows one.
-TEST(RunnerFaults, DeadlineCutStragglerErrorCountsAsLateNotFailure) {
-  const RunResult result = run_deadline_stragglers(true);
-  ASSERT_EQ(result.history.size(), 2u);
-  EXPECT_EQ(result.history[0].participants, 3);
-  EXPECT_EQ(result.history[0].timeouts, 1);
-  EXPECT_EQ(result.history[1].participants, 3);
-  EXPECT_EQ(result.history[1].timeouts, 1);
-  EXPECT_EQ(result.history[1].late_dropped, 1);
-  for (const RoundStats& round : result.history) {
-    EXPECT_EQ(round.failures, 0) << "round " << round.round;
-    EXPECT_EQ(round.retries, 0) << "round " << round.round;
+  for (std::size_t r = 0; r < 2; ++r) {
+    const RoundStats& round = result.history[r];
+    // This seed's draws leave one slow client past the cut in each round.
+    ASSERT_EQ(expected[r].timed_out.size(), 1u) << "round " << r;
+    EXPECT_EQ(round.participants, 3) << "round " << r;
+    EXPECT_EQ(round.timeouts, 1) << "round " << r;
+    // The cut straggler's reply is discarded within its own round: no reply
+    // outlives a sync round, so none is ever late.
+    EXPECT_EQ(round.late_dropped, 0) << "round " << r;
+    EXPECT_EQ(round.virtual_ms, expected[r].commit_ms) << "round " << r;
   }
+  const std::vector<float> state = expected_toy_state(expected, 4);
+  EXPECT_FLOAT_EQ(result.final_state.values()[0], state[0]);
+  EXPECT_FLOAT_EQ(result.final_state.values()[1], state[1]);
 }
 
-// Cross-round straggler accounting must not depend on worker-thread count:
-// a late reply is counted as late_dropped exactly once, never folded into a
-// later round, and the aggregate stays bit-identical. (threads == 1 is
-// excluded on purpose — a single worker serializes the sleeper and changes
-// which clients beat the deadline.)
+// An error reply that arrives after the cut is part of a timeout: it counts
+// no failure, and the retry it bought (sent, since the cut is only known
+// once the round's replies are in) is not credited either.
+TEST(RunnerFaults, DeadlineCutStragglerErrorCountsAsLateNotFailure) {
+  FlConfig config = deadline_stragglers_config();
+  config.rounds = 1;
+  config.max_client_retries = 1;
+  const std::vector<ExpectedRound> expected =
+      expected_deadline_rounds(config);
+  ASSERT_EQ(expected[0].timed_out.size(), 1u);
+  const int straggler = expected[0].timed_out[0];
+  std::atomic<int> straggler_attempts{0};
+  ToyAlgorithm algorithm(config, [&](const ClientContext& ctx) {
+    if (ctx.client_id == straggler) {
+      straggler_attempts.fetch_add(1);
+      throw std::runtime_error("late failure");
+    }
+  });
+  const RunResult result = run_federated(algorithm, toy_fed(4), false);
+  ASSERT_EQ(result.history.size(), 1u);
+  EXPECT_EQ(straggler_attempts.load(), 2) << "the retry really ran";
+  const RoundStats& round = result.history[0];
+  EXPECT_EQ(round.participants, 3);
+  EXPECT_EQ(round.timeouts, 1);
+  EXPECT_EQ(round.failures, 0);
+  EXPECT_EQ(round.retries, 0);
+  EXPECT_EQ(round.late_dropped, 0);
+  EXPECT_EQ(round.virtual_ms, expected[0].commit_ms);
+}
+
+// Deadline accounting is a pure function of the seed: every RoundStats
+// column, virtual time and timeouts included, and the final state are
+// identical at any thread count — a single worker included, since no
+// deadline depends on real time any more.
 TEST(RunnerFaults, CrossRoundStragglerAccountingStableAcrossThreadCounts) {
-  const int clients = 4;
-  const FedDataset fed = toy_fed(clients);
-  for (const int threads : {3, 8}) {
-    FlConfig config = toy_config(clients);
-    config.rounds = 2;
+  const FedDataset fed = toy_fed(4);
+  auto run = [&](int threads) {
+    FlConfig config = deadline_stragglers_config();
     config.threads = threads;
-    config.round_deadline_ms = 800;
-    config.min_participants = 3;
-    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
-      if (ctx.round == 0 && ctx.client_id == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-      }
-      if (ctx.round == 1 && ctx.client_id == 1) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(3000));
-      }
-    });
-    const RunResult result = run_federated(algorithm, fed, false);
-    ASSERT_EQ(result.history.size(), 2u);
-    EXPECT_EQ(result.history[0].participants, 3) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].timeouts, 1) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].late_dropped, 0) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].failures, 0) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].participants, 3) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].timeouts, 1) << "threads=" << threads;
-    // Client 0's round-0 reply lands mid-round-1: dropped once, not folded.
-    EXPECT_EQ(result.history[1].late_dropped, 1) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].failures, 0) << "threads=" << threads;
-    // Round 0 folds clients {1,2,3}: mean bump (0.5 + 0.25*2) = 1.0 → state
-    // {2, 0}. Round 1 folds {0,2,3}: mean bump 0.5 + 0.25 * (5/3) = 11/12
-    // over {2+..}: exact means below.
-    EXPECT_FLOAT_EQ(result.final_state.values()[0], 8.75f / 3.0f)
+    ToyAlgorithm algorithm(config);
+    return run_federated(algorithm, fed, false);
+  };
+  const RunResult reference = run(1);
+  const std::vector<ExpectedRound> expected =
+      expected_deadline_rounds(deadline_stragglers_config());
+  ASSERT_EQ(reference.history.size(), 2u);
+  EXPECT_EQ(reference.history[0].timeouts + reference.history[1].timeouts, 2);
+  const std::vector<float> state = expected_toy_state(expected, 4);
+  EXPECT_FLOAT_EQ(reference.final_state.values()[0], state[0]);
+  EXPECT_FLOAT_EQ(reference.final_state.values()[1], state[1]);
+  for (const int threads : {3, 8}) {
+    const RunResult other = run(threads);
+    EXPECT_EQ(all_columns(other), all_columns(reference))
         << "threads=" << threads;
-    EXPECT_FLOAT_EQ(result.final_state.values()[1], 2.75f / 3.0f)
+    EXPECT_EQ(other.final_state.values(), reference.final_state.values())
         << "threads=" << threads;
   }
 }
@@ -494,8 +599,9 @@ TEST(RunnerFaults, CrossRoundStragglerAccountingStableAcrossThreadCounts) {
 // The final round's deadline stragglers must finish before personalization
 // starts: algorithm.h promises local_update and personalize never run for
 // the same client at once, and per-client state (ClientStore, error
-// feedback) must be settled before evaluation reads it. The straggler here
-// outlives the deadline by far, so any overlap is observed, not raced.
+// feedback) must be settled before evaluation reads it. The cut is virtual,
+// but the straggler's local_update also takes 200 ms of real time here, so
+// any overlap is observed, not raced.
 class OverlapProbeAlgorithm : public ToyAlgorithm {
  public:
   using ToyAlgorithm::ToyAlgorithm;
@@ -516,18 +622,18 @@ class OverlapProbeAlgorithm : public ToyAlgorithm {
 };
 
 TEST(RunnerFaults, FinalRoundStragglersFinishBeforePersonalization) {
-  const int clients = 4;
-  FlConfig config = toy_config(clients);
+  FlConfig config = deadline_stragglers_config();
   config.rounds = 1;
-  config.round_deadline_ms = 200;
-  config.min_participants = 3;
-  OverlapProbeAlgorithm algorithm(config, [](const ClientContext& ctx) {
-    if (ctx.client_id == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  const std::vector<ExpectedRound> expected =
+      expected_deadline_rounds(config);
+  ASSERT_EQ(expected[0].timed_out.size(), 1u);
+  const int straggler = expected[0].timed_out[0];
+  OverlapProbeAlgorithm algorithm(config, [&](const ClientContext& ctx) {
+    if (ctx.client_id == straggler) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
   });
-  const FedDataset fed = toy_fed(clients);
-  const RunResult result = run_federated(algorithm, fed, false);
+  const RunResult result = run_federated(algorithm, toy_fed(4), false);
   ASSERT_EQ(result.history.size(), 1u);
   EXPECT_EQ(result.history[0].participants, 3);
   EXPECT_EQ(result.history[0].timeouts, 1);
@@ -1178,29 +1284,45 @@ TEST(StreamingAggregation, ReorderBufferDrainsAroundPermanentFailures) {
   EXPECT_EQ(run(), run());
 }
 
-// Deadline + quorum on top of the reorder buffer: stragglers cut at the
-// deadline leave multiple unresolved ranks, and the buffer must still
-// drain whatever arrived (in selection order) instead of waiting forever.
-TEST(StreamingAggregation, DeadlineQuorumStillDrainsReorderBuffer) {
-  const int clients = 8;
-  const FedDataset fed = toy_fed(clients);
-  FlConfig config = toy_config(clients);
+// Deadline + quorum on top of the reorder buffer: every third client draws
+// up to 1000 ms of latency against a 100 ms deadline, so the cut leaves
+// unresolved ranks in the middle of the window, and the buffer must still
+// fold the held replies behind them (in selection order).
+FlConfig every_third_straggles_config() {
+  FlConfig config = toy_config(8);
   config.rounds = 2;
-  config.round_deadline_ms = 150;
+  config.round_deadline_ms = 100;
   config.min_participants = 3;
-  std::atomic<int> dispatched{0};
-  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
-    // Every third dispatch stalls well past the deadline.
-    if (dispatched.fetch_add(1) % 3 == 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    }
-  });
-  const RunResult result = run_federated(algorithm, fed, false);
-  ASSERT_EQ(result.history.size(), 2u);
-  for (const RoundStats& r : result.history) {
-    EXPECT_GE(r.participants, config.min_participants) << "round " << r.round;
-    EXPECT_EQ(r.participants + r.timeouts, clients) << "round " << r.round;
+  config.device_classes = {{"fast", 0.0f, 0, 1.0f, 0},
+                           {"fast", 0.0f, 0, 1.0f, 0},
+                           {"slow", 0.0f, 1000, 1.0f, 0}};
+  return config;
+}
+
+// Checks each round against the cut rule and returns the total timeouts.
+int expect_deadline_rounds(const FlConfig& config, const RunResult& result) {
+  const std::vector<ExpectedRound> expected =
+      expected_deadline_rounds(config);
+  EXPECT_EQ(result.history.size(), expected.size());
+  int timeouts = 0;
+  for (std::size_t r = 0; r < result.history.size(); ++r) {
+    const RoundStats& round = result.history[r];
+    const auto cut = static_cast<int>(expected[r].timed_out.size());
+    EXPECT_GE(round.participants, config.min_participants) << "round " << r;
+    EXPECT_EQ(round.participants, config.clients_per_round - cut)
+        << "round " << r;
+    EXPECT_EQ(round.timeouts, cut) << "round " << r;
+    EXPECT_EQ(round.virtual_ms, expected[r].commit_ms) << "round " << r;
+    timeouts += round.timeouts;
   }
+  return timeouts;
+}
+
+TEST(StreamingAggregation, DeadlineQuorumStillDrainsReorderBuffer) {
+  const FlConfig config = every_third_straggles_config();
+  ToyAlgorithm algorithm(config);
+  const RunResult result = run_federated(algorithm, toy_fed(8), false);
+  EXPECT_GT(expect_deadline_rounds(config, result), 0);
 }
 
 // --- mergeable fold algebra --------------------------------------------------
@@ -1709,25 +1831,20 @@ TEST(ShardedAggregation, FailedRanksLeaveShardHolesWithoutDivergence) {
   EXPECT_EQ(run(8), reference);
 }
 
+// The same cut through 4 shards, with a quorum of 7 of 8: six clients reply
+// at once, so the cut waits past the deadline for the faster straggler.
 TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
-  const int clients = 8;
-  const FedDataset fed = toy_fed(clients);
-  FlConfig config = toy_config(clients);
-  config.rounds = 2;
-  config.round_deadline_ms = 150;
-  config.min_participants = 3;
+  FlConfig config = every_third_straggles_config();
+  config.min_participants = 7;
   config.agg_shards = 4;
-  std::atomic<int> dispatched{0};
-  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
-    if (dispatched.fetch_add(1) % 3 == 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    }
-  });
-  const RunResult result = run_federated(algorithm, fed, false);
-  ASSERT_EQ(result.history.size(), 2u);
-  for (const RoundStats& r : result.history) {
-    EXPECT_GE(r.participants, config.min_participants) << "round " << r.round;
-    EXPECT_EQ(r.participants + r.timeouts, clients) << "round " << r.round;
+  ToyAlgorithm algorithm(config);
+  const RunResult result = run_federated(algorithm, toy_fed(8), false);
+  EXPECT_GT(expect_deadline_rounds(config, result), 0);
+  std::int64_t open = 0;
+  for (const RoundStats& round : result.history) {
+    EXPECT_GT(round.virtual_ms, open + config.round_deadline_ms)
+        << "round " << round.round << " cut at its deadline, not its quorum";
+    open = round.virtual_ms;
   }
 }
 
@@ -2009,8 +2126,8 @@ TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
 // RoundStats field that is a pure function of the seed. The constants were
 // recorded before the sync and async loops were folded into one engine, so
 // any drift in sampler, dropout or fault-stream consumption, fold order,
-// weights or stats roll-up shows up here. Router byte columns and deadline
-// runs are left out: both depend on wall-clock timing.
+// weights or stats roll-up shows up here. Router byte columns are left
+// out: an async window counts the replies that really arrive during it.
 
 std::uint64_t fnv1a(const std::vector<float>& values) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -2171,6 +2288,7 @@ class PinnedToyAlgorithm : public Algorithm {
   }
   ClientUpdate local_update(const nn::ModelState& global,
                             const ClientContext& ctx) override {
+    scramble_arrival(config(), ctx);
     rng::Generator gen(ctx.seed);
     std::vector<float> values = global.values();
     for (float& value : values) {
@@ -2298,6 +2416,47 @@ TEST(RunnerGolden, SyncFaultsRetriesDeviceClasses) {
        "0 0 0 div 0x1.7e4b18p-3 norm 0x1.ae856ap+0 v0 stale 0x0p+0/0",
        "round 3 p6 drop0 fail1 retry1 tmo0 late0 wire=1356 f32=1356 codecs 0 6 "
        "0 0 0 0 div 0x1.7e4b18p-3 norm 0x1.da38fcp+0 v0 stale 0x0p+0/0"});
+}
+
+// Deadline + quorum + retries: three device classes with virtual latency,
+// faults and a diurnal schedule against a 25 ms deadline and a quorum of 4
+// of 6. The columns and the virtual commit times are recorded once, and
+// every RoundStats column must come out the same at any thread count.
+TEST(RunnerGolden, SyncDeadlineQuorumRetries) {
+  std::vector<std::string> columns_at_one_thread;
+  for (const int threads : {1, 3, 8}) {
+    FlConfig config = pinned_toy_config();
+    config.threads = threads;
+    config.round_deadline_ms = 25;
+    config.min_participants = 4;
+    config.max_client_retries = 1;
+    config.device_classes = {{"fast", 0.1f, 10, 1.0f, 0},
+                             {"flaky", 0.35f, 60, 1.0f, 0},
+                             {"night", 0.1f, 30, 0.5f, 2}};
+    const RunResult result = run_pinned_toy(config);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_pinned(
+        result, 0xe51e2039983aff32ULL,
+        {"round 0 p4 drop0 fail1 retry1 tmo2 late0 wire=904 f32=904 codecs 0 4 "
+         "0 0 0 0 div 0x1.851eb8p-3 norm 0x1.6ee2c4p+0 v0 stale 0x0p+0/0",
+         "round 1 p4 drop0 fail0 retry0 tmo2 late0 wire=904 f32=904 codecs 0 4 "
+         "0 0 0 0 div 0x1p-2 norm 0x1.8fccf2p+0 v0 stale 0x0p+0/0",
+         "round 2 p3 drop0 fail7 retry4 tmo0 late0 wire=678 f32=678 codecs 0 3 "
+         "0 0 0 0 div 0x1.7e4b18p-3 norm 0x1.bd5b36p+0 v0 stale 0x0p+0/0",
+         "round 3 p5 drop0 fail1 retry1 tmo1 late0 wire=1130 f32=1130 codecs 0 "
+         "5 0 0 0 0 div 0x1.60418ap-3 norm 0x1.e2ab9ap+0 v0 stale 0x0p+0/0"});
+    // Round 0 cuts at its deadline, round 1 at its quorum's arrival past
+    // the deadline (50 ms), round 2 waits for every slot below quorum, and
+    // round 3 cuts at its deadline again.
+    std::vector<std::int64_t> virtual_ms;
+    for (const RoundStats& r : result.history) {
+      virtual_ms.push_back(r.virtual_ms);
+    }
+    EXPECT_EQ(virtual_ms, (std::vector<std::int64_t>{25, 51, 130, 155}));
+    // The byte columns too, which the pinned strings leave out.
+    if (threads == 1) columns_at_one_thread = all_columns(result);
+    EXPECT_EQ(all_columns(result), columns_at_one_thread);
+  }
 }
 
 TEST(RunnerGolden, SyncCalibreTopK16TwoShards) {

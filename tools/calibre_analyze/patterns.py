@@ -66,12 +66,14 @@ POOL_PATTERNS = [
 SLEEP_PATTERNS = [
     (re.compile(r"sleep_for\s*\("),
      "sleep_for on a pool worker serializes every queued dispatch behind "
-     "the nap; schedule a deferred callback through common/timer_queue.* "
-     "instead"),
+     "the nap; model a delay on the virtual clock instead (the router "
+     "returns it, fl/runner.cc places the reply)"),
     (re.compile(r"sleep_until\s*\("),
-     "sleep_until blocks a pool worker; use common/timer_queue.*"),
+     "sleep_until blocks a pool worker; delays are virtual time, not "
+     "real waits"),
     (re.compile(r"(?<![\w:.>])(?:usleep|nanosleep)\s*\("),
-     "libc sleeps block a pool worker; use common/timer_queue.*"),
+     "libc sleeps block a pool worker; delays are virtual time, not real "
+     "waits"),
 ]
 
 THREAD_PATTERNS = [
@@ -143,9 +145,7 @@ PATTERN_RULES = [
     ("thread-funnel",
      _src_except("src/common/thread_pool.h", "src/common/thread_pool.cc"),
      THREAD_PATTERNS),
-    ("blocking-sleep",
-     _src_except("src/common/timer_queue.h", "src/common/timer_queue.cc"),
-     SLEEP_PATTERNS),
+    ("blocking-sleep", _in_src, SLEEP_PATTERNS),
     ("check-not-assert", _in_src, ASSERT_PATTERNS),
 ]
 
