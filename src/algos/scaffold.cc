@@ -1,6 +1,7 @@
 #include "algos/scaffold.h"
 
 #include "common/check.h"
+#include "tensor/pool.h"
 
 namespace calibre::algos {
 namespace {
@@ -68,7 +69,8 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
         static_cast<float>(folded_) /
         static_cast<float>(std::max(1, num_train_clients_));
     const double total = fl::fixedpoint::to_double(total_weight_);
-    std::vector<float> packed(2 * model_dim_);
+    std::vector<float> packed = tensor::pool::take<float>(2 * model_dim_);
+    packed.resize(2 * model_dim_);
     acc_x_.read(total, packed.data());
     // The control half first holds mean(delta_c_i), then becomes c.
     acc_delta_c_.read(static_cast<double>(folded_), packed.data() + model_dim_);

@@ -174,6 +174,17 @@ class Reader {
     return values;
   }
 
+  // The u64 `offset` bytes past the cursor, read without consuming
+  // anything; 0 when the payload ends first. Unvalidated: it lets a decoder
+  // size its output before the read that checks the count.
+  std::uint64_t peek_u64(std::size_t offset) const {
+    std::uint64_t value = 0;
+    if (offset <= remaining() && sizeof(value) <= remaining() - offset) {
+      std::memcpy(&value, bytes_.data() + cursor_ + offset, sizeof(value));
+    }
+    return value;
+  }
+
   bool exhausted() const { return cursor_ == bytes_.size(); }
 
   // Bytes not yet consumed. Public so multi-field codec blocks (topk16,

@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "fl/shard_fold.h"
 #include "fl/update_codec.h"
+#include "tensor/pool.h"
 
 namespace calibre::fl {
 namespace {
@@ -563,6 +564,10 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   result.algorithm = algorithm.name();
   const SteadyClock::time_point train_start = SteadyClock::now();
   RoundEngine(algorithm, fed, router, state, result).run();
+  // The server thread's spares (decoded replies, accumulators, past
+  // globals) have no further use; the device threads drop theirs when the
+  // router's pool exits.
+  tensor::pool::release_spares();
   result.train_seconds = seconds_between(train_start, SteadyClock::now());
 
   // --- Personalization stage -------------------------------------------------

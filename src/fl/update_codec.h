@@ -62,15 +62,15 @@ class UpdateEncoder {
   // budget), and the new residual is stored back for this client's next
   // round. `chosen` (optional) receives the concrete codec tag written.
   //
-  // Thread-safe for any client ids. Distinct ids never interact. Two
-  // concurrent encodes of the *same* id also happen: in a sync run with a
-  // round deadline, a straggler can be re-sampled while its previous request
-  // is still in flight. They never share the buffer — the encode that finds
-  // it taken carries no residual — so both payloads are valid encodings of
-  // what each carried, and the store ends holding a correctly sized residual:
-  // the one stored last, which replaces the other's. That loses the other
-  // encode's dropped mass; such runs are timing-dependent anyway, since the
-  // runner discards the straggler's late reply.
+  // Thread-safe for any client ids. Distinct ids never interact. The
+  // runner never overlaps two encodes of one id: a sync round waits for
+  // every reply of its cohort before the next samples, and async keeps at
+  // most one dispatch per client in flight. A caller that does encode one
+  // id concurrently still gets a safe result: the two encodes never share
+  // the buffer — the one that finds it taken carries no residual — so both
+  // payloads are valid encodings of what each carried, and the store ends
+  // holding a correctly sized residual: the one stored last, which replaces
+  // the other's and loses the other encode's dropped mass.
   std::vector<std::uint8_t> encode(const ClientUpdate& update,
                                    const nn::ModelState* base, int client_id,
                                    comm::Codec* chosen = nullptr);

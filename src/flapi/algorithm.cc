@@ -7,6 +7,7 @@
 #include "comm/codec.h"
 #include "comm/serde.h"
 #include "common/check.h"
+#include "tensor/pool.h"
 
 namespace calibre::fl {
 
@@ -86,14 +87,20 @@ ClientUpdate deserialize_update(const std::vector<std::uint8_t>& bytes,
   if (bytes.size() >= sizeof(head)) {
     std::memcpy(&head, bytes.data(), sizeof(head));
   }
-  if (head == kUpdateCodecMagic) {
-    reader.read_u32();
-    update.state = nn::ModelState(comm::decode_values(
-        reader, base != nullptr ? base->values().data() : nullptr,
-        base != nullptr ? base->size() : 0));
+  const bool codec = head == kUpdateCodecMagic;
+  if (codec) reader.read_u32();
+  const std::size_t base_size = base != nullptr ? base->size() : 0;
+  // The count leads the f32 vector, and follows the tag of a codec block.
+  std::vector<float> values = nn::ModelState::decode_storage(
+      reader.peek_u64(codec ? 1 : 0), reader.remaining(), base_size);
+  if (codec) {
+    comm::decode_values_into(
+        reader, values, base != nullptr ? base->values().data() : nullptr,
+        base_size);
   } else {
-    update.state = nn::ModelState(reader.read_f32_vector());
+    reader.read_f32_vector(values);
   }
+  update.state = nn::ModelState(std::move(values));
   update.weight = reader.read_f32();
   update.scalars = reader.read_scalar_map();
   CALIBRE_CHECK_MSG(reader.exhausted(), "trailing bytes in ClientUpdate");
@@ -134,7 +141,8 @@ void WeightedStreamingAggregator::fold(ClientUpdate update) {
 nn::ModelState WeightedStreamingAggregator::finish() {
   CALIBRE_CHECK_MSG(folded_ > 0, "finish() before any update was folded");
   const double total = fixedpoint::to_double(total_weight_);
-  std::vector<float> out(acc_.size());
+  std::vector<float> out = tensor::pool::take<float>(acc_.size());
+  out.resize(acc_.size());
   acc_.read(total, out.data());
   return nn::ModelState(std::move(out));
 }

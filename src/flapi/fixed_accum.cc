@@ -1,6 +1,9 @@
 #include "flapi/fixed_accum.h"
 
 #include <cstring>
+#include <utility>
+
+#include "tensor/pool.h"
 
 // The vector types below are TU-internal and every use is inlined into the
 // target_clones dispatch functions, so the ABI warning about passing wide
@@ -285,12 +288,28 @@ const Kernels& kernels_for_testing(KernelTarget target) {
   return target == KernelTarget::kX86_64_V3 ? kV3 : kBaseline;
 }
 
+Accumulator& Accumulator::operator=(Accumulator&& other) noexcept {
+  if (this != &other) {
+    clear();
+    lo_ = std::move(other.lo_);
+    hi_ = std::move(other.hi_);
+  }
+  return *this;
+}
+
+Accumulator::~Accumulator() { clear(); }
+
 void Accumulator::assign_zero(std::size_t count) {
+  clear();
+  lo_ = tensor::pool::take<std::uint64_t>(count);
+  hi_ = tensor::pool::take<std::uint64_t>(count);
   lo_.assign(count, 0);
   hi_.assign(count, 0);
 }
 
 void Accumulator::clear() {
+  tensor::pool::give(std::move(lo_));
+  tensor::pool::give(std::move(hi_));
   lo_.clear();
   hi_.clear();
 }

@@ -65,8 +65,20 @@ inline double to_double(Acc a) { return static_cast<double>(a) * kInvScale; }
 // hi[j]:lo[j]. Same 16 bytes per parameter as a vector<Acc>, but the
 // split layout lets the SIMD kernels in fixed_accum.cc load eight low
 // and eight high words with plain vector loads.
+//
+// Its arrays recycle through the calling thread's spares (tensor/pool.h):
+// assign_zero takes them, clear(), move-assignment and the destructor give
+// them back, so a window's fresh accumulator re-zeroes the last window's
+// pages instead of faulting in new ones.
 class Accumulator {
  public:
+  Accumulator() = default;
+  Accumulator(const Accumulator&) = delete;
+  Accumulator& operator=(const Accumulator&) = delete;
+  Accumulator(Accumulator&&) noexcept = default;
+  Accumulator& operator=(Accumulator&& other) noexcept;
+  ~Accumulator();
+
   std::size_t size() const { return lo_.size(); }
   bool empty() const { return lo_.empty(); }
 

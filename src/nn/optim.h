@@ -19,7 +19,11 @@ class Sgd {
  public:
   Sgd(std::vector<ag::VarPtr> params, const SgdConfig& config);
 
-  // Applies one update using the gradients currently stored in the params.
+  // Applies one update using the gradients currently stored in the params,
+  // in one pass per parameter with the roundings of the textbook five-pass
+  // form: g = grad + wd·v (with weight decay), b = m·b + g (with momentum;
+  // a buffer's first step computes 0·m + g), v += (−lr)·b. The gradient is
+  // read in place.
   void step();
 
   // Clears parameter gradients (call before building the next graph).
@@ -27,6 +31,12 @@ class Sgd {
 
   void set_learning_rate(float lr) { config_.learning_rate = lr; }
   float learning_rate() const { return config_.learning_rate; }
+
+  // Parameter i's momentum buffer: empty until its first step with a
+  // gradient (and always without momentum).
+  const tensor::Tensor& momentum_buffer(std::size_t i) const {
+    return momentum_buffers_[i];
+  }
 
  private:
   std::vector<ag::VarPtr> params_;

@@ -1,10 +1,12 @@
 #include "nn/state.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "comm/serde.h"
 #include "common/check.h"
+#include "tensor/pool.h"
 
 namespace calibre::nn {
 namespace {
@@ -14,13 +16,22 @@ constexpr std::uint32_t kCodecMagic = 0xCA11C0DE;  // codec-block layout
 
 }  // namespace
 
+ModelState& ModelState::operator=(ModelState&& other) noexcept {
+  if (this != &other) {
+    tensor::pool::give(std::move(values_));
+    values_ = std::move(other.values_);
+  }
+  return *this;
+}
+
+ModelState::~ModelState() { tensor::pool::give(std::move(values_)); }
+
 ModelState ModelState::from_parameters(const std::vector<ag::VarPtr>& params) {
   std::size_t total = 0;
   for (const ag::VarPtr& p : params) {
     total += static_cast<std::size_t>(p->value.size());
   }
-  std::vector<float> values;
-  values.reserve(total);
+  std::vector<float> values = tensor::pool::take<float>(total);
   for (const ag::VarPtr& p : params) {
     const auto& storage = p->value.storage();
     values.insert(values.end(), storage.begin(), storage.end());
@@ -102,18 +113,30 @@ ModelState ModelState::from_bytes(const std::vector<std::uint8_t>& bytes,
                                   const ModelState* base) {
   comm::Reader reader(bytes);
   const std::uint32_t magic = reader.read_u32();
-  std::vector<float> values;
+  CALIBRE_CHECK_MSG(magic == kMagic || magic == kCodecMagic,
+                    "ModelState::from_bytes: bad magic");
+  const std::size_t base_size = base != nullptr ? base->size() : 0;
+  // The count leads the f32 vector, and follows the tag of a codec block.
+  std::vector<float> values = decode_storage(
+      reader.peek_u64(magic == kMagic ? 0 : 1), reader.remaining(), base_size);
   if (magic == kMagic) {
-    values = reader.read_f32_vector();
+    reader.read_f32_vector(values);
   } else {
-    CALIBRE_CHECK_MSG(magic == kCodecMagic, "ModelState::from_bytes: bad magic");
-    values = comm::decode_values(
-        reader, base != nullptr ? base->values().data() : nullptr,
-        base != nullptr ? base->size() : 0);
+    comm::decode_values_into(
+        reader, values, base != nullptr ? base->values().data() : nullptr,
+        base_size);
   }
   CALIBRE_CHECK_MSG(reader.exhausted(),
                     "ModelState::from_bytes: payload size mismatch");
   return ModelState(std::move(values));
+}
+
+std::vector<float> ModelState::decode_storage(std::uint64_t wire_count,
+                                              std::size_t remaining_bytes,
+                                              std::size_t base_size) {
+  const std::uint64_t bound = std::max(remaining_bytes, base_size);
+  return tensor::pool::take<float>(
+      static_cast<std::size_t>(std::min(wire_count, bound)));
 }
 
 }  // namespace calibre::nn

@@ -4,6 +4,12 @@
 // vector holding every parameter of a module (or a subset — each algorithm
 // decides which parameters it federates). It supports the vector algebra
 // aggregation needs plus a compact binary wire format used by the comm layer.
+//
+// Its storage recycles: a ModelState gives its buffer to the calling
+// thread's spares (tensor/pool.h) when it dies or is assigned over, and
+// from_parameters / from_bytes take theirs from there, so a thread that
+// builds state after state of one model re-touches the same pages instead
+// of faulting in fresh ones. values() stays a plain std::vector<float>.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +24,12 @@ class ModelState {
  public:
   ModelState() = default;
   explicit ModelState(std::vector<float> values) : values_(std::move(values)) {}
+  ModelState(const ModelState&) = default;
+  ModelState(ModelState&&) noexcept = default;
+  ModelState& operator=(const ModelState&) = default;
+  // Gives this state's storage to the spares before adopting `other`'s.
+  ModelState& operator=(ModelState&& other) noexcept;
+  ~ModelState();
 
   // Snapshots the current values of `params` into a flat state.
   static ModelState from_parameters(const std::vector<ag::VarPtr>& params);
@@ -55,6 +67,14 @@ class ModelState {
   // counts validated before any allocation.
   static ModelState from_bytes(const std::vector<std::uint8_t>& bytes,
                                const ModelState* base = nullptr);
+
+  // Spare storage to decode a wire payload into: `wire_count` is the count
+  // the payload declares, not yet validated, so it is capped at the larger
+  // of the payload's remaining bytes and the trusted `base_size` before it
+  // sizes anything. The decode that follows validates it.
+  static std::vector<float> decode_storage(std::uint64_t wire_count,
+                                           std::size_t remaining_bytes,
+                                           std::size_t base_size);
 
  private:
   std::vector<float> values_;

@@ -48,7 +48,16 @@ void raw_free(float* p) noexcept {
 
 struct ThreadCache {
   std::array<std::vector<float*>, kNumBuckets> free_lists;
+  // Room for kMaxSpares each is reserved up front, so give() never
+  // allocates.
+  std::vector<std::vector<float>> float_spares;
+  std::vector<std::vector<std::uint64_t>> word_spares;
   Stats stats;
+
+  ThreadCache() {
+    float_spares.reserve(kMaxSpares);
+    word_spares.reserve(kMaxSpares);
+  }
 
   ~ThreadCache() {
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
@@ -75,6 +84,14 @@ ThreadCache& cache_for_thread() {
   return owner.cache;
 }
 
+std::vector<std::vector<float>>& spares_of(ThreadCache& cache, float*) {
+  return cache.float_spares;
+}
+std::vector<std::vector<std::uint64_t>>& spares_of(ThreadCache& cache,
+                                                   std::uint64_t*) {
+  return cache.word_spares;
+}
+
 std::atomic<bool>& enabled_flag() {
   static std::atomic<bool> flag{
       env::get_flag("CALIBRE_TENSOR_POOL", /*fallback=*/true)};
@@ -94,7 +111,7 @@ Stats thread_stats() { return cache_for_thread().stats; }
 void reset_thread_stats() {
   Stats& stats = cache_for_thread().stats;
   stats.hits = stats.misses = stats.miss_bytes = stats.releases =
-      stats.drops = 0;
+      stats.drops = stats.spare_hits = stats.spare_misses = 0;
 }
 
 std::int64_t outstanding() { return cache_for_thread().stats.outstanding; }
@@ -111,6 +128,65 @@ void reset() {
     cache.free_lists[b].clear();
   }
   cache.stats.cached_bytes = 0;
+  release_spares();
+}
+
+template <typename T>
+std::vector<T> take(std::size_t n) {
+  std::vector<T> storage;
+  if (n < kMinSpareBytes / sizeof(T)) {
+    storage.reserve(n);
+    return storage;
+  }
+  ThreadCache& cache = cache_for_thread();
+  std::vector<std::vector<T>>& spares =
+      spares_of(cache, static_cast<T*>(nullptr));
+  std::size_t best = spares.size();
+  for (std::size_t i = 0; i < spares.size(); ++i) {
+    if (spares[i].capacity() >= n &&
+        (best == spares.size() ||
+         spares[i].capacity() < spares[best].capacity())) {
+      best = i;
+    }
+  }
+  if (enabled() && best < spares.size()) {
+    storage.swap(spares[best]);
+    spares[best].swap(spares.back());
+    spares.pop_back();
+    --cache.stats.spares;
+    ++cache.stats.spare_hits;
+    storage.clear();
+    return storage;
+  }
+  ++cache.stats.spare_misses;
+  storage.reserve(n);
+  return storage;
+}
+
+template <typename T>
+void give(std::vector<T>&& storage) noexcept {
+  ThreadCache* cache = tls_cache;  // null during thread/static teardown
+  if (cache == nullptr || !enabled() ||
+      storage.capacity() < kMinSpareBytes / sizeof(T)) {
+    return;
+  }
+  std::vector<std::vector<T>>& spares =
+      spares_of(*cache, static_cast<T*>(nullptr));
+  if (spares.size() >= kMaxSpares) return;
+  spares.push_back(std::move(storage));  // within the reserved capacity
+  ++cache->stats.spares;
+}
+
+template std::vector<float> take<float>(std::size_t n);
+template std::vector<std::uint64_t> take<std::uint64_t>(std::size_t n);
+template void give<float>(std::vector<float>&& storage) noexcept;
+template void give<std::uint64_t>(std::vector<std::uint64_t>&& storage) noexcept;
+
+void release_spares() {
+  ThreadCache& cache = cache_for_thread();
+  cache.float_spares.clear();
+  cache.word_spares.clear();
+  cache.stats.spares = 0;
 }
 
 float* acquire(std::size_t n) {

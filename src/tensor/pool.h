@@ -42,12 +42,19 @@
 //    fully writes its output before it escapes).
 //  * Caps: per-bucket and per-thread cached-byte limits bound the cache;
 //    beyond them released buffers are freed (counted in Stats::drops).
+//  * Spares: model-sized std::vector storage (a ModelState's floats, a
+//    fold accumulator's words) cannot use PoolAllocator, because its type
+//    is part of public signatures. Its owners give it back here instead
+//    when they die (give) and take it again for the next buffer of that
+//    size (take), under the same per-thread ownership, the same
+//    kill-switch and a cap of kMaxSpares per type and thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <type_traits>
+#include <vector>
 
 namespace calibre::tensor::pool {
 
@@ -68,6 +75,9 @@ struct Stats {
   std::uint64_t drops = 0;       // buffers freed because a cap was exceeded
   std::uint64_t cached_bytes = 0;  // bytes currently parked on this thread
   std::int64_t outstanding = 0;    // buffers checked out on this thread
+  std::uint64_t spare_hits = 0;    // take()s served by a parked spare
+  std::uint64_t spare_misses = 0;  // take()s served by operator new
+  std::uint64_t spares = 0;        // spares parked on this thread now
 };
 
 // Process-wide switch (initialised from CALIBRE_TENSOR_POOL, default on).
@@ -77,17 +87,42 @@ void set_enabled(bool on);
 // Counters of the calling thread's cache.
 Stats thread_stats();
 // Zeroes the calling thread's hit/miss/release/drop counters
-// (cached_bytes/outstanding describe live state and are preserved).
+// (cached_bytes/outstanding/spares describe live state and are preserved).
 void reset_thread_stats();
 
 // Buffers checked out on the calling thread (acquired minus released here;
 // can go negative on a thread that releases buffers acquired elsewhere).
 std::int64_t outstanding();
 
-// Releases every buffer cached by the calling thread back to the OS.
-// CALIBRE_CHECK-fails when outstanding() != 0 — i.e. while any tensor or
-// autograd graph built on this thread is still alive.
+// Releases every buffer cached by the calling thread back to the OS,
+// spares included. CALIBRE_CHECK-fails when outstanding() != 0 — i.e.
+// while any tensor or autograd graph built on this thread is still alive.
 void reset();
+
+// --- Spares ------------------------------------------------------------------
+// Smallest storage that counts as a spare; smaller vectors are neither
+// parked nor counted.
+inline constexpr std::size_t kMinSpareBytes = std::size_t{1} << 20;
+// Spares of one element type a thread parks at most: one window's lo/hi
+// accumulator arrays at agg_shards 2, or a device thread's decoded
+// broadcast and update state with room to spare.
+inline constexpr std::size_t kMaxSpares = 4;
+
+// An empty vector whose capacity fits `n` elements: the calling thread's
+// best-fitting parked spare, else a fresh reservation. Contents are
+// unspecified until written, so the taker writes every element before
+// anything reads it. T is float or std::uint64_t.
+template <typename T>
+std::vector<T> take(std::size_t n);
+
+// Parks `storage` on the calling thread (leaving it empty) when it is a
+// spare, the switch is on and the thread holds fewer than kMaxSpares of
+// its type; otherwise leaves it with the caller, who frees it as before.
+template <typename T>
+void give(std::vector<T>&& storage) noexcept;
+
+// Frees every spare parked on the calling thread.
+void release_spares();
 
 // Raw buffer interface (the allocator below is the only production caller).
 // acquire returns at least round_up_pow2(n) floats of 64-byte-aligned

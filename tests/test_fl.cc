@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
+#include "autograd/variable.h"
 #include "algos/scaffold.h"
 #include "comm/codec.h"
 #include "comm/message.h"
@@ -33,6 +34,7 @@
 #include "flapi/model.h"
 #include "flapi/probe.h"
 #include "fl/runner.h"
+#include "tensor/pool.h"
 #include "tensor/rng.h"
 
 namespace calibre::fl {
@@ -1127,9 +1129,10 @@ TEST(UpdateCodecEF, ConcurrentEncodesMatchSerialAndSameIdIsRaceFree) {
         << "client " << c;
   }
 
-  // Two threads encoding the same id at once (a deadline straggler
-  // re-sampled while its old request is in flight): no shared buffer, valid
-  // payloads, and a correctly sized residual at the end.
+  // Two threads encoding the same id at once. The runner never does this
+  // (a sync round waits for every reply; async keeps one dispatch per
+  // client), but the encoder's contract covers any caller: no shared
+  // buffer, valid payloads, and a correctly sized residual at the end.
   constexpr int kSameId = 9;
   shared.encode(drifted_update(base, 0, 0), &base, kSameId);
   std::atomic<int> ready{0};
@@ -2889,6 +2892,230 @@ TEST(ProbeGolden, Features256) {
   const std::string got = probe_golden(256);
   if (kSanitizedBuild) return;
   EXPECT_EQ(got, "0x1.ccccccccccccdp-1 0x1.d5c28f5c28f5cp-1");
+}
+
+
+// --- model-sized storage recycling (tensor/pool.h spares) --------------------
+
+// The pool switch is process-wide; tests that flip it restore it.
+struct PoolSwitchGuard {
+  bool prev = tensor::pool::enabled();
+  ~PoolSwitchGuard() { tensor::pool::set_enabled(prev); }
+};
+
+// Records the server thread's cumulative spare misses at each commit.
+class MissRecordingAggregator : public WeightedStreamingAggregator {
+ public:
+  explicit MissRecordingAggregator(std::vector<std::uint64_t>& misses)
+      : misses_(misses) {}
+  nn::ModelState finish() override {
+    nn::ModelState state = WeightedStreamingAggregator::finish();
+    misses_.push_back(tensor::pool::thread_stats().spare_misses);
+    return state;
+  }
+
+ private:
+  std::vector<std::uint64_t>& misses_;
+};
+
+// A federation whose state is a spare: 2^18 + 5 floats. Each update is the
+// halved global plus a client shift, snapshotted through from_parameters
+// as a real algorithm's is. Records each device thread's cumulative spare
+// misses after every update, and the server thread's after every commit.
+class SpareProbeAlgorithm : public Algorithm {
+ public:
+  static constexpr std::size_t kSize = (std::size_t{1} << 18) + 5;
+
+  explicit SpareProbeAlgorithm(const FlConfig& config) : Algorithm(config) {}
+  std::string name() const override { return "SpareProbe"; }
+  nn::ModelState initialize() override {
+    std::vector<float> values(kSize);
+    for (std::size_t j = 0; j < kSize; ++j) {
+      values[j] = static_cast<float>(j % 97) * 0.125f - 6.0f;
+    }
+    return nn::ModelState(std::move(values));
+  }
+  ClientUpdate local_update(const nn::ModelState& global,
+                            const ClientContext& ctx) override {
+    const ag::VarPtr param =
+        ag::parameter(Tensor::uninit(1, static_cast<std::int64_t>(kSize)));
+    global.apply_to({param});
+    const float shift = 0.25f * static_cast<float>(1 + ctx.client_id % 5);
+    for (float& value : param->value.storage()) value = 0.5f * value + shift;
+    ClientUpdate update;
+    update.state = nn::ModelState::from_parameters({param});
+    update.weight = static_cast<float>(1 + ctx.client_id % 3);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    device_misses_[std::this_thread::get_id()].push_back(
+        tensor::pool::thread_stats().spare_misses);
+    return update;
+  }
+  std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState& /*global*/, int /*round*/) override {
+    return std::make_unique<MissRecordingAggregator>(commit_misses_);
+  }
+  double personalize(const nn::ModelState&,
+                     const PersonalizationContext&) override {
+    return 0.5;
+  }
+
+  std::map<std::thread::id, std::vector<std::uint64_t>> device_misses_;
+  std::vector<std::uint64_t> commit_misses_;
+
+ private:
+  std::mutex mutex_;
+};
+
+// Runs `config` with the pool on and off. The states and every RoundStats
+// column must agree; the server thread must stop missing after
+// `warmup_commits`, every device thread after its first update, and the
+// calling thread must hold no spares once the run returns.
+void expect_spares_recycle(const FlConfig& config, int warmup_commits) {
+  const FedDataset fed = toy_fed(config.num_train_clients);
+  RunResult off;
+  {
+    const PoolSwitchGuard guard;
+    tensor::pool::set_enabled(false);
+    SpareProbeAlgorithm algorithm(config);
+    off = run_federated(algorithm, fed, false);
+  }
+  tensor::pool::release_spares();
+  tensor::pool::reset_thread_stats();
+  SpareProbeAlgorithm algorithm(config);
+  const RunResult on = run_federated(algorithm, fed, false);
+
+  EXPECT_EQ(bit_pattern(on.final_state.values()),
+            bit_pattern(off.final_state.values()));
+  // An async window's bytes_collected counts the replies that happen to
+  // reach the server during it, so it follows arrival timing, not the pool.
+  auto columns = [&](const RunResult& result) {
+    std::vector<std::string> lines = all_columns(result);
+    if (!config.async_mode) return lines;
+    for (std::string& line : lines) {
+      std::istringstream fields(line);
+      std::ostringstream kept;
+      std::string field;
+      for (int i = 0; fields >> field; ++i) {
+        if (i != 9) kept << field << ' ';
+      }
+      line = kept.str();
+    }
+    return lines;
+  };
+  EXPECT_EQ(columns(on), columns(off));
+  EXPECT_EQ(tensor::pool::thread_stats().spares, 0u);
+
+  const std::vector<std::uint64_t>& commits = algorithm.commit_misses_;
+  ASSERT_EQ(commits.size(), static_cast<std::size_t>(config.rounds));
+  const std::uint64_t warm =
+      commits[static_cast<std::size_t>(warmup_commits) - 1];
+  EXPECT_GT(warm, 0u) << "the first window must take fresh storage";
+  for (std::size_t k = static_cast<std::size_t>(warmup_commits);
+       k < commits.size(); ++k) {
+    EXPECT_EQ(commits[k], warm) << "server missed a spare in commit " << k;
+  }
+  ASSERT_FALSE(algorithm.device_misses_.empty());
+  for (const auto& [thread, misses] : algorithm.device_misses_) {
+    EXPECT_GT(misses.front(), 0u) << "a first update must take fresh storage";
+    for (std::size_t k = 1; k < misses.size(); ++k) {
+      EXPECT_EQ(misses[k], misses.front())
+          << "device thread missed a spare in its update " << k;
+    }
+  }
+}
+
+TEST(SpareStorage, SyncFederationRecyclesEveryModelSizedBuffer) {
+  FlConfig config = toy_config(6);
+  config.rounds = 4;
+  config.clients_per_round = 4;
+  expect_spares_recycle(config, /*warmup_commits=*/1);
+}
+
+TEST(SpareStorage, AsyncTopK16ShardedFederationRecyclesEveryModelSizedBuffer) {
+  FlConfig config = toy_config(6);
+  config.async_mode = true;
+  config.rounds = 6;  // commits
+  config.async_buffer_size = 4;
+  config.clients_per_round = 4;
+  config.agg_shards = 2;
+  config.wire_codec = comm::Codec::kTopK16;
+  expect_spares_recycle(config, /*warmup_commits=*/2);
+}
+
+// Every taker writes every element: with the thread's spares pre-filled
+// with NaN (and the accumulator's with all-ones words), each taker's output
+// must equal its output with the pool off, and must have taken a spare.
+TEST(SpareStorage, NaNFilledSparesNeverLeakIntoTheTakers) {
+  const std::size_t n = SpareProbeAlgorithm::kSize;
+  std::vector<float> values(n);
+  std::vector<float> base_values(n);
+  rng::Generator gen(41);
+  for (std::size_t j = 0; j < n; ++j) {
+    base_values[j] = static_cast<float>(gen.normal());
+    values[j] = base_values[j] + 0.1f * static_cast<float>(gen.normal());
+  }
+  const nn::ModelState state(values);
+  const nn::ModelState base(base_values);
+  ClientUpdate update;
+  update.state = state;
+  update.weight = 3.0f;
+  const std::vector<std::uint8_t> f32_broadcast = state.to_bytes();
+  const std::vector<std::uint8_t> f16_broadcast =
+      state.to_bytes(comm::Codec::kF16);
+  const std::vector<std::uint8_t> f32_update = serialize_update(update);
+  const std::vector<std::uint8_t> topk_update =
+      serialize_update(update, comm::Codec::kTopK16, &base, n / 16);
+
+  const std::vector<std::pair<std::string,
+                              std::function<std::vector<float>()>>>
+      takers = {
+          {"from_bytes f32",
+           [&] { return nn::ModelState::from_bytes(f32_broadcast).values(); }},
+          {"from_bytes f16",
+           [&] { return nn::ModelState::from_bytes(f16_broadcast).values(); }},
+          {"deserialize_update f32",
+           [&] { return deserialize_update(f32_update).state.values(); }},
+          {"deserialize_update topk16",
+           [&] {
+             return deserialize_update(topk_update, &base).state.values();
+           }},
+          {"assign_zero",
+           [&] {
+             fixedpoint::Accumulator acc;
+             acc.assign_zero(n);
+             std::vector<float> read(n);
+             acc.read(1.0, read.data());
+             return read;
+           }},
+          {"finish",
+           [&] {
+             WeightedStreamingAggregator fold;
+             fold.fold(update);
+             return fold.finish().values();
+           }},
+      };
+  std::thread worker([&] {
+    for (const auto& [name, take] : takers) {
+      std::vector<float> expected;
+      {
+        const PoolSwitchGuard guard;
+        tensor::pool::set_enabled(false);
+        expected = take();
+      }
+      tensor::pool::release_spares();
+      for (std::size_t i = 0; i < tensor::pool::kMaxSpares; ++i) {
+        tensor::pool::give(std::vector<float>(
+            n, std::numeric_limits<float>::quiet_NaN()));
+        tensor::pool::give(std::vector<std::uint64_t>(n, ~std::uint64_t{0}));
+      }
+      const std::uint64_t hits = tensor::pool::thread_stats().spare_hits;
+      const std::vector<float> got = take();
+      EXPECT_GT(tensor::pool::thread_stats().spare_hits, hits) << name;
+      EXPECT_EQ(bit_pattern(got), bit_pattern(expected)) << name;
+    }
+    tensor::pool::release_spares();
+  });
+  worker.join();
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the NN layer: modules, networks, losses, optimizer, EMA and the
 // serializable model state.
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +210,97 @@ TEST(Sgd, SkipsParametersWithoutGradients) {
   Sgd optimizer({p}, {0.1f, 0.0f, 0.0f});
   optimizer.step();
   EXPECT_FLOAT_EQ(p->value(0, 0), 2.0f);
+}
+
+// The five-pass step Sgd::step replaced, kept as its bitwise reference:
+// copy the gradient, add the decay, scale the zero-initialised momentum
+// buffer and add the gradient to it, apply.
+void five_pass_step(const std::vector<ag::VarPtr>& params,
+                    const SgdConfig& config, std::vector<Tensor>& buffers) {
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const ag::VarPtr& p = params[i];
+    if (p->grad.size() == 0) continue;
+    Tensor g = p->grad;
+    if (config.weight_decay != 0.0f) g.axpy_(config.weight_decay, p->value);
+    if (config.momentum != 0.0f) {
+      buffers[i].scale_(config.momentum);
+      buffers[i].add_(g);
+      p->value.axpy_(-config.learning_rate, buffers[i]);
+    } else {
+      p->value.axpy_(-config.learning_rate, g);
+    }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Normal draws with every special value a step can meet planted from
+// position `at` on: ±0, subnormals, ±inf, NaN and the float extremes.
+Tensor with_specials(std::int64_t rows, std::int64_t cols, std::int64_t at,
+                     rng::Generator& gen) {
+  Tensor t = Tensor::randn(rows, cols, gen);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-41f,
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::min(),
+                            -std::numeric_limits<float>::max()};
+  for (std::int64_t k = 0; k < 9; ++k) {
+    t.data()[(at + 3 * k) % t.size()] = specials[k];
+  }
+  return t;
+}
+
+TEST(Sgd, OnePassStepMatchesFivePassBitForBit) {
+  for (const float m : {0.0f, 0.9f}) {
+    for (const float wd : {0.0f, 1e-4f}) {
+      SCOPED_TRACE(testing::Message() << "momentum " << m << " decay " << wd);
+      const SgdConfig config{0.05f, m, wd};
+      auto gen = make_gen(7);
+      const Tensor init_a = with_specials(16, 33, 0, gen);
+      const Tensor init_b = with_specials(1, 40, 5, gen);
+      const std::vector<ag::VarPtr> params = {ag::parameter(init_a),
+                                              ag::parameter(init_b)};
+      const std::vector<ag::VarPtr> reference = {ag::parameter(init_a),
+                                                 ag::parameter(init_b)};
+      Sgd one_pass(params, config);
+      std::vector<Tensor> buffers;
+      for (const ag::VarPtr& p : reference) {
+        buffers.push_back(Tensor::zeros(p->value.rows(), p->value.cols()));
+      }
+      for (int step = 0; step < 3; ++step) {
+        const Tensor grad_a = with_specials(16, 33, 1 + step, gen);
+        // The second parameter has no gradient on the first step, so its
+        // momentum buffer starts on the second.
+        const Tensor grad_b =
+            step == 0 ? Tensor() : with_specials(1, 40, 2 * step, gen);
+        params[0]->grad = grad_a;
+        reference[0]->grad = grad_a;
+        params[1]->grad = grad_b;
+        reference[1]->grad = grad_b;
+        one_pass.step();
+        five_pass_step(reference, config, buffers);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          SCOPED_TRACE(testing::Message() << "step " << step << " param " << i);
+          EXPECT_TRUE(same_bits(params[i]->value, reference[i]->value));
+          const Tensor& buffer = one_pass.momentum_buffer(i);
+          if (m == 0.0f || (i == 1 && step == 0)) {
+            EXPECT_EQ(buffer.size(), 0);
+          } else {
+            EXPECT_TRUE(same_bits(buffer, buffers[i]));
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- EMA / copy ---------------------------------------------------------------------
