@@ -182,6 +182,7 @@ fl::ClientUpdate PflSsl::local_update(const nn::ModelState& global,
   CALIBRE_CHECK(ctx.ssl_pool != nullptr && ctx.ssl_pool->rows() > 0);
   const MethodLease method = lease_method();
   global.apply_to(method->shared_parameters());
+  method->sync_momentum_branch();
 
   rng::Generator gen(ctx.seed);
   LocalScratch scratch;

@@ -84,8 +84,9 @@ class PflSsl : public fl::Algorithm {
   // Lends a method from the free list, building one when the list is
   // empty, so the list never holds more methods than there were concurrent
   // callers. The method's private state equals a freshly built method's;
-  // its shared parameters hold whatever the last borrower left, so every
-  // caller applies a global state first.
+  // its shared parameters and momentum branch hold whatever the last
+  // borrower left, so every caller applies a global state first, and
+  // local_update syncs the branch to it.
   MethodLease lease_method() const;
 
   // Hook: called once per local update after the global state is loaded.

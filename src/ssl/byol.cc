@@ -28,12 +28,6 @@ void Byol::after_step() {
   target_.ema_from(*encoder_, *projector_, config_.ema_momentum);
 }
 
-std::vector<tensor::Tensor*> Byol::private_tensors() {
-  std::vector<tensor::Tensor*> tensors;
-  target_.append_values(tensors);
-  return tensors;
-}
-
 std::vector<ag::VarPtr> Byol::trainable_parameters() const {
   std::vector<ag::VarPtr> params = SslMethod::trainable_parameters();
   predictor_.collect_parameters(params);

@@ -24,9 +24,8 @@ class Byol : public SslMethod {
   // Online encoder + projector + predictor.
   std::vector<ag::VarPtr> trainable_parameters() const override;
 
- protected:
   // The target encoder and projector.
-  std::vector<tensor::Tensor*> private_tensors() override;
+  MomentumBranch* momentum_branch() override { return &target_; }
 
  private:
   // Declaration order is construction order: the predictor's draws come

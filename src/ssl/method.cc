@@ -55,6 +55,12 @@ tensor::Tensor SslMethod::encode(const tensor::Tensor& batch) {
   return encoder_->forward(ag::constant(batch))->value;
 }
 
+void SslMethod::sync_momentum_branch() {
+  if (MomentumBranch* branch = momentum_branch()) {
+    branch->copy_from(*encoder_, *projector_);
+  }
+}
+
 SslMethod::PrivateState SslMethod::save_private_state() {
   PrivateState state;
   for (const tensor::Tensor* t : private_tensors()) state.push_back(*t);
@@ -94,8 +100,7 @@ MomentumBranch::MomentumBranch(const nn::EncoderConfig& encoder_config,
     : encoder_(encoder_config, gen),
       projector_(encoder_config.feature_dim, config.proj_hidden,
                  config.proj_dim, gen) {
-  nn::copy_parameters(encoder_.parameters(), encoder.parameters());
-  nn::copy_parameters(projector_.parameters(), projector.parameters());
+  copy_from(encoder, projector);
   freeze(encoder_);
   freeze(projector_);
 }
@@ -110,9 +115,16 @@ void MomentumBranch::ema_from(const nn::MlpEncoder& encoder,
   nn::ema_update(projector_.parameters(), projector.parameters(), m);
 }
 
-void MomentumBranch::append_values(std::vector<tensor::Tensor*>& out) const {
-  for (const ag::VarPtr& p : encoder_.parameters()) out.push_back(&p->value);
-  for (const ag::VarPtr& p : projector_.parameters()) out.push_back(&p->value);
+void MomentumBranch::copy_from(const nn::MlpEncoder& encoder,
+                               const nn::ProjectionHead& projector) {
+  nn::copy_parameters(encoder_.parameters(), encoder.parameters());
+  nn::copy_parameters(projector_.parameters(), projector.parameters());
+}
+
+std::vector<ag::VarPtr> MomentumBranch::parameters() const {
+  std::vector<ag::VarPtr> params = encoder_.parameters();
+  projector_.collect_parameters(params);
+  return params;
 }
 
 std::unique_ptr<SslMethod> make_method(Kind kind,

@@ -16,6 +16,8 @@
 
 namespace calibre::ssl {
 
+class MomentumBranch;
+
 enum class Kind { kSimClr, kByol, kSimSiam, kMoCoV2, kSwav, kSmog };
 
 // Human-readable method name ("SimCLR", ...).
@@ -78,16 +80,26 @@ class SslMethod {
   // Encoder features for a raw (un-augmented) batch, as plain values.
   tensor::Tensor encode(const tensor::Tensor& batch);
 
+  // The momentum branch (BYOL's target, MoCo's key network, SMoG's
+  // momentum branch), or null for a method without one.
+  virtual MomentumBranch* momentum_branch() { return nullptr; }
+
+  // Restarts the momentum branch, if there is one, as a plain copy of the
+  // online encoder and projector. A caller that loads a received global
+  // state calls it next, so the branch starts each local update from that
+  // state, as the online network does.
+  void sync_momentum_branch();
+
   // Private state is every tensor or counter that training changes but
-  // shared_parameters() does not cover: BYOL's target network, MoCo's key
-  // network, queue and cursor, SMoG's momentum network and groups. A method
-  // that is reused across local updates (core::PflSsl) must get it back to
-  // its constructed values before each use. save_private_state() copies the
-  // private tensors; restore_private_state() writes such a copy back and
-  // resets the counters and per-step buffers, which always start at the
-  // same constants. Restoring a copy taken from a never-used instance makes
-  // the method bitwise a freshly built one, apart from the shared
-  // parameters, which every caller overwrites anyway.
+  // neither shared_parameters() nor the momentum branch covers: MoCo's
+  // queue and cursor, SMoG's groups, and the per-step pending buffers. A
+  // method that is reused across local updates (core::PflSsl) must get it
+  // back to its constructed values before each use. save_private_state()
+  // copies the private tensors; restore_private_state() writes such a copy
+  // back and resets the counters and per-step buffers, which always start
+  // at the same constants. Restoring a copy taken from a never-used
+  // instance, then loading a state and syncing the branch, makes the method
+  // bitwise a freshly built one that loaded the same state.
   using PrivateState = std::vector<tensor::Tensor>;
   PrivateState save_private_state();
   void restore_private_state(const PrivateState& state);
@@ -116,7 +128,8 @@ void freeze(const nn::Module& module);
 // key network and SMoG's momentum branch. It is drawn from the owning
 // method's generator at the point where the owner builds it (the draws are
 // then overwritten, but they keep the owner's later draws in place), starts
-// as a copy of the online pair, is frozen, and only ever moves by EMA.
+// as a copy of the online pair, is frozen, and moves by EMA between
+// copies (SslMethod::sync_momentum_branch).
 class MomentumBranch {
  public:
   MomentumBranch(const nn::EncoderConfig& encoder_config,
@@ -130,9 +143,13 @@ class MomentumBranch {
   void ema_from(const nn::MlpEncoder& encoder,
                 const nn::ProjectionHead& projector, float m);
 
-  // Appends the branch's parameter values, encoder first (for
-  // private_tensors() overrides).
-  void append_values(std::vector<tensor::Tensor*>& out) const;
+  // branch = online, a plain copy (EMA with m = 0 would flip the sign of a
+  // -0 parameter).
+  void copy_from(const nn::MlpEncoder& encoder,
+                 const nn::ProjectionHead& projector);
+
+  // The branch's parameters, encoder first.
+  std::vector<ag::VarPtr> parameters() const;
 
  private:
   nn::MlpEncoder encoder_;

@@ -43,12 +43,7 @@ void MoCoV2::after_step() {
   pending_keys_ = tensor::Tensor();
 }
 
-std::vector<tensor::Tensor*> MoCoV2::private_tensors() {
-  std::vector<tensor::Tensor*> tensors;
-  key_.append_values(tensors);
-  tensors.push_back(&queue_);
-  return tensors;
-}
+std::vector<tensor::Tensor*> MoCoV2::private_tensors() { return {&queue_}; }
 
 void MoCoV2::reset_private_counters() {
   queue_cursor_ = 0;

@@ -22,8 +22,11 @@ class MoCoV2 : public SslMethod {
 
   const tensor::Tensor& queue() const { return queue_; }
 
+  // The key encoder and projector.
+  MomentumBranch* momentum_branch() override { return &key_; }
+
  protected:
-  // The key encoder and projector, then the queue.
+  // The queue.
   std::vector<tensor::Tensor*> private_tensors() override;
   // Cursor back to 0, no pending keys.
   void reset_private_counters() override;

@@ -59,12 +59,7 @@ void Smog::after_step() {
   pending_assignments_.clear();
 }
 
-std::vector<tensor::Tensor*> Smog::private_tensors() {
-  std::vector<tensor::Tensor*> tensors;
-  momentum_.append_values(tensors);
-  tensors.push_back(&groups_);
-  return tensors;
-}
+std::vector<tensor::Tensor*> Smog::private_tensors() { return {&groups_}; }
 
 void Smog::reset_private_counters() {
   pending_features_ = tensor::Tensor();

@@ -28,8 +28,11 @@ class Smog : public SslMethod {
 
   const tensor::Tensor& groups() const { return groups_; }
 
+  // The momentum encoder and projector.
+  MomentumBranch* momentum_branch() override { return &momentum_; }
+
  protected:
-  // The momentum encoder and projector, then the group centers.
+  // The group centers.
   std::vector<tensor::Tensor*> private_tensors() override;
   // No pending features or assignments.
   void reset_private_counters() override;

@@ -22,6 +22,7 @@
 #include "fl/fed_data.h"
 #include "fl/runner.h"
 #include "nn/optim.h"
+#include "ssl/method.h"
 #include "ssl/simclr.h"
 
 namespace calibre::core {
@@ -504,6 +505,61 @@ TEST(MethodReuse, AThrowingCallReturnsItsMethodAndTheNextCallIsExact) {
     PflSsl fresh(world.config, kind, world.ssl);
     expect_same_update(b, fresh.local_update(global, client_context(1, 6)),
                        name);
+  }
+}
+
+// Captures a method's momentum branch and online encoder + projector after
+// its local update's last step.
+class CapturesBranch : public PflSsl {
+ public:
+  using PflSsl::PflSsl;
+
+  std::vector<float> branch;
+  std::vector<float> online;
+
+ protected:
+  void finalize_update(ssl::SslMethod& method,
+                       const fl::ClientContext& /*ctx*/,
+                       rng::Generator& /*gen*/,
+                       fl::ClientUpdate& /*update*/) override {
+    branch = nn::ModelState::from_parameters(
+                 method.momentum_branch()->parameters())
+                 .values();
+    // The shared parameters lead with the online encoder and projector.
+    const std::vector<float> shared =
+        nn::ModelState::from_parameters(method.shared_parameters()).values();
+    online.assign(shared.begin(),
+                  shared.begin() + static_cast<std::ptrdiff_t>(branch.size()));
+  }
+};
+
+// The momentum branch starts each local update from the received global
+// encoder: after one step from a global far from the seed's init, BYOL's
+// target, MoCo's key network and SMoG's momentum branch each equal
+// m·global + (1−m)·online, computed here as ema_update computes it.
+TEST(Momentum, BranchStartsFromTheReceivedGlobal) {
+  const ReuseWorld& world = reuse_world();
+  fl::FlConfig config = world.config;
+  config.local_epochs = 1;
+  config.batch_size = 64;  // the 40-row pool is one batch: one step
+  for (const ssl::Kind kind :
+       {ssl::Kind::kByol, ssl::Kind::kMoCoV2, ssl::Kind::kSmog}) {
+    const std::string name = ssl::kind_name(kind);
+    CapturesBranch algorithm(config, kind, world.ssl);
+    std::vector<float> far = algorithm.initialize().values();
+    for (std::size_t j = 0; j < far.size(); ++j) {
+      far[j] = 1.5f * far[j] + 0.25f * std::sin(static_cast<float>(j));
+    }
+    (void)algorithm.local_update(nn::ModelState(far), client_context(0, 5));
+    ASSERT_FALSE(algorithm.branch.empty()) << name;
+    ASSERT_EQ(algorithm.online.size(), algorithm.branch.size()) << name;
+    const float m = world.ssl.ema_momentum;
+    std::vector<float> expected(algorithm.branch.size());
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      expected[j] = far[j] * m;
+      expected[j] += (1.0f - m) * algorithm.online[j];
+    }
+    EXPECT_TRUE(bits(algorithm.branch) == bits(expected)) << name;
   }
 }
 

@@ -2576,11 +2576,11 @@ TEST(RunnerGolden, SyncWideEncoder) {
 }
 
 // The momentum-target methods (BYOL, MoCoV2, SMoG): the final shared state
-// and the accuracies pin their target networks' construction, EMA and
-// restore.
+// and the accuracies pin their target networks' construction, their copy
+// from the received global at each local update, and their EMA.
 TEST(RunnerGolden, PflByol) {
   expect_pinned_personalized("pFL-BYOL", pinned_world().config,
-      0xaf19e836eb45b34fULL,
+      0xaabff997738e4774ULL,
       "0x1.d555555555555p-1 0x1p-2 0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
       "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 0x1.d555555555555p-1 "
       "novel 0x1.aaaaaaaaaaaabp-2");
@@ -2588,7 +2588,7 @@ TEST(RunnerGolden, PflByol) {
 
 TEST(RunnerGolden, PflMoCoV2) {
   expect_pinned_personalized("pFL-MoCoV2", pinned_world().config,
-      0x4e429c5be4f0ec3eULL,
+      0x90b401ecd0f55cd2ULL,
       "0x1.d555555555555p-1 0x1.5555555555555p-2 0x1.d555555555555p-1 "
       "0x1.aaaaaaaaaaaabp-1 0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.2aaaaaaaaaaabp-1 "
       "0x1.d555555555555p-1 novel 0x1p-1");
@@ -2596,10 +2596,10 @@ TEST(RunnerGolden, PflMoCoV2) {
 
 TEST(RunnerGolden, PflSmog) {
   expect_pinned_personalized("pFL-SMoG", pinned_world().config,
-      0x24f9dbfe593bffd4ULL,
-      "0x1.d555555555555p-1 0x1p-2 0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-1 "
-      "0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 0x1.d555555555555p-1 "
-      "novel 0x1.aaaaaaaaaaaabp-2");
+      0x3a04a3f6260952c7ULL,
+      "0x1.d555555555555p-1 0x1.aaaaaaaaaaaabp-2 0x1.d555555555555p-1 "
+      "0x1.aaaaaaaaaaaabp-1 0x1.aaaaaaaaaaaabp-2 0x1p-1 0x1.5555555555555p-1 "
+      "0x1.d555555555555p-1 novel 0x1.aaaaaaaaaaaabp-2");
 }
 
 // --- the supervised baselines -------------------------------------------------
