@@ -84,12 +84,13 @@ ThreadCache& cache_for_thread() {
   return owner.cache;
 }
 
-std::vector<std::vector<float>>& spares_of(ThreadCache& cache, float*) {
-  return cache.float_spares;
-}
-std::vector<std::vector<std::uint64_t>>& spares_of(ThreadCache& cache,
-                                                   std::uint64_t*) {
-  return cache.word_spares;
+template <typename T>
+std::vector<std::vector<T>>& spares_of(ThreadCache& cache) {
+  if constexpr (std::is_same_v<T, float>) {
+    return cache.float_spares;
+  } else {
+    return cache.word_spares;
+  }
 }
 
 std::atomic<bool>& enabled_flag() {
@@ -139,17 +140,16 @@ std::vector<T> take(std::size_t n) {
     return storage;
   }
   ThreadCache& cache = cache_for_thread();
-  std::vector<std::vector<T>>& spares =
-      spares_of(cache, static_cast<T*>(nullptr));
+  std::vector<std::vector<T>>& spares = spares_of<T>(cache);
   std::size_t best = spares.size();
-  for (std::size_t i = 0; i < spares.size(); ++i) {
+  for (std::size_t i = 0; enabled() && i < spares.size(); ++i) {
     if (spares[i].capacity() >= n &&
         (best == spares.size() ||
          spares[i].capacity() < spares[best].capacity())) {
       best = i;
     }
   }
-  if (enabled() && best < spares.size()) {
+  if (best < spares.size()) {
     storage.swap(spares[best]);
     spares[best].swap(spares.back());
     spares.pop_back();
@@ -170,8 +170,7 @@ void give(std::vector<T>&& storage) noexcept {
       storage.capacity() < kMinSpareBytes / sizeof(T)) {
     return;
   }
-  std::vector<std::vector<T>>& spares =
-      spares_of(*cache, static_cast<T*>(nullptr));
+  std::vector<std::vector<T>>& spares = spares_of<T>(*cache);
   if (spares.size() >= kMaxSpares) return;
   spares.push_back(std::move(storage));  // within the reserved capacity
   ++cache->stats.spares;
@@ -180,7 +179,8 @@ void give(std::vector<T>&& storage) noexcept {
 template std::vector<float> take<float>(std::size_t n);
 template std::vector<std::uint64_t> take<std::uint64_t>(std::size_t n);
 template void give<float>(std::vector<float>&& storage) noexcept;
-template void give<std::uint64_t>(std::vector<std::uint64_t>&& storage) noexcept;
+template void give<std::uint64_t>(
+    std::vector<std::uint64_t>&& storage) noexcept;
 
 void release_spares() {
   ThreadCache& cache = cache_for_thread();
