@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <new>
 #include <numeric>
@@ -260,23 +261,12 @@ void BM_ModelStateSerialize(benchmark::State& state) {
 BENCHMARK(BM_ModelStateSerialize);
 
 void BM_RouterRoundTrip(benchmark::State& state) {
-  comm::Router router(2);
-  router.register_endpoint(0, [&](const comm::Message& request) {
-    comm::Message response;
-    response.type = comm::MessageType::kTrainResponse;
-    response.sender = 0;
-    response.receiver = comm::kServerEndpoint;
-    response.payload = request.payload;
-    router.send(std::move(response));
+  comm::Router router(2, [](int, int, const comm::Payload& request) {
+    return request;
   });
   std::vector<std::uint8_t> payload(64 * 1024, 0xAB);
   for (auto _ : state) {
-    comm::Message request;
-    request.type = comm::MessageType::kTrainRequest;
-    request.receiver = 0;
-    request.payload = payload;
-    router.send(std::move(request));
-    benchmark::DoNotOptimize(router.server_mailbox().pop());
+    benchmark::DoNotOptimize(router.dispatch(0, 0, payload).get());
   }
   state.SetBytesProcessed(state.iterations() * 2 * 64 * 1024);
 }
@@ -968,28 +958,28 @@ BroadcastEntry time_broadcast(const nn::ModelState& state, int clients) {
       5);
   benchmark::DoNotOptimize(sink);
 
-  // Serialization count and dedup savings measured through a real broadcast:
-  // counters advance on the sending thread, so stats are final after the
-  // send loop even while handlers drain on the pool.
-  comm::Router router(2);
-  for (int c = 0; c < clients; ++c) {
-    router.register_endpoint(c, [](const comm::Message& request) {
-      benchmark::DoNotOptimize(request.payload.bytes().data());
-    });
-  }
+  // Serialization count and dedup savings measured through a real broadcast.
+  // Requests are counted on the dispatching thread; the handlers wait at a
+  // gate until the counters are read, so the stats cover the broadcast
+  // alone, not the replies.
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  comm::Router router(2, [&](int, int, const comm::Payload& request) {
+    opened.wait();
+    benchmark::DoNotOptimize(request.bytes().data());
+    return comm::Payload();
+  });
   const comm::Payload snapshot(state.to_bytes());
+  std::vector<std::future<comm::Outcome>> pending;
   for (int c = 0; c < clients; ++c) {
-    comm::Message request;
-    request.type = comm::MessageType::kTrainRequest;
-    request.sender = comm::kServerEndpoint;
-    request.receiver = c;
-    request.payload = snapshot;
-    router.send(std::move(request));
+    pending.push_back(router.dispatch(c, 0, snapshot));
   }
   const comm::TrafficStats stats = router.stats();
   entry.serializations = stats.broadcast_serializations;
   entry.logical_bytes = stats.logical_bytes;
   entry.physical_bytes = stats.physical_bytes;
+  gate.set_value();
+  for (std::future<comm::Outcome>& dispatch : pending) dispatch.wait();
   return entry;
 }
 
@@ -1129,7 +1119,7 @@ bool dump_comm_json(const char* path) {
     entry.round_bytes =
         static_cast<std::uint64_t>(kRoundClients) *
         (entry.broadcast_bytes + entry.update_bytes +
-         2 * comm::Message::kHeaderBytes);
+         2 * comm::kHeaderBytes);
     codecs.push_back(entry);
   }
 

@@ -20,7 +20,7 @@ class Payload {
  public:
   Payload() = default;
 
-  // Implicit on purpose: `message.payload = writer.take()` stays the idiom at
+  // Implicit on purpose: `Payload reply = writer.take()` stays the idiom at
   // every producer site. Empty vectors do not allocate a buffer.
   Payload(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
       : buffer_(bytes.empty() ? nullptr

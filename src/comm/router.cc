@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "comm/serde.h"
 #include "common/check.h"
 
 namespace calibre::comm {
@@ -58,31 +57,15 @@ void validate_fault_config(const FaultConfig& config) {
 
 }  // namespace
 
-Router::Router(std::size_t num_threads) : pool_(num_threads) {}
-
-void Router::register_endpoint(int endpoint, Handler handler) {
-  CALIBRE_CHECK_MSG(endpoint != kServerEndpoint,
-                    "server endpoint uses the mailbox, not a handler");
-  const auto [it, inserted] = handlers_.emplace(endpoint, std::move(handler));
-  CALIBRE_CHECK_MSG(inserted, "endpoint " << endpoint << " already registered");
-}
-
-void Router::register_default_handler(Handler handler) {
-  CALIBRE_CHECK_MSG(handler != nullptr, "default handler must be callable");
-  CALIBRE_CHECK_MSG(default_handler_ == nullptr,
-                    "default handler already registered");
-  default_handler_ = std::move(handler);
+Router::Router(std::size_t num_threads, Handler handler)
+    : handler_(std::move(handler)), pool_(num_threads) {
+  CALIBRE_CHECK_MSG(handler_ != nullptr, "router needs a device handler");
 }
 
 void Router::set_fault_profiles(std::vector<FaultConfig> profiles) {
   CALIBRE_CHECK_MSG(!profiles.empty(), "need at least one fault profile");
   for (const FaultConfig& profile : profiles) validate_fault_config(profile);
   fault_profiles_ = std::move(profiles);
-}
-
-const FaultConfig& Router::profile_for(int receiver) const {
-  return fault_profiles_[static_cast<std::size_t>(receiver) %
-                         fault_profiles_.size()];
 }
 
 int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
@@ -94,133 +77,112 @@ int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
                           static_cast<std::uint64_t>(fault.latency_ms + 1));
 }
 
-int Router::send(Message message) {
-  const std::uint64_t wire = message.wire_size();
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  logical_bytes_.fetch_add(wire, std::memory_order_relaxed);
-  const bool to_server = message.receiver == kServerEndpoint;
-  (to_server ? collected_bytes_ : broadcast_bytes_)
-      .fetch_add(wire, std::memory_order_relaxed);
-  // Physical cost: the header always travels; the payload buffer only the
-  // first time any message carries it. mark_transmitted() latches exactly
-  // once per unique buffer, which also counts distinct serializations.
-  std::uint64_t physical = Message::kHeaderBytes;
-  if (message.payload.mark_transmitted()) {
-    physical += message.payload.size();
-    (to_server ? collect_serializations_ : broadcast_serializations_)
-        .fetch_add(1, std::memory_order_relaxed);
+Router::Roll Router::roll(int client, int round) {
+  const FaultConfig& fault =
+      fault_profiles_[static_cast<std::size_t>(client) %
+                      fault_profiles_.size()];
+  if (fault.failure_rate <= 0.0f && fault.latency_ms <= 0 &&
+      fault.duty_cycle >= 1.0f) {
+    return {};
   }
-  physical_bytes_.fetch_add(physical, std::memory_order_relaxed);
-  if (message.receiver == kServerEndpoint) {
-    server_mailbox_.push(std::move(message));
-    return 0;
+  std::uint64_t attempt = 0;
+  {
+    std::lock_guard<std::mutex> lock(attempts_mutex_);
+    attempt = attempts_[client]++;
   }
-  const auto it = handlers_.find(message.receiver);
-  CALIBRE_CHECK_MSG(it != handlers_.end() || default_handler_ != nullptr,
-                    "no endpoint registered for client " << message.receiver);
-  Handler& handler = it != handlers_.end() ? it->second : default_handler_;
-
-  // Roll the fault dice on the sending thread: per-endpoint attempt counters
-  // advance in send order, so decisions are deterministic no matter how the
-  // pool interleaves execution.
-  const FaultConfig& fault = profile_for(message.receiver);
-  bool inject_failure = false;
-  bool offline = false;
-  int delay_ms = 0;
-  if (fault.failure_rate > 0.0f || fault.latency_ms > 0 ||
-      fault.duty_cycle < 1.0f) {
-    std::uint64_t attempt = 0;
-    {
-      std::lock_guard<std::mutex> lock(attempts_mutex_);
-      attempt = attempts_[message.receiver]++;
-    }
-    const auto receiver = static_cast<std::uint64_t>(message.receiver);
-    const auto round = static_cast<std::uint64_t>(message.round);
-    offline = !endpoint_available(fault, message.receiver, message.round);
-    inject_failure =
-        offline ||
-        (fault.failure_rate > 0.0f &&
-         unit_double(mix(fault.seed, receiver, round, attempt * 2)) <
-             static_cast<double>(fault.failure_rate));
-    delay_ms = injected_delay_ms(fault, message.receiver, message.round,
-                                 attempt);
+  Roll out;
+  out.delay_ms = injected_delay_ms(fault, client, round, attempt);
+  if (!endpoint_available(fault, client, round)) {
+    out.failure = kOfflineErrorText;
+  } else if (fault.failure_rate > 0.0f &&
+             unit_double(mix(fault.seed, static_cast<std::uint64_t>(client),
+                             static_cast<std::uint64_t>(round),
+                             attempt * 2)) <
+                 static_cast<double>(fault.failure_rate)) {
+    out.failure = "injected handler fault";
   }
-
-  // The handler reference stays valid: registration is frozen before sending.
-  // A throwing handler (or an injected fault) must never strand the server:
-  // every dispatch produces exactly one reply, success or kTrainError.
-  auto dispatch = [this, &handler, inject_failure, offline,
-                   message = std::move(message)]() mutable {
-    const int client = message.receiver;
-    const int round = message.round;
-    try {
-      if (inject_failure) {
-        throw std::runtime_error(offline ? kOfflineErrorText
-                                         : "injected handler fault");
-      }
-      handler(message);
-    } catch (const std::exception& error) {
-      try {
-        send(make_error_reply(client, round, error.what()));
-      } catch (...) {
-        // Server mailbox closed during shutdown; nothing left to notify.
-      }
-    } catch (...) {
-      try {
-        send(make_error_reply(client, round, "unknown error"));
-      } catch (...) {
-      }
-    }
-  };
-  pool_.submit(std::move(dispatch));
-  return delay_ms;
+  return out;
 }
 
-TrafficStats operator-(const TrafficStats& end, const TrafficStats& start) {
-  TrafficStats out;
-  out.messages = end.messages - start.messages;
-  out.logical_bytes = end.logical_bytes - start.logical_bytes;
-  out.physical_bytes = end.physical_bytes - start.physical_bytes;
-  out.broadcast_bytes = end.broadcast_bytes - start.broadcast_bytes;
-  out.collected_bytes = end.collected_bytes - start.collected_bytes;
-  out.broadcast_serializations =
-      end.broadcast_serializations - start.broadcast_serializations;
-  out.collect_serializations =
-      end.collect_serializations - start.collect_serializations;
-  return out;
+void Router::count(std::uint64_t payload_bytes, bool fresh, bool to_server,
+                   TrafficStats& share) {
+  // Physical cost: the header always travels; the payload buffer only the
+  // first time any message carries it.
+  TrafficStats message;
+  message.messages = 1;
+  message.logical_bytes = kHeaderBytes + payload_bytes;
+  message.physical_bytes = kHeaderBytes + (fresh ? payload_bytes : 0);
+  (to_server ? message.collected_bytes : message.broadcast_bytes) =
+      message.logical_bytes;
+  (to_server ? message.collect_serializations
+             : message.broadcast_serializations) = fresh ? 1 : 0;
+  share += message;
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  totals_ += message;
+}
+
+std::future<Outcome> Router::dispatch(int client, int round, Payload request,
+                                      int max_retries) {
+  CALIBRE_CHECK_MSG(client >= 0, "client endpoint must be >= 0, got "
+                                     << client);
+  CALIBRE_CHECK_MSG(max_retries >= 0, "max_retries must be >= 0");
+  Outcome first;
+  count(request.size(), request.mark_transmitted(), false, first.traffic);
+  // Each attempt rolls its dice where it runs: the attempt counters stay
+  // deterministic because the caller never overlaps two dispatches to one
+  // endpoint. A throwing handler (or an injected fault) never strands the
+  // caller: every dispatch resolves its future with exactly one outcome.
+  return pool_.submit([this, client, round, max_retries,
+                       request = std::move(request),
+                       outcome = std::move(first)]() mutable {
+    for (;;) {
+      const Roll attempt = roll(client, round);
+      outcome.delays_ms.push_back(attempt.delay_ms);
+      if (attempt.failure != nullptr) {
+        outcome.error = attempt.failure;
+      } else {
+        try {
+          outcome.reply = handler_(client, round, request);
+          outcome.ok = true;
+        } catch (const std::exception& error) {
+          outcome.error = error.what();
+        } catch (...) {
+          outcome.error = "unknown error";
+        }
+      }
+      if (outcome.ok) {
+        count(outcome.reply.size(), outcome.reply.mark_transmitted(), true,
+              outcome.traffic);
+        return std::move(outcome);
+      }
+      // The error reply carries its text as a serde string (u32 length +
+      // bytes), a buffer of its own.
+      count(sizeof(std::uint32_t) + outcome.error.size(), true, true,
+            outcome.traffic);
+      if (static_cast<int>(outcome.delays_ms.size()) > max_retries) {
+        return std::move(outcome);
+      }
+      // The retry re-sends the same buffer.
+      count(request.size(), request.mark_transmitted(), false,
+            outcome.traffic);
+    }
+  });
+}
+
+TrafficStats& TrafficStats::operator+=(const TrafficStats& other) {
+  messages += other.messages;
+  logical_bytes += other.logical_bytes;
+  physical_bytes += other.physical_bytes;
+  broadcast_bytes += other.broadcast_bytes;
+  collected_bytes += other.collected_bytes;
+  broadcast_serializations += other.broadcast_serializations;
+  collect_serializations += other.collect_serializations;
+  return *this;
 }
 
 TrafficStats Router::stats() const {
-  TrafficStats out;
-  out.messages = messages_.load(std::memory_order_relaxed);
-  out.logical_bytes = logical_bytes_.load(std::memory_order_relaxed);
-  out.physical_bytes = physical_bytes_.load(std::memory_order_relaxed);
-  out.broadcast_bytes = broadcast_bytes_.load(std::memory_order_relaxed);
-  out.collected_bytes = collected_bytes_.load(std::memory_order_relaxed);
-  out.broadcast_serializations =
-      broadcast_serializations_.load(std::memory_order_relaxed);
-  out.collect_serializations =
-      collect_serializations_.load(std::memory_order_relaxed);
-  return out;
-}
-
-Message Router::make_error_reply(int client, int round,
-                                 const std::string& what) {
-  Writer writer;
-  writer.write_string(what);
-  Message reply;
-  reply.type = MessageType::kTrainError;
-  reply.sender = client;
-  reply.receiver = kServerEndpoint;
-  reply.round = round;
-  reply.payload = writer.take();
-  return reply;
-}
-
-std::string Router::error_text(const Message& message) {
-  CALIBRE_CHECK(message.type == MessageType::kTrainError);
-  Reader reader(message.payload.bytes());
-  return reader.read_string();
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  return totals_;
 }
 
 }  // namespace calibre::comm

@@ -1,35 +1,41 @@
-// In-process message router: the "network" of the federated simulation.
+// In-process dispatch router: the "network" of the federated simulation.
 //
-// Client endpoints register handlers; messages addressed to them are executed
-// on a shared thread pool (each client is an independent device). Messages
-// addressed to the server land in the server mailbox, which the round loop
-// drains synchronously. Traffic counters expose the communication cost of an
-// experiment.
+// One device handler serves every client endpoint. Each dispatch runs on a
+// shared thread pool (each client is an independent device) and returns a
+// future of its Outcome, which resolves exactly once: the handler's reply,
+// or the error text of its last failed attempt. Traffic counters expose the
+// communication cost of an experiment.
 //
 // Fault tolerance: a handler that throws never vanishes silently — the
-// router catches the exception and replies to the server with a
-// kTrainError message carrying the error text, so the round loop can
-// account for the failure instead of blocking forever. An optional fault
-// injector (seeded, deterministic) simulates flaky devices by failing a
-// configurable fraction of dispatches, drawing a per-dispatch latency, and
-// taking endpoints offline on a diurnal schedule; heterogeneous device
-// classes map each endpoint to its own fault profile. Latency is virtual:
-// send() dispatches at once and returns the drawn delay, and the caller
-// places the reply on its own simulated clock (fl/runner.cc).
+// dispatch catches the exception and resolves as a failure carrying its
+// text. A failed attempt is retried inside the same dispatch, up to the
+// caller's retry budget, so a retry never depends on when the caller looks
+// at the failure. An optional fault injector (seeded, deterministic)
+// simulates flaky devices by failing a configurable fraction of attempts,
+// drawing a per-attempt latency, and taking endpoints offline on a diurnal
+// schedule; heterogeneous device classes map each endpoint to its own fault
+// profile. Latency is virtual: every attempt runs at once, the outcome
+// lists each attempt's drawn delay, and the caller places the outcome on
+// its own simulated clock (fl/runner.cc).
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <memory>
+#include <future>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "comm/mailbox.h"
+#include "comm/payload.h"
 #include "common/thread_pool.h"
 
 namespace calibre::comm {
+
+// Wire header of every message: a one-byte type tag plus the sender,
+// receiver and round fields (four bytes each). Counted in the traffic
+// totals on top of each payload.
+inline constexpr std::size_t kHeaderBytes = 1 + 3 * sizeof(std::int32_t);
 
 struct TrafficStats {
   std::uint64_t messages = 0;
@@ -48,35 +54,35 @@ struct TrafficStats {
   // regardless of how many clients (or retries) the round sends to.
   std::uint64_t broadcast_serializations = 0;
   std::uint64_t collect_serializations = 0;
+
+  TrafficStats& operator+=(const TrafficStats& other);
 };
 
-// Component-wise difference (end - start) for per-round accounting.
-TrafficStats operator-(const TrafficStats& end, const TrafficStats& start);
-
-// Deterministic fault injection applied to client-addressed dispatches.
+// Deterministic fault injection applied to every dispatch attempt.
 // Decisions are a pure function of (seed, receiver, round, attempt), where
-// attempt counts dispatches to that endpoint — so a run is reproducible
-// bit-for-bit from its seed, and a retry of a failed client re-rolls the
-// dice instead of failing forever. (The availability schedule below ignores
-// `attempt` on purpose: an offline device stays offline for the whole
-// round, so retries against it keep failing until the schedule flips.)
+// attempt counts attempts at that endpoint — so a run is reproducible
+// bit-for-bit from its seed as long as dispatches to one endpoint do not
+// overlap, and a retry of a failed client re-rolls the dice instead of
+// failing forever. (The availability schedule below ignores `attempt` on
+// purpose: an offline device stays offline for the whole round, so retries
+// against it keep failing until the schedule flips.)
 struct FaultConfig {
-  float failure_rate = 0.0f;  // P(dispatch fails before the handler runs)
-  int latency_ms = 0;         // per-dispatch virtual delay in [0, latency_ms]
+  float failure_rate = 0.0f;  // P(attempt fails before the handler runs)
+  int latency_ms = 0;         // per-attempt virtual delay in [0, latency_ms]
   std::uint64_t seed = 0;     // fault stream seed
   // Diurnal availability: with duty_cycle < 1 and period_rounds > 0 the
   // endpoint is offline for the tail of every period_rounds-round cycle,
   // with a per-receiver phase (derived from the seed) so churn is staggered
-  // across the population. A dispatch to an offline endpoint fails before
+  // across the population. An attempt at an offline endpoint fails before
   // the handler runs, with error text kOfflineErrorText. duty_cycle >= 1 or
   // period_rounds <= 0 disables the schedule.
   float duty_cycle = 1.0f;
   int period_rounds = 0;
 };
 
-// The injected delay (virtual ms) of the `attempt`-th dispatch to `receiver`
+// The injected delay (virtual ms) of the `attempt`-th attempt at `receiver`
 // in `round`: uniform in [0, fault.latency_ms], a pure function of its
-// arguments. Router::send draws every dispatch's delay through it.
+// arguments. Every attempt's delay is drawn through it.
 int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
                       std::uint64_t attempt);
 
@@ -84,73 +90,70 @@ int injected_delay_ms(const FaultConfig& fault, int receiver, int round,
 // from a random injected fault ("injected handler fault").
 inline constexpr const char* kOfflineErrorText = "injected offline";
 
+// How one dispatch ended.
+struct Outcome {
+  bool ok = false;
+  Payload reply;      // the successful attempt's reply (ok)
+  std::string error;  // the last attempt's error text (!ok)
+  // Each attempt's injected delay (virtual ms), oldest first. Every attempt
+  // but the last failed, and each one starts when the previous one's
+  // failure arrives.
+  std::vector<int> delays_ms;
+  // This dispatch's share of the router's traffic counters: its requests
+  // (retries included) and its replies (failures included).
+  TrafficStats traffic;
+};
+
 class Router {
  public:
-  using Handler = std::function<void(const Message&)>;
+  // Runs one client's update: `request` for `client` in `round`, returning
+  // the reply. Runs on the pool; may throw.
+  using Handler =
+      std::function<Payload(int client, int round, const Payload& request)>;
 
-  explicit Router(std::size_t num_threads);
+  Router(std::size_t num_threads, Handler handler);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Registers the handler executed (on the pool) for messages to `endpoint`.
-  // Must not be called after sends to that endpoint have started.
-  void register_endpoint(int endpoint, Handler handler);
-
-  // Registers the fallback handler for any client endpoint with no explicit
-  // registration — the virtual-client path: one generic handler (reading the
-  // client id from Message::receiver) serves an arbitrary population without
-  // O(clients) registration cost or per-client closures. An explicitly
-  // registered endpoint still wins. Must be called before sends start.
-  void register_default_handler(Handler handler);
-
-  // Enables fault injection for subsequent client-addressed sends: endpoint
-  // `e` uses profiles[e % profiles.size()], so one profile is a uniform
-  // fault model and several are device classes. Must not be called
-  // concurrently with send().
+  // Enables fault injection for subsequent dispatches: endpoint `e` uses
+  // profiles[e % profiles.size()], so one profile is a uniform fault model
+  // and several are device classes. Must not be called concurrently with
+  // dispatch().
   void set_fault_profiles(std::vector<FaultConfig> profiles);
 
-  // Routes `message`: server-addressed messages go to the server mailbox;
-  // client-addressed ones are dispatched to the endpoint handler on the pool.
-  // A handler that throws (or an injected fault) produces a kTrainError
-  // reply to the server instead of a lost message. Returns the dispatch's
-  // injected delay in virtual ms (0 for server-addressed messages): the
-  // handler runs at once, and the delay only says when its reply arrives
-  // on the caller's simulated clock.
-  // Throws when the receiver is unknown.
-  int send(Message message);
-
-  // Inbox for messages addressed to kServerEndpoint.
-  Mailbox& server_mailbox() { return server_mailbox_; }
+  // Sends `request` to `client` and runs the handler on the pool, retrying
+  // a failed attempt (thrown handler or injected fault) up to `max_retries`
+  // times. The future resolves once, with the reply or the last error.
+  // The first request is counted on the calling thread, so which dispatch
+  // first transmits a shared buffer follows the caller's order.
+  std::future<Outcome> dispatch(int client, int round, Payload request,
+                                int max_retries = 0);
 
   TrafficStats stats() const;
 
-  // kTrainError reply from `client` for `round`; payload carries `what`.
-  static Message make_error_reply(int client, int round,
-                                  const std::string& what);
-  // Error text carried by a kTrainError message.
-  static std::string error_text(const Message& message);
-
  private:
-  // The fault profile governing dispatches to `receiver`.
-  const FaultConfig& profile_for(int receiver) const;
+  // The next attempt at `client`'s fault dice: its injected delay, and the
+  // error text of an injected failure (null when the handler runs).
+  struct Roll {
+    int delay_ms = 0;
+    const char* failure = nullptr;
+  };
+  Roll roll(int client, int round);
 
-  Mailbox server_mailbox_;
-  std::unordered_map<int, Handler> handlers_;
-  Handler default_handler_;
+  // Counts one message of `payload_bytes` (`fresh`: its buffer's first
+  // transmission) into `share` and the router's totals.
+  void count(std::uint64_t payload_bytes, bool fresh, bool to_server,
+             TrafficStats& share);
+
+  const Handler handler_;
   std::vector<FaultConfig> fault_profiles_{FaultConfig{}};  // no faults
   std::mutex attempts_mutex_;
-  std::unordered_map<int, std::uint64_t> attempts_;  // dispatches per endpoint
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> logical_bytes_{0};
-  std::atomic<std::uint64_t> physical_bytes_{0};
-  std::atomic<std::uint64_t> broadcast_bytes_{0};
-  std::atomic<std::uint64_t> collected_bytes_{0};
-  std::atomic<std::uint64_t> broadcast_serializations_{0};
-  std::atomic<std::uint64_t> collect_serializations_{0};
+  std::unordered_map<int, std::uint64_t> attempts_;  // attempts per endpoint
+  mutable std::mutex stats_mutex_;
+  TrafficStats totals_;
   // Destroyed before the rest of the router: ~ThreadPool drains straggler
-  // handler tasks (which touch the mailbox and handlers_) first, so "one
-  // reply per dispatch" survives shutdown.
+  // dispatches (which touch the handler and the counters) first.
   common::ThreadPool pool_;
 };
 

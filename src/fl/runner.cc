@@ -5,7 +5,6 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <optional>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -29,11 +28,12 @@ double seconds_between(SteadyClock::time_point from,
 // Sync rounds and FedBuff-style async commits run through one loop. Every
 // dispatch is a slot with a sequence number, and replies fold into the
 // window's StreamingAggregator (through ShardedFolder) strictly in sequence
-// order: reply ARRIVAL order depends on thread scheduling and float
-// summation is order-sensitive, so a reply that arrives ahead of the fold
-// front is held serialized (a refcounted payload handle, no decode), and the
-// front decodes+folds a held slot — or skips a failed or timed-out one —
-// only once every earlier slot resolved. Dispatches, commits and sampler
+// order: the order in which dispatches finish depends on thread scheduling
+// and float summation is order-sensitive, so the fold front waits on the
+// future of the slot it reaches, a reply that finished earlier stays
+// serialized (a refcounted payload handle, no decode), and the front
+// decodes+folds a held slot — or skips a failed or timed-out one — only
+// once every earlier slot resolved. Dispatches, commits and sampler
 // draws all happen at front-advance time, so a run is a pure function of
 // the seed: bit-identical across thread counts and shard counts.
 //
@@ -50,19 +50,20 @@ double seconds_between(SteadyClock::time_point from,
 // the tag is the commit count at dispatch. A sync slot always folds in the
 // round it was dispatched in, so its staleness is 0 and its weight 1.
 //
-// Time is virtual (ms). Each slot carries the arrival of its current
-// attempt: its send time plus the router's injected delay. A sync window's
-// dispatches go out when the window opens, a retry when its failure
-// arrives, and an async refill at the front's time: the running maximum of
+// Each slot owns the future of its dispatch, which runs every attempt the
+// retry budget allows before it resolves. A client has at most one
+// unresolved slot (async refills only idle clients; a sync round resolves
+// every slot before it commits), so dispatches to one endpoint never
+// overlap and the router's per-endpoint fault dice stay deterministic.
+//
+// Time is virtual (ms). A slot's outcome arrives at its send time plus the
+// injected delays of its attempts; each retry leaves when the failure
+// before it arrives. A sync window's dispatches go out when the window
+// opens, and an async refill at the front's time: the running maximum of
 // the resolved arrivals, in seq order. A commit happens at the front's time
 // (or at the cut, see cut()), and the next window opens there. Nothing here
 // reads a wall clock except the PhaseTimes counters, so a deadline run is a
 // pure function of the seed too.
-//
-// Replies are keyed by sender, checked against the round tag. A live slot
-// is unique for its sender: async keeps at most one dispatch per client in
-// flight, and a sync round waits for every reply of its cohort before it
-// commits, so no reply ever outlives its slot.
 class RoundEngine {
  public:
   RoundEngine(Algorithm& algorithm, const FedDataset& fed,
@@ -78,17 +79,15 @@ class RoundEngine {
         slots_(static_cast<std::size_t>(config_.clients_per_round)),
         live_seq_(static_cast<std::size_t>(fed.num_train_clients()), -1) {}
 
-  // Runs `config.rounds` commits, then drains every request still in
+  // Runs `config.rounds` commits, then drains every dispatch still in
   // flight, so no local_update outlives the training stage.
   void run() {
     if (config_.rounds > 0) open_window();
     while (commits_ < config_.rounds) {
-      std::optional<comm::Message> reply = router_.server_mailbox().pop();
-      CALIBRE_CHECK_MSG(reply.has_value(), "server mailbox closed early");
-      on_reply(std::move(*reply));
-      // A deadline round that holds a late slot cuts once every dispatch of
-      // the round has its final outcome; each one is guaranteed a reply.
-      if (hold_after_ != kNever && awaiting_ == 0) cut();
+      advance_front();
+      // The front stops short of a commit only at a deadline round's late
+      // slot: the round then cuts.
+      if (hold_after_ != kNever) cut();
     }
     drain();
   }
@@ -107,16 +106,20 @@ class RoundEngine {
     int client = -1;
     int tag = 0;  // commit count at dispatch: the sync round / base version
     SlotState status = SlotState::kOutstanding;
-    std::int64_t arrival = 0;  // virtual ms: the current attempt's outcome
+    // Virtual ms: the send time while outstanding, then the outcome's
+    // arrival.
+    std::int64_t arrival = 0;
     // Arrivals of the failed attempts that bought a retry, oldest first.
     // A deadline cut credits only those at or before the cut.
     std::vector<std::int64_t> retried_at;
-    comm::Payload request;  // the broadcast this dispatch trains against
     // The broadcast as clients decode it: the reference delta16/topk16
     // replies decode against (null under f32). Shared because an async
     // slot can outlive the window that dispatched it.
     std::shared_ptr<const nn::ModelState> base;
-    comm::Payload reply;  // set when kHeld
+    std::future<comm::Outcome> outcome;  // read once, by await()
+    comm::Payload reply;                 // set when kHeld
+    // The dispatch's traffic, credited to the window the slot resolves in.
+    comm::TrafficStats traffic;
   };
 
   Slot& slot(int seq) {
@@ -142,7 +145,6 @@ class RoundEngine {
     folder_ = std::make_unique<ShardedFolder>(algorithm_, state_, commits_,
                                               config_.agg_shards);
     window_ = RoundStats{};
-    traffic_at_open_ = router_.stats();
     folds_ = 0;
     staleness_total_ = 0.0;
     if (!barrier_) {
@@ -194,69 +196,52 @@ class RoundEngine {
     return client;
   }
 
+  // Dispatches the open window's broadcast to `client` at the current
+  // virtual time. Clients derive their seed from the tag, and the fault
+  // injector's availability schedule keys on it (a device-class "period"
+  // counts rounds in sync mode, versions in async mode).
   void dispatch(int client) {
     CALIBRE_CHECK_LT(next_seq_ - front_, static_cast<int>(slots_.size()),
                      "slot table overflow");
-    Slot& fresh = slot(next_seq_);
-    fresh = Slot{client, commits_, SlotState::kOutstanding, 0, {}, snapshot_,
-                 snapshot_base_, comm::Payload()};
-    live_seq_[static_cast<std::size_t>(client)] = next_seq_++;
-    send(fresh, now_);
-  }
-
-  // Sends `dispatched`'s request at virtual time `at`; the router's injected
-  // delay places its outcome's arrival.
-  void send(Slot& dispatched, std::int64_t at) {
     const SteadyClock::time_point start = SteadyClock::now();
-    ++awaiting_;
-    comm::Message request;
-    request.type = comm::MessageType::kTrainRequest;
-    request.sender = comm::kServerEndpoint;
-    request.receiver = dispatched.client;
-    // Clients derive their seed from the tag, and the fault injector's
-    // availability schedule keys on it (a device-class "period" counts
-    // rounds in sync mode, versions in async mode).
-    request.round = dispatched.tag;
-    request.payload = dispatched.request;
-    dispatched.arrival = at + router_.send(std::move(request));
+    Slot& fresh = slot(next_seq_);  // reset when its last use resolved
+    fresh.client = client;
+    fresh.tag = commits_;
+    fresh.arrival = now_;
+    fresh.base = snapshot_base_;
+    fresh.outcome = router_.dispatch(client, commits_, snapshot_,
+                                     config_.max_client_retries);
+    live_seq_[static_cast<std::size_t>(client)] = next_seq_++;
     result_.phases.dispatch_seconds +=
         seconds_between(start, SteadyClock::now());
   }
 
-  void on_reply(comm::Message reply) {
-    --awaiting_;
-    const int seq = live_seq_.at(static_cast<std::size_t>(reply.sender));
-    CALIBRE_CHECK_MSG(seq >= 0 && slot(seq).tag == reply.round,
-                      "reply from client " << reply.sender << " (tag "
-                                           << reply.round
-                                           << ") matches no live slot");
-    Slot& live = slot(seq);
-    if (reply.type == comm::MessageType::kTrainError) {
-      // Failures and retries are credited when the slot resolves (see
-      // advance_front). The retry goes out when the failure arrives, and
-      // keeps its seq (fold place) and snapshot.
-      if (static_cast<int>(live.retried_at.size()) <
-          config_.max_client_retries) {
-        live.retried_at.push_back(live.arrival);
-        send(live, live.arrival);
-        return;
-      }
-      log::debug() << algorithm_.name() << " seq " << seq << " client "
-                   << reply.sender
-                   << " failed: " << comm::Router::error_text(reply);
-      live.status = SlotState::kFailed;
-    } else {
-      CALIBRE_CHECK(reply.type == comm::MessageType::kTrainResponse);
-      live.status = SlotState::kHeld;
-      live.reply = std::move(reply.payload);
+  // Waits for an outstanding slot's outcome and places its attempts on the
+  // virtual clock: each failed attempt's arrival is when its retry leaves.
+  void await(Slot& pending) {
+    if (pending.status != SlotState::kOutstanding) return;
+    comm::Outcome outcome = pending.outcome.get();
+    const std::vector<int>& delays = outcome.delays_ms;  // one per attempt
+    for (std::size_t i = 0; i + 1 < delays.size(); ++i) {
+      pending.arrival += delays[i];
+      pending.retried_at.push_back(pending.arrival);
     }
-    advance_front();
+    pending.arrival += delays.back();
+    pending.traffic = outcome.traffic;
+    if (outcome.ok) {
+      pending.status = SlotState::kHeld;
+      pending.reply = std::move(outcome.reply);
+    } else {
+      log::debug() << algorithm_.name() << " client " << pending.client
+                   << " (tag " << pending.tag << ") failed: " << outcome.error;
+      pending.status = SlotState::kFailed;
+    }
   }
 
-  // Resolves every slot at the front that has its outcome, in seq order:
-  // folds held replies, commits when the window closes, and refills. Stops
-  // at the first slot still awaiting its reply, at a slot that arrives after
-  // an uncut deadline (it may yet time out), or at the final commit.
+  // Resolves the slots at the front in seq order, waiting for each one's
+  // outcome: folds held replies, commits when the window closes, and
+  // refills. Stops at a slot that arrives after an uncut deadline (it may
+  // yet time out), or at the final commit.
   void advance_front() {
     // Legit high-fault configs recover within tens of dispatches; only an
     // async configuration that can never fold (e.g. every class offline at
@@ -265,20 +250,20 @@ class RoundEngine {
         1000 + 50 * config_.clients_per_round;
     while (commits_ < config_.rounds && front_ < next_seq_) {
       Slot& resolved = slot(front_);
-      if (resolved.status == SlotState::kOutstanding ||
-          resolved.arrival > hold_after_) {
-        return;
-      }
+      await(resolved);
+      if (resolved.arrival > hold_after_) return;
       ++front_;
       live_seq_[static_cast<std::size_t>(resolved.client)] = -1;
-      // Failures/retries are attributed to the window in which the slot
-      // RESOLVES, not the one where an error reply happened to arrive:
-      // resolution order is deterministic, so the history's counters are
-      // bit-identical across thread counts.
+      // Failures, retries and traffic are attributed to the window in which
+      // the slot RESOLVES: resolution order is deterministic, so every
+      // history column is bit-identical across thread counts.
       const auto retries = static_cast<int>(resolved.retried_at.size());
       window_.retries += retries;
       window_.failures +=
           retries + (resolved.status == SlotState::kFailed ? 1 : 0);
+      window_.bytes_broadcast += resolved.traffic.broadcast_bytes;
+      window_.bytes_collected += resolved.traffic.collected_bytes;
+      window_.serializations += resolved.traffic.broadcast_serializations;
       if (resolved.status != SlotState::kTimedOut) {
         now_ = std::max(now_, resolved.arrival);
       }
@@ -326,6 +311,7 @@ class RoundEngine {
   void cut() {
     std::vector<std::int64_t> successes;
     for (int seq = front_; seq < next_seq_; ++seq) {
+      await(slot(seq));
       if (slot(seq).status == SlotState::kHeld) {
         successes.push_back(slot(seq).arrival);
       }
@@ -349,7 +335,6 @@ class RoundEngine {
     }
     if (close != kNever) now_ = std::max(now_, close);
     hold_after_ = kNever;
-    advance_front();
   }
 
   // collect() merges the partials in ascending shard order; only the
@@ -390,12 +375,6 @@ class RoundEngine {
           static_cast<float>(staleness_total_ / static_cast<double>(folds_));
     }
     if (!barrier_) window_.committed_version = commits_;
-    // Router counters diffed over the window: retries re-sent and, in async
-    // mode, replies from earlier windows that surfaced during it.
-    const comm::TrafficStats traffic = router_.stats() - traffic_at_open_;
-    window_.bytes_broadcast = traffic.broadcast_bytes;
-    window_.bytes_collected = traffic.collected_bytes;
-    window_.serializations = traffic.broadcast_serializations;
     result_.history.push_back(window_);
     log::debug() << algorithm_.name() << " commit " << commits_ << "/"
                  << config_.rounds << ": " << folds_ << " updates ("
@@ -405,19 +384,16 @@ class RoundEngine {
                  << ")";
   }
 
-  // Every request still in flight after the final commit gets its
-  // guaranteed reply before the training stage ends, so no local_update
+  // Every dispatch still in flight after the final commit resolves,
+  // retries included, before the training stage ends, so no local_update
   // overlaps personalization. Slots left unresolved (async: outstanding,
   // or held/failed behind a straggler) are discarded, never folded into a
   // later version; their count is the unresolved window, which is
-  // deterministic. A sync run has none: its final round waited for every
-  // reply before it committed.
+  // deterministic. A sync run has none: its final round resolved every
+  // slot before it committed.
   void drain() {
     const int discarded = next_seq_ - front_;
-    for (; awaiting_ > 0; --awaiting_) {
-      CALIBRE_CHECK_MSG(router_.server_mailbox().pop().has_value(),
-                        "server mailbox closed early");
-    }
+    for (int seq = front_; seq < next_seq_; ++seq) await(slot(seq));
     if (!result_.history.empty()) {
       result_.history.back().late_dropped += discarded;
     }
@@ -439,7 +415,6 @@ class RoundEngine {
   std::vector<int> live_seq_;  // client -> its unresolved seq, or -1
   int next_seq_ = 0;
   int front_ = 0;
-  int awaiting_ = 0;  // requests (retries included) without a reply yet
   int commits_ = 0;
   int consecutive_failures_ = 0;
   std::int64_t now_ = 0;  // the virtual clock (ms) at the front
@@ -449,7 +424,6 @@ class RoundEngine {
 
   // The open commit window.
   RoundStats window_;
-  comm::TrafficStats traffic_at_open_;
   int folds_ = 0;
   int quorum_ = 0;
   double staleness_total_ = 0.0;
@@ -518,45 +492,34 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   // Declared before the router so in-flight handlers can never outlive it.
   UpdateEncoder update_encoder(config);
 
-  comm::Router router(resolve_threads(config));
-  router.set_fault_profiles(fault_profiles(config));
-
   // ONE generic device handler serves the whole population, parameterized
-  // by the client id in Message::receiver — registration cost O(1) instead
-  // of O(clients), and no per-client closures. The handler runs on the
+  // by the client id — no per-client closures. The handler runs on the
   // device pool: materialise the client's shard and SSL pool, deserialize
-  // global -> local update -> reply. Both live on the handler frame, so
-  // per-shard memory is bounded by the pool's thread count, not the
+  // global -> local update -> encoded reply. Both live on the handler frame,
+  // so per-shard memory is bounded by the pool's thread count, not the
   // population.
-  router.register_default_handler([&](const comm::Message& request) {
-    CALIBRE_CHECK(request.type == comm::MessageType::kTrainRequest);
-    const int c = request.receiver;
-    const nn::ModelState global =
-        nn::ModelState::from_bytes(request.payload.bytes());
-    const data::Dataset train = fed.train_shard(c);
-    const tensor::Tensor ssl_pool = fed.client_ssl_pool(c);
-    ClientContext ctx;
-    ctx.client_id = c;
-    ctx.round = request.round;
-    ctx.train = &train;
-    ctx.ssl_pool = &ssl_pool;
-    ctx.oracle = fed.pool_is_latent ? &fed.oracle : nullptr;
-    ctx.seed = derive_seed(config.seed,
-                           static_cast<std::uint64_t>(request.round),
-                           static_cast<std::uint64_t>(c));
-    const ClientUpdate update = algorithm.local_update(global, ctx);
-
-    comm::Message response;
-    response.type = comm::MessageType::kTrainResponse;
-    response.sender = c;
-    response.receiver = comm::kServerEndpoint;
-    response.round = request.round;
-    // delta16/topk16 replies encode against the global exactly as this
-    // client decoded it — the same reference the server derives from its own
-    // broadcast snapshot, so both sides agree bit-for-bit.
-    response.payload = comm::Payload(update_encoder.encode(update, &global, c));
-    router.send(std::move(response));
-  });
+  comm::Router router(
+      resolve_threads(config),
+      [&](int c, int round, const comm::Payload& request) {
+        const nn::ModelState global =
+            nn::ModelState::from_bytes(request.bytes());
+        const data::Dataset train = fed.train_shard(c);
+        const tensor::Tensor ssl_pool = fed.client_ssl_pool(c);
+        ClientContext ctx;
+        ctx.client_id = c;
+        ctx.round = round;
+        ctx.train = &train;
+        ctx.ssl_pool = &ssl_pool;
+        ctx.oracle = fed.pool_is_latent ? &fed.oracle : nullptr;
+        ctx.seed = derive_seed(config.seed, static_cast<std::uint64_t>(round),
+                               static_cast<std::uint64_t>(c));
+        const ClientUpdate update = algorithm.local_update(global, ctx);
+        // delta16/topk16 replies encode against the global exactly as this
+        // client decoded it — the same reference the server derives from its
+        // own broadcast snapshot, so both sides agree bit-for-bit.
+        return comm::Payload(update_encoder.encode(update, &global, c));
+      });
+  router.set_fault_profiles(fault_profiles(config));
 
   // --- Training stage -------------------------------------------------------
   nn::ModelState state = algorithm.initialize();

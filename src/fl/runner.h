@@ -23,8 +23,8 @@ struct RoundStats {
   int round = 0;
   int participants = 0;       // clients that delivered an update
   int dropped = 0;            // sampled clients lost to dropout
-  int failures = 0;           // kTrainError replies (thrown handlers,
-                              // injected faults); includes retried attempts
+  int failures = 0;           // failed attempts (thrown updates, injected
+                              // faults); includes retried attempts
   int retries = 0;            // requests re-sent after a failure
   int timeouts = 0;           // sampled clients whose outcome arrived after
                               // the round's deadline cut (sync only)
@@ -35,9 +35,8 @@ struct RoundStats {
   // deadline cut; an async commit at its fold front's time. 0 without
   // latency.
   std::int64_t virtual_ms = 0;
-  // Logical wire bytes this round, by direction (retry re-sends and, in
-  // async mode, replies from earlier windows that surfaced during this one
-  // are included).
+  // Logical wire bytes of the dispatches that resolved in this window, by
+  // direction (retry re-sends and failure replies included).
   std::uint64_t bytes_broadcast = 0;  // server -> clients
   std::uint64_t bytes_collected = 0;  // clients -> server
   // Distinct broadcast payload buffers serialized this round. The shared

@@ -72,8 +72,9 @@ struct FlConfig {
   // a late-but-quorate round meaningful instead of aggregating nothing;
   // below it the round waits for every reply.
   int min_participants = 1;
-  // Bounded retry: a client whose update fails (kTrainError) is re-sent the
-  // request up to this many times within the same round.
+  // Bounded retry: a client whose update fails (a thrown update or an
+  // injected fault) is re-sent the request up to this many times, inside
+  // the same dispatch.
   int max_client_retries = 0;
   // Fault injection (comm::FaultConfig): probability that a dispatched
   // client update fails, and per-dispatch latency in [0, fault_latency_ms]

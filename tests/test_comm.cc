@@ -1,11 +1,9 @@
-// Tests for the communication substrate: serde, mailbox semantics under
-// concurrency, and the router.
+// Tests for the communication substrate: serde, payloads, codecs, and the
+// router's dispatches under concurrency.
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <future>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "comm/codec.h"
-#include "comm/mailbox.h"
 #include "comm/router.h"
 #include "comm/serde.h"
 #include "common/check.h"
@@ -30,20 +27,19 @@
 namespace calibre::comm {
 namespace {
 
-// Pops the next message, or nullopt once `timeout` passes without one: a
-// router test that loses a reply fails instead of hanging the suite.
-std::optional<Message> pop_within(
-    Mailbox& mailbox,
+// The handler of most router tests: replies with the request's buffer.
+Payload echo(int, int, const Payload& request) { return request; }
+
+// Waits for a dispatch's outcome, or nullopt once `timeout` passes without
+// one: a router test that loses an outcome fails instead of hanging the
+// suite.
+std::optional<Outcome> resolve_within(
+    std::future<Outcome>& pending,
     std::chrono::milliseconds timeout = std::chrono::seconds(30)) {
-  const auto give_up = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    std::optional<Message> message = mailbox.try_pop();
-    if (message.has_value() ||
-        std::chrono::steady_clock::now() >= give_up) {
-      return message;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (pending.wait_for(timeout) != std::future_status::ready) {
+    return std::nullopt;
   }
+  return pending.get();
 }
 
 TEST(Serde, ScalarRoundTrip) {
@@ -136,219 +132,141 @@ TEST(Serde, CorruptPayloadRoundTrip) {
   EXPECT_THROW(reader.read_f32_vector(), CheckError);
 }
 
-TEST(Mailbox, FifoOrder) {
-  Mailbox mailbox;
-  for (int i = 0; i < 5; ++i) {
-    Message message;
-    message.round = i;
-    mailbox.push(std::move(message));
-  }
-  for (int i = 0; i < 5; ++i) {
-    const auto message = mailbox.pop();
-    ASSERT_TRUE(message.has_value());
-    EXPECT_EQ(message->round, i);
-  }
-  EXPECT_EQ(mailbox.size(), 0u);
-}
-
-TEST(Mailbox, TryPopOnEmpty) {
-  Mailbox mailbox;
-  EXPECT_FALSE(mailbox.try_pop().has_value());
-}
-
-TEST(Mailbox, CloseDrainsAndStops) {
-  Mailbox mailbox;
-  mailbox.push(Message{});
-  mailbox.close();
-  EXPECT_TRUE(mailbox.pop().has_value());   // drains remaining
-  EXPECT_FALSE(mailbox.pop().has_value());  // then signals closed
-  EXPECT_THROW(mailbox.push(Message{}), std::runtime_error);
-}
-
-TEST(Mailbox, TryPopDistinguishesClosedFromEmpty) {
-  Mailbox mailbox;
-  EXPECT_FALSE(mailbox.try_pop().has_value());
-  EXPECT_FALSE(mailbox.closed());  // momentarily empty
-  mailbox.push(Message{});
-  mailbox.close();
-  EXPECT_TRUE(mailbox.try_pop().has_value());   // close still drains
-  EXPECT_FALSE(mailbox.try_pop().has_value());
-  EXPECT_TRUE(mailbox.closed());  // closed and drained: shutdown
-}
-
-TEST(Mailbox, ConcurrentProducersConsumersLoseNothing) {
-  Mailbox mailbox(64);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 250;
-  std::atomic<int> consumed{0};
-  std::set<int> seen;
-  std::mutex seen_mutex;
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        const auto message = mailbox.pop();
-        if (!message.has_value()) return;
-        {
-          std::lock_guard<std::mutex> lock(seen_mutex);
-          EXPECT_TRUE(seen.insert(message->round).second)
-              << "duplicate message " << message->round;
-        }
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        Message message;
-        message.round = p * kPerProducer + i;
-        mailbox.push(std::move(message));
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  mailbox.close();
-  for (auto& consumer : consumers) consumer.join();
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
+// Every client endpoint (id >= 0) is served by the one device handler; a
+// negative id names no endpoint.
+TEST(Router, UnknownEndpointThrows) {
+  Router router(1, echo);
+  EXPECT_THROW(router.dispatch(-1, 0, Payload()), CheckError);
 }
 
 TEST(Router, RoutesToHandlerAndBack) {
-  Router router(2);
-  router.register_endpoint(3, [&](const Message& request) {
-    Message response;
-    response.type = MessageType::kTrainResponse;
-    response.sender = 3;
-    response.receiver = kServerEndpoint;
-    response.round = request.round + 100;
-    router.send(std::move(response));
+  Router router(2, [](int client, int round, const Payload& request) {
+    Writer writer;
+    writer.write_u32(static_cast<std::uint32_t>(client));
+    writer.write_u32(static_cast<std::uint32_t>(round + 100));
+    writer.write_u64(request.size());
+    return Payload(writer.take());
   });
-  Message request;
-  request.receiver = 3;
-  request.round = 7;
-  router.send(std::move(request));
-  const auto response = router.server_mailbox().pop();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->round, 107);
-  EXPECT_EQ(response->sender, 3);
+  std::future<Outcome> pending =
+      router.dispatch(3, 7, Payload(std::vector<std::uint8_t>(5, 1)));
+  const std::optional<Outcome> outcome = resolve_within(pending);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->ok);
+  Reader reader(outcome->reply.bytes());
+  EXPECT_EQ(reader.read_u32(), 3u);
+  EXPECT_EQ(reader.read_u32(), 107u);
+  EXPECT_EQ(reader.read_u64(), 5u);
+  EXPECT_EQ(outcome->delays_ms, std::vector<int>{0});  // one attempt
   const TrafficStats stats = router.stats();
   EXPECT_EQ(stats.messages, 2u);
-  EXPECT_GT(stats.logical_bytes, 0u);
-}
-
-TEST(Router, UnknownEndpointThrows) {
-  Router router(1);
-  Message message;
-  message.receiver = 42;
-  EXPECT_THROW(router.send(std::move(message)), CheckError);
-}
-
-TEST(Router, DuplicateRegistrationThrows) {
-  Router router(1);
-  router.register_endpoint(1, [](const Message&) {});
-  EXPECT_THROW(router.register_endpoint(1, [](const Message&) {}),
-               CheckError);
-  EXPECT_THROW(router.register_endpoint(kServerEndpoint,
-                                        [](const Message&) {}),
-               CheckError);
+  EXPECT_EQ(stats.broadcast_bytes, 5 + kHeaderBytes);
+  EXPECT_EQ(stats.collected_bytes, outcome->reply.size() + kHeaderBytes);
 }
 
 // Regression for the silent client-failure deadlock: a handler that throws
-// used to vanish into an abandoned future, leaving the server blocked in
-// pop() forever. It must now produce a kTrainError reply carrying the
-// exception text. Bounded by pop_within so a regression fails instead of
-// hanging the suite.
+// used to vanish into an abandoned future, leaving the server blocked
+// forever. Its dispatch must now resolve as a failure carrying the
+// exception text, and the error reply still counts as collected traffic (a
+// serde string: u32 length + text).
 TEST(Router, ThrowingHandlerRepliesWithTrainError) {
-  Router router(2);
-  router.register_endpoint(5, [](const Message&) {
+  Router router(2, [](int, int, const Payload&) -> Payload {
     throw std::runtime_error("boom");
   });
-  Message request;
-  request.receiver = 5;
-  request.round = 3;
-  router.send(std::move(request));
-  const auto reply = pop_within(router.server_mailbox());
-  ASSERT_TRUE(reply.has_value()) << "error reply never arrived (deadlock bug)";
-  EXPECT_EQ(reply->type, MessageType::kTrainError);
-  EXPECT_EQ(reply->sender, 5);
-  EXPECT_EQ(reply->round, 3);
-  EXPECT_EQ(Router::error_text(*reply), "boom");
+  std::future<Outcome> pending = router.dispatch(5, 3, Payload());
+  const std::optional<Outcome> outcome = resolve_within(pending);
+  ASSERT_TRUE(outcome.has_value()) << "dispatch never resolved (deadlock bug)";
+  EXPECT_FALSE(outcome->ok);
+  EXPECT_EQ(outcome->error, "boom");
+  EXPECT_TRUE(outcome->reply.empty());
+  EXPECT_EQ(outcome->traffic.collected_bytes, 4 + 4 + kHeaderBytes);
+  EXPECT_EQ(outcome->traffic.collect_serializations, 1u);
 }
 
 TEST(Router, NonStdExceptionAlsoRepliesWithTrainError) {
-  Router router(1);
-  router.register_endpoint(0, [](const Message&) { throw 42; });
-  Message request;
-  request.receiver = 0;
-  router.send(std::move(request));
-  const auto reply = pop_within(router.server_mailbox());
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, MessageType::kTrainError);
-  EXPECT_EQ(Router::error_text(*reply), "unknown error");
+  Router router(1, [](int, int, const Payload&) -> Payload { throw 42; });
+  std::future<Outcome> pending = router.dispatch(0, 0, Payload());
+  const std::optional<Outcome> outcome = resolve_within(pending);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok);
+  EXPECT_EQ(outcome->error, "unknown error");
+}
+
+// A failed attempt is retried inside the dispatch until the budget runs
+// out; each retry re-sends the shared request and counts a failure reply.
+TEST(Router, FailedAttemptsRetryInsideTheDispatch) {
+  std::atomic<int> calls{0};
+  Router router(2, [&](int, int, const Payload& request) {
+    if (calls.fetch_add(1) % 3 != 2) throw std::runtime_error("flaky");
+    return request;
+  });
+  const Payload request(std::vector<std::uint8_t>(10, 7));
+  std::future<Outcome> exhausted = router.dispatch(0, 0, request, 1);
+  const std::optional<Outcome> failed = resolve_within(exhausted);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_FALSE(failed->ok);
+  EXPECT_EQ(failed->error, "flaky");
+  EXPECT_EQ(failed->delays_ms.size(), 2u);
+  std::future<Outcome> recovered = router.dispatch(0, 1, request, 5);
+  const std::optional<Outcome> ok = resolve_within(recovered);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(ok->ok);
+  EXPECT_EQ(ok->delays_ms.size(), 1u) << "the third call succeeds at once";
+  EXPECT_EQ(calls.load(), 3);
+  // Two requests and two error replies, then one request and its reply.
+  EXPECT_EQ(failed->traffic.messages, 4u);
+  EXPECT_EQ(failed->traffic.broadcast_bytes, 2 * (10 + kHeaderBytes));
+  EXPECT_EQ(failed->traffic.broadcast_serializations, 1u);
+  EXPECT_EQ(ok->traffic.messages, 2u);
+  EXPECT_EQ(ok->traffic.broadcast_serializations, 0u) << "already sent once";
 }
 
 TEST(Router, FaultInjectionRateOneFailsEveryDispatch) {
-  Router router(2);
   std::atomic<int> handler_runs{0};
-  for (int e = 0; e < 4; ++e) {
-    router.register_endpoint(e, [&](const Message&) { ++handler_runs; });
-  }
+  Router router(2, [&](int, int, const Payload& request) {
+    ++handler_runs;
+    return request;
+  });
   FaultConfig fault;
   fault.failure_rate = 1.0f;
   fault.seed = 17;
   router.set_fault_profiles({fault});
-  for (int e = 0; e < 4; ++e) {
-    Message request;
-    request.receiver = e;
-    router.send(std::move(request));
-  }
-  for (int i = 0; i < 4; ++i) {
-    const auto reply =
-        pop_within(router.server_mailbox());
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->type, MessageType::kTrainError);
-    EXPECT_EQ(Router::error_text(*reply), "injected handler fault");
+  std::vector<std::future<Outcome>> pending;
+  for (int e = 0; e < 4; ++e) pending.push_back(router.dispatch(e, 0, {}, 2));
+  for (std::future<Outcome>& dispatch : pending) {
+    const std::optional<Outcome> outcome = resolve_within(dispatch);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_FALSE(outcome->ok);
+    EXPECT_EQ(outcome->error, "injected handler fault");
+    EXPECT_EQ(outcome->delays_ms.size(), 3u) << "every retry failed too";
   }
   EXPECT_EQ(handler_runs.load(), 0);
 }
 
 TEST(Router, FaultInjectionIsDeterministicPerSeed) {
-  // Same seed => identical (sender, round, outcome) set; the decision is a
-  // pure function of the fault stream, independent of pool interleaving.
+  // Same seed => identical (client, round, attempts, outcome) records; the
+  // dice are a pure function of the fault stream, independent of pool
+  // interleaving, as long as one endpoint's dispatches do not overlap:
+  // every round below resolves before the next one is dispatched.
   auto run = [](std::uint64_t seed) {
-    Router router(3);
-    for (int e = 0; e < 6; ++e) {
-      router.register_endpoint(e, [&router, e](const Message& request) {
-        Message response;
-        response.type = MessageType::kTrainResponse;
-        response.sender = e;
-        response.receiver = kServerEndpoint;
-        response.round = request.round;
-        router.send(std::move(response));
-      });
-    }
+    Router router(3, echo);
     FaultConfig fault;
     fault.failure_rate = 0.5f;
     fault.seed = seed;
     router.set_fault_profiles({fault});
+    std::vector<std::tuple<int, int, std::size_t, bool>> outcomes;
     for (int round = 0; round < 4; ++round) {
+      std::vector<std::future<Outcome>> pending;
       for (int e = 0; e < 6; ++e) {
-        Message request;
-        request.receiver = e;
-        request.round = round;
-        router.send(std::move(request));
+        pending.push_back(router.dispatch(e, round, {}, 1));
       }
-    }
-    std::set<std::tuple<int, int, bool>> outcomes;
-    for (int i = 0; i < 24; ++i) {
-      const auto reply =
-          pop_within(router.server_mailbox());
-      EXPECT_TRUE(reply.has_value());
-      if (!reply.has_value()) break;
-      outcomes.emplace(reply->sender, reply->round,
-                       reply->type == MessageType::kTrainError);
+      for (int e = 0; e < 6; ++e) {
+        const std::optional<Outcome> outcome =
+            resolve_within(pending[static_cast<std::size_t>(e)]);
+        EXPECT_TRUE(outcome.has_value());
+        if (!outcome.has_value()) return outcomes;
+        outcomes.emplace_back(e, round, outcome->delays_ms.size(),
+                              outcome->ok);
+      }
     }
     return outcomes;
   };
@@ -356,42 +274,41 @@ TEST(Router, FaultInjectionIsDeterministicPerSeed) {
   const auto second = run(99);
   EXPECT_EQ(first, second);
   int failures = 0;
-  for (const auto& [sender, round, failed] : first) failures += failed ? 1 : 0;
-  EXPECT_GT(failures, 0);   // p = 0.5 over 24 draws
+  int retried = 0;
+  for (const auto& [client, round, attempts, ok] : first) {
+    failures += ok ? 0 : 1;
+    retried += attempts > 1 ? 1 : 0;
+  }
+  EXPECT_GT(retried, 0);  // p = 0.5 over 24 first attempts
+  EXPECT_GT(failures, 0);
   EXPECT_LT(failures, 24);
 }
 
 TEST(Router, ManyConcurrentRequests) {
-  Router router(4);
+  Router router(4, [](int client, int round, const Payload&) {
+    Writer writer;
+    writer.write_u32(static_cast<std::uint32_t>(client));
+    writer.write_u32(static_cast<std::uint32_t>(round));
+    return Payload(writer.take());
+  });
   constexpr int kEndpoints = 8;
   constexpr int kRequestsEach = 20;
-  for (int e = 0; e < kEndpoints; ++e) {
-    router.register_endpoint(e, [&, e](const Message& request) {
-      Message response;
-      response.type = MessageType::kTrainResponse;
-      response.sender = e;
-      response.receiver = kServerEndpoint;
-      response.round = request.round;
-      router.send(std::move(response));
-    });
-  }
+  std::vector<std::future<Outcome>> pending;
   for (int i = 0; i < kRequestsEach; ++i) {
     for (int e = 0; e < kEndpoints; ++e) {
-      Message request;
-      request.receiver = e;
-      request.round = i;
-      router.send(std::move(request));
+      pending.push_back(router.dispatch(e, i, {}));
     }
   }
-  std::vector<int> per_endpoint(kEndpoints, 0);
-  for (int i = 0; i < kEndpoints * kRequestsEach; ++i) {
-    const auto response = router.server_mailbox().pop();
-    ASSERT_TRUE(response.has_value());
-    ++per_endpoint[static_cast<std::size_t>(response->sender)];
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    const std::optional<Outcome> outcome = resolve_within(pending[k]);
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_TRUE(outcome->ok);
+    Reader reader(outcome->reply.bytes());
+    EXPECT_EQ(reader.read_u32(), k % kEndpoints);
+    EXPECT_EQ(reader.read_u32(), k / kEndpoints);
   }
-  for (const int count : per_endpoint) {
-    EXPECT_EQ(count, kRequestsEach);
-  }
+  EXPECT_EQ(router.stats().messages,
+            2u * static_cast<std::uint64_t>(kEndpoints * kRequestsEach));
 }
 
 // --- Payload: shared immutable broadcast buffers ---------------------------
@@ -430,15 +347,25 @@ TEST(Payload, MarkTransmittedLatchesOncePerBuffer) {
 }
 
 TEST(Message, HeaderBytesDeriveFromActualFields) {
-  // The header cost used by traffic accounting must track the real fields.
-  Message message;
-  EXPECT_EQ(Message::kHeaderBytes, sizeof(message.type) +
-                                       sizeof(message.sender) +
-                                       sizeof(message.receiver) +
-                                       sizeof(message.round));
-  EXPECT_EQ(message.wire_size(), Message::kHeaderBytes);  // empty payload
-  message.payload = std::vector<std::uint8_t>(17, 0xAB);
-  EXPECT_EQ(message.wire_size(), Message::kHeaderBytes + 17u);
+  // The header cost used by traffic accounting must track the wire header:
+  // a type tag plus the sender, receiver and round fields.
+  struct WireHeader {
+    std::uint8_t type;
+    std::int32_t sender;
+    std::int32_t receiver;
+    std::int32_t round;
+  };
+  EXPECT_EQ(kHeaderBytes, sizeof(WireHeader::type) +
+                              sizeof(WireHeader::sender) +
+                              sizeof(WireHeader::receiver) +
+                              sizeof(WireHeader::round));
+  // Every message pays it on top of its payload, an empty one included.
+  Router router(1, [](int, int, const Payload&) { return Payload(); });
+  std::future<Outcome> pending =
+      router.dispatch(0, 0, Payload(std::vector<std::uint8_t>(17, 0xAB)));
+  ASSERT_TRUE(resolve_within(pending).has_value());
+  EXPECT_EQ(router.stats().broadcast_bytes, kHeaderBytes + 17u);
+  EXPECT_EQ(router.stats().collected_bytes, kHeaderBytes);
 }
 
 // --- Codec: binary16 conversion --------------------------------------------
@@ -1425,85 +1352,94 @@ TEST(UpdateWire, TruncationFuzzNewCodecs) {
 // --- Router: shared-payload accounting and concurrent reads -----------------
 
 TEST(Router, SharedBroadcastCountsPhysicalBytesOnce) {
-  Router router(2);
+  Router router(2, [](int, int, const Payload&) { return Payload(); });
   constexpr int kClients = 8;
-  for (int e = 0; e < kClients; ++e) {
-    router.register_endpoint(e, [](const Message&) {});
-  }
   const Payload snapshot{std::vector<std::uint8_t>(1000, 0x5A)};
+  std::vector<std::future<Outcome>> pending;
   for (int e = 0; e < kClients; ++e) {
-    Message request;
-    request.receiver = e;
-    request.payload = snapshot;  // refcount bump, same buffer
-    router.send(std::move(request));
+    pending.push_back(router.dispatch(e, 0, snapshot));  // same buffer
   }
+  std::vector<Outcome> outcomes;
+  for (std::future<Outcome>& dispatch : pending) {
+    std::optional<Outcome> outcome = resolve_within(dispatch);
+    ASSERT_TRUE(outcome.has_value());
+    outcomes.push_back(std::move(*outcome));
+  }
+  const auto k = static_cast<std::uint64_t>(kClients);
   const TrafficStats stats = router.stats();
-  EXPECT_EQ(stats.messages, static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(stats.logical_bytes,
-            static_cast<std::uint64_t>(kClients) *
-                (1000 + Message::kHeaderBytes));
+  EXPECT_EQ(stats.messages, 2 * k);  // requests and their empty replies
+  EXPECT_EQ(stats.broadcast_bytes, k * (1000 + kHeaderBytes));
+  EXPECT_EQ(stats.collected_bytes, k * kHeaderBytes);
+  EXPECT_EQ(stats.logical_bytes, stats.broadcast_bytes + stats.collected_bytes);
   // Payload bytes hit the wire once; later sends cost only the header.
-  EXPECT_EQ(stats.physical_bytes,
-            1000 + static_cast<std::uint64_t>(kClients) * Message::kHeaderBytes);
+  EXPECT_EQ(stats.physical_bytes, 1000 + 2 * k * kHeaderBytes);
   EXPECT_EQ(stats.broadcast_serializations, 1u);
   EXPECT_EQ(stats.collect_serializations, 0u);
-  EXPECT_EQ(stats.broadcast_bytes, stats.logical_bytes);
-  EXPECT_EQ(stats.collected_bytes, 0u);
+  // The first dispatch sent the buffer: requests are counted on the
+  // caller's thread, in dispatch order.
+  EXPECT_EQ(outcomes.front().traffic.broadcast_serializations, 1u);
 }
 
-TEST(Router, TrafficStatsDifferenceIsComponentWise) {
-  Router router(1);
-  router.register_endpoint(0, [](const Message&) {});
-  Message first;
-  first.receiver = 0;
-  first.payload = std::vector<std::uint8_t>(100, 1);
-  router.send(std::move(first));
-  const TrafficStats before = router.stats();
-  Message second;
-  second.receiver = 0;
-  second.payload = std::vector<std::uint8_t>(60, 2);
-  router.send(std::move(second));
-  const TrafficStats delta = router.stats() - before;
-  EXPECT_EQ(delta.messages, 1u);
-  EXPECT_EQ(delta.logical_bytes, 60 + Message::kHeaderBytes);
-  EXPECT_EQ(delta.physical_bytes, 60 + Message::kHeaderBytes);
-  EXPECT_EQ(delta.broadcast_serializations, 1u);
+// Each outcome carries its dispatch's share of the traffic: the shares are
+// component-wise parts of the router's totals.
+TEST(Router, DispatchTrafficSharesSumToTheTotals) {
+  Router router(2, echo);
+  FaultConfig fault;
+  fault.failure_rate = 0.5f;
+  fault.seed = 3;
+  router.set_fault_profiles({fault});
+  TrafficStats sum;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::future<Outcome>> pending;
+    for (int e = 0; e < 5; ++e) {
+      pending.push_back(router.dispatch(
+          e, round, Payload(std::vector<std::uint8_t>(10 + e, 1)), 1));
+    }
+    for (std::future<Outcome>& dispatch : pending) {
+      const std::optional<Outcome> outcome = resolve_within(dispatch);
+      ASSERT_TRUE(outcome.has_value());
+      sum += outcome->traffic;
+    }
+  }
+  const TrafficStats totals = router.stats();
+  EXPECT_EQ(sum.messages, totals.messages);
+  EXPECT_EQ(sum.logical_bytes, totals.logical_bytes);
+  EXPECT_EQ(sum.physical_bytes, totals.physical_bytes);
+  EXPECT_EQ(sum.broadcast_bytes, totals.broadcast_bytes);
+  EXPECT_EQ(sum.collected_bytes, totals.collected_bytes);
+  EXPECT_EQ(sum.broadcast_serializations, totals.broadcast_serializations);
+  EXPECT_EQ(sum.collect_serializations, totals.collect_serializations);
+  EXPECT_EQ(totals.broadcast_serializations, 20u);
+  EXPECT_GT(totals.messages, 40u) << "p = 0.5 retries some dispatches";
 }
 
 TEST(Router, ConcurrentHandlersReadOneSharedBufferSafely) {
   // The zero-copy contract: many pool threads read the same immutable buffer
   // concurrently with no synchronization beyond the refcount. Run under TSan
   // via calibre_concurrency_tests.
-  Router router(4);
+  Router router(4, [](int, int, const Payload& request) {
+    std::uint64_t sum = 0;
+    for (const std::uint8_t b : request.bytes()) sum += b;
+    Writer writer;
+    writer.write_u64(sum);
+    return Payload(writer.take());
+  });
   constexpr int kClients = 16;
   const std::vector<std::uint8_t> blob(4096, 0x3C);
   std::uint64_t expected_sum = 0;
   for (const std::uint8_t b : blob) expected_sum += b;
-  for (int e = 0; e < kClients; ++e) {
-    router.register_endpoint(e, [&router, e](const Message& request) {
-      std::uint64_t sum = 0;
-      for (const std::uint8_t b : request.payload.bytes()) sum += b;
-      Message response;
-      response.type = MessageType::kTrainResponse;
-      response.sender = e;
-      response.receiver = kServerEndpoint;
-      response.round = static_cast<int>(sum & 0x7FFFFFFF);
-      router.send(std::move(response));
-    });
-  }
   const Payload snapshot{std::vector<std::uint8_t>(blob)};
+  std::vector<std::future<Outcome>> pending;
   for (int e = 0; e < kClients; ++e) {
-    Message request;
-    request.receiver = e;
-    request.payload = snapshot;
-    router.send(std::move(request));
+    pending.push_back(router.dispatch(e, 0, snapshot));
   }
-  for (int i = 0; i < kClients; ++i) {
-    const auto response =
-        pop_within(router.server_mailbox(), std::chrono::seconds(60));
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(static_cast<std::uint64_t>(response->round),
-              expected_sum & 0x7FFFFFFF);
+  for (std::future<Outcome>& dispatch : pending) {
+    const std::optional<Outcome> outcome =
+        resolve_within(dispatch, std::chrono::seconds(60));
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_TRUE(outcome->ok);
+    Reader reader(outcome->reply.bytes());
+    EXPECT_EQ(reader.read_u64(), expected_sum);
   }
   EXPECT_EQ(router.stats().broadcast_serializations, 1u);
 }
@@ -1511,18 +1447,11 @@ TEST(Router, ConcurrentHandlersReadOneSharedBufferSafely) {
 // --- heterogeneous device classes + availability schedule -------------------
 
 TEST(Router, FaultProfilesRouteByDeviceClass) {
-  Router router(2);
   std::atomic<int> handler_runs{0};
-  for (int e = 0; e < 6; ++e) {
-    router.register_endpoint(e, [&router, &handler_runs, e](const Message&) {
-      ++handler_runs;
-      Message response;
-      response.type = MessageType::kTrainResponse;
-      response.sender = e;
-      response.receiver = kServerEndpoint;
-      router.send(std::move(response));
-    });
-  }
+  Router router(2, [&](int, int, const Payload& request) {
+    ++handler_runs;
+    return request;
+  });
   FaultConfig broken;
   broken.failure_rate = 1.0f;
   broken.seed = 9;
@@ -1530,79 +1459,53 @@ TEST(Router, FaultProfilesRouteByDeviceClass) {
   healthy.seed = 9;
   // Even endpoints are class 0 (always fail), odd ones class 1 (never).
   router.set_fault_profiles({broken, healthy});
+  std::vector<std::future<Outcome>> pending;
+  for (int e = 0; e < 6; ++e) pending.push_back(router.dispatch(e, 0, {}));
   for (int e = 0; e < 6; ++e) {
-    Message request;
-    request.receiver = e;
-    router.send(std::move(request));
+    const std::optional<Outcome> outcome =
+        resolve_within(pending[static_cast<std::size_t>(e)]);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->ok, e % 2 == 1) << "endpoint " << e;
   }
-  int errors = 0;
-  for (int i = 0; i < 6; ++i) {
-    const auto reply =
-        pop_within(router.server_mailbox());
-    ASSERT_TRUE(reply.has_value());
-    if (reply->type == MessageType::kTrainError) {
-      EXPECT_EQ(reply->sender % 2, 0) << "healthy class produced an error";
-      ++errors;
-    } else {
-      EXPECT_EQ(reply->sender % 2, 1);
-    }
-  }
-  EXPECT_EQ(errors, 3);
   EXPECT_EQ(handler_runs.load(), 3);
 }
 
 TEST(Router, AvailabilityScheduleIsOfflineForWholeRounds) {
   // duty 0.5 over a 2-round period: every endpoint alternates online /
-  // offline with a per-endpoint phase. Offline dispatches fail before the
+  // offline with a per-endpoint phase. Offline attempts fail before the
   // handler with the dedicated error text, and a retry in the same round
   // keeps failing — the schedule ignores the attempt counter on purpose.
-  Router router(2);
   std::atomic<int> handler_runs{0};
-  router.register_endpoint(7, [&router, &handler_runs](const Message& m) {
+  Router router(2, [&](int, int, const Payload& request) {
     ++handler_runs;
-    Message response;
-    response.type = MessageType::kTrainResponse;
-    response.sender = 7;
-    response.receiver = kServerEndpoint;
-    response.round = m.round;
-    router.send(std::move(response));
+    return request;
   });
   FaultConfig fault;
   fault.seed = 33;
   fault.duty_cycle = 0.5f;
   fault.period_rounds = 2;
   router.set_fault_profiles({fault});
-  std::vector<bool> online_by_round;
+  int online_rounds = 0;
   for (int round = 0; round < 6; ++round) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      Message request;
-      request.receiver = 7;
-      request.round = round;
-      router.send(std::move(request));
-      const auto reply =
-          pop_within(router.server_mailbox());
-      ASSERT_TRUE(reply.has_value());
-      const bool online = reply->type == MessageType::kTrainResponse;
-      if (!online) {
-        EXPECT_EQ(Router::error_text(*reply), kOfflineErrorText);
-      }
-      if (attempt == 0) {
-        online_by_round.push_back(online);
-      } else {
-        EXPECT_EQ(online, online_by_round.back())
-            << "round " << round << ": availability flipped between attempts";
-      }
+    std::future<Outcome> pending = router.dispatch(7, round, {}, 1);
+    const std::optional<Outcome> outcome = resolve_within(pending);
+    ASSERT_TRUE(outcome.has_value());
+    if (outcome->ok) {
+      ++online_rounds;
+      EXPECT_EQ(outcome->delays_ms.size(), 1u);
+    } else {
+      EXPECT_EQ(outcome->error, kOfflineErrorText);
+      EXPECT_EQ(outcome->delays_ms.size(), 2u)
+          << "round " << round << ": the retry found the device online";
     }
   }
   // duty 0.5, period 2: exactly one online round per period, so 3 of 6.
-  int online_rounds = 0;
-  for (const bool online : online_by_round) online_rounds += online ? 1 : 0;
   EXPECT_EQ(online_rounds, 3);
-  EXPECT_EQ(handler_runs.load(), 2 * online_rounds);
+  EXPECT_EQ(handler_runs.load(), online_rounds);
 }
 
 TEST(Router, RejectsInvalidFaultConfigs) {
-  Router router(1);
+  Router router(1, echo);
   FaultConfig fault;
   fault.failure_rate = 1.5f;
   EXPECT_THROW(router.set_fault_profiles({fault}), CheckError);
@@ -1616,38 +1519,33 @@ TEST(Router, RejectsInvalidFaultConfigs) {
   EXPECT_THROW(router.set_fault_profiles({}), CheckError);
 }
 
-// Injected latency is virtual: send() runs the dispatch at once and returns
-// its seeded delay for the caller's clock. With ONE pool thread and a 300 ms
-// cap, eight sends therefore all reply at once, where delays slept on the
-// pool (or even waited out concurrently) would take at least the largest.
+// Injected latency is virtual: every attempt runs at once and the outcome
+// reports its seeded delay for the caller's clock. With ONE pool thread and
+// a 300 ms cap, eight dispatches therefore all resolve at once, where delays
+// slept on the pool (or even waited out concurrently) would take at least
+// the largest.
 TEST(Router, InjectedLatencyDoesNotSerializeOnPoolWorkers) {
-  Router router(1);
+  Router router(1, echo);
   constexpr int kDispatches = 8;
-  router.register_endpoint(0, [&router](const Message& m) {
-    Message response;
-    response.type = MessageType::kTrainResponse;
-    response.sender = 0;
-    response.receiver = kServerEndpoint;
-    response.round = m.round;
-    router.send(std::move(response));
-  });
   FaultConfig fault;
   fault.latency_ms = 300;
   fault.seed = 5;
   router.set_fault_profiles({fault});
   const auto start = std::chrono::steady_clock::now();
-  std::vector<int> delays;
+  std::vector<std::future<Outcome>> pending;
   for (int i = 0; i < kDispatches; ++i) {
-    Message request;
-    request.receiver = 0;
-    request.round = i;
-    delays.push_back(router.send(std::move(request)));
+    pending.push_back(router.dispatch(0, i, {}));
   }
-  for (int i = 0; i < kDispatches; ++i) {
-    ASSERT_TRUE(pop_within(router.server_mailbox()).has_value());
+  std::vector<int> delays;
+  for (std::future<Outcome>& dispatch : pending) {
+    const std::optional<Outcome> outcome = resolve_within(dispatch);
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_EQ(outcome->delays_ms.size(), 1u);
+    delays.push_back(outcome->delays_ms.front());
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  // The i-th send is endpoint 0's i-th dispatch (attempt i) of round i.
+  // The one worker runs the dispatches in order: the i-th is endpoint 0's
+  // i-th attempt (attempt i) of round i.
   for (int i = 0; i < kDispatches; ++i) {
     EXPECT_EQ(delays[static_cast<std::size_t>(i)],
               injected_delay_ms(fault, 0, i, static_cast<std::uint64_t>(i)))

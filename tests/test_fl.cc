@@ -26,7 +26,6 @@
 #include "autograd/variable.h"
 #include "algos/scaffold.h"
 #include "comm/codec.h"
-#include "comm/message.h"
 #include "common/check.h"
 #include "flapi/algorithm.h"
 #include "fl/update_codec.h"
@@ -670,7 +669,7 @@ TEST(RunnerFaults, InjectedFaultsAreDeterministicAcrossRuns) {
 }
 
 // Aggregation must not depend on reply arrival order: float summation is
-// order-sensitive, so aggregating whatever the mailbox yields first made
+// order-sensitive, so aggregating whatever finishes first made
 // multi-threaded runs drift with thread scheduling. Clients stamp their id
 // into the update's scalar side channel, the aggregator records the order it
 // folds them in, and injected per-dispatch latency scrambles arrivals — the
@@ -767,7 +766,7 @@ TEST(RunnerTraffic, OneBroadcastSerializationPerRoundRegardlessOfClients) {
     ASSERT_EQ(result.history.size(), 3u);
     // Toy state is 2 floats: magic(4) + count(8) + 2*f32(8) = 20 payload
     // bytes, shared by every request of the round.
-    const std::uint64_t request_wire = 20 + comm::Message::kHeaderBytes;
+    const std::uint64_t request_wire = 20 + comm::kHeaderBytes;
     for (const RoundStats& round : result.history) {
       EXPECT_EQ(round.serializations, 1u)
           << clients << " clients must share one snapshot";
@@ -800,7 +799,7 @@ TEST(RunnerTraffic, RetryResendSharesTheRoundSnapshot) {
   // The retry re-send rides the same buffer: still one serialization, and
   // the extra send shows up in the round's logical broadcast bytes.
   EXPECT_EQ(result.history[0].serializations, 1u);
-  const std::uint64_t request_wire = 20 + comm::Message::kHeaderBytes;
+  const std::uint64_t request_wire = 20 + comm::kHeaderBytes;
   EXPECT_EQ(result.history[0].bytes_broadcast,
             static_cast<std::uint64_t>(clients + 1) * request_wire);
 }
@@ -2058,20 +2057,11 @@ TEST(AsyncAggregation, DeterministicAcrossThreadCountsUnderChurn) {
     const RunResult other = run(threads);
     EXPECT_EQ(other.final_state.values(), reference.final_state.values())
         << "threads=" << threads;
-    ASSERT_EQ(other.history.size(), reference.history.size());
-    for (std::size_t i = 0; i < reference.history.size(); ++i) {
-      const RoundStats& a = reference.history[i];
-      const RoundStats& b = other.history[i];
-      EXPECT_EQ(b.participants, a.participants) << "commit " << i;
-      EXPECT_EQ(b.failures, a.failures) << "commit " << i;
-      EXPECT_EQ(b.retries, a.retries) << "commit " << i;
-      EXPECT_EQ(b.late_dropped, a.late_dropped) << "commit " << i;
-      EXPECT_EQ(b.committed_version, a.committed_version) << "commit " << i;
-      EXPECT_FLOAT_EQ(b.staleness_mean, a.staleness_mean) << "commit " << i;
-      EXPECT_EQ(b.staleness_max, a.staleness_max) << "commit " << i;
-      EXPECT_FLOAT_EQ(b.mean_update_norm, a.mean_update_norm)
-          << "commit " << i;
-    }
+    // Every column, the byte columns included: a slot's traffic is
+    // credited to the window it resolves in, not the one its bytes
+    // happened to cross the router in.
+    EXPECT_EQ(all_columns(other), all_columns(reference))
+        << "threads=" << threads;
   }
 }
 
@@ -2107,6 +2097,129 @@ TEST(AsyncAggregation, StragglersDrainWithoutFoldingIntoLaterVersions) {
   }
 }
 
+// An async slot that fails is retried inside its dispatch, so its retry's
+// local_update runs whether the final commit comes before or after the
+// failure. The probe counts each client's completed updates and reports the
+// count as its personalized accuracy. The first update to start is slow and
+// succeeds; every other client's first attempt throws at once. With one
+// buffered fold, the slow update's fold is the final commit, so a retry
+// sent only once the server saw the failure would run only when the
+// failure reached the server first: at 8 threads, but never at 1, whose
+// one worker runs the slow update first.
+class RetryCountingAlgorithm : public ToyAlgorithm {
+ public:
+  RetryCountingAlgorithm(const FlConfig& config, int clients)
+      : ToyAlgorithm(config), started_(clients), completed_(clients) {}
+  ClientUpdate local_update(const nn::ModelState& global,
+                            const ClientContext& ctx) override {
+    const auto c = static_cast<std::size_t>(ctx.client_id);
+    const bool first_attempt = started_[c].fetch_add(1) == 0;
+    if (!slow_taken_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    } else if (first_attempt) {
+      throw std::runtime_error("transient");
+    }
+    ClientUpdate update = ToyAlgorithm::local_update(global, ctx);
+    completed_[c].fetch_add(1);
+    return update;
+  }
+  double personalize(const nn::ModelState&,
+                     const PersonalizationContext& ctx) override {
+    return completed_[static_cast<std::size_t>(ctx.client_id)].load();
+  }
+
+ private:
+  std::atomic<bool> slow_taken_{false};
+  std::vector<std::atomic<int>> started_;
+  std::vector<std::atomic<int>> completed_;
+};
+
+TEST(AsyncAggregation, RetriesFinishWhateverTheFinalCommitTiming) {
+  const int clients = 4;
+  const FedDataset fed = toy_fed(clients);
+  auto run = [&](int threads) {
+    FlConfig config = toy_config(clients);
+    config.async_mode = true;
+    config.rounds = 1;
+    config.async_buffer_size = 1;
+    config.clients_per_round = clients;
+    config.max_client_retries = 1;
+    config.threads = threads;
+    RetryCountingAlgorithm algorithm(config, clients);
+    return run_federated(algorithm, fed, false).train_accuracies;
+  };
+  const std::vector<double> one_thread = run(1);
+  EXPECT_EQ(one_thread, std::vector<double>(clients, 1.0))
+      << "every client trains once: the slow one on its first attempt, "
+         "the others on their retry";
+  EXPECT_EQ(run(8), one_thread);
+}
+
+// ROADMAP item 10's accounting identities over a seeded grid of modes,
+// thread counts, fault rates, retry budgets and (sync only) deadlines.
+// Every dispatched sync slot resolves exactly once, as a participant, a
+// timeout or a permanent failure (failures - retries: each failed attempt
+// counts a failure, and each one that bought a retry a retry too), so with
+// the dropped clients the four terms cover the cohort. Async folds exactly
+// async_buffer_size updates per commit and, once the final commit closes,
+// drains the rest of its in-flight window.
+TEST(RunnerAccounting, IdentitiesHoldAcrossTheFaultGrid) {
+  const int clients = 8;
+  const FedDataset fed = toy_fed(clients);
+  for (const bool async : {false, true}) {
+    for (const int threads : {1, 3}) {
+      for (const float fault_rate : {0.0f, 0.3f}) {
+        for (const int retries : {0, 2}) {
+          for (const int deadline_ms : async ? std::vector<int>{0}
+                                             : std::vector<int>{0, 25}) {
+            FlConfig config = toy_config(clients);
+            config.threads = threads;
+            config.max_client_retries = retries;
+            config.clients_per_round = 5;
+            // Virtual latency only: a slow class that a deadline can cut.
+            config.device_classes = {{"fast", fault_rate, 10, 1.0f, 0},
+                                     {"slow", fault_rate, 60, 1.0f, 0}};
+            if (async) {
+              config.async_mode = true;
+              config.rounds = 5;
+              config.async_buffer_size = 2;
+            } else {
+              config.rounds = 4;
+              config.client_dropout_rate = 0.2f;
+              config.round_deadline_ms = deadline_ms;
+              config.min_participants = 3;
+            }
+            SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                         " threads=" + std::to_string(threads) +
+                         " fault_rate=" + std::to_string(fault_rate) +
+                         " retries=" + std::to_string(retries) +
+                         " deadline=" + std::to_string(deadline_ms));
+            ToyAlgorithm algorithm(config);
+            const RunResult result = run_federated(algorithm, fed, false);
+            ASSERT_EQ(result.history.size(),
+                      static_cast<std::size_t>(config.rounds));
+            int folds = 0;
+            for (const RoundStats& r : result.history) {
+              folds += r.participants;
+              if (!async) {
+                EXPECT_EQ(r.participants + r.dropped + r.timeouts +
+                              (r.failures - r.retries),
+                          config.clients_per_round)
+                    << "round " << r.round;
+              }
+            }
+            if (async) {
+              EXPECT_EQ(folds, config.rounds * config.async_buffer_size);
+              EXPECT_EQ(result.history.back().late_dropped,
+                        config.clients_per_round - 1);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
   // alpha > 0 down-weights stale folds, so the trajectory must differ from
   // the alpha = 0 run under the same schedule — proof the weight is applied
@@ -2129,8 +2242,8 @@ TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
 // RoundStats field that is a pure function of the seed. The constants were
 // recorded before the sync and async loops were folded into one engine, so
 // any drift in sampler, dropout or fault-stream consumption, fold order,
-// weights or stats roll-up shows up here. Router byte columns are left
-// out: an async window counts the replies that really arrive during it.
+// weights or stats roll-up shows up here. The byte columns are left out
+// of these strings; RunnerGolden.SyncTrafficTotals pins the sync traffic.
 
 std::uint64_t fnv1a(const std::vector<float>& values) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -2474,6 +2587,48 @@ TEST(RunnerGolden, SyncCalibreTopK16TwoShards) {
        "0 0 0 4 0 div 0x1.ca4feap-2 norm 0x1.11b9e8p+3 v0 stale 0x0p+0/0",
        "round 2 p4 drop0 fail0 retry0 tmo0 late0 wire=6812 f32=70664 codecs 0 "
        "0 0 0 4 0 div 0x1.c6e214p-2 norm 0x1.11bdacp+3 v0 stale 0x0p+0/0"});
+}
+
+// The sync traffic totals of the pinned runs above: messages, logical,
+// physical, broadcast and collected bytes, and both serialization counts.
+// An error reply is a message too, so the fault runs pin the failure
+// traffic. Payload sizes follow from the model and codec alone, so the
+// totals hold in sanitized builds as well.
+std::string traffic_totals(const RunResult& result) {
+  const comm::TrafficStats& t = result.traffic;
+  std::ostringstream line;
+  line << t.messages << ' ' << t.logical_bytes << ' ' << t.physical_bytes
+       << ' ' << t.broadcast_bytes << ' ' << t.collected_bytes << ' '
+       << t.broadcast_serializations << ' ' << t.collect_serializations;
+  return line.str();
+}
+
+TEST(RunnerGolden, SyncTrafficTotals) {
+  EXPECT_EQ(traffic_totals(run_pinned_calibre(pinned_world().config)),
+            "24 424032 265236 211884 212148 3 12");
+  FlConfig dropout = pinned_toy_config();
+  dropout.client_dropout_rate = 0.3f;
+  EXPECT_EQ(traffic_totals(run_pinned_toy(dropout)),
+            "38 8664 5604 4123 4541 4 19");
+  FlConfig faults = pinned_toy_config();
+  faults.max_client_retries = 1;
+  faults.device_classes = pinned_device_classes();
+  EXPECT_EQ(traffic_totals(run_pinned_toy(faults)),
+            "62 11912 6404 6727 5185 4 31");
+  FlConfig deadline = pinned_toy_config();
+  deadline.round_deadline_ms = 25;
+  deadline.min_participants = 4;
+  deadline.max_client_retries = 1;
+  deadline.device_classes = {{"fast", 0.1f, 10, 1.0f, 0},
+                             {"flaky", 0.35f, 60, 1.0f, 0},
+                             {"night", 0.1f, 30, 0.5f, 2}};
+  EXPECT_EQ(traffic_totals(run_pinned_toy(deadline)),
+            "64 12168 6456 6944 5224 4 32");
+  FlConfig topk = pinned_world().config;
+  topk.wire_codec = comm::Codec::kTopK16;
+  topk.agg_shards = 2;
+  EXPECT_EQ(traffic_totals(run_pinned_calibre(topk)),
+            "24 126696 47235 106104 20592 3 12");
 }
 
 TEST(RunnerGolden, AsyncStalenessAlpha) {
@@ -2986,23 +3141,7 @@ void expect_spares_recycle(const FlConfig& config, int warmup_commits) {
 
   EXPECT_EQ(bit_pattern(on.final_state.values()),
             bit_pattern(off.final_state.values()));
-  // An async window's bytes_collected counts the replies that happen to
-  // reach the server during it, so it follows arrival timing, not the pool.
-  auto columns = [&](const RunResult& result) {
-    std::vector<std::string> lines = all_columns(result);
-    if (!config.async_mode) return lines;
-    for (std::string& line : lines) {
-      std::istringstream fields(line);
-      std::ostringstream kept;
-      std::string field;
-      for (int i = 0; fields >> field; ++i) {
-        if (i != 9) kept << field << ' ';
-      }
-      line = kept.str();
-    }
-    return lines;
-  };
-  EXPECT_EQ(columns(on), columns(off));
+  EXPECT_EQ(all_columns(on), all_columns(off));
   EXPECT_EQ(tensor::pool::thread_stats().spares, 0u);
 
   const std::vector<std::uint64_t>& commits = algorithm.commit_misses_;
